@@ -197,7 +197,7 @@ pub fn apply_optical_sharded_faulted(
     coordinator: &ShardCoordinator,
     faults: Option<&FaultSpec>,
 ) -> Result<Image, AppError> {
-    let runs = coordinator.image_rows_faulted(
+    let runs = coordinator.image_rows(
         backend.system(),
         SngKind::Xoshiro,
         image.width(),
@@ -246,7 +246,7 @@ pub fn apply_optical_pooled_faulted(
     pool: &mut WorkerPool,
     faults: Option<&FaultSpec>,
 ) -> Result<Image, AppError> {
-    let runs = pool.image_rows_faulted(
+    let runs = pool.image_rows(
         backend.system(),
         SngKind::Xoshiro,
         image.width(),

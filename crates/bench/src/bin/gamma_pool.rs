@@ -28,9 +28,7 @@
 //!
 //! The determinism contract makes the output bytes **identical across
 //! all modes and worker counts**, so CI `cmp`s them directly; the
-//! timing lines are the amortization story. `gamma_sharded --requests`
-//! drives the same schedule, so both binaries are interchangeable
-//! entry points for local repros.
+//! timing lines are the amortization story.
 //!
 //! `--backend NAME` (`mrr-mzi`, the default, or `nanocavity`) selects
 //! the transmission physics behind every request's circuit — the CI

@@ -2,10 +2,10 @@
 //! requests, runnable through any serving mode.
 //!
 //! This is the one request schedule the CI `pool-soak` job, the
-//! `gamma_pool` / `gamma_sharded` demo binaries and the
-//! `pool_small_requests_1024` trajectory workload all drive, so "pooled
-//! ≡ sharded ≡ unsharded" is checked (and timed) on **identical
-//! bytes** everywhere. Request `r` evaluates one small
+//! `gamma_pool` demo binary (every serving mode, spawn-per-request
+//! included) and the `pool_small_requests_1024` trajectory workload all
+//! drive, so "pooled ≡ sharded ≡ unsharded" is checked (and timed) on
+//! **identical bytes** everywhere. Request `r` evaluates one small
 //! [`Image::blobs`] frame through the paper's order-6 gamma circuit
 //! when `r` is even and the order-3 smoothstep contrast circuit when
 //! `r` is odd, with a per-request backend seed — the alternating

@@ -20,7 +20,7 @@ use osc_apps::image::Image;
 use osc_bench::soak::{self, SoakConfig, SoakMode};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{ShardCoordinator, ShardError, SngKind};
+use osc_core::batch::shard::{ShardCoordinator, ShardError, ShardRequest, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 use osc_core::params::CircuitParams;
@@ -28,6 +28,7 @@ use osc_core::system::{OpticalRun, OpticalScSystem};
 use osc_stochastic::bernstein::BernsteinPoly;
 use osc_stochastic::sng::{ChaoticLaserSng, CounterSng, LfsrSng, XoshiroSng};
 use osc_units::Nanometers;
+use std::time::{Duration, Instant};
 
 const WORKER: &str = env!("CARGO_BIN_EXE_shard_worker");
 
@@ -81,7 +82,9 @@ fn pooled_batches_match_single_process_for_all_sngs_and_worker_counts() {
             // circuit inline, the second rides the cached reference —
             // both must be byte-identical to the reference.
             for round in 0..2 {
-                let pooled = pool.evaluate_many(&system, kind, &xs, 128, 7).unwrap();
+                let pooled = pool
+                    .evaluate_many(&system, kind, &xs, 128, 7, None)
+                    .unwrap();
                 assert_eq!(
                     pooled,
                     reference,
@@ -203,7 +206,7 @@ fn killed_worker_mid_stream_is_respawned_with_identical_results() {
     let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 128, 3);
     let mut pool = PoolConfig::new(WORKER, 2).spawn().unwrap();
     let before = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
         .unwrap();
     assert_eq!(before, reference);
     // Kill one worker out from under the pool, mid-stream.
@@ -218,7 +221,7 @@ fn killed_worker_mid_stream_is_respawned_with_identical_results() {
     // still produces the exact reference bytes (the respawned worker's
     // cold cache forces the inline path — also byte-identical).
     let after = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
         .unwrap();
     assert_eq!(after, reference, "recovery must not change results");
     let new_pids = pool.worker_pids();
@@ -227,25 +230,90 @@ fn killed_worker_mid_stream_is_respawned_with_identical_results() {
 
 #[test]
 fn forced_cache_miss_falls_back_to_inline_transparently() {
-    // Poison the pool's cache mirror so its very first request ships as
-    // a cached reference the worker has never seen: the worker answers
-    // a clean cache miss, the pool resends inline, and the caller sees
-    // only the correct bytes.
-    let system = fig5_system();
+    // The launcher runs the real worker with a ONE-circuit cache while
+    // the pool's mirror keeps the default capacity of 8, so alternating
+    // two circuits makes every cached reference the pool ships a
+    // genuine miss: the worker answers a clean cache miss, the pump
+    // resends inline (rotating the request to the back of its
+    // pipeline), and the caller sees only the in-process bytes.
+    let dir = std::env::temp_dir().join(format!("osc-pool-cache1-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let launcher = dir.join("cache1_worker.sh");
+    std::fs::write(
+        &launcher,
+        format!("#!/bin/sh\nexec env OSC_CIRCUIT_CACHE=1 '{WORKER}'\n"),
+    )
+    .unwrap();
+    use std::os::unix::fs::PermissionsExt;
+    std::fs::set_permissions(&launcher, std::fs::Permissions::from_mode(0o755)).unwrap();
+
+    let circuits = [
+        fig5_system(),
+        OpticalScSystem::new(
+            CircuitParams::paper_fig5(),
+            BernsteinPoly::new(vec![0.75, 0.375, 0.25]).unwrap(),
+        )
+        .unwrap(),
+    ];
     let xs = [0.1, 0.5, 0.9];
-    let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 96, 11);
-    let mut pool = PoolConfig::new(WORKER, 1).spawn().unwrap();
-    pool.assume_cached(system.params(), system.polynomial().coeffs());
-    let pooled = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 96, 11)
+    let references: Vec<Vec<OpticalRun>> = circuits
+        .iter()
+        .map(|system| reference_runs(system, SngKind::Xoshiro, &xs, 96, 11))
+        .collect();
+    let mut pool = PoolConfig::new(&launcher, 1).spawn().unwrap();
+    let pids = pool.worker_pids();
+    for round in 0..3 {
+        for (system, reference) in circuits.iter().zip(&references) {
+            let pooled = pool
+                .evaluate_many(system, SngKind::Xoshiro, &xs, 96, 11, None)
+                .unwrap();
+            assert_eq!(&pooled, reference, "round {round}: miss fallback diverged");
+        }
+    }
+    // One batch alternating both circuits: each miss heals while the
+    // next request is already in flight behind it on the same pipe.
+    let requests: Vec<ShardRequest> = (0..6)
+        .map(|i| ShardRequest::batch(&circuits[i % 2], SngKind::Xoshiro, 0, &xs, 96, 11, None))
+        .collect();
+    let batched = pool.run_requests(&requests, &[xs.len(); 6]).unwrap();
+    for (i, runs) in batched.iter().enumerate() {
+        assert_eq!(runs, &references[i % 2], "batched request {i}");
+    }
+    // Healed in place: no miss was mistaken for a dead worker.
+    assert_eq!(pool.worker_pids(), pids, "cache misses must not respawn");
+    drop(pool);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_shard_per_worker_runs_on_every_worker() {
+    // The work-conserving refill rule: at the default pipeline depth of
+    // 2, a 2-shard batch on a 2-worker pool must still land one shard
+    // per worker. Every response takes 300 ms, so two shards on one
+    // worker would need 600 ms; on two workers the batch takes ~300 ms.
+    let delay = Duration::from_millis(300);
+    let system = fig5_system();
+    let xs = [0.25, 0.75];
+    let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 64, 5);
+    let mut pool = PoolConfig::new(WORKER, 2)
+        .with_response_delay(delay)
+        .spawn()
         .unwrap();
-    assert_eq!(pooled, reference, "cache-miss fallback must be invisible");
-    // And the digest is now genuinely cached: the repeat request rides
-    // the reference path for real.
-    let again = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 96, 11)
+    // Warm up first, so process start-up and circuit builds stay out of
+    // the timed call.
+    pool.evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 5, None)
         .unwrap();
-    assert_eq!(again, reference);
+    let started = Instant::now();
+    let runs = pool
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 5, None)
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(runs, reference);
+    assert!(
+        elapsed < delay.mul_f64(1.6),
+        "two shards on two workers took {elapsed:?} — serialized on one worker?"
+    );
 }
 
 #[test]
@@ -344,7 +412,7 @@ fn fatal_errors_are_values_and_the_pool_survives_them() {
     // A deterministic rejection (out-of-range input) is a Remote error,
     // not a retry loop...
     let err = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1, None)
         .unwrap_err();
     match err {
         ShardError::Remote { detail, .. } => assert!(detail.contains("outside"), "{detail}"),
@@ -354,9 +422,44 @@ fn fatal_errors_are_values_and_the_pool_survives_them() {
     let xs = [0.25, 0.5, 0.75];
     let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 64, 1);
     let recovered = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1, None)
         .unwrap();
     assert_eq!(recovered, reference);
+}
+
+#[test]
+fn a_failed_batch_returns_without_running_its_queued_requests() {
+    // Eight requests through one 150 ms-per-response worker; request 2
+    // is rejected. The error names request 2 and returns once the
+    // request already pipelined behind it answers (~600 ms) — the five
+    // still-queued requests are dropped, not run (~1200 ms) — and the
+    // pool then serves the next batch normally.
+    let delay = Duration::from_millis(150);
+    let system = fig5_system();
+    let mut pool = PoolConfig::new(WORKER, 1)
+        .with_response_delay(delay)
+        .spawn()
+        .unwrap();
+    let requests: Vec<ShardRequest> = (0..8)
+        .map(|i| {
+            let x = if i == 2 { 1.5 } else { 0.5 };
+            ShardRequest::batch(&system, SngKind::Xoshiro, 0, &[x], 64, 1, None)
+        })
+        .collect();
+    let started = Instant::now();
+    let err = pool.run_requests(&requests, &[1; 8]).unwrap_err();
+    let elapsed = started.elapsed();
+    assert!(
+        matches!(err, ShardError::Remote { shard: 2, .. }),
+        "expected request 2's remote error, got {err}"
+    );
+    assert!(
+        elapsed < delay * 7,
+        "the failed batch took {elapsed:?}, as if its queued requests ran"
+    );
+    let reference = reference_runs(&system, SngKind::Xoshiro, &[0.5], 64, 1);
+    let again = pool.run_requests(&requests[..2], &[1, 1]).unwrap();
+    assert_eq!(again, vec![reference.clone(), reference]);
 }
 
 #[test]
@@ -370,7 +473,7 @@ fn garbage_speaking_worker_fails_as_a_value() {
         .spawn()
         .unwrap();
     let err = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
         .unwrap_err();
     assert!(matches!(err, ShardError::Worker { .. }), "{err}");
 }
@@ -385,10 +488,10 @@ fn pool_thread_pinning_does_not_change_results() {
         .unwrap();
     let mut free = PoolConfig::new(WORKER, 2).spawn().unwrap();
     let a = pinned
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11)
+        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
         .unwrap();
     let b = free
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11)
+        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
         .unwrap();
     assert_eq!(a, b, "OSC_THREADS pinning must be unobservable");
 }

@@ -77,7 +77,7 @@ fn sharded_batches_match_single_process_for_all_sngs_and_counts() {
         for shards in [1usize, 2, 3, 7] {
             let coordinator = ShardCoordinator::new(WORKER, shards).with_worker_threads(1);
             let sharded = coordinator
-                .evaluate_many(&system, kind, &xs, 128, 7)
+                .evaluate_many(&system, kind, &xs, 128, 7, None)
                 .unwrap();
             assert_eq!(sharded, reference, "{} shards={shards}", kind.name());
         }
@@ -135,7 +135,7 @@ fn dead_worker_surfaces_a_clean_error_after_retries() {
     let xs = [0.25, 0.5, 0.75];
     let coordinator = ShardCoordinator::new("/bin/false", 2).with_retries(1);
     let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1, None)
         .unwrap_err();
     assert!(
         matches!(err, ShardError::Worker { .. }),
@@ -145,7 +145,7 @@ fn dead_worker_surfaces_a_clean_error_after_retries() {
     // distinguishable from a worker that launched and then died.
     let coordinator = ShardCoordinator::new("/nonexistent/worker", 2).with_retries(0);
     let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1, None)
         .unwrap_err();
     assert!(matches!(err, ShardError::Spawn { .. }), "{err}");
 }
@@ -181,7 +181,7 @@ fn killed_worker_recovers_on_retry_with_identical_results() {
     let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 128, 3);
     let coordinator = ShardCoordinator::new(&script_path, 3).with_retries(1);
     let recovered = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
         .unwrap();
     assert_eq!(recovered, reference, "recovery must not change results");
     assert!(
@@ -192,7 +192,7 @@ fn killed_worker_recovers_on_retry_with_identical_results() {
     let _ = std::fs::remove_file(marker_dir.join("died-once"));
     let coordinator = ShardCoordinator::new(&script_path, 3).with_retries(0);
     let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3)
+        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
         .unwrap_err();
     assert!(matches!(err, ShardError::Worker { .. }), "{err}");
     let _ = std::fs::remove_dir_all(&marker_dir);
@@ -205,7 +205,7 @@ fn remote_evaluation_errors_cross_the_boundary_as_values() {
     let system = fig5_system();
     let coordinator = ShardCoordinator::new(WORKER, 2);
     let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1, None)
         .unwrap_err();
     match err {
         ShardError::Remote { detail, .. } => {
@@ -221,10 +221,10 @@ fn worker_thread_pinning_does_not_change_results() {
     let xs: Vec<f64> = (0..13).map(|i| i as f64 / 12.0).collect();
     let pinned = ShardCoordinator::new(WORKER, 2)
         .with_worker_threads(1)
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11)
+        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
         .unwrap();
     let free = ShardCoordinator::new(WORKER, 2)
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11)
+        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
         .unwrap();
     assert_eq!(pinned, free, "OSC_THREADS pinning must be unobservable");
 }

@@ -14,14 +14,16 @@
 //!   binary can expose over stdin/stdout (the `osc-bench` crate ships it
 //!   as the `shard_worker` binary), holding a small LRU cache of built
 //!   circuits across requests;
-//! - [`pool::WorkerPool`] — the long-lived parent side: spawns N worker
-//!   processes **once**, keeps them alive across requests, dispatches
-//!   round-robin, respawns + retries on worker death, and references
-//!   worker-cached circuits instead of reshipping them;
-//! - [`ShardCoordinator`] — the one-shot parent side: every call spawns
-//!   a fresh pool sized to the plan (acquire → run → drop), feeds each
-//!   worker its range, collects responses and merges them in index
-//!   order, with worker failure detection and per-shard retry.
+//! - [`pool`] — the long-lived parent side: spawns N worker processes
+//!   **once**, keeps them alive across requests, and schedules work
+//!   onto them through one shared queue with per-worker pipelining,
+//!   respawn + retry on worker death, and worker-cached circuit
+//!   references instead of reshipped circuits. [`pool::PoolDispatcher`]
+//!   is its concurrent serving front end, [`pool::WorkerPool`] its
+//!   batch front end (submit a batch, collect it in request order);
+//! - [`ShardCoordinator`] — the one-shot spawn baseline: every call
+//!   spawns a fresh pool with one worker per shard (acquire → run →
+//!   drop) and merges the shards' runs in index order.
 //!
 //! # One-shot vs pooled
 //!
@@ -35,14 +37,14 @@
 //! # fn demo(system: &osc_core::system::OpticalScSystem) -> Result<(), Box<dyn std::error::Error>> {
 //! // One-shot: spawn, evaluate, reap — per call.
 //! let coordinator = ShardCoordinator::new("shard_worker", 3);
-//! let once = coordinator.evaluate_many(system, SngKind::Xoshiro, &[0.5], 256, 7)?;
+//! let once = coordinator.evaluate_many(system, SngKind::Xoshiro, &[0.5], 256, 7, None)?;
 //!
 //! // Pooled: spawn 3 workers once, then stream requests at them. The
 //! // workers cache the built circuit, so repeat requests skip both the
 //! // spawn and the rebuild. Results are bit-identical either way.
 //! let mut pool = PoolConfig::new("shard_worker", 3).spawn()?;
 //! for seed in 0..100u64 {
-//!     let runs = pool.evaluate_many(system, SngKind::Xoshiro, &[0.5], 256, seed)?;
+//!     let runs = pool.evaluate_many(system, SngKind::Xoshiro, &[0.5], 256, seed, None)?;
 //!     assert_eq!(runs.len(), 1);
 //! }
 //! # Ok(()) }
@@ -148,9 +150,9 @@
 //! circuits (the soak schedule's two-circuit repeat profile). A design
 //! sweep ([`crate::design::sweep`]) is the opposite shape: thousands of
 //! *distinct* circuits, each revisited once per probe input — a
-//! round-robin pool with an undersized LRU evicts every entry before
-//! its next hit and rebuilds on all of them. Size the capacity to the
-//! sweep's working set (`designs().len()`) via
+//! pool with an undersized LRU evicts every entry before its next hit
+//! and rebuilds on all of them. Size the capacity to the sweep's
+//! working set (`designs().len()`) via
 //! [`pool::PoolConfig::with_circuit_cache_capacity`] or the
 //! `OSC_CIRCUIT_CACHE` env; by contract an undersized cache only costs
 //! rebuild time, never bytes, so this is purely a throughput knob (the
@@ -2030,21 +2032,18 @@ fn image_requests(
 
 /// Spawns worker subprocesses and distributes a batch across them.
 ///
-/// Since the pool landed this is the **one-shot** facade over
-/// [`pool::WorkerPool`]: every call spawns a fresh pool with one worker
-/// per shard, feeds each worker its contiguous range, merges the
-/// responses in index order and reaps the pool. Failed shards are
-/// retried on fresh processes ([`ShardCoordinator::with_retries`]
-/// times, default 1) before the batch fails — a killed worker costs a
-/// respawn, not the batch. For a stream of requests, hold a
-/// [`pool::WorkerPool`] instead and pay the spawn once.
+/// The **one-shot** spawn baseline over [`pool::WorkerPool`]: every
+/// call spawns a fresh pool with one worker per shard, so each worker
+/// takes exactly one contiguous range; it merges the responses in index
+/// order and reaps the pool. Failed shards are retried on fresh
+/// processes ([`ShardCoordinator::with_retries`] times, default 1)
+/// before the batch fails — a killed worker costs a respawn, not the
+/// batch. For a stream of requests, hold a [`pool::WorkerPool`] instead
+/// and pay the spawn once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCoordinator {
-    worker: PathBuf,
-    shards: usize,
-    worker_threads: Option<usize>,
-    retries: usize,
-    read_timeout: Option<Duration>,
+    /// The pool every call spawns, sized to `shards` workers.
+    pool: pool::PoolConfig,
 }
 
 impl ShardCoordinator {
@@ -2052,20 +2051,16 @@ impl ShardCoordinator {
     /// treated as `1`) of the given binary.
     pub fn new(worker: impl AsRef<Path>, shards: usize) -> Self {
         ShardCoordinator {
-            worker: worker.as_ref().to_path_buf(),
-            shards: shards.max(1),
-            worker_threads: None,
-            retries: 1,
-            read_timeout: None,
+            pool: pool::PoolConfig::new(worker, shards),
         }
     }
 
     /// Sets the per-request response deadline of every worker the
-    /// coordinator spawns (see [`pool::PoolConfig::with_read_timeout`]);
-    /// unset keeps the pool default. A stalled worker then surfaces as
-    /// [`ShardError::Timeout`] instead of blocking the batch forever.
+    /// coordinator spawns (see [`pool::PoolConfig::with_read_timeout`]).
+    /// A stalled worker then surfaces as [`ShardError::Timeout`]
+    /// instead of blocking the batch forever.
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.read_timeout = Some(timeout);
+        self.pool = self.pool.with_read_timeout(timeout);
         self
     }
 
@@ -2074,57 +2069,30 @@ impl ShardCoordinator {
     /// Results are identical either way; this bounds total CPU
     /// oversubscription.
     pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.worker_threads = Some(threads.max(1));
+        self.pool = self.pool.with_worker_threads(threads);
         self
     }
 
     /// Sets how many times a failed shard is retried on a fresh process.
     pub fn with_retries(mut self, retries: usize) -> Self {
-        self.retries = retries;
+        self.pool = self.pool.with_retries(retries);
         self
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The configured worker binary.
-    pub fn worker(&self) -> &Path {
-        &self.worker
     }
 
     /// Sharded [`BatchEvaluator::evaluate_many`]: evaluates every `x` in
     /// `xs`, item `i` on generators derived from `mix_seed(seed, i)`,
-    /// split across worker processes by a [`ShardPlan`]. Byte-identical
-    /// to the single-process evaluation for every shard count.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] when a shard cannot be completed (after retries) or
-    /// a worker reports an evaluation failure.
-    pub fn evaluate_many(
-        &self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        xs: &[f64],
-        stream_length: usize,
-        seed: u64,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        self.evaluate_many_faulted(system, sng, xs, stream_length, seed, None)
-    }
-
-    /// [`ShardCoordinator::evaluate_many`] under an optional fault
-    /// process: every worker rebases `faults` by each item's global
-    /// index ([`FaultSpec::rebased`]), so faulty sharded output is
-    /// byte-identical to faulty single-process output for every shard
+    /// split across worker processes by a [`ShardPlan`], optionally
+    /// under a fault process that every worker rebases by each item's
+    /// global index ([`FaultSpec::rebased`]). Byte-identical to the
+    /// single-process evaluation — faulty or clean — for every shard
     /// count.
     ///
     /// # Errors
     ///
-    /// As [`ShardCoordinator::evaluate_many`]; an invalid spec comes
-    /// back as a remote error value.
-    pub fn evaluate_many_faulted(
+    /// [`ShardError`] when a shard cannot be completed (after retries) or
+    /// a worker reports an evaluation failure; an invalid fault spec
+    /// comes back as a remote error value.
+    pub fn evaluate_many(
         &self,
         system: &OpticalScSystem,
         sng: SngKind,
@@ -2133,22 +2101,23 @@ impl ShardCoordinator {
         seed: u64,
         faults: Option<&FaultSpec>,
     ) -> Result<Vec<OpticalRun>, ShardError> {
-        let (requests, expected) =
-            batch_requests(system, sng, xs, stream_length, seed, faults, self.shards);
-        let merged = self.run_requests(&requests, &expected)?;
-        Ok(merged.into_iter().flatten().collect())
+        self.spawn(xs.len())?
+            .evaluate_many(system, sng, xs, stream_length, seed, faults)
     }
 
     /// Sharded image evaluation: splits the image's rows across worker
     /// processes, each running the row+lane pipeline derivation
-    /// (`mix_seed(mix_seed(seed, row), column)` per pixel) over its row
-    /// range. Returns per-pixel runs in row-major order — byte-identical
-    /// to the in-process row+lane pipeline for every shard count.
+    /// (`mix_seed(mix_seed(seed, row), column)` per pixel, and the
+    /// optional fault process rebased by global row then column) over
+    /// its row range. Returns per-pixel runs in row-major order —
+    /// byte-identical to the in-process row+lane pipeline for every
+    /// shard count.
     ///
     /// # Errors
     ///
     /// [`ShardError::InvalidPlan`] when `pixels` is not a whole number of
     /// `width`-sized rows; otherwise as [`ShardCoordinator::evaluate_many`].
+    #[allow(clippy::too_many_arguments)]
     pub fn image_rows(
         &self,
         system: &OpticalScSystem,
@@ -2157,63 +2126,19 @@ impl ShardCoordinator {
         pixels: &[f64],
         stream_length: usize,
         seed: u64,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        self.image_rows_faulted(system, sng, width, pixels, stream_length, seed, None)
-    }
-
-    /// [`ShardCoordinator::image_rows`] under an optional fault process,
-    /// rebased per pixel by global row then column — byte-identical to
-    /// the faulty in-process row+lane pipeline for every shard count.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardCoordinator::image_rows`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn image_rows_faulted(
-        &self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        width: usize,
-        pixels: &[f64],
-        stream_length: usize,
-        seed: u64,
         faults: Option<&FaultSpec>,
     ) -> Result<Vec<OpticalRun>, ShardError> {
-        let (requests, expected) = image_requests(
-            system,
-            sng,
-            width,
-            pixels,
-            stream_length,
-            seed,
-            faults,
-            self.shards,
-        )?;
-        let merged = self.run_requests(&requests, &expected)?;
-        Ok(merged.into_iter().flatten().collect())
+        let rows = pixels.len() / width.max(1);
+        self.spawn(rows)?
+            .image_rows(system, sng, width, pixels, stream_length, seed, faults)
     }
 
-    /// Runs one request per shard on a freshly spawned one-shot pool —
-    /// all workers in flight concurrently — and returns their runs in
-    /// shard order.
-    fn run_requests(
-        &self,
-        requests: &[ShardRequest],
-        expected: &[usize],
-    ) -> Result<Vec<Vec<OpticalRun>>, ShardError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut config =
-            pool::PoolConfig::new(&self.worker, requests.len()).with_retries(self.retries);
-        if let Some(threads) = self.worker_threads {
-            config = config.with_worker_threads(threads);
-        }
-        if let Some(timeout) = self.read_timeout {
-            config = config.with_read_timeout(timeout);
-        }
-        let mut pool = config.spawn()?;
-        pool.run_requests(requests, expected)
+    /// Spawns the one-shot pool for a plan over `items`: one worker per
+    /// shard, so each worker takes exactly one contiguous range.
+    fn spawn(&self, items: usize) -> Result<pool::WorkerPool, ShardError> {
+        let mut config = self.pool.clone();
+        config.workers = config.workers.min(items).max(1);
+        config.spawn()
     }
 }
 

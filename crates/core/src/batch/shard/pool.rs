@@ -4,41 +4,49 @@
 //! construction on every call — fine for one big batch, ruinous for the
 //! paper's image workloads, which are streams of *small* evaluations
 //! (the `gamma_64x64_order6_sharded` trajectory entry documents that
-//! overhead). A [`WorkerPool`] is the serving-architecture answer for
-//! one caller; a [`PoolDispatcher`] ([`PoolConfig::spawn_dispatcher`])
-//! is the same pool behind a concurrent, shareable `submit(&self)`
-//! front end with depth>1 pipelining per worker, a bounded fair queue
-//! (overload rejected as [`ShardError::Overloaded`] values) and
-//! graceful drain — the backend of
-//! [`super::service::Service`]. The pool mechanics:
+//! overhead). A pool pays both once. It has one scheduler and two
+//! front ends:
 //!
-//! - N `shard_worker` subprocesses are spawned **once**
-//!   ([`PoolConfig::spawn`]) and kept alive across requests;
-//! - requests are dispatched **round-robin** across the workers, each
-//!   worker keeping one request in flight (depth-1 pipelining: a
-//!   worker's next request is written the moment its previous response
-//!   is read, so all workers compute concurrently and the pipe pair can
-//!   never deadlock on a full buffer);
+//! - [`PoolDispatcher`] ([`PoolConfig::spawn_dispatcher`]) — the
+//!   concurrent, shareable `submit(&self)` front end with a bounded
+//!   queue (overload rejected as [`ShardError::Overloaded`] values) and
+//!   graceful drain; the backend of [`super::service::Service`];
+//! - [`WorkerPool`] ([`PoolConfig::spawn`]) — the batch front end for
+//!   one caller: it owns a dispatcher, submits a whole batch at once
+//!   and collects the replies in request order.
+//!
+//! The scheduler under both:
+//!
+//! - N `shard_worker` subprocesses are spawned **once** and kept alive
+//!   across requests, each driven by a dedicated *pump* thread fed from
+//!   one shared FIFO;
+//! - each pump keeps up to [`PoolConfig::with_pipeline_depth`] requests
+//!   (default 2) in flight on its worker's pipe. Refill is
+//!   work-conserving: a pump with an empty pipeline takes the next
+//!   queued request, and takes a further, pipelined one only while more
+//!   requests are queued than there are pumps with an empty pipeline —
+//!   so a batch of one request per worker lands on every worker, and a
+//!   deeper batch keeps every pipe busy;
 //! - the pool speaks the **v2 protocol family** (v3 when a request
 //!   carries a fault spec): every request carries an ID the
 //!   worker echoes (desyncs are detected, not silently misattributed),
 //!   and repeat circuits travel as [`super::CircuitRef::Cached`] digest
-//!   references — the pool mirrors each worker's LRU cache state, and a
+//!   references — each pump mirrors its worker's LRU cache state, and a
 //!   stale mirror costs one clean
 //!   [`super::ShardResponseV2::CacheMiss`] + inline resend, never a
 //!   wrong result;
 //! - a worker that dies or speaks garbage is **respawned
-//!   transparently** and its request retried ([`PoolConfig::with_retries`]
-//!   attempts, default 1) — mid-stream worker death costs a respawn,
-//!   not the stream. After a fatal error the pool restarts the affected
-//!   workers, so it stays usable for the next call;
+//!   transparently** and its requests replayed; the head-of-line
+//!   request is charged one of its [`PoolConfig::with_retries`]
+//!   attempts (default 1) — mid-stream worker death costs a respawn,
+//!   not the stream, and the pool stays usable after an error;
 //! - every response read carries a **per-request timeout**
 //!   ([`PoolConfig::with_read_timeout`], default 60 s): each worker's
 //!   stdout is drained by a dedicated reader thread feeding a channel,
 //!   and a worker that stalls without dying is killed, respawned and
 //!   retried exactly like a dead one — exhaustion surfaces as
 //!   [`ShardError::Timeout`], so a hung worker can never hang a client
-//!   stream. Consecutive respawns of the same slot back off
+//!   stream. Consecutive respawns of the same worker back off
 //!   exponentially (10 ms doubling to a 1 s cap) so a crash-looping
 //!   worker binary cannot spin the coordinator at full speed.
 //!
@@ -66,21 +74,22 @@ use std::time::Duration;
 
 /// Default per-request response read timeout.
 const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(60);
-/// Default per-worker pipeline depth of a [`PoolDispatcher`].
+/// Default per-worker pipeline depth.
 pub const DEFAULT_PIPELINE_DEPTH: usize = 2;
 /// Default bound on a [`PoolDispatcher`]'s shared request queue.
 pub const DEFAULT_QUEUE_CAP: usize = 64;
 /// First respawn-backoff delay; doubles per consecutive respawn of the
-/// same slot.
+/// same worker.
 const RESPAWN_BACKOFF_BASE: Duration = Duration::from_millis(10);
 /// Ceiling on the respawn-backoff delay.
 const RESPAWN_BACKOFF_CAP: Duration = Duration::from_secs(1);
 
-/// Configuration for a [`WorkerPool`], consumed by [`PoolConfig::spawn`].
+/// Configuration for a worker pool, consumed by [`PoolConfig::spawn`]
+/// or [`PoolConfig::spawn_dispatcher`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolConfig {
     worker: PathBuf,
-    workers: usize,
+    pub(super) workers: usize,
     worker_threads: Option<usize>,
     retries: usize,
     read_timeout: Duration,
@@ -127,19 +136,19 @@ impl PoolConfig {
     }
 
     /// Sets how many times a failed request is retried on a freshly
-    /// respawned worker before the batch fails.
+    /// respawned worker before it fails.
     pub fn with_retries(mut self, retries: usize) -> Self {
         self.retries = retries;
         self
     }
 
-    /// Sets how many requests a [`PoolDispatcher`] keeps in flight on
-    /// each worker's pipe (default 2, `0` is treated as `1`). Depth > 1
-    /// hides the write→read turnaround: a worker starts decoding its
-    /// next request while the dispatcher is still reading the previous
-    /// response. Ignored by [`PoolConfig::spawn`] — the batch-oriented
-    /// [`WorkerPool`] stays depth-1 by design (its callers block on the
-    /// whole batch anyway).
+    /// Sets how many requests each worker keeps in flight on its pipe
+    /// (default 2, `0` is treated as `1`), for [`WorkerPool`]s and
+    /// [`PoolDispatcher`]s alike. Depth > 1 hides the write→read
+    /// turnaround: a worker starts decoding its next request while its
+    /// pump is still reading the previous response. Depth never starves
+    /// a worker — a pump only pipelines while more requests are queued
+    /// than there are pumps with nothing in flight.
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
         self.pipeline_depth = depth.max(1);
         self
@@ -150,7 +159,9 @@ impl PoolConfig {
     /// immediately with [`ShardError::Overloaded`] — backpressure as a
     /// value, never a silent drop or an unbounded memory footprint. The
     /// cap counts *waiting* requests; up to `workers × depth` more are
-    /// in flight on worker pipes.
+    /// in flight on worker pipes. A [`WorkerPool`] batch is exempt: it
+    /// is its dispatcher's only client, and the cap bounds concurrent
+    /// serving clients.
     pub fn with_queue_cap(mut self, cap: usize) -> Self {
         self.queue_cap = cap.max(1);
         self
@@ -187,28 +198,21 @@ impl PoolConfig {
         self
     }
 
-    /// Spawns the workers and returns the live pool.
+    /// Spawns the workers and returns the batch front end.
     ///
     /// # Errors
     ///
     /// [`ShardError::Spawn`] when any worker process cannot be launched
     /// (the `shard` field names the worker slot).
     pub fn spawn(self) -> Result<WorkerPool, ShardError> {
-        let slots = self.spawn_slots()?;
-        let streaks = vec![0u32; slots.len()];
         Ok(WorkerPool {
-            config: self,
-            slots,
-            respawn_streaks: streaks,
-            next_request_id: 1,
+            dispatcher: self.spawn_dispatcher()?,
         })
     }
 
     /// Spawns the workers and returns a concurrent [`PoolDispatcher`]:
     /// the serving-side pool front end, safe to share across threads,
-    /// with depth-[`PoolConfig::with_pipeline_depth`] pipelining per
-    /// worker and a bounded queue
-    /// ([`PoolConfig::with_queue_cap`]).
+    /// with a bounded queue ([`PoolConfig::with_queue_cap`]).
     ///
     /// # Errors
     ///
@@ -218,29 +222,41 @@ impl PoolConfig {
         let shared = Arc::new(DispatcherShared {
             state: Mutex::new(DispatchState {
                 queue: VecDeque::new(),
+                idle: slots.len(),
+                pids: slots.iter().map(|s| s.child.id()).collect(),
                 draining: false,
             }),
             ready: Condvar::new(),
             queue_cap: self.queue_cap,
         });
-        let workers = slots.len();
         let config = Arc::new(self);
         let pumps = slots
             .into_iter()
             .enumerate()
-            .map(|(w, slot)| {
+            .map(|(index, slot)| {
                 let shared = Arc::clone(&shared);
                 let config = Arc::clone(&config);
                 std::thread::Builder::new()
-                    .name(format!("osc-pool-pump-{w}"))
-                    .spawn(move || pump(slot, &shared, &config))
+                    .name(format!("osc-pool-pump-{index}"))
+                    .spawn(move || {
+                        Pump {
+                            index,
+                            slot,
+                            inflight: VecDeque::new(),
+                            streak: 0,
+                            next_id: 1,
+                            shared: &shared,
+                            config: &config,
+                        }
+                        .run()
+                    })
                     .expect("spawning a dispatcher pump thread")
             })
             .collect();
         Ok(PoolDispatcher {
             shared,
             pumps,
-            workers,
+            config,
         })
     }
 
@@ -281,9 +297,8 @@ struct WorkerSlot {
     child: Child,
     stdin: ChildStdin,
     /// Frames from the dedicated reader thread draining this worker's
-    /// stdout — the indirection that lets [`WorkerPool::read_response`]
-    /// wait with a timeout instead of blocking forever on a stalled
-    /// worker.
+    /// stdout — the indirection that lets [`slot_read`] wait with a
+    /// timeout instead of blocking forever on a stalled worker.
     frames: mpsc::Receiver<ReadEvent>,
     reader: Option<std::thread::JoinHandle<()>>,
     /// `(digest, full circuit key)` pairs this worker's cache is
@@ -350,9 +365,21 @@ fn spawn_slot(config: &PoolConfig) -> Result<WorkerSlot, String> {
     if let Some(capacity) = config.circuit_cache_capacity {
         command.env(super::CIRCUIT_CACHE_ENV, capacity.to_string());
     }
-    let mut child = command
-        .spawn()
-        .map_err(|e| format!("spawning {}: {e}", config.worker.display()))?;
+    // A just-written worker executable (a launcher script) stays "busy"
+    // while a child another thread forked at that moment still holds
+    // its write handle; the handle closes within milliseconds.
+    let mut busy_waits = 0;
+    let mut child = loop {
+        match command.spawn() {
+            Err(e) if e.kind() == std::io::ErrorKind::ExecutableFileBusy && busy_waits < 50 => {
+                busy_waits += 1;
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            spawned => {
+                break spawned.map_err(|e| format!("spawning {}: {e}", config.worker.display()))?
+            }
+        }
+    };
     let stdin = child.stdin.take().expect("stdin was piped");
     let mut stdout = BufReader::new(child.stdout.take().expect("stdout was piped"));
     // The reader thread owns the stdout pipe and forwards every frame;
@@ -386,22 +413,9 @@ fn spawn_slot(config: &PoolConfig) -> Result<WorkerSlot, String> {
     })
 }
 
-/// One request currently awaiting its response on a worker.
-struct InFlight {
-    /// Index into the call's request slice.
-    req: usize,
-    /// The ID the response must echo.
-    id: u64,
-    /// Transport attempts already consumed by this request.
-    attempts: usize,
-    /// Whether a cache-miss inline fallback already happened on this
-    /// attempt — a second miss on the same attempt is a protocol
-    /// violation, not a retry loop.
-    inline_retry_done: bool,
-}
-
-/// A long-lived pool of `shard_worker` subprocesses serving
-/// [`ShardRequest`]s over the v2 wire protocol.
+/// A long-lived pool of `shard_worker` subprocesses serving batches of
+/// [`ShardRequest`]s over the v2 wire protocol — the single-caller
+/// batch front end over an exclusively owned [`PoolDispatcher`].
 ///
 /// Construct with [`PoolConfig::spawn`]; drive with
 /// [`WorkerPool::evaluate_many`] / [`WorkerPool::image_rows`] (the same
@@ -410,94 +424,35 @@ struct InFlight {
 /// the pool kills and reaps every worker.
 #[derive(Debug)]
 pub struct WorkerPool {
-    config: PoolConfig,
-    slots: Vec<WorkerSlot>,
-    /// Consecutive respawns per slot since its last clean response —
-    /// drives the exponential backoff, reset the moment a slot answers.
-    respawn_streaks: Vec<u32>,
-    next_request_id: u64,
-}
-
-/// How a request attempt failed at the transport level. Timeouts are
-/// tracked separately so exhausting retries on a stalled (rather than
-/// dead) worker surfaces as [`ShardError::Timeout`].
-enum Failure {
-    Transport(String),
-    Timeout(String),
-}
-
-impl Failure {
-    fn into_shard_error(self, shard: usize) -> ShardError {
-        match self {
-            Failure::Transport(detail) => ShardError::Worker { shard, detail },
-            Failure::Timeout(detail) => ShardError::Timeout { shard, detail },
-        }
-    }
+    dispatcher: PoolDispatcher,
 }
 
 impl WorkerPool {
     /// The number of live worker processes.
     pub fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The configured worker binary.
-    pub fn worker(&self) -> &Path {
-        &self.config.worker
+        self.dispatcher.workers()
     }
 
     /// OS process IDs of the current workers, in slot order — exposed
     /// so tests (and operators) can target a specific worker, e.g. to
-    /// exercise kill-mid-stream recovery.
+    /// exercise kill-mid-stream recovery. A respawned worker's new pid
+    /// replaces the old one.
     pub fn worker_pids(&self) -> Vec<u32> {
-        self.slots.iter().map(|s| s.child.id()).collect()
-    }
-
-    /// Poisons the pool's cache mirror: every worker is assumed to
-    /// hold the given circuit, so the next matching request ships as a
-    /// cached reference even if the worker has never seen it. A real
-    /// worker answers with a cache miss and the pool falls back to an
-    /// inline resend — this hook exists to let tests pin that
-    /// fallback.
-    #[doc(hidden)]
-    pub fn assume_cached(&mut self, params: &crate::params::CircuitParams, coeffs: &[f64]) {
-        let digest = circuit_digest(params, coeffs);
-        let key = circuit_key(params, coeffs);
-        for slot in &mut self.slots {
-            note_digest(&mut slot.known, digest, key.clone(), slot.cache_capacity);
-        }
+        self.dispatcher.shared.lock().pids.clone()
     }
 
     /// Pooled [`super::ShardCoordinator::evaluate_many`]: plans `xs`
-    /// across the live workers and merges their runs in index order.
-    /// Byte-identical to the single-process evaluation for every worker
-    /// count.
+    /// across the live workers and merges their runs in index order,
+    /// optionally under a fault process that workers rebase by each
+    /// item's global index. Byte-identical to the single-process
+    /// evaluation — faulty or clean — for every worker count.
     ///
     /// # Errors
     ///
     /// [`ShardError`] when a request cannot be completed (after
-    /// respawn + retries) or a worker reports an evaluation failure.
+    /// respawn + retries) or a worker reports an evaluation failure; an
+    /// invalid fault spec comes back as a remote error value.
     pub fn evaluate_many(
-        &mut self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        xs: &[f64],
-        stream_length: usize,
-        seed: u64,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        self.evaluate_many_faulted(system, sng, xs, stream_length, seed, None)
-    }
-
-    /// [`WorkerPool::evaluate_many`] under an optional fault process:
-    /// workers rebase `faults` by each item's global index, so faulty
-    /// pooled output is byte-identical to faulty one-shot sharded and
-    /// faulty single-process output for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// As [`WorkerPool::evaluate_many`]; an invalid spec comes back as
-    /// a remote error value.
-    pub fn evaluate_many_faulted(
         &mut self,
         system: &OpticalScSystem,
         sng: SngKind,
@@ -506,50 +461,25 @@ impl WorkerPool {
         seed: u64,
         faults: Option<&FaultSpec>,
     ) -> Result<Vec<OpticalRun>, ShardError> {
-        let (requests, expected) = batch_requests(
-            system,
-            sng,
-            xs,
-            stream_length,
-            seed,
-            faults,
-            self.slots.len(),
-        );
+        let (requests, expected) =
+            batch_requests(system, sng, xs, stream_length, seed, faults, self.workers());
         let merged = self.run_requests(&requests, &expected)?;
         Ok(merged.into_iter().flatten().collect())
     }
 
     /// Pooled [`super::ShardCoordinator::image_rows`]: plans the
-    /// image's rows across the live workers. Returns per-pixel runs in
-    /// row-major order, byte-identical to the in-process row+lane
-    /// pipeline.
+    /// image's rows across the live workers, optionally under a fault
+    /// process rebased per pixel by global row then column. Returns
+    /// per-pixel runs in row-major order, byte-identical to the
+    /// in-process row+lane pipeline for every worker count.
     ///
     /// # Errors
     ///
     /// [`ShardError::InvalidPlan`] when `pixels` is not a whole number
     /// of `width`-sized rows; otherwise as
     /// [`WorkerPool::evaluate_many`].
-    pub fn image_rows(
-        &mut self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        width: usize,
-        pixels: &[f64],
-        stream_length: usize,
-        seed: u64,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        self.image_rows_faulted(system, sng, width, pixels, stream_length, seed, None)
-    }
-
-    /// [`WorkerPool::image_rows`] under an optional fault process,
-    /// rebased per pixel by global row then column — byte-identical to
-    /// the faulty in-process row+lane pipeline for every worker count.
-    ///
-    /// # Errors
-    ///
-    /// As [`WorkerPool::image_rows`].
     #[allow(clippy::too_many_arguments)]
-    pub fn image_rows_faulted(
+    pub fn image_rows(
         &mut self,
         system: &OpticalScSystem,
         sng: SngKind,
@@ -567,7 +497,7 @@ impl WorkerPool {
             stream_length,
             seed,
             faults,
-            self.slots.len(),
+            self.workers(),
         )?;
         let merged = self.run_requests(&requests, &expected)?;
         Ok(merged.into_iter().flatten().collect())
@@ -575,16 +505,18 @@ impl WorkerPool {
 
     /// Runs a set of requests across the pool — request `i` is expected
     /// to produce `expected[i]` runs — and returns the per-request runs
-    /// in request order. Requests are assigned round-robin (request `i`
-    /// to worker `i % workers`), every worker keeps one request in
-    /// flight, and failed requests are transparently retried on
+    /// in request order. The whole batch enters the dispatcher's queue
+    /// at once (exempt from the queue cap) and the pumps spread it over
+    /// the workers; failed requests are transparently retried on
     /// respawned workers.
     ///
     /// # Errors
     ///
-    /// [`ShardError`] naming the failing request index in its `shard`
-    /// field. After an error the pool has restarted the affected
-    /// workers and remains usable.
+    /// The first [`ShardError`] in request order, naming the failing
+    /// request index in its `shard` field. The batch's still-queued
+    /// requests are dropped and those already on a worker pipe are
+    /// waited out, so the pool is idle and usable when the error
+    /// returns.
     ///
     /// # Panics
     ///
@@ -606,255 +538,57 @@ impl WorkerPool {
         for (req, &exp) in requests.iter().zip(expected) {
             super::check_frame_bounds(req, exp)?;
         }
-        let n = requests.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let workers = self.slots.len();
-        // queues[w] = this worker's request indices, in dispatch order.
-        let queues: Vec<Vec<usize>> = (0..workers)
-            .map(|w| (w..n).step_by(workers).collect())
-            .collect();
-        let mut cursor = vec![0usize; workers];
-        let mut in_flight: Vec<Option<InFlight>> = (0..workers).map(|_| None).collect();
-        let mut outputs: Vec<Option<Vec<OpticalRun>>> = (0..n).map(|_| None).collect();
-
-        let result = self.drive(
-            requests,
-            expected,
-            &queues,
-            &mut cursor,
-            &mut in_flight,
-            &mut outputs,
-        );
-        if result.is_err() {
-            // Workers with a request still in flight hold unread frames
-            // (or broken pipes); restart them so the pool stays clean
-            // for the next call.
-            for (w, fl) in in_flight.iter_mut().enumerate() {
-                if fl.take().is_some() {
-                    let _ = self.respawn(w);
-                }
-            }
-            result?;
-        }
-        Ok(outputs
-            .into_iter()
-            .map(|o| o.expect("every request settled"))
-            .collect())
-    }
-
-    /// The dispatch/settle loop of [`WorkerPool::run_requests`].
-    fn drive(
-        &mut self,
-        requests: &[ShardRequest],
-        expected: &[usize],
-        queues: &[Vec<usize>],
-        cursor: &mut [usize],
-        in_flight: &mut [Option<InFlight>],
-        outputs: &mut [Option<Vec<OpticalRun>>],
-    ) -> Result<(), ShardError> {
-        let workers = self.slots.len();
-        let mut done = 0usize;
-        // Prime every worker with its first request; all workers then
-        // compute concurrently.
-        for w in 0..workers {
-            self.send_next(w, requests, queues, cursor, in_flight)?;
-        }
-        while done < requests.len() {
-            for w in 0..workers {
-                let Some(fl) = in_flight[w].take() else {
-                    continue;
-                };
-                let runs = self.settle(w, fl, requests, expected, &mut in_flight[w])?;
-                if let Some((req, runs)) = runs {
-                    outputs[req] = Some(runs);
-                    done += 1;
-                    self.send_next(w, requests, queues, cursor, in_flight)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Sends worker `w` its next queued request, if any, retrying on a
-    /// respawned worker when the send itself fails.
-    fn send_next(
-        &mut self,
-        w: usize,
-        requests: &[ShardRequest],
-        queues: &[Vec<usize>],
-        cursor: &mut [usize],
-        in_flight: &mut [Option<InFlight>],
-    ) -> Result<(), ShardError> {
-        let Some(&req_idx) = queues[w].get(cursor[w]) else {
-            return Ok(());
-        };
-        cursor[w] += 1;
-        let mut attempts = 0usize;
-        loop {
-            let id = self.next_request_id;
-            self.next_request_id += 1;
-            match self.send(w, &requests[req_idx], id, false) {
-                Ok(()) => {
-                    in_flight[w] = Some(InFlight {
-                        req: req_idx,
-                        id,
-                        attempts,
-                        inline_retry_done: false,
+        let answers: Vec<_> = {
+            let mut state = self.dispatcher.shared.lock();
+            requests
+                .iter()
+                .zip(expected)
+                .enumerate()
+                .map(|(shard, (request, &expected))| {
+                    let (reply, answer) = mpsc::channel();
+                    state.queue.push_back(DispatchJob {
+                        request: request.clone(),
+                        expected,
+                        shard,
+                        reply,
                     });
-                    return Ok(());
-                }
-                Err(failure) => {
-                    attempts += 1;
-                    self.fail_or_respawn(w, req_idx, attempts, Failure::Transport(failure))?;
-                }
-            }
-        }
-    }
-
-    /// Writes one request frame to worker `w`, as a cached reference
-    /// when the pool's mirror says the worker holds the circuit (unless
-    /// `force_inline`), inline otherwise.
-    fn send(
-        &mut self,
-        w: usize,
-        req: &ShardRequest,
-        id: u64,
-        force_inline: bool,
-    ) -> Result<(), String> {
-        slot_send(&mut self.slots[w], req, id, force_inline)
-    }
-
-    /// Reads and interprets the response for `fl` on worker `w`.
-    /// Returns `Ok(Some(..))` when the request settled with runs,
-    /// `Ok(None)` when it was re-dispatched (cache-miss fallback or
-    /// respawn retry — `slot_in_flight` then holds the new in-flight
-    /// state), and `Err` when the batch fails.
-    fn settle(
-        &mut self,
-        w: usize,
-        fl: InFlight,
-        requests: &[ShardRequest],
-        expected: &[usize],
-        slot_in_flight: &mut Option<InFlight>,
-    ) -> Result<Option<(usize, Vec<OpticalRun>)>, ShardError> {
-        let failure = match self.read_response(w, &fl, expected[fl.req]) {
-            Ok(Settled::Runs(runs)) => return Ok(Some((fl.req, runs))),
-            Ok(Settled::CacheMiss { digest }) if !fl.inline_retry_done => {
-                // The worker is alive and honest: our mirror was stale.
-                // Drop the digest and resend inline on the same attempt.
-                self.slots[w].known.retain(|(d, _)| *d != digest);
-                let id = self.next_request_id;
-                self.next_request_id += 1;
-                match self.send(w, &requests[fl.req], id, true) {
-                    Ok(()) => {
-                        *slot_in_flight = Some(InFlight {
-                            req: fl.req,
-                            id,
-                            attempts: fl.attempts,
-                            inline_retry_done: true,
-                        });
-                        return Ok(None);
+                    answer
+                })
+                .collect()
+        };
+        self.dispatcher.shared.ready.notify_all();
+        let mut outputs = Vec::with_capacity(answers.len());
+        for (shard, answer) in answers.iter().enumerate() {
+            match await_reply(answer, shard) {
+                Ok(runs) => outputs.push(runs),
+                Err(e) => {
+                    // Every queued job belongs to this batch. Dropping
+                    // them disconnects their answers; the jobs already
+                    // on a pipe still reply.
+                    self.dispatcher.shared.lock().queue.clear();
+                    for rest in &answers[shard + 1..] {
+                        let _ = rest.recv();
                     }
-                    Err(failure) => Failure::Transport(failure),
+                    return Err(e);
                 }
             }
-            Ok(Settled::CacheMiss { digest }) => Failure::Transport(format!(
-                "worker reported a cache miss for digest {digest:#018x} on an inline request"
-            )),
-            Ok(Settled::Remote(message)) => {
-                // The worker evaluated the request and rejected it;
-                // retrying cannot change a deterministic answer.
-                return Err(ShardError::Remote {
-                    shard: fl.req,
-                    detail: message,
-                });
-            }
-            Err(failure) => failure,
-        };
-        // Transport failure: burn one attempt per respawn + resend until
-        // the request is back in flight or out of retries.
-        let mut attempts = fl.attempts;
-        let mut failure = failure;
-        loop {
-            attempts += 1;
-            self.fail_or_respawn(w, fl.req, attempts, failure)?;
-            let id = self.next_request_id;
-            self.next_request_id += 1;
-            // Inline by construction — the respawn cleared the mirror.
-            match self.send(w, &requests[fl.req], id, false) {
-                Ok(()) => {
-                    *slot_in_flight = Some(InFlight {
-                        req: fl.req,
-                        id,
-                        attempts,
-                        inline_retry_done: false,
-                    });
-                    return Ok(None);
-                }
-                Err(f) => failure = Failure::Transport(f),
-            }
         }
+        Ok(outputs)
     }
+}
 
-    /// Converts a transport failure into the final [`ShardError`] if
-    /// the request is out of retries, or respawns worker `w` so the
-    /// caller can try again. A failed respawn supersedes the original
-    /// failure (as [`ShardError::Spawn`]).
-    fn fail_or_respawn(
-        &mut self,
-        w: usize,
-        req: usize,
-        attempts: usize,
-        failure: Failure,
-    ) -> Result<(), ShardError> {
-        if attempts > self.config.retries {
-            // Leave a fresh worker behind (best effort) so the pool
-            // stays usable after the error surfaces.
-            let _ = self.respawn(w);
-            return Err(failure.into_shard_error(req));
-        }
-        self.respawn(w)
-            .map_err(|detail| ShardError::Spawn { shard: req, detail })
-    }
-
-    /// Kills and replaces worker `w` with a fresh process (empty cache
-    /// mirror), backing off exponentially (base 10 ms, cap 1 s) on
-    /// consecutive respawns of the same slot so a crash-looping worker
-    /// binary cannot spin the coordinator at full speed.
-    fn respawn(&mut self, w: usize) -> Result<(), String> {
-        let streak = self.respawn_streaks[w];
-        if streak > 0 {
-            let backoff = RESPAWN_BACKOFF_BASE
-                .saturating_mul(1u32 << streak.saturating_sub(1).min(16))
-                .min(RESPAWN_BACKOFF_CAP);
-            std::thread::sleep(backoff);
-        }
-        self.respawn_streaks[w] = streak.saturating_add(1);
-        let fresh = spawn_slot(&self.config)?;
-        // Dropping the old slot kills + reaps the old process.
-        self.slots[w] = fresh;
-        Ok(())
-    }
-
-    /// Reads one response frame from worker `w` (waiting at most the
-    /// configured read timeout) and checks it against the in-flight
-    /// request.
-    fn read_response(
-        &mut self,
-        w: usize,
-        fl: &InFlight,
-        expected: usize,
-    ) -> Result<Settled, Failure> {
-        slot_read(
-            &mut self.slots[w],
-            fl.id,
-            expected,
-            self.config.read_timeout,
-            &mut self.respawn_streaks[w],
-        )
-    }
+/// Blocks on one job's reply; a pump that exits without answering
+/// surfaces as a worker failure of request `shard`.
+fn await_reply(
+    answer: &mpsc::Receiver<Result<Vec<OpticalRun>, ShardError>>,
+    shard: usize,
+) -> Result<Vec<OpticalRun>, ShardError> {
+    answer.recv().unwrap_or_else(|_| {
+        Err(ShardError::Worker {
+            shard,
+            detail: "dispatcher pump exited before answering".to_string(),
+        })
+    })
 }
 
 /// Writes one request frame to a slot, as a cached reference when the
@@ -878,6 +612,23 @@ fn slot_send(
         .map_err(|e| format!("writing request: {e}"))?;
     note_digest(&mut slot.known, digest, key, slot.cache_capacity);
     Ok(())
+}
+
+/// How a request attempt failed at the transport level. Timeouts are
+/// tracked separately so exhausting retries on a stalled (rather than
+/// dead) worker surfaces as [`ShardError::Timeout`].
+enum Failure {
+    Transport(String),
+    Timeout(String),
+}
+
+impl Failure {
+    fn into_shard_error(self, shard: usize) -> ShardError {
+        match self {
+            Failure::Transport(detail) => ShardError::Worker { shard, detail },
+            Failure::Timeout(detail) => ShardError::Timeout { shard, detail },
+        }
+    }
 }
 
 /// Reads one response frame from a slot (waiting at most `timeout`)
@@ -965,19 +716,28 @@ enum Settled {
 }
 
 // ---------------------------------------------------------------------
-// Concurrent dispatcher: the serving-side pool front end
+// The dispatcher: shared FIFO + one pump thread per worker
 // ---------------------------------------------------------------------
 
 /// One submitted request awaiting a pump thread (or its response).
 struct DispatchJob {
     request: ShardRequest,
     expected: usize,
+    /// The `shard` field of every error this job settles to: the
+    /// request index within a [`WorkerPool`] batch, 0 for a
+    /// [`PoolDispatcher::submit`].
+    shard: usize,
     reply: mpsc::Sender<Result<Vec<OpticalRun>, ShardError>>,
 }
 
-/// The dispatcher's shared FIFO plus its lifecycle flag.
+/// The dispatcher's shared FIFO plus the pumps' published state.
 struct DispatchState {
     queue: VecDeque<DispatchJob>,
+    /// Pumps with nothing in flight — the refill rule's measure of how
+    /// many queued jobs already have a worker waiting for them.
+    idle: usize,
+    /// Each pump's current worker pid, republished on respawn.
+    pids: Vec<u32>,
     draining: bool,
 }
 
@@ -988,14 +748,22 @@ struct DispatcherShared {
     queue_cap: usize,
 }
 
+impl DispatcherShared {
+    fn lock(&self) -> std::sync::MutexGuard<'_, DispatchState> {
+        self.state.lock().expect("dispatcher lock")
+    }
+}
+
 /// A concurrent, shareable front end over a worker pool — the serving
-/// counterpart of the batch-oriented [`WorkerPool`].
+/// counterpart of the batch-oriented [`WorkerPool`], and the scheduler
+/// under both.
 ///
 /// Built by [`PoolConfig::spawn_dispatcher`]. Any number of threads
 /// call [`PoolDispatcher::submit`] concurrently (`&self`); requests
 /// enter one shared FIFO (fair: strict arrival order) and each worker
 /// is driven by a dedicated *pump* thread that keeps up to
-/// [`PoolConfig::with_pipeline_depth`] requests in flight on its pipe.
+/// [`PoolConfig::with_pipeline_depth`] requests in flight on its pipe
+/// (see the module doc for the work-conserving refill rule).
 /// The queue is bounded ([`PoolConfig::with_queue_cap`]): a submit past
 /// the cap returns [`ShardError::Overloaded`] immediately — the
 /// backpressure contract is reject-with-error-value, never a silent
@@ -1015,15 +783,15 @@ struct DispatcherShared {
 /// # Failure semantics
 ///
 /// A transport failure or timeout invalidates the worker's whole
-/// pipeline: the pump kills + respawns the worker (same exponential
-/// backoff as [`WorkerPool`]), charges **one attempt to the
-/// head-of-line request only** — failing it as an error value once it
-/// is out of [`PoolConfig::with_retries`] — and replays the surviving
-/// in-flight requests, in order, on the fresh worker for free. Worker
-/// cache misses are healed in place: the head is resent inline and
-/// rotates to the back of the pipeline (its response now arrives after
-/// the others). Remote errors settle just that request; the worker
-/// stays up.
+/// pipeline: the pump kills + respawns the worker (exponential
+/// backoff), charges **one attempt to the head-of-line request only** —
+/// failing it as an error value once it is out of
+/// [`PoolConfig::with_retries`] — and replays the surviving in-flight
+/// requests, in order, on the fresh worker for free. Worker cache
+/// misses are healed in place: the head is resent inline and rotates
+/// to the back of the pipeline (its response now arrives after the
+/// others). Remote errors settle just that request; the worker stays
+/// up.
 ///
 /// # Drain
 ///
@@ -1038,13 +806,13 @@ struct DispatcherShared {
 pub struct PoolDispatcher {
     shared: Arc<DispatcherShared>,
     pumps: Vec<std::thread::JoinHandle<()>>,
-    workers: usize,
+    config: Arc<PoolConfig>,
 }
 
 impl std::fmt::Debug for PoolDispatcher {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PoolDispatcher")
-            .field("workers", &self.workers)
+            .field("workers", &self.workers())
             .field("queue_cap", &self.shared.queue_cap)
             .finish_non_exhaustive()
     }
@@ -1053,18 +821,13 @@ impl std::fmt::Debug for PoolDispatcher {
 impl PoolDispatcher {
     /// The number of worker processes (= pump threads).
     pub fn workers(&self) -> usize {
-        self.workers
+        self.config.workers
     }
 
     /// Requests currently waiting in the shared queue (excluding those
     /// already in flight on worker pipes).
     pub fn queued(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("dispatcher lock")
-            .queue
-            .len()
+        self.shared.lock().queue.len()
     }
 
     /// Evaluates one request through the pool, blocking until its
@@ -1084,7 +847,7 @@ impl PoolDispatcher {
         super::check_frame_bounds(&request, expected)?;
         let (reply, answer) = mpsc::channel();
         {
-            let mut state = self.shared.state.lock().expect("dispatcher lock");
+            let mut state = self.shared.lock();
             if state.draining {
                 return Err(ShardError::Draining);
             }
@@ -1097,16 +860,12 @@ impl PoolDispatcher {
             state.queue.push_back(DispatchJob {
                 request,
                 expected,
+                shard: 0,
                 reply,
             });
         }
         self.shared.ready.notify_all();
-        answer.recv().unwrap_or_else(|_| {
-            Err(ShardError::Worker {
-                shard: 0,
-                detail: "dispatcher pump exited before answering".to_string(),
-            })
-        })
+        await_reply(&answer, 0)
     }
 
     /// Graceful shutdown: already-queued and in-flight requests finish
@@ -1118,10 +877,13 @@ impl PoolDispatcher {
     }
 
     fn begin_drain(&mut self) {
-        {
-            let mut state = self.shared.state.lock().expect("dispatcher lock");
-            state.draining = true;
-        }
+        // This runs in `Drop`, which must not panic: setting the flag is
+        // valid even on a lock a panicked pump poisoned.
+        self.shared
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .draining = true;
         self.shared.ready.notify_all();
         for pump in self.pumps.drain(..) {
             let _ = pump.join();
@@ -1143,185 +905,229 @@ struct Pending {
     inline_retry_done: bool,
 }
 
-/// The per-worker dispatcher loop: refill the pipeline from the shared
-/// FIFO up to the configured depth, then settle the oldest in-flight
-/// response; exit once draining *and* idle. Owns its [`WorkerSlot`], so
+/// The per-worker dispatcher loop's state. Owns its [`WorkerSlot`], so
 /// pump exit kills + reaps the worker.
-fn pump(mut slot: WorkerSlot, shared: &DispatcherShared, config: &PoolConfig) {
-    let mut inflight: VecDeque<Pending> = VecDeque::new();
-    let mut streak = 0u32;
-    let mut next_id: u64 = 1;
-    loop {
-        let fresh: Vec<DispatchJob> = {
-            let mut state = shared.state.lock().expect("dispatcher lock");
-            loop {
-                if !state.queue.is_empty() || !inflight.is_empty() {
-                    let take = config
-                        .pipeline_depth
-                        .saturating_sub(inflight.len())
-                        .min(state.queue.len());
-                    break state.queue.drain(..take).collect();
+struct Pump<'a> {
+    /// This pump's worker slot index (its entry in the published pids).
+    index: usize,
+    slot: WorkerSlot,
+    /// Requests written to the worker, oldest first.
+    inflight: VecDeque<Pending>,
+    /// Consecutive respawns since the worker's last clean response —
+    /// drives the exponential backoff.
+    streak: u32,
+    next_id: u64,
+    shared: &'a DispatcherShared,
+    config: &'a PoolConfig,
+}
+
+impl Pump<'_> {
+    /// Refill the pipeline from the shared FIFO, write the new
+    /// requests, then settle the oldest in-flight response; exit once
+    /// draining *and* idle.
+    fn run(mut self) {
+        while let Some(taken) = self.refill() {
+            let first = self.inflight.len() - taken;
+            let sent = self
+                .inflight
+                .range(first..)
+                .try_for_each(|p| slot_send(&mut self.slot, &p.job.request, p.id, false));
+            if let Err(e) = sent {
+                // Recovery replays the whole pipeline, the requests not
+                // yet written included.
+                self.recover(Failure::Transport(e));
+            }
+            if !self.inflight.is_empty() {
+                self.settle_head();
+            }
+        }
+    }
+
+    /// Moves this pump's share of the shared FIFO into its pipeline and
+    /// returns how many requests it took. An empty pipeline blocks for
+    /// its first request; further, pipelined requests are taken only
+    /// while more are queued than there are idle pumps, so one request
+    /// per worker lands on every worker. `None` once the dispatcher is
+    /// draining and this pump has nothing left to do.
+    fn refill(&mut self) -> Option<usize> {
+        let shared = self.shared;
+        let mut state = shared.lock();
+        let before = self.inflight.len();
+        if self.inflight.is_empty() {
+            let job = loop {
+                if let Some(job) = state.queue.pop_front() {
+                    break job;
                 }
                 if state.draining {
-                    return;
+                    return None;
                 }
                 state = shared.ready.wait(state).expect("dispatcher lock");
-            }
-        };
-        for job in fresh {
-            let id = next_id;
-            next_id += 1;
-            let pending = Pending {
-                job,
-                id,
-                attempts: 0,
-                inline_retry_done: false,
             };
-            let sent = slot_send(&mut slot, &pending.job.request, id, false);
-            inflight.push_back(pending);
-            if let Err(e) = sent {
-                recover(
-                    &mut slot,
-                    &mut inflight,
-                    &mut streak,
-                    &mut next_id,
-                    config,
-                    Failure::Transport(e),
-                );
-            }
+            state.idle -= 1;
+            self.push(job);
         }
-        if inflight.is_empty() {
-            continue;
+        while self.inflight.len() < self.config.pipeline_depth && state.queue.len() > state.idle {
+            let job = state.queue.pop_front().expect("queue is non-empty");
+            self.push(job);
         }
-        settle_head(&mut slot, &mut inflight, &mut streak, &mut next_id, config);
+        Some(self.inflight.len() - before)
     }
-}
 
-/// Settles the oldest in-flight request on this pump's worker: reply on
-/// runs or remote errors, heal cache misses by an inline resend that
-/// rotates the head to the back of the pipeline, and hand transport
-/// failures/timeouts to [`recover`].
-fn settle_head(
-    slot: &mut WorkerSlot,
-    inflight: &mut VecDeque<Pending>,
-    streak: &mut u32,
-    next_id: &mut u64,
-    config: &PoolConfig,
-) {
-    let head = inflight.front().expect("settle_head on a live pipeline");
-    let failure = match slot_read(
-        slot,
-        head.id,
-        head.job.expected,
-        config.read_timeout,
-        streak,
-    ) {
-        Ok(Settled::Runs(runs)) => {
-            let head = inflight.pop_front().expect("head exists");
-            // A gone receiver means the client vanished mid-request;
-            // the work is done and the worker is healthy either way.
-            let _ = head.job.reply.send(Ok(runs));
-            return;
+    /// Appends a job to the pipeline under a fresh request id.
+    fn push(&mut self, job: DispatchJob) {
+        let id = self.fresh_id();
+        self.inflight.push_back(Pending {
+            job,
+            id,
+            attempts: 0,
+            inline_retry_done: false,
+        });
+    }
+
+    fn fresh_id(&mut self) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        id
+    }
+
+    /// Settles the head-of-line request with `result`. A pump whose
+    /// pipeline empties counts itself idle *before* replying, so a
+    /// caller holding every reply sees every finished pump as idle.
+    fn answer(&mut self, result: Result<Vec<OpticalRun>, ShardError>) {
+        let head = self
+            .inflight
+            .pop_front()
+            .expect("answer on a live pipeline");
+        if self.inflight.is_empty() {
+            self.shared.lock().idle += 1;
         }
-        Ok(Settled::Remote(message)) => {
+        // A gone receiver means the client vanished mid-request (or a
+        // failed batch dropped it); the work is done and the worker is
+        // healthy either way.
+        let _ = head.job.reply.send(result);
+    }
+
+    /// Settles the oldest in-flight request: reply on runs or remote
+    /// errors, heal cache misses by an inline resend that rotates the
+    /// head to the back of the pipeline, and hand transport
+    /// failures/timeouts to [`Pump::recover`].
+    fn settle_head(&mut self) {
+        let head = self
+            .inflight
+            .front()
+            .expect("settle_head on a live pipeline");
+        let (id, expected, shard, inline_retry_done) = (
+            head.id,
+            head.job.expected,
+            head.job.shard,
+            head.inline_retry_done,
+        );
+        let read = slot_read(
+            &mut self.slot,
+            id,
+            expected,
+            self.config.read_timeout,
+            &mut self.streak,
+        );
+        let failure = match read {
+            Ok(Settled::Runs(runs)) => return self.answer(Ok(runs)),
             // The worker evaluated and rejected; retrying cannot change
             // a deterministic answer.
-            let head = inflight.pop_front().expect("head exists");
-            let _ = head.job.reply.send(Err(ShardError::Remote {
-                shard: 0,
-                detail: message,
-            }));
-            return;
-        }
-        Ok(Settled::CacheMiss { digest }) if !head.inline_retry_done => {
-            // Stale mirror: drop the digest, resend inline. The answer
-            // now arrives after the rest of the pipeline, so the head
-            // rotates to the back — response order follows send order.
-            slot.known.retain(|(d, _)| *d != digest);
-            let mut head = inflight.pop_front().expect("head exists");
-            head.id = *next_id;
-            *next_id += 1;
-            head.inline_retry_done = true;
-            match slot_send(slot, &head.job.request, head.id, true) {
-                Ok(()) => {
-                    inflight.push_back(head);
-                    return;
-                }
-                Err(e) => {
-                    // Restore pipeline order before recovering: the
-                    // head is still the oldest unanswered request.
-                    inflight.push_front(head);
-                    Failure::Transport(e)
+            Ok(Settled::Remote(detail)) => {
+                return self.answer(Err(ShardError::Remote { shard, detail }))
+            }
+            Ok(Settled::CacheMiss { digest }) if !inline_retry_done => {
+                // Stale mirror: drop the digest, resend inline. The
+                // answer now arrives after the rest of the pipeline, so
+                // the head rotates to the back — response order follows
+                // send order.
+                self.slot.known.retain(|(d, _)| *d != digest);
+                let mut head = self.inflight.pop_front().expect("head exists");
+                head.id = self.fresh_id();
+                head.inline_retry_done = true;
+                let sent = slot_send(&mut self.slot, &head.job.request, head.id, true);
+                match sent {
+                    Ok(()) => {
+                        self.inflight.push_back(head);
+                        return;
+                    }
+                    Err(e) => {
+                        // Restore pipeline order before recovering: the
+                        // head is still the oldest unanswered request.
+                        self.inflight.push_front(head);
+                        Failure::Transport(e)
+                    }
                 }
             }
-        }
-        Ok(Settled::CacheMiss { digest }) => Failure::Transport(format!(
-            "worker reported a cache miss for digest {digest:#018x} on an inline request"
-        )),
-        Err(failure) => failure,
-    };
-    recover(slot, inflight, streak, next_id, config, failure);
-}
+            Ok(Settled::CacheMiss { digest }) => Failure::Transport(format!(
+                "worker reported a cache miss for digest {digest:#018x} on an inline request"
+            )),
+            Err(failure) => failure,
+        };
+        self.recover(failure);
+    }
 
-/// Worker-level failure recovery for a pump: kill + respawn the worker
-/// (exponential backoff via the slot's streak), charge one attempt to
-/// the **head-of-line** request — failing it as an error value once out
-/// of retries — and replay every surviving in-flight request, in order
-/// and for free, on the fresh worker. Only the head pays per failure,
-/// so a deep pipeline cannot burn one request's retries on a
-/// neighbor's misfortune.
-fn recover(
-    slot: &mut WorkerSlot,
-    inflight: &mut VecDeque<Pending>,
-    streak: &mut u32,
-    next_id: &mut u64,
-    config: &PoolConfig,
-    mut failure: Failure,
-) {
-    'respawn: loop {
-        if let Some(head) = inflight.front_mut() {
-            head.attempts += 1;
-            if head.attempts > config.retries {
-                let failed = inflight.pop_front().expect("head exists");
-                // `failure` is moved here; every path that loops back
-                // assigns a fresh one first, so the *next* head is
-                // charged with its own failure, never a stale clone.
-                let _ = failed.job.reply.send(Err(failure.into_shard_error(0)));
+    /// Worker-level failure recovery: charge one attempt to the
+    /// **head-of-line** request — failing it as an error value once out
+    /// of retries — respawn the worker, and replay every surviving
+    /// in-flight request, in order and for free, on the fresh worker.
+    /// Only the head pays per failure, so a deep pipeline cannot burn
+    /// one request's retries on a neighbor's misfortune.
+    fn recover(&mut self, mut failure: Failure) {
+        loop {
+            if let Some(head) = self.inflight.front_mut() {
+                head.attempts += 1;
+                if head.attempts > self.config.retries {
+                    let shard = head.job.shard;
+                    // `failure` is moved here; every path that loops
+                    // back assigns a fresh one first, so the *next*
+                    // head is charged with its own failure, never a
+                    // stale clone.
+                    self.answer(Err(failure.into_shard_error(shard)));
+                }
             }
-        }
-        if *streak > 0 {
-            let backoff = RESPAWN_BACKOFF_BASE
-                .saturating_mul(1u32 << streak.saturating_sub(1).min(16))
-                .min(RESPAWN_BACKOFF_CAP);
-            std::thread::sleep(backoff);
-        }
-        *streak = streak.saturating_add(1);
-        match spawn_slot(config) {
-            // Dropping the old slot kills + reaps the old process.
-            Ok(fresh) => *slot = fresh,
-            Err(detail) => {
-                if inflight.is_empty() {
+            if let Err(detail) = self.respawn() {
+                if self.inflight.is_empty() {
                     // Nothing to answer; the next job retries the spawn
                     // (and pays for it) when it arrives.
                     return;
                 }
                 failure = Failure::Transport(format!("respawning worker: {detail}"));
-                continue 'respawn;
+                continue;
+            }
+            // Replay the surviving pipeline oldest-first on the fresh
+            // worker — inline by construction, its cache mirror is
+            // empty.
+            let next_id = &mut self.next_id;
+            let replayed = self.inflight.iter_mut().try_for_each(|p| {
+                p.id = *next_id;
+                *next_id += 1;
+                p.inline_retry_done = false;
+                slot_send(&mut self.slot, &p.job.request, p.id, false)
+            });
+            match replayed {
+                Ok(()) => return,
+                Err(e) => failure = Failure::Transport(e),
             }
         }
-        // Replay the surviving pipeline oldest-first on the fresh
-        // worker — inline by construction, its cache mirror is empty.
-        for pending in inflight.iter_mut() {
-            let id = *next_id;
-            *next_id += 1;
-            pending.id = id;
-            pending.inline_retry_done = false;
-            if let Err(e) = slot_send(slot, &pending.job.request, id, false) {
-                failure = Failure::Transport(e);
-                continue 'respawn;
-            }
+    }
+
+    /// Kills and replaces the worker with a fresh process (empty cache
+    /// mirror) and publishes its pid, backing off exponentially — 10 ms
+    /// doubling per consecutive respawn, capped at 1 s — so a
+    /// crash-looping worker binary cannot spin the pump at full speed.
+    fn respawn(&mut self) -> Result<(), String> {
+        if self.streak > 0 {
+            let backoff = RESPAWN_BACKOFF_BASE
+                .saturating_mul(1u32 << (self.streak - 1).min(16))
+                .min(RESPAWN_BACKOFF_CAP);
+            std::thread::sleep(backoff);
         }
-        return;
+        self.streak = self.streak.saturating_add(1);
+        // Dropping the old slot kills + reaps the old process.
+        self.slot = spawn_slot(self.config)?;
+        self.shared.lock().pids[self.index] = self.slot.child.id();
+        Ok(())
     }
 }
 

@@ -465,6 +465,7 @@ impl DesignSweep {
                         &xs,
                         d.candidate.stream_length,
                         d.candidate.seed_for(self.axes.seed),
+                        None,
                     )?);
                 }
                 all

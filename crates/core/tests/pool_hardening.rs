@@ -69,7 +69,7 @@ fn stalled_worker_times_out_as_a_value_within_the_deadline() {
         .unwrap();
     let started = Instant::now();
     let err = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
         .unwrap_err();
     let elapsed = started.elapsed();
     assert!(
@@ -87,7 +87,7 @@ fn stalled_worker_times_out_as_a_value_within_the_deadline() {
     // The pool is still usable as a value — the next call fails the
     // same way instead of panicking or hanging forever.
     let again = pool
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1)
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
         .unwrap_err();
     assert!(matches!(again, ShardError::Timeout { .. }), "{again}");
     drop(pool);
@@ -131,7 +131,7 @@ fn panicking_caller_leaves_no_zombies() {
         let system = fig5_system();
         // The stalled worker times out; the caller treats that as fatal
         // and panics with the pool still holding live children.
-        pool.evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1)
+        pool.evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
             .unwrap();
         unreachable!("the stalled pool cannot produce runs");
     }));
@@ -155,7 +155,7 @@ fn coordinator_error_paths_leave_no_zombies() {
         .with_read_timeout(Duration::from_millis(200));
     let before: Vec<u32> = our_children();
     let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.25, 0.75], 64, 3)
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.25, 0.75], 64, 3, None)
         .unwrap_err();
     assert!(
         matches!(err, ShardError::Timeout { .. } | ShardError::Worker { .. }),
