@@ -67,11 +67,16 @@ fn main() {
     }
     // Make the SIMD dispatch visible in CI logs: the dispatch-matrix jobs
     // pin the tier via OSC_SIMD, and this line is how a log proves which
-    // kernel path actually ran.
+    // kernel path actually ran, GFNI/VBMI bit-matrix kernels included.
     println!(
-        "[simd] dispatch tier: {} (detected: {})",
+        "[simd] dispatch tier: {} (detected: {}); gfni/vbmi kernels: {}",
         osc_stochastic::simd::active_tier().name(),
-        osc_stochastic::simd::detected_tier().name()
+        osc_stochastic::simd::detected_tier().name(),
+        if osc_stochastic::simd::BitMatrixKernels::active().is_some() {
+            "on"
+        } else {
+            "off"
+        }
     );
     // Snapshot the regression reference BEFORE the fresh run is appended:
     // with `--check` and `--out` naming the same file, reading afterwards

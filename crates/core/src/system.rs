@@ -240,6 +240,11 @@ pub struct OpticalScSystem {
     /// the mixed kernel tier branch only on the (rare, predictable)
     /// ambiguous class instead of on two data-dependent f64 compares.
     decision_class: Vec<u8>,
+    /// `decision_class` cut into one 128-byte row per count (zero
+    /// padded) for orders up to [`OpticalScSystem::BITMATRIX_MAX_ORDER`],
+    /// the table the vector decision pass looks classes up in; empty
+    /// for higher orders.
+    decision_rows: Vec<[u8; 128]>,
 }
 
 impl OpticalScSystem {
@@ -256,6 +261,10 @@ impl OpticalScSystem {
     /// Decision-flip probabilities below this are folded to exact 0/1 in
     /// the receiver table: no simulable stream length could observe them.
     pub const NEGLIGIBLE_FLIP_PROBABILITY: f64 = 1e-18;
+
+    /// Highest order the vector decision pass serves: its z-word of
+    /// `order + 1 ≤ 7` bits indexes one 128-byte `vpermi2b` table row.
+    const BITMATRIX_MAX_ORDER: usize = 6;
 
     /// Builds a system executing `poly` on a circuit with `params`.
     ///
@@ -337,6 +346,18 @@ impl OpticalScSystem {
                 }
             })
             .collect();
+        let decision_rows: Vec<[u8; 128]> = if n <= Self::BITMATRIX_MAX_ORDER {
+            decision_class
+                .chunks_exact(1 << (n + 1))
+                .map(|row| {
+                    let mut padded = [0u8; 128];
+                    padded[..row.len()].copy_from_slice(row);
+                    padded
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         let deterministic_decisions = one_probability.iter().all(|&p| p <= 0.0 || p >= 1.0);
         let mux_exact = deterministic_decisions
             && one_probability.iter().enumerate().all(|(idx, &p)| {
@@ -355,6 +376,7 @@ impl OpticalScSystem {
             deterministic_decisions,
             mux_exact,
             decision_class,
+            decision_rows,
         })
     }
 
@@ -599,10 +621,21 @@ impl OpticalScSystem {
     /// GF(2)-jumped states via
     /// [`StochasticNumberGenerator::drain_lanes_two`]. Per-lane ideal
     /// ones come from one SIMD popcount+fold sweep over the
-    /// lane-interleaved output; the noisy decision pass walks each lane's
-    /// strided words with byte-spread index assembly ([`spread_tables`]),
-    /// consuming that lane's `rngs[l]` in exactly the per-lane cycle
-    /// order.
+    /// lane-interleaved output. The noisy decision pass (tiers 2 and 3)
+    /// walks each lane's strided words, consuming that lane's `rngs[l]`
+    /// in exactly the per-lane cycle order:
+    ///
+    /// - orders ≤ [`OpticalScSystem::BITMATRIX_MAX_ORDER`] with the
+    ///   [`simd::BitMatrixKernels`] active: two 8 × 64 bit transposes
+    ///   turn the `N + 1` coefficient words and the count planes into
+    ///   per-cycle z-word and count bytes, one `vpermi2b` per count row
+    ///   of `decision_rows` classifies all 64 cycles, the class-1 mask
+    ///   ORs into the decided bits, and only the class-2 cycles draw, in
+    ///   ascending cycle order;
+    /// - otherwise 64 table indices per block from
+    ///   [`simd::assemble_indices16`] or byte-spread assembly
+    ///   ([`spread_tables`]), then a per-cycle table walk (order 12's
+    ///   17-bit indices fall back to per-cycle extraction).
     fn lane_kernel<const N: usize, const L: usize, S: StochasticNumberGenerator>(
         &self,
         xs: &[f64; L],
@@ -735,7 +768,43 @@ impl OpticalScSystem {
         let deterministic = self.deterministic_decisions;
         let mut ones = [0usize; L];
         let mut flips = [0usize; L];
-        if (N + 1) + nplanes <= 16 {
+        let bitmatrix = simd::BitMatrixKernels::active().filter(|_| N <= Self::BITMATRIX_MAX_ORDER);
+        if let Some(kernels) = bitmatrix {
+            // GFNI/VBMI decision pass: classify all 64 cycles of a block
+            // at once, then draw only for the class-2 cycles, in
+            // ascending cycle order — the RNG consumption of the
+            // per-cycle walk below.
+            let rows = &self.decision_rows[..];
+            let (mut zw, mut count) = ([0u8; 64], [0u8; 64]);
+            for (l, rng) in rngs.iter_mut().enumerate() {
+                let mut remaining = stream_length;
+                for w in 0..words {
+                    let nbits = remaining.min(64);
+                    let at = w * L + l;
+                    let (mut zw_words, mut count_words) = ([0u64; 8], [0u64; 8]);
+                    for (c, slot) in zw_words[..=N].iter_mut().enumerate() {
+                        *slot = scratch.coeff[c * wl + at];
+                    }
+                    for (p, slot) in count_words[..nplanes].iter_mut().enumerate() {
+                        *slot = scratch.planes[p * wl + at];
+                    }
+                    let (always_one, needs_draw) =
+                        kernels.classify_cycles(&zw_words, &count_words, rows, &mut zw, &mut count);
+                    let valid = u64::MAX >> (64 - nbits);
+                    let mut decided_mask = always_one & valid;
+                    let mut pending = needs_draw & valid;
+                    while pending != 0 {
+                        let t = pending.trailing_zeros() as usize;
+                        let idx = (usize::from(count[t]) << (N + 1)) | usize::from(zw[t]);
+                        decided_mask |= u64::from(rng.next_f64() < table[idx]) << t;
+                        pending &= pending - 1;
+                    }
+                    ones[l] += decided_mask.count_ones() as usize;
+                    flips[l] += (decided_mask ^ scratch.sel[at]).count_ones() as usize;
+                    remaining -= nbits;
+                }
+            }
+        } else if (N + 1) + nplanes <= 16 {
             // Nibble-spread index assembly: 8 cycles of `(count << (N+1))
             // | zw` per lookup group (low nibble → lanes 0–3, high nibble
             // → lanes 4–7).
@@ -802,8 +871,10 @@ impl OpticalScSystem {
                 }
             }
         } else {
-            // Orders 11–12 need 17-bit indices: plain per-cycle
-            // extraction (cold path — the spread lanes are 16-bit).
+            // Order 12 needs 13 + 4 = 17-bit indices (order 11 fits in
+            // 12 + 4 = 16 and takes the spread path above): plain
+            // per-cycle extraction (cold path — the spread lanes are
+            // 16-bit).
             let mut cw = [0u64; Self::WORD_REGS];
             for (l, rng) in rngs.iter_mut().enumerate() {
                 let mut remaining = stream_length;

@@ -13,16 +13,18 @@
 //! machine-detected tier word-for-word.
 
 use osc_core::batch::mix_seed;
+use osc_core::fault::FaultSpec;
 use osc_core::parallel::ParallelOpticalSc;
 use osc_core::params::CircuitParams;
 use osc_core::system::{EvalScratch, OpticalScSystem};
 use osc_math::rng::Xoshiro256PlusPlus;
 use osc_stochastic::bernstein::BernsteinPoly;
+use osc_stochastic::gamma::{fit_gamma_bernstein, DISPLAY_GAMMA};
 use osc_stochastic::simd::{self, SimdTier};
 use osc_stochastic::sng::{
     ChaoticLaserSng, CounterSng, LfsrSng, StochasticNumberGenerator, XoshiroSng,
 };
-use osc_units::Milliwatts;
+use osc_units::{Milliwatts, Nanometers};
 
 fn poly2() -> BernsteinPoly {
     BernsteinPoly::new(vec![0.25, 0.625, 0.75]).expect("coefficients in range")
@@ -158,12 +160,31 @@ fn lane_blocked_equals_per_lane_on_paired_lengths() {
     }
 }
 
-/// Runs one 8-lane blocked evaluation under a forced dispatch tier.
-fn run_lanes_under_tier<S: StochasticNumberGenerator>(
+/// The paper's Section V.C gamma circuit: order 6 at 0.165 nm ring
+/// spacing — the tier-3 (uniform-draw) path the image pipeline runs.
+fn gamma_order6_system() -> OpticalScSystem {
+    let poly = fit_gamma_bernstein(DISPLAY_GAMMA, 6).expect("gamma fit");
+    OpticalScSystem::new(CircuitParams::paper_fig7(6, Nanometers::new(0.165)), poly)
+        .expect("order-6 gamma builds")
+}
+
+/// A noisy order-7 circuit: past the vector decision pass's order cap,
+/// so it keeps the index-assembly path.
+fn noisy_order7_system() -> OpticalScSystem {
+    let poly = fit_gamma_bernstein(DISPLAY_GAMMA, 7).expect("gamma fit");
+    let params = CircuitParams::paper_fig7(7, Nanometers::new(0.165))
+        .with_probe_power(Milliwatts::new(0.05));
+    OpticalScSystem::new(params, poly).expect("noisy order-7 builds")
+}
+
+/// Runs one 8-lane blocked evaluation under a forced dispatch tier,
+/// with optional per-lane faults.
+fn run_lanes_under_tier_faulted<S: StochasticNumberGenerator>(
     system: &OpticalScSystem,
     tier: SimdTier,
     make_sng: impl Fn(usize) -> S,
     len: usize,
+    faults: Option<&[FaultSpec; 8]>,
 ) -> [osc_core::system::OpticalRun; 8] {
     simd::set_tier_override(Some(tier));
     let xs: [f64; 8] = std::array::from_fn(|l| l as f64 / 8.0);
@@ -172,10 +193,20 @@ fn run_lanes_under_tier<S: StochasticNumberGenerator>(
         std::array::from_fn(|l| Xoshiro256PlusPlus::new(99 + l as u64));
     let mut scratch = EvalScratch::new();
     let runs = system
-        .evaluate_fused_lanes(&xs, len, &mut sngs, &mut rngs, &mut scratch)
+        .evaluate_fused_lanes_faulted(&xs, len, &mut sngs, &mut rngs, faults, &mut scratch)
         .unwrap();
     simd::set_tier_override(None);
     runs
+}
+
+/// [`run_lanes_under_tier_faulted`] without faults.
+fn run_lanes_under_tier<S: StochasticNumberGenerator>(
+    system: &OpticalScSystem,
+    tier: SimdTier,
+    make_sng: impl Fn(usize) -> S,
+    len: usize,
+) -> [osc_core::system::OpticalRun; 8] {
+    run_lanes_under_tier_faulted(system, tier, make_sng, len, None)
 }
 
 #[test]
@@ -240,6 +271,33 @@ fn forced_scalar_and_detected_simd_agree_word_for_word() {
                     run_lanes_under_tier(&system, SimdTier::Scalar, |_| CounterSng::new(), len),
                     run_lanes_under_tier(&system, tier, |_| CounterSng::new(), len),
                     "{tag} counter, len {len}, {tier:?}"
+                );
+            }
+        }
+    }
+    // The order-6 gamma circuit (the vector decision pass on tiers that
+    // have it) and a noisy order-7 circuit (the index-assembly path), at
+    // stream 2048, clean and faulted.
+    let order6 = gamma_order6_system();
+    let order7 = noisy_order7_system();
+    assert!(!order6.has_deterministic_decisions());
+    assert!(!order7.has_deterministic_decisions());
+    let faults: [FaultSpec; 8] = std::array::from_fn(|l| FaultSpec {
+        flip_probability: 0.01,
+        shift_probability: 0.001,
+        ..FaultSpec::with_seed(mix_seed(0xFA17, l as u64))
+    });
+    for (tag, system) in [("gamma order 6", &order6), ("noisy order 7", &order7)] {
+        for (fault_tag, lane_faults) in [("clean", None), ("faulted", Some(&faults))] {
+            let len = 2048;
+            let make_sng = |l: usize| XoshiroSng::new(0x6A33A + l as u64);
+            let want =
+                run_lanes_under_tier_faulted(system, SimdTier::Scalar, make_sng, len, lane_faults);
+            for tier in [SimdTier::Avx2, simd::detected_tier()] {
+                assert_eq!(
+                    run_lanes_under_tier_faulted(system, tier, make_sng, len, lane_faults),
+                    want,
+                    "{tag} {fault_tag}, {tier:?}"
                 );
             }
         }

@@ -9,19 +9,27 @@
 //! *generation* is the transposed problem — `L` independent comparator
 //! chains advancing in lock-step — so the engines here keep chain states
 //! vertical in vector registers, collect one comparator mask per draw,
-//! and hand 64-draw mask blocks to the BMI2 `pext` transpose that
-//! produces the per-lane LSB-first words the scalar drains would have
-//! packed.
+//! and transpose each 64-draw mask block into the per-lane LSB-first
+//! words the scalar drains would have packed.
+//!
+//! Two transposes exist. The AVX2 engines and the SplitMix AVX-512
+//! engine use BMI2 `pext`: 64 bit-gathers per 8-lane block. The
+//! **bit-matrix kernels** ([`BitMatrixKernels`]: AVX-512 tier plus
+//! `gfni` and `avx512vbmi`, detected once per process) use one
+//! 8 × 64 bit-matrix transpose built from a `vpermb` byte gather and a
+//! `vgf2p8affineqb` 8 × 8 bit transpose per qword. It drives the
+//! AVX-512 Xoshiro engine and the noisy-tier decision pass.
 //!
 //! # Backend family
 //!
 //! | engine | serves | AVX-512 path | AVX2 path | extra gates |
 //! |---|---|---|---|---|
-//! | [`xoshiro_drain_chains`] | `XoshiroSng` | `vprolq` + `vpcmpuq` k-masks | shift-or rotates + sign-bias `vpcmpgtq` | `bmi2` |
+//! | [`xoshiro_drain_chains`] | `XoshiroSng` | `vprolq` + `vpcmpuq` k-masks, `vpternlogq` update, bit-matrix transpose (needs `gfni` + `avx512vbmi`, else the AVX2 path) | shift-or rotates + sign-bias `vpcmpgtq` | `bmi2` |
 //! | [`splitmix_drain_chains`] | `ChaoticLaserSng` | `vpmullq` mix (needs `avx512dq`) | `vpmuludq` split multiply | `bmi2` |
 //! | [`counter_drain_chains`] | `CounterSng` (base-2 mode) | `vgf2p8affineqb` bit-reverse + `vpcmpuq` | GFNI VEX reverse or shared scalar reverse | — |
 //! | [`popcount_lanes_accumulate`] | count-plane fold | `vpopcntq` | nibble-LUT `vpshufb` + `vpsadbw` | — |
 //! | [`assemble_indices16`] | noisy-tier index assembly | `vpmovm2w` mask broadcast (needs `avx512bw`) | — (scalar fallback) | — |
+//! | [`BitMatrixKernels::classify_cycles`] | noisy-tier decision pass, orders ≤ 6 | bit-matrix transposes + one `vpermi2b` per count row (needs `gfni` + `avx512vbmi`) | — (index assembly + table walk) | — |
 //!
 //! Dispatch rules, uniform across the family:
 //!
@@ -166,6 +174,76 @@ fn detect() -> SimdTier {
 #[cfg(not(target_arch = "x86_64"))]
 fn detect() -> SimdTier {
     SimdTier::Scalar
+}
+
+/// Whether this CPU has the byte-permute (`avx512vbmi`) and GF(2)
+/// affine (`gfni`) instructions the bit-matrix kernels are built on,
+/// plus the `avx512bw`/`avx512dq` byte and mask-store forms they use
+/// (cached after the first call, like [`detected_tier`]).
+fn bitmatrix_detected() -> bool {
+    static DETECTED: AtomicU8 = AtomicU8::new(0);
+    match DETECTED.load(Ordering::Relaxed) {
+        1 => return false,
+        2 => return true,
+        _ => {}
+    }
+    #[cfg(target_arch = "x86_64")]
+    let found = is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vbmi")
+        && is_x86_feature_detected!("gfni");
+    #[cfg(not(target_arch = "x86_64"))]
+    let found = false;
+    DETECTED.store(1 + u8::from(found), Ordering::Relaxed);
+    found
+}
+
+/// Permission to run the GFNI/VBMI bit-matrix kernels: the AVX-512 tier
+/// is active (so `OSC_SIMD` and [`set_tier_override`] caps turn them
+/// off) and the CPU has `gfni` + `avx512vbmi`. The token can only be
+/// obtained from [`BitMatrixKernels::active`], so holding one proves the
+/// instructions exist; a caller checks once and keeps the token for a
+/// whole kernel pass.
+#[derive(Debug, Clone, Copy)]
+pub struct BitMatrixKernels(());
+
+impl BitMatrixKernels {
+    /// The token when the kernels may run under the current dispatch
+    /// tier, else `None`.
+    pub fn active() -> Option<Self> {
+        (active_tier() == SimdTier::Avx512 && bitmatrix_detected()).then_some(BitMatrixKernels(()))
+    }
+
+    /// Classifies the 64 cycles of one decision block against a
+    /// per-count table of 128-byte rows.
+    ///
+    /// Cycle `t`'s z-word is the byte `Σ_c bit_t(zw_words[c]) << c` and
+    /// its count the byte `Σ_p bit_t(count_words[p]) << p` (an 8 × 64
+    /// bit transpose each); its class is `rows[count][zw & 0x7F]`, or 0
+    /// when `count >= rows.len()`. Returns the masks of the cycles whose
+    /// class is 1 and 2, and writes each cycle's z-word and count bytes
+    /// to `zw` / `count` for the caller's per-cycle follow-up.
+    pub fn classify_cycles(
+        self,
+        zw_words: &[u64; 8],
+        count_words: &[u64; 8],
+        rows: &[[u8; 128]],
+        zw: &mut [u8; 64],
+        count: &mut [u8; 64],
+    ) -> (u64, u64) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: the token exists only when bitmatrix_detected()
+            // found avx512f, avx512bw, avx512dq, avx512vbmi and gfni.
+            unsafe { classify_cycles_avx512(zw_words, count_words, rows, zw, count) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (zw_words, count_words, rows, zw, count);
+            unreachable!("BitMatrixKernels::active is always None off x86_64")
+        }
+    }
 }
 
 /// `0` = no override; otherwise `SimdTier::to_u8` of the forced tier.
@@ -369,10 +447,11 @@ pub(crate) fn xoshiro_vector_applicable(lanes: usize) -> bool {
 /// must then run the scalar interleave.
 ///
 /// The engine holds state word `i` of all chains in one SIMD register
-/// (AVX-512: 8 chains/register with `vpcmpuq` k-mask comparators;
-/// AVX2: 4 chains/register, two register groups for `L = 8`), collects
-/// one comparator mask per draw, and transposes each 64-draw mask block
-/// into per-lane words with BMI2 `pext`.
+/// (AVX-512: 8 chains/register with `vpcmpuq` k-mask comparators, when
+/// the [`BitMatrixKernels`] are active; AVX2: 4 chains/register, two
+/// register groups for `L = 8`), collects one comparator mask per draw,
+/// and transposes each 64-draw mask block into per-lane words (AVX-512:
+/// the GFNI bit-matrix transpose; AVX2: BMI2 `pext`).
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn xoshiro_drain_chains<const L: usize, F>(
     states: &mut [[u64; 4]; L],
@@ -387,7 +466,6 @@ where
     if !xoshiro_vector_applicable(L) {
         return false;
     }
-    let tier = active_tier();
     let mut always_mask = 0u8;
     for (l, &a) in always.iter().enumerate() {
         always_mask |= u8::from(a) << l;
@@ -398,13 +476,15 @@ where
         emit(&block, nbits);
     };
     // SAFETY: xoshiro_vector_applicable checked bmi2 + the tier (which
-    // active_tier clamps to the detected hardware), so every feature the
-    // target_feature attributes name is present.
+    // active_tier clamps to the detected hardware), and a
+    // BitMatrixKernels token proves avx512f/bw/dq/vbmi + gfni, so every
+    // feature the target_feature attributes name is present.
     unsafe {
-        if L == 8 && tier == SimdTier::Avx512 {
-            xoshiro_chains8_avx512(states.as_mut_slice(), wide, always_mask, len, &mut adapter);
-        } else {
-            xoshiro_chains_avx2(states.as_mut_slice(), wide, always_mask, len, &mut adapter);
+        match BitMatrixKernels::active() {
+            Some(_) if L == 8 => {
+                xoshiro_chains8_avx512(states.as_mut_slice(), wide, always_mask, len, &mut adapter)
+            }
+            _ => xoshiro_chains_avx2(states.as_mut_slice(), wide, always_mask, len, &mut adapter),
         }
     }
     true
@@ -427,7 +507,8 @@ where
 
 /// Transposes one 64-draw mask block (`masks[t]` bit `l` = chain `l`'s
 /// draw `t`) into per-lane LSB-first words via BMI2 `pext`, zeroing
-/// draws at and above `nbits`.
+/// draws at and above `nbits` — the AVX2 engines' and the SplitMix
+/// AVX-512 engine's transpose.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "bmi2")]
 unsafe fn transpose_masks(masks: &mut [u8; 64], lanes: usize, nbits: usize, words: &mut [u64; 8]) {
@@ -446,10 +527,58 @@ unsafe fn transpose_masks(masks: &mut [u8; 64], lanes: usize, nbits: usize, word
     }
 }
 
-/// AVX-512 engine: 8 chains, state word `i` of all chains in one ZMM,
-/// `vprolq` rotates, `vpcmpuq` comparator k-masks.
+/// `vpermb` indices gathering byte `k` of every qword `j` into qword
+/// `k`, word `j` landing in byte `7 - j` — the order in which
+/// `vgf2p8affineqb` reads matrix rows.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,bmi2")]
+const TRANSPOSE_GATHER: [u8; 64] = {
+    let mut idx = [0u8; 64];
+    let mut k = 0;
+    while k < 8 {
+        let mut j = 0;
+        while j < 8 {
+            idx[k * 8 + 7 - j] = (j * 8 + k) as u8;
+            j += 1;
+        }
+        k += 1;
+    }
+    idx
+};
+
+/// The 8 × 64 bit-matrix transpose of the bit-matrix kernels: byte `t`
+/// bit `j` of the result is bit `t` of qword `j` of `v`.
+///
+/// `vpermb` makes qword `k` hold byte `k` of all eight words (rows in
+/// reverse), then `vgf2p8affineqb` with that qword as its matrix and
+/// the unit bytes `1 << b` as its input transposes each 8 × 8 block:
+/// output byte `b` bit `i` = matrix row `7 - i` bit `b`. Applied three
+/// times the transpose is the identity, so applying it twice inverts it
+/// (64 per-draw bytes → 8 per-lane words).
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, `avx512bw`, `avx512vbmi` and `gfni`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,gfni")]
+unsafe fn bit_transpose_8x64(v: std::arch::x86_64::__m512i) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    let gather = _mm512_loadu_si512(TRANSPOSE_GATHER.as_ptr() as *const __m512i);
+    let unit_bytes = _mm512_set1_epi64(0x8040_2010_0804_0201u64 as i64);
+    _mm512_gf2p8affine_epi64_epi8::<0>(unit_bytes, _mm512_permutexvar_epi8(gather, v))
+}
+
+/// AVX-512 engine: 8 chains, state word `i` of all chains in one ZMM,
+/// `vprolq` rotates, `vpcmpuq` comparator k-masks stored straight into
+/// the per-draw byte buffer, three-input `vpternlogq` state updates and
+/// the GFNI bit-matrix transpose; `always` lanes are set to their valid
+/// bits after the transpose.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, `avx512bw`, `avx512dq`, `avx512vbmi`
+/// and `gfni` (`avx512dq` lets each k-mask store as one `kmovb`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vbmi,gfni")]
 unsafe fn xoshiro_chains8_avx512(
     states: &mut [[u64; 4]],
     wide: &[u64],
@@ -458,6 +587,9 @@ unsafe fn xoshiro_chains8_avx512(
     emit: &mut dyn FnMut(&[u64], usize),
 ) {
     use std::arch::x86_64::*;
+    // Three-input XOR and `(a | b) & c` as vpternlogq truth tables.
+    const XOR3: i32 = 0x96;
+    const OR_AND: i32 = 0xA8;
     debug_assert_eq!(states.len(), 8);
     let load = |i: usize, states: &[[u64; 4]]| {
         let tmp: [u64; 8] = std::array::from_fn(|l| states[l][i]);
@@ -470,6 +602,7 @@ unsafe fn xoshiro_chains8_avx512(
         load(3, states),
     );
     let widev = _mm512_loadu_si512(wide.as_ptr() as *const __m512i);
+    let always = _mm512_maskz_set1_epi64(always_mask, -1);
     let mut masks = [0u8; 64];
     let mut words = [0u64; 8];
     let mut remaining = len;
@@ -480,17 +613,24 @@ unsafe fn xoshiro_chains8_avx512(
             // widened threshold (exact unsigned compare).
             let sum = _mm512_add_epi64(s0, s3);
             let res = _mm512_add_epi64(_mm512_rol_epi64::<23>(sum), s0);
-            *m = _mm512_cmplt_epu64_mask(res, widev) | always_mask;
-            // State transition (the linear xoshiro256++ update).
+            *m = _mm512_cmplt_epu64_mask(res, widev);
+            // The linear xoshiro256++ update, each new word one XOR3 of
+            // old words: s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3;
+            // s2 ^= s1 << 17; s3 = rotl(s3, 45).
             let t17 = _mm512_slli_epi64::<17>(s1);
-            s2 = _mm512_xor_si512(s2, s0);
-            s3 = _mm512_xor_si512(s3, s1);
-            s1 = _mm512_xor_si512(s1, s2);
-            s0 = _mm512_xor_si512(s0, s3);
-            s2 = _mm512_xor_si512(s2, t17);
-            s3 = _mm512_rol_epi64::<45>(s3);
+            let n0 = _mm512_ternarylogic_epi64::<XOR3>(s0, s3, s1);
+            let n1 = _mm512_ternarylogic_epi64::<XOR3>(s1, s2, s0);
+            let n2 = _mm512_ternarylogic_epi64::<XOR3>(s2, s0, t17);
+            s3 = _mm512_rol_epi64::<45>(_mm512_xor_si512(s3, s1));
+            (s0, s1, s2) = (n0, n1, n2);
         }
-        transpose_masks(&mut masks, 8, nbits, &mut words);
+        // Bytes at and above nbits are stale; they land in word bits at
+        // and above nbits, which the valid mask clears.
+        let drawn = _mm512_loadu_si512(masks.as_ptr() as *const __m512i);
+        let lane_words = bit_transpose_8x64(bit_transpose_8x64(drawn));
+        let valid = _mm512_set1_epi64((u64::MAX >> (64 - nbits)) as i64);
+        let out = _mm512_ternarylogic_epi64::<OR_AND>(lane_words, always, valid);
+        _mm512_storeu_si512(words.as_mut_ptr() as *mut __m512i, out);
         emit(&words, nbits);
         remaining -= nbits;
     }
@@ -1019,6 +1159,43 @@ unsafe fn assemble_indices16_avx512bw(src: &[u64], idxs: &mut [u16; 64]) {
     _mm512_storeu_si512(idxs.as_mut_ptr().add(32) as *mut __m512i, hi);
 }
 
+/// [`BitMatrixKernels::classify_cycles`]: two bit transposes give the
+/// per-cycle z-word and count bytes, then one `vpermi2b` per count row
+/// looks up all 64 cycles' classes in that row and a byte-compare mask
+/// keeps the cycles whose count selects it.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`, `avx512bw`, `avx512vbmi` and `gfni`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,gfni")]
+unsafe fn classify_cycles_avx512(
+    zw_words: &[u64; 8],
+    count_words: &[u64; 8],
+    rows: &[[u8; 128]],
+    zw: &mut [u8; 64],
+    count: &mut [u8; 64],
+) -> (u64, u64) {
+    use std::arch::x86_64::*;
+    let zwv = bit_transpose_8x64(_mm512_loadu_si512(zw_words.as_ptr() as *const __m512i));
+    let countv = bit_transpose_8x64(_mm512_loadu_si512(count_words.as_ptr() as *const __m512i));
+    let mut classes = _mm512_setzero_si512();
+    // Count bytes never exceed 255, so later rows are unreachable.
+    for (c, row) in rows.iter().take(256).enumerate() {
+        let lo = _mm512_loadu_si512(row.as_ptr() as *const __m512i);
+        let hi = _mm512_loadu_si512(row[64..].as_ptr() as *const __m512i);
+        let looked_up = _mm512_permutex2var_epi8(lo, zwv, hi);
+        let here = _mm512_cmpeq_epi8_mask(countv, _mm512_set1_epi8(c as i8));
+        classes = _mm512_mask_mov_epi8(classes, here, looked_up);
+    }
+    _mm512_storeu_si512(zw.as_mut_ptr() as *mut __m512i, zwv);
+    _mm512_storeu_si512(count.as_mut_ptr() as *mut __m512i, countv);
+    (
+        _mm512_cmpeq_epi8_mask(classes, _mm512_set1_epi8(1)),
+        _mm512_cmpeq_epi8_mask(classes, _mm512_set1_epi8(2)),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1284,6 +1461,177 @@ mod tests {
                     }
                     assert_eq!(got, want, "tier {tier:?}, lanes {lanes}, len {len}");
                 }
+            }
+        }
+    }
+
+    /// Scalar reference for the xoshiro engine: the draws the
+    /// `XoshiroSng` interleave makes, from raw state words.
+    fn xoshiro_reference(
+        states: &mut [[u64; 4]],
+        wide: &[u64],
+        always: &[bool],
+        len: usize,
+    ) -> Vec<(Vec<u64>, usize)> {
+        use osc_math::rng::Xoshiro256PlusPlus;
+        let mut rngs: Vec<Xoshiro256PlusPlus> = states
+            .iter()
+            .map(|&s| Xoshiro256PlusPlus::from_state_words(s))
+            .collect();
+        let mut out = Vec::new();
+        let mut remaining = len;
+        while remaining > 0 {
+            let nbits = remaining.min(64);
+            let mut words = vec![0u64; states.len()];
+            for b in 0..nbits {
+                for (l, w) in words.iter_mut().enumerate() {
+                    let bit = (rngs[l].next_u64() < wide[l]) | always[l];
+                    *w |= u64::from(bit) << b;
+                }
+            }
+            out.push((words, nbits));
+            remaining -= nbits;
+        }
+        for (s, rng) in states.iter_mut().zip(&rngs) {
+            *s = rng.state_words();
+        }
+        out
+    }
+
+    #[test]
+    fn xoshiro_engine_matches_scalar_reference_on_every_tier() {
+        // p = 0, p = 1 (the `always` flag) and an interior p, rotated
+        // through the lanes so every lane slot sees each of them. As in
+        // the splitmix test, an engine that declines because another
+        // test raced the override down is checked for that reason.
+        let ps = [0.0, 1.0, 0.37];
+        let mut seeder = SplitMix64::new(0x0105_1120);
+        for tier in [SimdTier::Avx2, SimdTier::Avx512] {
+            for lanes in [4usize, 8] {
+                for shift in 0..ps.len() {
+                    for len in [1usize, 63, 64, 65, 2048] {
+                        let mut states: [[u64; 4]; 8] =
+                            std::array::from_fn(|_| std::array::from_fn(|_| seeder.next_u64() | 1));
+                        let mut wide = [0u64; 8];
+                        let mut always = [false; 8];
+                        for l in 0..lanes {
+                            let t = crate::sng::unit_threshold(ps[(l + shift) % ps.len()], 53);
+                            (wide[l], always[l]) = crate::sng::widen_threshold53(t);
+                        }
+                        let mut want_states = states;
+                        let want = xoshiro_reference(
+                            &mut want_states[..lanes],
+                            &wide[..lanes],
+                            &always[..lanes],
+                            len,
+                        );
+                        let granted = set_tier_override(Some(tier));
+                        let mut got = Vec::new();
+                        let ran = if lanes == 4 {
+                            let mut s4: [[u64; 4]; 4] = states[..4].try_into().unwrap();
+                            let w4: [u64; 4] = wide[..4].try_into().unwrap();
+                            let a4: [bool; 4] = always[..4].try_into().unwrap();
+                            let ran = xoshiro_drain_chains::<4, _>(
+                                &mut s4,
+                                &w4,
+                                &a4,
+                                len,
+                                |block, nbits| got.push((block.to_vec(), nbits)),
+                            );
+                            states[..4].copy_from_slice(&s4);
+                            ran
+                        } else {
+                            xoshiro_drain_chains::<8, _>(
+                                &mut states,
+                                &wide,
+                                &always,
+                                len,
+                                |block, nbits| got.push((block.to_vec(), nbits)),
+                            )
+                        };
+                        set_tier_override(None);
+                        let tag = format!("tier {tier:?}, lanes {lanes}, shift {shift}, len {len}");
+                        if !ran {
+                            assert!(
+                                granted < SimdTier::Avx2 || !xoshiro_vector_applicable(lanes),
+                                "engine declined although applicable: {tag}"
+                            );
+                            continue;
+                        }
+                        assert_eq!(got, want, "{tag}");
+                        assert_eq!(
+                            &states[..lanes],
+                            &want_states[..lanes],
+                            "final states, {tag}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn gfni_transpose_matches_scalar_bit_loop() {
+        use std::arch::x86_64::*;
+        if !bitmatrix_detected() {
+            eprintln!("skipping gfni_transpose_matches_scalar_bit_loop: gfni or avx512vbmi absent");
+            return;
+        }
+        let mut rng = SplitMix64::new(0x7_2A45_905E);
+        for _ in 0..64 {
+            let words: [u64; 8] = std::array::from_fn(|_| rng.next_u64());
+            let mut want = [0u8; 64];
+            for (t, byte) in want.iter_mut().enumerate() {
+                for (j, &w) in words.iter().enumerate() {
+                    *byte |= (((w >> t) & 1) as u8) << j;
+                }
+            }
+            let (mut once, mut thrice) = ([0u8; 64], [0u64; 8]);
+            // SAFETY: bitmatrix_detected() confirmed every feature the
+            // transpose needs.
+            unsafe {
+                let v = _mm512_loadu_si512(words.as_ptr() as *const __m512i);
+                let t1 = bit_transpose_8x64(v);
+                _mm512_storeu_si512(once.as_mut_ptr() as *mut __m512i, t1);
+                let t3 = bit_transpose_8x64(bit_transpose_8x64(t1));
+                _mm512_storeu_si512(thrice.as_mut_ptr() as *mut __m512i, t3);
+            }
+            assert_eq!(once, want);
+            assert_eq!(thrice, words, "three transposes must be the identity");
+        }
+    }
+
+    #[test]
+    fn classify_cycles_matches_scalar_table_walk() {
+        // Built from the hardware check alone, so tests racing the tier
+        // override cannot turn this one into a skip.
+        if !bitmatrix_detected() {
+            eprintln!("skipping classify_cycles test: gfni or avx512vbmi absent");
+            return;
+        }
+        let kernels = BitMatrixKernels(());
+        let mut rng = SplitMix64::new(0x0C1A_55E5);
+        for nrows in [1usize, 3, 7] {
+            let rows: Vec<[u8; 128]> = (0..nrows)
+                .map(|_| std::array::from_fn(|_| (rng.next_u64() % 3) as u8))
+                .collect();
+            let zw_words: [u64; 8] = std::array::from_fn(|_| rng.next_u64());
+            // Three count planes: some cycles count past the last row.
+            let count_words: [u64; 8] =
+                std::array::from_fn(|p| if p < 3 { rng.next_u64() } else { 0 });
+            let (mut zw, mut count) = ([0u8; 64], [0u8; 64]);
+            let (ones, draws) =
+                kernels.classify_cycles(&zw_words, &count_words, &rows, &mut zw, &mut count);
+            for t in 0..64 {
+                let z = (0..8).fold(0u8, |a, c| a | (((zw_words[c] >> t) & 1) as u8) << c);
+                let n = (0..3).fold(0u8, |a, p| a | (((count_words[p] >> t) & 1) as u8) << p);
+                assert_eq!((zw[t], count[t]), (z, n), "cycle {t}");
+                let class = rows
+                    .get(usize::from(n))
+                    .map_or(0, |r| r[usize::from(z & 0x7F)]);
+                assert_eq!((ones >> t) & 1 == 1, class == 1, "cycle {t}, rows {nrows}");
+                assert_eq!((draws >> t) & 1 == 1, class == 2, "cycle {t}, rows {nrows}");
             }
         }
     }

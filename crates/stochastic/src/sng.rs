@@ -268,7 +268,7 @@ where
 /// saturated `t = 2^53` (p = 1) case exactly — the draw still happens,
 /// only the comparison is constant.
 #[inline]
-fn widen_threshold53(t: u64) -> (u64, bool) {
+pub(crate) fn widen_threshold53(t: u64) -> (u64, bool) {
     if t >= 1 << 53 {
         (0, true)
     } else {
