@@ -23,76 +23,15 @@
 //!
 //! `--check-monotone` exits non-zero unless the `rate` curve is
 //! non-decreasing (within a small tolerance for sampling noise) — the
-//! CI hook that pins "more faults, more error, never chaos".
-//!
-//! Every evaluation derives its fault universe by rebasing one base
-//! [`FaultSpec`] per grid index, so the sweep is bit-reproducible
-//! run-to-run and independent of iteration order.
+//! CI hook that pins "more faults, more error, never chaos"; a reduced
+//! grid of the same check runs as a unit test of
+//! [`osc_bench::fault_curve`], which holds the curves themselves.
 
-use osc_core::fault::FaultSpec;
-use osc_core::params::CircuitParams;
-use osc_core::system::{EvalScratch, OpticalScSystem};
-use osc_math::rng::Xoshiro256PlusPlus;
-use osc_stochastic::gamma::{gamma_exact, DISPLAY_GAMMA};
-use osc_stochastic::sng::XoshiroSng;
-use osc_units::Nanometers;
-
-/// Bit-flip rates of the `rate` curve, clean baseline first.
-const RATES: &[f64] = &[0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2];
-
-/// Stream lengths of the `length` curve.
-const LENGTHS: &[usize] = &[256, 512, 1024, 2048, 4096, 8192];
-
-/// The fault rate the `length` curve's faulty leg runs at.
-const LENGTH_CURVE_RATE: f64 = 0.01;
-
-/// Base seed every grid point's fault universe is rebased from.
-const FAULT_SEED: u64 = 0xFA07;
-
-/// Absolute slack the monotonicity check allows between consecutive
-/// rate points — covers the sampling noise of a finite MAE estimate
-/// without masking a real inversion (the rate-to-rate error growth is
-/// an order of magnitude larger on the default grid).
-const MONOTONE_TOLERANCE: f64 = 5e-4;
+use osc_bench::fault_curve::{self, MONOTONE_TOLERANCE};
 
 fn fail(msg: &str) -> ! {
     eprintln!("fault_sweep: {msg}");
     std::process::exit(1);
-}
-
-/// One CSV row.
-struct Point {
-    curve: &'static str,
-    fault_rate: f64,
-    stream_length: usize,
-    mae: f64,
-}
-
-/// Mean absolute error of the fault-injected circuit against exact
-/// gamma over `xs` inputs × `seeds` seeds at one (rate, stream) point.
-fn sweep_point(system: &OpticalScSystem, rate: f64, stream: usize, xs: usize, seeds: usize) -> f64 {
-    let base = FaultSpec::flips(rate, FAULT_SEED);
-    let mut scratch = EvalScratch::new();
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for i in 0..xs {
-        // Strictly interior grid: the fitted polynomial's domain.
-        let x = (i + 1) as f64 / (xs + 1) as f64;
-        let exact = gamma_exact(x, DISPLAY_GAMMA);
-        for s in 0..seeds {
-            let item = (i * seeds + s) as u64;
-            let spec = base.rebased(item);
-            let fault = if rate > 0.0 { Some(&spec) } else { None };
-            let mut sng = XoshiroSng::new(0xBEEF + item);
-            let mut rng = Xoshiro256PlusPlus::new(0xCAFE + item);
-            let run = system
-                .evaluate_fused_faulted(x, stream, &mut sng, &mut rng, fault, &mut scratch)
-                .unwrap_or_else(|e| fail(&format!("evaluation at x={x} rate={rate}: {e}")));
-            total += (run.estimate - exact).abs();
-            count += 1;
-        }
-    }
-    total / count as f64
 }
 
 fn main() {
@@ -135,30 +74,13 @@ fn main() {
         fail("--seeds and --xs must be positive");
     }
 
-    let poly = osc_apps::gamma_app::paper_gamma_polynomial()
-        .unwrap_or_else(|e| fail(&format!("gamma fit: {e}")));
-    let system = OpticalScSystem::new(CircuitParams::paper_fig7(6, Nanometers::new(0.165)), poly)
-        .unwrap_or_else(|e| fail(&format!("circuit build: {e}")));
-
-    let mut points = Vec::new();
-    for &rate in RATES {
-        points.push(Point {
-            curve: "rate",
-            fault_rate: rate,
-            stream_length: stream,
-            mae: sweep_point(&system, rate, stream, xs, seeds),
-        });
-    }
-    for &length in LENGTHS {
-        for rate in [0.0, LENGTH_CURVE_RATE] {
-            points.push(Point {
-                curve: "length",
-                fault_rate: rate,
-                stream_length: length,
-                mae: sweep_point(&system, rate, length, xs, seeds),
-            });
-        }
-    }
+    let system = fault_curve::gamma_system().unwrap_or_else(|e| fail(&e.to_string()));
+    let mut points = fault_curve::rate_curve(&system, stream, xs, seeds)
+        .unwrap_or_else(|e| fail(&format!("rate curve: {e}")));
+    points.extend(
+        fault_curve::length_curve(&system, xs, seeds)
+            .unwrap_or_else(|e| fail(&format!("length curve: {e}"))),
+    );
 
     let mut csv = String::from("curve,fault_rate,stream_length,mae\n");
     for p in &points {
@@ -178,18 +100,10 @@ fn main() {
     }
 
     if check_monotone {
-        let rate_curve: Vec<&Point> = points.iter().filter(|p| p.curve == "rate").collect();
-        for pair in rate_curve.windows(2) {
-            if pair[1].mae < pair[0].mae - MONOTONE_TOLERANCE {
-                fail(&format!(
-                    "rate curve not monotone: mae {:.6} at rate {} > mae {:.6} at rate {}",
-                    pair[0].mae, pair[0].fault_rate, pair[1].mae, pair[1].fault_rate
-                ));
-            }
-        }
+        fault_curve::check_monotone(&points).unwrap_or_else(|e| fail(&e));
         println!(
             "[fault_sweep] rate curve is monotone over {} points (tolerance {MONOTONE_TOLERANCE})",
-            rate_curve.len()
+            fault_curve::RATES.len()
         );
     }
 }

@@ -654,6 +654,8 @@ pub fn run(budget_ms: u64) -> KernelsReport {
     )
     .expect("6th-order circuit builds");
     let fault_system_c = fault_system.clone();
+    let block_system = fault_system.clone();
+    let block_system_c = fault_system.clone();
     let fault_spec = osc_core::fault::FaultSpec::flips(0.01, 0xFA07);
     let mut sng_fb = XoshiroSng::new(21);
     let mut rng_fb = Xoshiro256PlusPlus::new(22);
@@ -682,6 +684,56 @@ pub fn run(budget_ms: u64) -> KernelsReport {
                 .evaluate_fused(0.5, 16_384, &mut sng_fc, &mut rng_fc, &mut scratch_fc)
                 .unwrap()
                 .estimate
+        },
+    ));
+
+    // The fault hook on the image workload's block shape: one 8-lane
+    // order-6 gamma block at 2048 bits per lane under the faulted image
+    // frames' process (flips 0.01, shifts 0.001, a spec rebased per lane)
+    // as the baseline, against the same block clean as the optimized
+    // side. Like the record above the ratio is an overhead factor, so
+    // it is recorded but never gated (see OVERHEAD_FACTOR_WORKLOADS).
+    let block_spec = osc_core::fault::FaultSpec {
+        flip_probability: 0.01,
+        shift_probability: 0.001,
+        ..osc_core::fault::FaultSpec::with_seed(0xFA08)
+    };
+    let block_specs: [osc_core::fault::FaultSpec; 8] =
+        std::array::from_fn(|l| block_spec.rebased(l as u64));
+    let block_xs: [f64; 8] = std::array::from_fn(|l| (l + 1) as f64 / 9.0);
+    let mut block_scratch_b = EvalScratch::new();
+    let mut block_scratch_o = EvalScratch::new();
+    let (mut block_round_b, mut block_round_o) = (0u64, 0u64);
+    let lane_block = move |system: &OpticalScSystem,
+                           round: u64,
+                           faults: Option<&[osc_core::fault::FaultSpec; 8]>,
+                           scratch: &mut EvalScratch| {
+        let mut sngs: [XoshiroSng; 8] =
+            std::array::from_fn(|l| XoshiroSng::new(900 + 8 * round + l as u64));
+        let mut rngs: [Xoshiro256PlusPlus; 8] =
+            std::array::from_fn(|l| Xoshiro256PlusPlus::new(1000 + 8 * round + l as u64));
+        system
+            .evaluate_fused_lanes_faulted(&block_xs, 2048, &mut sngs, &mut rngs, faults, scratch)
+            .unwrap()
+            .iter()
+            .map(|r| r.estimate)
+            .sum::<f64>()
+    };
+    comparisons.push(compare(
+        &mut harness,
+        "fault_lanes8_order6_2048",
+        move || {
+            block_round_b += 1;
+            lane_block(
+                &block_system,
+                block_round_b,
+                Some(&block_specs),
+                &mut block_scratch_b,
+            )
+        },
+        move || {
+            block_round_o += 1;
+            lane_block(&block_system_c, block_round_o, None, &mut block_scratch_o)
         },
     ));
 
@@ -762,6 +814,12 @@ pub const SPAWN_OVERHEAD_WORKLOADS: &[&str] = &["gamma_64x64_order6_sharded"];
 pub fn is_spawn_overhead(name: &str) -> bool {
     SPAWN_OVERHEAD_WORKLOADS.contains(&name)
 }
+
+/// Workloads whose "speedup" is an overhead factor (faulted ns / clean
+/// ns), so a *lower* ratio is the improvement: recorded into the
+/// trajectory, but shortfalls land in [`CheckOutcome::advisory`] and
+/// never fail the gate.
+pub const OVERHEAD_FACTOR_WORKLOADS: &[&str] = &["fault_lanes8_order6_2048"];
 
 /// Locates the `shard_worker` binary the sharded workload spawns — the
 /// `OSC_SHARD_WORKER` env override, or a sibling of the running
@@ -1108,7 +1166,7 @@ pub fn check_report(
                 recorded: *recorded_speedup,
                 floor,
             };
-            if is_spawn_overhead(name) {
+            if is_spawn_overhead(name) || OVERHEAD_FACTOR_WORKLOADS.contains(&name.as_str()) {
                 outcome.advisory.push(shortfall);
             } else {
                 outcome.regressions.push(shortfall);
@@ -1139,7 +1197,7 @@ mod tests {
         // has been built (cargo test builds it for this package's
         // integration tests, but a filtered build may not have).
         let expect_sharded = shard_worker_path().is_some();
-        assert_eq!(r.comparisons.len(), if expect_sharded { 18 } else { 13 });
+        assert_eq!(r.comparisons.len(), if expect_sharded { 19 } else { 14 });
         for c in &r.comparisons {
             assert!(c.baseline_ns > 0.0 && c.optimized_ns > 0.0, "{c:?}");
         }
@@ -1153,6 +1211,7 @@ mod tests {
         assert!(json.contains("gamma_64x64_order6"));
         assert!(json.contains("gamma_64x64_order6_fused"));
         assert!(json.contains("fault_rate_sweep_order6"));
+        assert!(json.contains("fault_lanes8_order6_2048"));
         assert!(json.contains("fold_avx512_order6"));
         for pool_workload in [
             "gamma_64x64_order6_sharded",
@@ -1233,6 +1292,29 @@ mod tests {
         assert_eq!(outcome_ok.advisory.len(), 1);
         assert!(is_spawn_overhead("gamma_64x64_order6_sharded"));
         assert!(!is_spawn_overhead("gamma_64x64_order6_pooled"));
+    }
+
+    #[test]
+    fn overhead_factor_records_are_never_gated() {
+        // A faster fault hook lowers the overhead factor; that must not
+        // read as a regression.
+        let committed = concat!(
+            "{\n  \"runs\": [\n",
+            "    {\"label\": \"ci\", \"tier\": \"avx512\", \"benchmarks\": [\n",
+            "      {\"name\": \"fault_lanes8_order6_2048\", \"baseline_ns\": 200.0, ",
+            "\"optimized_ns\": 100.0, \"speedup\": 2.000}\n",
+            "    ]}\n  ]\n}\n"
+        );
+        let report = KernelsReport {
+            comparisons: vec![KernelComparison {
+                name: "fault_lanes8_order6_2048".into(),
+                baseline_ns: 110.0,
+                optimized_ns: 100.0,
+            }],
+        };
+        let outcome = check_report(&report, committed, 0.8, "avx512");
+        assert!(outcome.is_ok(), "{outcome:?}");
+        assert_eq!(outcome.advisory.len(), 1);
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! | [`fig6`] | Fig. 6(a)–(c) minimum probe power studies |
 //! | [`fig7`] | Fig. 7(a)–(b) laser energy per computed bit |
 //! | [`gamma`] | Section V.C gamma-correction speedup |
+//! | [`fault_curve`] | graceful degradation of the Section V.C circuit under bit flips |
 
 pub mod exp0;
 pub mod extensions;
+pub mod fault_curve;
 pub mod fig1b;
 pub mod fig5;
 pub mod fig6;

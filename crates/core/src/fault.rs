@@ -37,11 +37,34 @@
 //! Fault positions are sampled by **geometric gap lengths** (the
 //! inverse-CDF of the run length between Bernoulli events), so a stream
 //! at flip rate `p` costs `O(p · stream_length)` work instead of a draw
-//! per bit: flips XOR single bits into the packed words in place, shifts
-//! splice bit-ranges with a funnel copy, and the stuck-at mask is one
-//! AND/OR per word. [`FaultSpec::apply_to_bits`] is the per-bit
-//! reference twin — same draws, same event positions, applied one bit at
-//! a time — and the equivalence tests pin word path ≡ bit path exactly.
+//! per bit. The gap `⌊ln(1 − u) · inv_log_q⌋` needs no `floor` call:
+//! its argument is `>= 0` or non-finite, so a saturating truncation
+//! (non-finite → `usize::MAX`) is the same integer. Each spec's
+//! `inv_log_q = 1 / ln(1 − p)` is resolved once per evaluation, not once
+//! per stream.
+//!
+//! - **Shifts** draw a stream's events first and splice **in place**: a
+//!   stream without a shift event touches no word; otherwise each output
+//!   word, top-down from the last one, is a funnel read of the
+//!   still-unmodified words below it at its constant shift.
+//! - **Flips** XOR single bits into the packed words. In the lane
+//!   kernel, the flip processes of a whole lane block are drawn
+//!   **lane-parallel** by one AVX-512 loop
+//!   ([`osc_stochastic::simd::geometric_flip_lanes`]): per-lane
+//!   xoshiro256++ states in vector registers, a polynomial `ln`, and a
+//!   masked gather / XOR / scatter per event. Every vector gap is
+//!   **certified** — it is accepted only when a `±δ` band around it
+//!   (`δ = 1e-9·y + 1e-12`, far above the polynomial's error) truncates
+//!   to one integer, and a lane that fails recomputes the gap with the
+//!   scalar formula — so the events are the scalar loop's exactly.
+//!   Lanes the vector loop cannot draw (`p = 1`, `p <= 2⁻⁵⁴`) and every
+//!   lane below the AVX-512 tier run the scalar loop.
+//! - **Stuck-at** is one AND/OR per word.
+//!
+//! [`FaultSpec::apply_to_bits`] is the per-bit reference twin — same
+//! draws, same event positions, applied one bit at a time — and the
+//! equivalence tests pin word path ≡ lane-block path ≡ bit path exactly,
+//! under every dispatch tier.
 //!
 //! A fault process with rate `0.0` draws nothing and touches nothing, so
 //! a zero-rate [`FaultSpec`] is bit-identical to the clean path by
@@ -49,6 +72,7 @@
 
 use crate::batch::mix_seed;
 use osc_math::rng::Xoshiro256PlusPlus;
+use osc_stochastic::simd;
 
 /// Stuck-at fault on the packed word lattice: bits selected by `mask`
 /// are forced to the corresponding bit of `value` in **every** 64-cycle
@@ -157,8 +181,9 @@ impl FaultSpec {
 
     /// Applies this item-level spec to stream `j` of one evaluation,
     /// stored lane-interleaved: word `w` of the target lane lives at
-    /// `words[w * stride + lane]`, covering `stream_length` bits. `tmp`
-    /// is caller-owned scratch (only touched when shifts are active).
+    /// `words[w * stride + lane]`, covering `stream_length` bits. The
+    /// splice runs in place, so `_tmp` is never touched; it stays in the
+    /// signature for existing callers.
     ///
     /// Bits at positions `>= stream_length` in the final partial word
     /// are never set by the fault pass (the generators leave them zero
@@ -170,68 +195,16 @@ impl FaultSpec {
         lane: usize,
         stride: usize,
         stream_length: usize,
-        tmp: &mut Vec<u64>,
+        _tmp: &mut Vec<u64>,
     ) {
         if stream_length == 0 || !self.is_active() {
             return;
         }
-        let nwords = stream_length.div_ceil(64);
-        debug_assert!(lane + (nwords - 1) * stride < words.len());
-        if self.shift_probability > 0.0 {
-            // Shifts need contiguous bit-range copies: gather the lane
-            // into scratch, splice, scatter back.
-            tmp.clear();
-            tmp.resize(2 * nwords, 0);
-            let (src, dst) = tmp.split_at_mut(nwords);
-            for (w, s) in src.iter_mut().enumerate() {
-                *s = words[w * stride + lane];
-            }
-            let mut events =
-                FaultEvents::new(mix_seed(self.shift_seed, stream), self.shift_probability);
-            let mut out_off = 0usize; // next output bit to produce
-            let mut prev = 0usize; // next original bit to copy
-            while let Some(e) = events.next_event(stream_length) {
-                let seg = (e - prev).min(stream_length - out_off);
-                copy_bits(src, prev, dst, out_off, seg);
-                out_off += seg;
-                if out_off >= stream_length {
-                    break;
-                }
-                // The inserted zero: dst is pre-zeroed, just advance.
-                out_off += 1;
-                prev = e;
-                if out_off >= stream_length {
-                    break;
-                }
-            }
-            if out_off < stream_length {
-                copy_bits(src, prev, dst, out_off, stream_length - out_off);
-            }
-            for (w, d) in dst.iter().enumerate() {
-                words[w * stride + lane] = *d;
-            }
-        }
-        if self.flip_probability > 0.0 {
-            let mut events =
-                FaultEvents::new(mix_seed(self.flip_seed, stream), self.flip_probability);
-            while let Some(e) = events.next_event(stream_length) {
-                words[(e / 64) * stride + lane] ^= 1u64 << (e % 64);
-            }
-        }
-        if let Some(stuck) = self.stuck {
-            let tail_bits = stream_length % 64;
-            for w in 0..nwords {
-                // Never force bits past stream_length in the final word.
-                let valid = if w + 1 == nwords && tail_bits != 0 {
-                    (1u64 << tail_bits) - 1
-                } else {
-                    u64::MAX
-                };
-                let m = stuck.mask & valid;
-                let slot = &mut words[w * stride + lane];
-                *slot = (*slot & !m) | (stuck.value & m);
-            }
-        }
+        debug_assert!(lane + (stream_length.div_ceil(64) - 1) * stride < words.len());
+        let plan = FaultPlan::new(self);
+        plan.shift_lane(stream, words, lane, stride, stream_length);
+        plan.flip_lane(stream, words, lane, stride, stream_length);
+        plan.stuck_lane(words, lane, stride, stream_length);
     }
 
     /// Per-bit reference twin of [`FaultSpec::apply_to_words`]: same
@@ -292,9 +265,41 @@ enum EventMode {
     Every,
     /// `0 < p < 1`: geometric gaps, one uniform draw per event.
     Geometric {
-        /// `1 / ln(1 - p)` (negative).
+        /// `1 / ln(1 - p)`: negative, and `-inf` once `1 - p` rounds
+        /// to 1 (`p <= 2⁻⁵⁴`).
         inv_log_q: f64,
     },
+}
+
+impl EventMode {
+    fn new(p: f64) -> EventMode {
+        if p.is_nan() || p <= 0.0 {
+            EventMode::Never
+        } else if p >= 1.0 {
+            EventMode::Every
+        } else {
+            EventMode::Geometric {
+                inv_log_q: 1.0 / (1.0 - p).ln(),
+            }
+        }
+    }
+}
+
+/// The run of event-free positions before the next event for the
+/// uniform draw `u ∈ [0, 1)`: `⌊ln(1 − u) · inv_log_q⌋`, saturating to
+/// `usize::MAX` (no event in any addressable stream).
+///
+/// No `floor` call is needed: `ln(1 − u) <= 0` and `inv_log_q < 0`, so
+/// `y` is either `>= 0` (or `-0.0`), where truncation equals floor and
+/// the cast saturates above `usize::MAX`, or non-finite (`p <= 2⁻⁵⁴`
+/// makes `inv_log_q` infinite, and `0 · ∞` is NaN).
+fn geometric_gap(u: f64, inv_log_q: f64) -> usize {
+    let y = (1.0 - u).ln() * inv_log_q;
+    if y.is_finite() {
+        y as usize
+    } else {
+        usize::MAX
+    }
 }
 
 /// Iterator over the positions of a seeded Bernoulli(`p`) fault process,
@@ -314,15 +319,10 @@ pub struct FaultEvents {
 impl FaultEvents {
     /// A fault process at rate `p` drawing from `seed`'s universe.
     pub fn new(seed: u64, p: f64) -> FaultEvents {
-        let mode = if p.is_nan() || p <= 0.0 {
-            EventMode::Never
-        } else if p >= 1.0 {
-            EventMode::Every
-        } else {
-            EventMode::Geometric {
-                inv_log_q: 1.0 / (1.0 - p).ln(),
-            }
-        };
+        FaultEvents::with_mode(seed, EventMode::new(p))
+    }
+
+    fn with_mode(seed: u64, mode: EventMode) -> FaultEvents {
         FaultEvents {
             rng: Xoshiro256PlusPlus::new(seed),
             mode,
@@ -347,15 +347,7 @@ impl FaultEvents {
                 Some(e)
             }
             EventMode::Geometric { inv_log_q } => {
-                let u = self.rng.next_f64();
-                let gap_f = ((1.0 - u).ln() * inv_log_q).floor();
-                // A non-finite or enormous gap simply means "no event in
-                // any addressable stream": saturate past the limit.
-                let gap = if gap_f.is_finite() && gap_f < usize::MAX as f64 {
-                    gap_f as usize
-                } else {
-                    usize::MAX
-                };
+                let gap = geometric_gap(self.rng.next_f64(), inv_log_q);
                 let e = self.pos.saturating_add(gap);
                 if e >= limit {
                     self.pos = limit;
@@ -369,33 +361,248 @@ impl FaultEvents {
     }
 }
 
-/// ORs `len` bits read from `src` starting at bit `src_start` into `dst`
-/// starting at bit `dst_start`. `dst` bits in the target range must be
-/// zero (the shift splice writes each output bit exactly once into a
-/// zeroed buffer). Processes up to one destination word per iteration
-/// with a two-word funnel read.
-fn copy_bits(src: &[u64], src_start: usize, dst: &mut [u64], dst_start: usize, len: usize) {
-    let mut done = 0usize;
-    while done < len {
-        let d = dst_start + done;
-        let n = (64 - (d % 64)).min(len - done);
-        dst[d / 64] |= read_bits(src, src_start + done, n) << (d % 64);
-        done += n;
+/// A [`FaultSpec`] with both event modes resolved, so `ln(1 − p)` is
+/// computed once per spec rather than once per stream and process. The
+/// lane kernel resolves its lanes' specs once per evaluation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FaultPlan {
+    spec: FaultSpec,
+    flip: EventMode,
+    shift: EventMode,
+}
+
+impl FaultPlan {
+    pub(crate) fn new(spec: &FaultSpec) -> FaultPlan {
+        FaultPlan {
+            spec: *spec,
+            flip: EventMode::new(spec.flip_probability),
+            shift: EventMode::new(spec.shift_probability),
+        }
+    }
+
+    /// Inserts the stream's shift zeros into one lane, in place. The
+    /// events are drawn first; a stream without any touches no word.
+    fn shift_lane(&self, stream: u64, words: &mut [u64], lane: usize, stride: usize, len: usize) {
+        if matches!(self.shift, EventMode::Never) {
+            return;
+        }
+        let mut events = FaultEvents::with_mode(mix_seed(self.spec.shift_seed, stream), self.shift);
+        let mut zeros = [0usize; SPLICE_CHUNK];
+        let (mut buffered, mut inserted) = (0usize, 0usize);
+        while let Some(e) = events.next_event(len) {
+            // The zero lands before original bit `e`, which the earlier
+            // insertions have already moved up by `inserted`.
+            let z = e + inserted;
+            if z >= len {
+                break;
+            }
+            zeros[buffered] = z;
+            buffered += 1;
+            inserted += 1;
+            if buffered == SPLICE_CHUNK {
+                splice_zeros(words, lane, stride, len, &zeros);
+                buffered = 0;
+            }
+        }
+        splice_zeros(words, lane, stride, len, &zeros[..buffered]);
+    }
+
+    /// XORs the stream's flip events into one lane, one scalar draw per
+    /// event.
+    fn flip_lane(&self, stream: u64, words: &mut [u64], lane: usize, stride: usize, len: usize) {
+        if matches!(self.flip, EventMode::Never) {
+            return;
+        }
+        let mut events = FaultEvents::with_mode(mix_seed(self.spec.flip_seed, stream), self.flip);
+        while let Some(e) = events.next_event(len) {
+            words[(e / 64) * stride + lane] ^= 1u64 << (e % 64);
+        }
+    }
+
+    /// Forces the stuck-at bits of every word of one lane, leaving bits
+    /// past `len` in the final word clear.
+    fn stuck_lane(&self, words: &mut [u64], lane: usize, stride: usize, len: usize) {
+        let Some(stuck) = self.spec.stuck else {
+            return;
+        };
+        let nwords = len.div_ceil(64);
+        let tail_bits = len % 64;
+        for w in 0..nwords {
+            let valid = if w + 1 == nwords && tail_bits != 0 {
+                (1u64 << tail_bits) - 1
+            } else {
+                u64::MAX
+            };
+            let m = stuck.mask & valid;
+            let slot = &mut words[w * stride + lane];
+            *slot = (*slot & !m) | (stuck.value & m);
+        }
+    }
+
+    /// `1 / ln(1 − p)` of the flip process when the vector event loop
+    /// can draw it: `0 < p < 1` and `p` large enough for `ln(1 − p)` to
+    /// be nonzero.
+    fn vector_flip_rate(&self) -> Option<f64> {
+        match self.flip {
+            EventMode::Geometric { inv_log_q } if inv_log_q.is_finite() => Some(inv_log_q),
+            _ => None,
+        }
     }
 }
 
-/// Reads `n <= 64` bits from `src` starting at bit `start`, zero-padded
-/// past the end of the array, low bit first.
-fn read_bits(src: &[u64], start: usize, n: usize) -> u64 {
-    let w = start / 64;
-    let b = start % 64;
-    let lo = src.get(w).copied().unwrap_or(0) >> b;
-    let hi = if b == 0 {
-        0
-    } else {
-        src.get(w + 1).copied().unwrap_or(0) << (64 - b)
+/// Fewest flip lanes the vector event loop takes on. One loop iteration
+/// costs about as much as two scalar draws, so below four lanes the
+/// scalar loop is as fast or faster (one lane on a 2048-bit stream at
+/// `p = 0.01`: 24 ns/word vector vs 16 ns/word scalar).
+const MIN_VECTOR_LANES: u32 = 4;
+
+/// Applies each lane's plan to stream `stream` of a lane block: lane `l`'s
+/// word `w` at `d[w * L + l]`, `len` bits per lane. Shifts, then flips,
+/// then stuck-at, per lane — lanes never share a word, so running each
+/// mechanism across all lanes before the next is the per-lane order.
+///
+/// When at least [`MIN_VECTOR_LANES`] flip processes have a finite
+/// `inv_log_q`, they go through [`simd::geometric_flip_lanes`] together,
+/// which draws every such lane's events in one AVX-512 pass with
+/// certified gaps; the other lanes, and every lane when the vector path
+/// is unavailable, run the scalar event loop. Both produce the same
+/// events.
+pub(crate) fn apply_lane_block<const L: usize>(
+    plans: &[FaultPlan; L],
+    stream: u64,
+    d: &mut [u64],
+    len: usize,
+) {
+    if len == 0 {
+        return;
+    }
+    for (l, plan) in plans.iter().enumerate() {
+        plan.shift_lane(stream, d, l, L, len);
+    }
+    let mut vector_lanes = 0u8;
+    let mut seeds = [0u64; L];
+    let mut inv_log_q = [-1.0f64; L];
+    if L <= 8 {
+        for (l, plan) in plans.iter().enumerate() {
+            if let Some(q) = plan.vector_flip_rate() {
+                vector_lanes |= 1 << l;
+                seeds[l] = mix_seed(plan.spec.flip_seed, stream);
+                inv_log_q[l] = q;
+            }
+        }
+    }
+    let exact_gap: fn(f64, f64) -> u64 = |u, q| geometric_gap(u, q) as u64;
+    let vectored = vector_lanes.count_ones() >= MIN_VECTOR_LANES
+        && simd::geometric_flip_lanes(&seeds, &inv_log_q, vector_lanes, d, len, exact_gap);
+    for (l, plan) in plans.iter().enumerate() {
+        if !vectored || (vector_lanes >> l) & 1 == 0 {
+            plan.flip_lane(stream, d, l, L, len);
+        }
+        plan.stuck_lane(d, l, L, len);
+    }
+}
+
+/// [`FaultSpec::apply_to_words`] for a whole lane block: lane `l` of
+/// `words` (word `w` at `words[w * L + l]`, `stream_length` bits)
+/// perturbed by `specs[l]`'s processes for stream `stream`, through the
+/// lane kernel's fault hook (the AVX-512 flip loop where it applies).
+/// Byte-identical to applying each spec to its lane separately.
+pub fn apply_to_lane_block<const L: usize>(
+    specs: &[FaultSpec; L],
+    stream: u64,
+    words: &mut [u64],
+    stream_length: usize,
+) {
+    apply_lane_block(
+        &specs.each_ref().map(FaultPlan::new),
+        stream,
+        words,
+        stream_length,
+    );
+}
+
+/// Zero insertions buffered per in-place splice pass. A stream with more
+/// shift events is spliced in several passes; each pass inserts its
+/// zeros into the previous pass's output, which equals inserting them
+/// all at once because an insertion only moves the bits above it.
+const SPLICE_CHUNK: usize = 64;
+
+/// Inserts a zero at each output position in `zeros` (strictly
+/// ascending, all `< len`) into one lane's strided words, in place: the
+/// bits between zeros `t` and `t + 1` (1-based) move up by `t`, bits
+/// pushed past `len` are lost, and bits below the first zero stay put.
+///
+/// Works top-down from the last word to the word of the first zero. An
+/// output word reads its source bits from the same or lower words,
+/// which are still unmodified. Words wholly above the nearest zero below
+/// them share one shift and take a two-word funnel each; the top word
+/// and each word holding a zero go through [`splice_word`].
+fn splice_zeros(words: &mut [u64], lane: usize, stride: usize, len: usize, zeros: &[usize]) {
+    let Some(&first) = zeros.first() else {
+        return;
     };
-    let v = lo | hi;
+    let at = |w: usize| w * stride + lane;
+    // Zeros below the output position being built: its shift.
+    let mut k = zeros.len();
+    let mut w = len.div_ceil(64) - 1;
+    words[at(w)] = splice_word(words, lane, stride, len, zeros, w, &mut k);
+    while w > first / 64 {
+        let zero_word = zeros[k - 1] / 64;
+        let (q, r) = (k / 64, k % 64);
+        while w - 1 > zero_word {
+            w -= 1;
+            let hi = words[at(w - q)];
+            let lo = if w > q { words[at(w - q - 1)] } else { 0 };
+            // `lo >> (64 - r)`, written to stay defined at r = 0.
+            words[at(w)] = hi << r | (lo >> 1) >> (63 - r);
+        }
+        w -= 1;
+        words[at(w)] = splice_word(words, lane, stride, len, zeros, w, &mut k);
+    }
+}
+
+/// Output word `w` of [`splice_zeros`] built piece by piece: each run of
+/// bits between zeros is one funnel read at its shift, and the zeros
+/// themselves stay clear. `k` enters as the number of zeros below the
+/// word's top and leaves as the number below its base.
+fn splice_word(
+    words: &[u64],
+    lane: usize,
+    stride: usize,
+    len: usize,
+    zeros: &[usize],
+    w: usize,
+    k: &mut usize,
+) -> u64 {
+    let base = w * 64;
+    let mut hi = (base + 64).min(len);
+    let mut out = 0u64;
+    loop {
+        let lo = if *k > 0 {
+            (zeros[*k - 1] + 1).max(base)
+        } else {
+            base
+        };
+        if hi > lo {
+            out |= read_bits(words, lane, stride, lo - *k, hi - lo) << (lo - base);
+        }
+        if *k == 0 || zeros[*k - 1] < base {
+            return out;
+        }
+        hi = zeros[*k - 1];
+        *k -= 1;
+    }
+}
+
+/// Reads `1 <= n <= 64` bits of one lane's strided words starting at
+/// bit `start`, low bit first; bit `start + n - 1` must lie inside the
+/// lane.
+fn read_bits(words: &[u64], lane: usize, stride: usize, start: usize, n: usize) -> u64 {
+    let (w, b) = (start / 64, start % 64);
+    let mut v = words[w * stride + lane] >> b;
+    if b != 0 && n > 64 - b {
+        v |= words[(w + 1) * stride + lane] << (64 - b);
+    }
     if n >= 64 {
         v
     } else {
@@ -624,20 +831,60 @@ mod tests {
     }
 
     #[test]
-    fn copy_bits_handles_unaligned_ranges() {
-        let src = vec![0xDEAD_BEEF_0123_4567u64, 0x89AB_CDEF_FEDC_BA98];
-        for &(s, d, n) in &[
-            (0usize, 0usize, 128usize),
-            (3, 10, 100),
-            (63, 1, 64),
-            (7, 7, 1),
+    fn floor_free_gap_equals_the_floor_form_at_the_edges() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        for p in [
+            2f64.powi(-54),
+            2f64.powi(-53),
+            1e-300,
+            1e-3,
+            0.5,
+            1.0 - 1e-16,
         ] {
-            let mut dst = vec![0u64; 3];
-            copy_bits(&src, s, &mut dst, d, n);
-            for i in 0..n {
-                let want = (src[(s + i) / 64] >> ((s + i) % 64)) & 1;
-                let got = (dst[(d + i) / 64] >> ((d + i) % 64)) & 1;
-                assert_eq!(got, want, "s={s} d={d} n={n} i={i}");
+            let EventMode::Geometric { inv_log_q } = EventMode::new(p) else {
+                panic!("p={p:e} is a geometric rate");
+            };
+            for u in [0.0, ulp, 0.5, 1.0 - ulp] {
+                let floor = ((1.0 - u).ln() * inv_log_q).floor();
+                let want = if floor.is_finite() && floor < usize::MAX as f64 {
+                    floor as usize
+                } else {
+                    usize::MAX
+                };
+                assert_eq!(geometric_gap(u, inv_log_q), want, "p={p:e} u={u:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn strided_funnel_read_handles_unaligned_ranges() {
+        let lane_words = [0xDEAD_BEEF_0123_4567u64, 0x89AB_CDEF_FEDC_BA98];
+        for (lane, stride) in [(0usize, 1usize), (2, 3), (7, 8)] {
+            let mut words = vec![u64::MAX; 2 * stride];
+            for (w, &v) in lane_words.iter().enumerate() {
+                words[w * stride + lane] = v;
+            }
+            for &(start, n) in &[
+                (0usize, 64usize),
+                (3, 64),
+                (63, 64),
+                (64, 64),
+                (7, 1),
+                (60, 10),
+            ] {
+                let got = read_bits(&words, lane, stride, start, n);
+                for i in 0..64 {
+                    let want = if i < n {
+                        (lane_words[(start + i) / 64] >> ((start + i) % 64)) & 1
+                    } else {
+                        0
+                    };
+                    assert_eq!(
+                        (got >> i) & 1,
+                        want,
+                        "lane={lane} start={start} n={n} i={i}"
+                    );
+                }
             }
         }
     }

@@ -62,7 +62,7 @@
 //!   side. Do not use in new code.
 
 use crate::backend::{Backend, BackendKind, ScBackend};
-use crate::fault::FaultSpec;
+use crate::fault::{self, FaultPlan, FaultSpec};
 use crate::receiver::Derandomizer;
 use crate::{params::CircuitParams, CircuitError};
 use osc_math::rng::Xoshiro256PlusPlus;
@@ -98,9 +98,6 @@ pub struct EvalScratch {
     /// Landing buffer for up to two streams being generated (one pair),
     /// before their words fold into `planes`/`sel`.
     stream_buf: Vec<u64>,
-    /// Gather/splice scratch for the fault-injection pass (only touched
-    /// when a [`FaultSpec`] with active bit-shifts rides the run).
-    fault_tmp: Vec<u64>,
 }
 
 impl EvalScratch {
@@ -116,7 +113,6 @@ impl EvalScratch {
             + self.coeff.capacity()
             + self.sel.capacity()
             + self.stream_buf.capacity()
-            + self.fault_tmp.capacity()
     }
 }
 
@@ -127,23 +123,22 @@ type LaneCounts<const L: usize> = ([usize; L], [usize; L], [usize; L]);
 /// Fault-injection hook of the lane kernel: perturbs stream `j`'s
 /// freshly drained lane-interleaved words (block `w` of lane `l` at
 /// `d[w * L + l]`) with each lane's fault process, after generation and
-/// **before** the words fold into count planes / the decision. Lane
-/// `l`'s events depend only on `(faults[l], j, bit position)` — never on
-/// `L`, the lane slot or the dispatch tier — which is what keeps faulty
-/// evaluation bit-identical across tiers and lane widths.
+/// **before** the words fold into count planes / the decision. One call
+/// covers the whole lane block ([`fault::apply_lane_block`]): each
+/// lane's shift zeros are spliced in place, then the flip events of
+/// every lane are drawn together by the AVX-512 event loop where it
+/// applies (per-lane scalar loops otherwise), then the stuck-at masks.
+/// Lane `l`'s events depend only on `(faults[l], j, bit position)` —
+/// never on `L`, the lane slot or the dispatch tier — which is what
+/// keeps faulty evaluation bit-identical across tiers and lane widths.
 fn apply_stream_faults<const L: usize>(
-    faults: Option<&[FaultSpec; L]>,
+    plans: Option<&[FaultPlan; L]>,
     j: usize,
     d: &mut [u64],
     stream_length: usize,
-    tmp: &mut Vec<u64>,
 ) {
-    if let Some(specs) = faults {
-        for (l, spec) in specs.iter().enumerate() {
-            if spec.is_active() {
-                spec.apply_to_words(j as u64, d, l, L, stream_length, tmp);
-            }
-        }
+    if let Some(plans) = plans {
+        fault::apply_lane_block(plans, j as u64, d, stream_length);
     }
 }
 
@@ -660,6 +655,10 @@ impl OpticalScSystem {
             scratch.coeff.resize((N + 1) * wl, 0);
         }
         let coeffs = self.poly.coeffs();
+        // Each lane's fault spec resolved once for all 2N + 1 streams.
+        let plans = faults
+            .filter(|specs| specs.iter().any(FaultSpec::is_active))
+            .map(|specs| specs.each_ref().map(FaultPlan::new));
         // Stream j of the generation order: data (lane l at probability
         // xs[l]) for j < N, then the n+1 Bernstein coefficients (shared
         // by every lane). Data streams and — in the exact-multiplexer
@@ -710,13 +709,7 @@ impl OpticalScSystem {
                 }
                 if paired {
                     for (jj, d) in [(j, d0), (j + 1, d1)] {
-                        apply_stream_faults::<L>(
-                            faults,
-                            jj,
-                            d,
-                            stream_length,
-                            &mut scratch.fault_tmp,
-                        );
+                        apply_stream_faults::<L>(plans.as_ref(), jj, d, stream_length);
                         if jj < N {
                             fold_data_words(d, &mut scratch.planes, nplanes);
                         } else {
@@ -740,7 +733,7 @@ impl OpticalScSystem {
                         w += 1;
                     })?;
                 }
-                apply_stream_faults::<L>(faults, j, d, stream_length, &mut scratch.fault_tmp);
+                apply_stream_faults::<L>(plans.as_ref(), j, d, stream_length);
                 if j < N {
                     fold_data_words(d, &mut scratch.planes, nplanes);
                 } else {

@@ -384,3 +384,125 @@ fn flip_density_tracks_the_requested_rate() {
         );
     }
 }
+
+/// Eight lane specs covering every branch of the lane-block fault hook:
+/// five different flip rates the vector loop draws together (riding
+/// with shifts and stuck-at on some lanes), a clean lane, `p = 1` (every
+/// bit flips, no draws) and `p = 1e-300` (an infinite `1/ln(1-p)`, left
+/// to the scalar loop).
+fn mixed_specs() -> [FaultSpec; 8] {
+    let base = active_spec();
+    let with = |flip: f64, shift: f64, stuck: Option<StuckAt>, salt: u64| FaultSpec {
+        flip_probability: flip,
+        shift_probability: shift,
+        stuck,
+        ..base.rebased(salt)
+    };
+    [
+        base,
+        FaultSpec::CLEAN,
+        with(0.2, 0.01, None, 2),
+        with(1.0, 0.0, None, 3),
+        with(1e-300, 0.0, None, 4),
+        with(
+            0.05,
+            0.0,
+            Some(StuckAt {
+                mask: 0xF0,
+                value: 0x30,
+            }),
+            5,
+        ),
+        with(0.001, 0.0, None, 6),
+        with(0.1, 0.05, None, 7),
+    ]
+}
+
+/// The spec blocks a lane width is tested with: every rotation of
+/// [`mixed_specs`] that lands a different spec in lane 0, plus one block
+/// whose lanes share a rate (the common image case).
+fn spec_blocks<const L: usize>() -> Vec<[FaultSpec; L]> {
+    let mixed = mixed_specs();
+    let mut blocks: Vec<[FaultSpec; L]> = (0..8)
+        .step_by(L)
+        .map(|rot| std::array::from_fn(|l| mixed[(l + rot) % 8]))
+        .collect();
+    blocks.push(std::array::from_fn(|l| active_spec().rebased(l as u64)));
+    blocks
+}
+
+const TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512];
+const LENGTHS: [usize; 6] = [1, 63, 64, 65, 2048, 4097];
+
+fn lane_block_pass_matches_bit_twin<const L: usize>() {
+    let mut rng = Xoshiro256PlusPlus::new(0xB10C + L as u64);
+    for specs in spec_blocks::<L>() {
+        for len in LENGTHS {
+            let words: Vec<u64> = (0..len.div_ceil(64) * L).map(|_| rng.next_u64()).collect();
+            let lane_bits = |words: &[u64], l: usize| -> Vec<bool> {
+                (0..len)
+                    .map(|i| (words[(i / 64) * L + l] >> (i % 64)) & 1 == 1)
+                    .collect()
+            };
+            let mut per_lane = words.clone();
+            for (l, spec) in specs.iter().enumerate() {
+                spec.apply_to_words(5, &mut per_lane, l, L, len, &mut Vec::new());
+            }
+            for tier in TIERS {
+                let granted = simd::set_tier_override(Some(tier));
+                let mut block = words.clone();
+                osc_core::fault::apply_to_lane_block(&specs, 5, &mut block, len);
+                simd::set_tier_override(None);
+                assert_eq!(block, per_lane, "L={L} len={len} {granted:?}");
+                for (l, spec) in specs.iter().enumerate() {
+                    let mut twin = lane_bits(&words, l);
+                    spec.apply_to_bits(5, &mut twin);
+                    assert_eq!(lane_bits(&block, l), twin, "L={L} len={len} lane {l}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lane_block_fault_pass_matches_the_bit_twin_per_lane() {
+    // The lane-block hook (one vector flip pass for the eligible lanes)
+    // against per-lane `apply_to_words` and the per-bit reference, with
+    // mixed per-lane rates, under every dispatch tier.
+    lane_block_pass_matches_bit_twin::<1>();
+    lane_block_pass_matches_bit_twin::<2>();
+    lane_block_pass_matches_bit_twin::<4>();
+    lane_block_pass_matches_bit_twin::<8>();
+}
+
+fn mixed_lane_blocks_match_per_lane_runs<const L: usize>(system: &OpticalScSystem, label: &str) {
+    let xs: [f64; L] = std::array::from_fn(|l| (l + 1) as f64 / (L + 1) as f64);
+    for specs in spec_blocks::<L>() {
+        for len in LENGTHS {
+            let reference = per_lane_reference::<L>(system, &xs, len, &specs);
+            for tier in TIERS {
+                let granted = simd::set_tier_override(Some(tier));
+                let blocked = lane_block_runs::<L>(system, &xs, len, &specs);
+                simd::set_tier_override(None);
+                assert_eq!(
+                    blocked.to_vec(),
+                    reference,
+                    "{label} L={L} len={len} {granted:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn mixed_rate_lane_blocks_equal_per_lane_faulted_runs() {
+    // Every faulted lane test above shares one rate across the block;
+    // here the lanes differ (five rates, clean, p = 1, p = 1e-300), at
+    // L = 1/2/4/8, ragged and multi-word lengths, every tier.
+    for (label, system) in [("clean", clean_system()), ("noisy", noisy_system())] {
+        mixed_lane_blocks_match_per_lane_runs::<1>(&system, label);
+        mixed_lane_blocks_match_per_lane_runs::<2>(&system, label);
+        mixed_lane_blocks_match_per_lane_runs::<4>(&system, label);
+        mixed_lane_blocks_match_per_lane_runs::<8>(&system, label);
+    }
+}

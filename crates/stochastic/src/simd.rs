@@ -30,6 +30,7 @@
 //! | [`popcount_lanes_accumulate`] | count-plane fold | `vpopcntq` | nibble-LUT `vpshufb` + `vpsadbw` | — |
 //! | [`assemble_indices16`] | noisy-tier index assembly | `vpmovm2w` mask broadcast (needs `avx512bw`) | — (scalar fallback) | — |
 //! | [`BitMatrixKernels::classify_cycles`] | noisy-tier decision pass, orders ≤ 6 | bit-matrix transposes + one `vpermi2b` per count row (needs `gfni` + `avx512vbmi`) | — (index assembly + table walk) | — |
+//! | [`geometric_flip_lanes`] | lane-block fault hook (flip events) | per-lane xoshiro256++ in ZMMs, polynomial `ln`, certified gaps, masked gather / XOR / scatter | — (per-lane scalar event loop) | `avx512dq` |
 //!
 //! Dispatch rules, uniform across the family:
 //!
@@ -724,6 +725,253 @@ unsafe fn xoshiro_chains_avx2(
             states[g * 4 + l] = [o0[l], o1[l], o2[l], o3[l]];
         }
     }
+}
+
+/// Draws every lane's seeded Bernoulli flip process over one
+/// lane-interleaved stream and XORs the events into `words` (bit `b` of
+/// lane `l` lives in `words[(b / 64) * stride + l]`, `stride =
+/// seeds.len()`), with all lanes advancing together. Returns `false`
+/// (touching nothing) when no vector path applies — the caller then runs
+/// its per-lane scalar event loop.
+///
+/// Lane `l` (for each bit set in `lanes`) draws from
+/// `Xoshiro256PlusPlus::new(seeds[l])`: each uniform `u` gives the run of
+/// event-free positions before the next event, `⌊ln(1 − u) ·
+/// inv_log_q[l]⌋` (the geometric inverse CDF, `inv_log_q = 1 / ln(1 −
+/// p)`, finite and negative). The vector gap uses a polynomial `ln` and
+/// is **certified**: with `y` its approximation and `δ = 1e-9·y +
+/// 1e-12`, it is accepted only when `trunc(max(y − δ, 0)) == trunc(y +
+/// δ)`, far above the polynomial's ~1e-15 relative error. A lane that
+/// fails the certificate takes `exact_gap(u, inv_log_q[l])` — the
+/// caller's scalar definition — so the events, and the bytes, are those
+/// of the scalar loop by construction.
+///
+/// # Panics
+///
+/// Panics if `seeds` and `inv_log_q` differ in length, hold more than 8
+/// lanes, or `words` is shorter than the `len` bits of every lane need.
+pub fn geometric_flip_lanes(
+    seeds: &[u64],
+    inv_log_q: &[f64],
+    lanes: u8,
+    words: &mut [u64],
+    len: usize,
+    exact_gap: fn(f64, f64) -> u64,
+) -> bool {
+    let stride = seeds.len();
+    assert!(stride <= 8 && inv_log_q.len() == stride);
+    assert!(len == 0 || words.len() >= (len - 1) / 64 * stride + stride);
+    if !geometric_flips_applicable() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        let mut states = [[0u64; 4]; 8];
+        let mut invq = [-1.0f64; 8];
+        // Only lanes below `stride` exist; an empty stream has no events.
+        let lanes = if len == 0 {
+            0
+        } else {
+            lanes & ((1u16 << stride) - 1) as u8
+        };
+        for l in 0..stride {
+            if lanes >> l & 1 == 1 {
+                debug_assert!(inv_log_q[l].is_finite() && inv_log_q[l] < 0.0);
+                states[l] = osc_math::rng::Xoshiro256PlusPlus::new(seeds[l]).state_words();
+                invq[l] = inv_log_q[l];
+            }
+        }
+        // SAFETY: geometric_flips_applicable checked the AVX-512 tier
+        // (clamped to the detected hardware, so avx512f is present) and
+        // avx512dq; the asserts above bound every gathered and scattered
+        // index to `words`.
+        unsafe { geometric_flips_avx512(&states, &invq, lanes, words, stride, len, exact_gap) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (lanes, exact_gap);
+    true
+}
+
+/// Whether [`geometric_flip_lanes`] runs under the current dispatch
+/// tier: the AVX-512 tier plus `avx512dq` (the `u64` ↔ `f64`
+/// conversions and `vpmullq`).
+fn geometric_flips_applicable() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        active_tier() == SimdTier::Avx512 && is_x86_feature_detected!("avx512dq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The AVX-512 flip-event loop behind [`geometric_flip_lanes`]: state
+/// word `i` of all lanes in one ZMM (the recurrence of
+/// [`xoshiro_chains8_avx512`]), four certified gaps drawn per lane
+/// ahead, then one masked gather / XOR / scatter of the event bits per
+/// gap. A lane leaves the loop once its next event falls past `len`.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512dq`, and every index
+/// `(b / 64) * stride + l` with `b < len` and `l` in `lanes` must lie
+/// inside `words`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn geometric_flips_avx512(
+    states: &[[u64; 4]; 8],
+    inv_log_q: &[f64; 8],
+    lanes: u8,
+    words: &mut [u64],
+    stride: usize,
+    len: usize,
+    exact_gap: fn(f64, f64) -> u64,
+) {
+    use std::arch::x86_64::*;
+    const XOR3: i32 = 0x96;
+    const AHEAD: usize = 4;
+    let load = |i: usize| {
+        let tmp: [u64; 8] = std::array::from_fn(|l| states[l][i]);
+        _mm512_loadu_si512(tmp.as_ptr() as *const __m512i)
+    };
+    let (mut s0, mut s1, mut s2, mut s3) = (load(0), load(1), load(2), load(3));
+    let invq = _mm512_loadu_pd(inv_log_q.as_ptr());
+    let lane_ids = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    let stridev = _mm512_set1_epi64(stride as i64);
+    let lenv = _mm512_set1_epi64(len as i64);
+    let one = _mm512_set1_epi64(1);
+    let base = words.as_mut_ptr() as *mut i64;
+    let mut pos = _mm512_setzero_si512();
+    let mut live = lanes;
+    while live != 0 {
+        // Draw AHEAD gaps per lane before applying any: the `ln` chains
+        // of consecutive draws are independent and overlap. Draws past a
+        // lane's last event are discarded (each call seeds fresh states).
+        let mut gaps = [_mm512_setzero_si512(); AHEAD];
+        for slot in gaps.iter_mut() {
+            let res = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(s0, s3)), s0);
+            let t17 = _mm512_slli_epi64::<17>(s1);
+            let n0 = _mm512_ternarylogic_epi64::<XOR3>(s0, s3, s1);
+            let n1 = _mm512_ternarylogic_epi64::<XOR3>(s1, s2, s0);
+            let n2 = _mm512_ternarylogic_epi64::<XOR3>(s2, s0, t17);
+            s3 = _mm512_rol_epi64::<45>(_mm512_xor_si512(s3, s1));
+            (s0, s1, s2) = (n0, n1, n2);
+            // next_f64: the top 53 bits, exactly representable.
+            let u = _mm512_mul_pd(
+                _mm512_cvtepu64_pd(_mm512_srli_epi64::<11>(res)),
+                _mm512_set1_pd(1.0 / (1u64 << 53) as f64),
+            );
+            let (gap, certified) = certified_gaps_avx512(u, invq);
+            *slot = gap;
+            let retry = live & !certified;
+            if retry != 0 {
+                let mut us = [0.0f64; 8];
+                let mut exact = [0u64; 8];
+                _mm512_storeu_pd(us.as_mut_ptr(), u);
+                _mm512_storeu_si512(exact.as_mut_ptr() as *mut __m512i, gap);
+                for l in 0..8 {
+                    if retry >> l & 1 == 1 {
+                        exact[l] = exact_gap(us[l], inv_log_q[l]);
+                    }
+                }
+                *slot = _mm512_loadu_si512(exact.as_ptr() as *const __m512i);
+            }
+        }
+        for gap in gaps {
+            // The event lands inside the stream iff gap < len - pos (pos
+            // <= len always, so neither side wraps).
+            let hit = _mm512_mask_cmplt_epu64_mask(live, gap, _mm512_sub_epi64(lenv, pos));
+            let event = _mm512_add_epi64(pos, gap);
+            let idx = _mm512_add_epi64(
+                _mm512_mullo_epi64(_mm512_srli_epi64::<6>(event), stridev),
+                lane_ids,
+            );
+            let bit = _mm512_sllv_epi64(one, _mm512_and_si512(event, _mm512_set1_epi64(63)));
+            let old = _mm512_mask_i64gather_epi64::<8>(_mm512_setzero_si512(), hit, idx, base);
+            _mm512_mask_i64scatter_epi64::<8>(base, hit, idx, _mm512_xor_si512(old, bit));
+            pos = _mm512_add_epi64(event, one);
+            live = hit;
+        }
+    }
+}
+
+/// Certified geometric gaps for 8 uniforms `u ∈ [0, 1)`: returns
+/// `trunc(max(y − δ, 0))` per lane with `y = ln(1 − u) · inv_log_q`
+/// (polynomial `ln`) and `δ = 1e-9·y + 1e-12`, and the mask of lanes
+/// whose certificate `trunc(max(y − δ, 0)) == trunc(y + δ)` holds —
+/// for those the exact scalar gap lies in the same integer bucket. Gaps
+/// of `2^64` and above convert to `u64::MAX` (saturating, as the scalar
+/// cast does).
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512dq`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn certified_gaps_avx512(
+    u: std::arch::x86_64::__m512d,
+    inv_log_q: std::arch::x86_64::__m512d,
+) -> (std::arch::x86_64::__m512i, u8) {
+    use std::arch::x86_64::*;
+    let y = _mm512_mul_pd(ln_avx512(_mm512_sub_pd(_mm512_set1_pd(1.0), u)), inv_log_q);
+    let delta = _mm512_fmadd_pd(y, _mm512_set1_pd(1e-9), _mm512_set1_pd(1e-12));
+    let lo = _mm512_max_pd(_mm512_sub_pd(y, delta), _mm512_setzero_pd());
+    let g_lo = _mm512_cvttpd_epu64(lo);
+    let g_hi = _mm512_cvttpd_epu64(_mm512_add_pd(y, delta));
+    (g_lo, _mm512_cmpeq_epi64_mask(g_lo, g_hi))
+}
+
+/// Natural log of 8 positive normal doubles, fdlibm's `__ieee754_log`
+/// reduction and minimax polynomial (< 1 ulp): `x = 2^k · m` with `m ∈
+/// (√2/2, √2]`, `f = m − 1`, `s = f / (2 + f)`, and `ln(1 + f) = f −
+/// (f²/2 − s·(f²/2 + R(s²)))`.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn ln_avx512(x: std::arch::x86_64::__m512d) -> std::arch::x86_64::__m512d {
+    use std::arch::x86_64::*;
+    const LN2_HI: f64 = 6.931_471_803_691_238e-1;
+    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+    const LG: [f64; 7] = [
+        6.666_666_666_666_735e-1,
+        3.999_999_999_940_942e-1,
+        2.857_142_874_366_239e-1,
+        2.222_219_843_214_978_4e-1,
+        1.818_357_216_161_805e-1,
+        1.531_383_769_920_937_3e-1,
+        1.479_819_860_511_658_6e-1,
+    ];
+    let c = |v: f64| _mm512_set1_pd(v);
+    let mant = _mm512_getmant_pd::<_MM_MANT_NORM_1_2, _MM_MANT_SIGN_SRC>(x);
+    let high = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(mant, c(std::f64::consts::SQRT_2));
+    let m = _mm512_mask_mul_pd(mant, high, mant, c(0.5));
+    let k = _mm512_getexp_pd(x);
+    let k = _mm512_mask_add_pd(k, high, k, c(1.0));
+    let f = _mm512_sub_pd(m, c(1.0));
+    let s = _mm512_div_pd(f, _mm512_add_pd(c(2.0), f));
+    let z = _mm512_mul_pd(s, s);
+    let w = _mm512_mul_pd(z, z);
+    let t1 = _mm512_mul_pd(
+        w,
+        _mm512_fmadd_pd(w, _mm512_fmadd_pd(w, c(LG[5]), c(LG[3])), c(LG[1])),
+    );
+    let t2 = _mm512_mul_pd(
+        z,
+        _mm512_fmadd_pd(
+            w,
+            _mm512_fmadd_pd(w, _mm512_fmadd_pd(w, c(LG[6]), c(LG[4])), c(LG[2])),
+            c(LG[0]),
+        ),
+    );
+    let r = _mm512_add_pd(t2, t1);
+    let hfsq = _mm512_mul_pd(_mm512_mul_pd(c(0.5), f), f);
+    // k·ln2_hi − ((hfsq − (s·(hfsq + R) + k·ln2_lo)) − f)
+    let inner = _mm512_fmadd_pd(s, _mm512_add_pd(hfsq, r), _mm512_mul_pd(k, c(LN2_LO)));
+    _mm512_fmsub_pd(k, c(LN2_HI), _mm512_sub_pd(_mm512_sub_pd(hfsq, inner), f))
 }
 
 /// Whether the vectorized SplitMix64 comparator-chain engine
@@ -1565,6 +1813,150 @@ mod tests {
                             "final states, {tag}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// The literal pre-floor-free gap formula: `floor`, then a finite /
+    /// `< u64::MAX` guard.
+    fn floor_gap(u: f64, inv_log_q: f64) -> u64 {
+        let g = ((1.0 - u).ln() * inv_log_q).floor();
+        if g.is_finite() && g < u64::MAX as f64 {
+            g as u64
+        } else {
+            u64::MAX
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn certified_vector_gaps_equal_the_floor_formula() {
+        use osc_math::rng::Xoshiro256PlusPlus;
+        use std::arch::x86_64::*;
+        if !is_x86_feature_detected!("avx512f") || !is_x86_feature_detected!("avx512dq") {
+            eprintln!("skipping certified_vector_gaps_equal_the_floor_formula: no avx512dq");
+            return;
+        }
+        const DRAWS: usize = 1 << 20;
+        let edges = [
+            0.0,
+            1.0 / (1u64 << 53) as f64,
+            1.0 - 1.0 / (1u64 << 53) as f64,
+        ];
+        for (r, &p) in [1e-6f64, 1e-3, 0.01, 0.2, 0.5, 0.999].iter().enumerate() {
+            let q = 1.0 / (1.0 - p).ln();
+            let mut rng = Xoshiro256PlusPlus::new(0x6A9 + r as u64);
+            let mut fallbacks = 0usize;
+            for block in 0..DRAWS / 8 {
+                let mut us: [f64; 8] = std::array::from_fn(|_| rng.next_f64());
+                if block == 0 {
+                    us[..3].copy_from_slice(&edges);
+                }
+                let mut gaps = [0u64; 8];
+                // SAFETY: avx512f and avx512dq were detected above.
+                let ok = unsafe {
+                    let (g, ok) =
+                        certified_gaps_avx512(_mm512_loadu_pd(us.as_ptr()), _mm512_set1_pd(q));
+                    _mm512_storeu_si512(gaps.as_mut_ptr() as *mut __m512i, g);
+                    ok
+                };
+                for (l, &u) in us.iter().enumerate() {
+                    if ok >> l & 1 == 1 {
+                        assert_eq!(gaps[l], floor_gap(u, q), "p={p} u={u:e}");
+                    } else {
+                        fallbacks += 1;
+                    }
+                }
+            }
+            if p == 0.01 || p == 0.001 {
+                assert!(
+                    (fallbacks as f64) < 1e-4 * DRAWS as f64,
+                    "p={p}: {fallbacks} of {DRAWS} gaps fell back to the scalar formula"
+                );
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn polynomial_ln_tracks_std_ln() {
+        use osc_math::rng::Xoshiro256PlusPlus;
+        use std::arch::x86_64::*;
+        if !is_x86_feature_detected!("avx512f") {
+            eprintln!("skipping polynomial_ln_tracks_std_ln: no avx512f");
+            return;
+        }
+        // The certificate tolerates a 1e-9 relative error; the kernel
+        // must stay many orders of magnitude inside it, including at the
+        // reduction boundary √2 and at 1 − u for the extreme draws.
+        let mut xs = vec![
+            1.0,
+            1.0 - 1.0 / (1u64 << 53) as f64,
+            1.0 / (1u64 << 53) as f64,
+            std::f64::consts::FRAC_1_SQRT_2,
+            std::f64::consts::SQRT_2 / 4.0,
+            0.5,
+            0.75,
+        ];
+        let mut rng = Xoshiro256PlusPlus::new(0x1A);
+        xs.extend((0..1 << 16).map(|_| 1.0 - rng.next_f64()));
+        xs.resize(xs.len().next_multiple_of(8), 0.5);
+        let mut worst = 0.0f64;
+        for chunk in xs.chunks_exact(8) {
+            let mut got = [0.0f64; 8];
+            // SAFETY: avx512f was detected above.
+            unsafe {
+                _mm512_storeu_pd(got.as_mut_ptr(), ln_avx512(_mm512_loadu_pd(chunk.as_ptr())));
+            }
+            for (&x, &g) in chunk.iter().zip(&got) {
+                let want = x.ln();
+                if want == 0.0 {
+                    assert_eq!(g, 0.0, "ln(1)");
+                } else {
+                    worst = worst.max(((g - want) / want).abs());
+                }
+            }
+        }
+        assert!(worst < 1e-14, "worst relative error {worst:e}");
+    }
+
+    #[test]
+    fn geometric_flip_lanes_match_the_scalar_event_loop() {
+        use osc_math::rng::Xoshiro256PlusPlus;
+        let ps = [0.01f64, 0.3, 0.999, 1e-4];
+        let mut seeder = SplitMix64::new(0x0F11);
+        for stride in [1usize, 2, 4, 8] {
+            for len in [1usize, 63, 64, 65, 2048, 4097] {
+                let seeds: Vec<u64> = (0..stride).map(|_| seeder.next_u64()).collect();
+                let qs: Vec<f64> = (0..stride)
+                    .map(|l| 1.0 / (1.0 - ps[l % ps.len()]).ln())
+                    .collect();
+                // Lane 1 (when present) sits out: its words stay put.
+                let lanes = (u8::MAX >> (8 - stride)) & !2;
+                let nwords = len.div_ceil(64);
+                let init: Vec<u64> = (0..nwords * stride).map(|_| seeder.next_u64()).collect();
+                let mut want = init.clone();
+                for l in (0..stride).filter(|l| lanes >> l & 1 == 1) {
+                    let mut rng = Xoshiro256PlusPlus::new(seeds[l]);
+                    let mut pos = 0usize;
+                    while pos < len {
+                        let gap = floor_gap(rng.next_f64(), qs[l]) as usize;
+                        if gap >= len - pos {
+                            break;
+                        }
+                        let e = pos + gap;
+                        want[(e / 64) * stride + l] ^= 1 << (e % 64);
+                        pos = e + 1;
+                    }
+                }
+                let mut got = init.clone();
+                let ran = geometric_flip_lanes(&seeds, &qs, lanes, &mut got, len, floor_gap);
+                let tag = format!("stride {stride} len {len}");
+                if ran {
+                    assert_eq!(got, want, "{tag}");
+                } else {
+                    assert_eq!(got, init, "a declining engine touched the words: {tag}");
                 }
             }
         }
