@@ -9,10 +9,9 @@ use crate::backend::{throughput_evals_per_second, OpticalBackend, PixelBackend};
 use crate::image::Image;
 use crate::AppError;
 use osc_core::batch::shard::pool::WorkerPool;
-use osc_core::batch::shard::{ShardCoordinator, SngKind};
-use osc_core::batch::{evaluate_lane_block_faulted, lane_blocks, mix_seed, BatchEvaluator};
+use osc_core::batch::shard::{image_rows_eval, ShardCoordinator, SngKind};
+use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
-use osc_core::system::EvalScratch;
 use osc_stochastic::gamma::{fit_gamma_bernstein, gamma_exact, DISPLAY_GAMMA, PAPER_GAMMA_DEGREE};
 use osc_stochastic::sng::XoshiroSng;
 
@@ -109,50 +108,30 @@ pub fn apply_optical_lanes(
 ///
 /// # Errors
 ///
-/// Propagates backend failures (first failing row by index order); an
-/// invalid fault spec fails on the first row evaluated.
+/// An invalid fault spec ([`FaultSpec::validate`]) before any pixel
+/// runs, otherwise backend failures (first failing row by index order).
 pub fn apply_optical_lanes_faulted(
     image: &Image,
     backend: &OpticalBackend,
     evaluator: &BatchEvaluator,
     faults: Option<&FaultSpec>,
 ) -> Result<Image, AppError> {
-    let width = image.width();
-    let rows: Vec<usize> = (0..image.height()).collect();
-    // Every row decomposes identically; compute the blocks once.
-    let blocks = lane_blocks(width);
-    let produced = evaluator.par_map_with(&rows, EvalScratch::new, |scratch, _, &y| {
-        let row_seed = mix_seed(backend.seed(), y as u64);
-        let row_spec = faults.map(|spec| spec.rebased(y as u64));
-        let pixels = &image.pixels()[y * width..(y + 1) * width];
-        let mut out_row = Vec::with_capacity(width);
-        for &(start, bw) in &blocks {
-            let mut xs = [0.0f64; 8];
-            for (slot, &p) in xs.iter_mut().zip(&pixels[start..start + bw]) {
-                *slot = p.clamp(0.0, 1.0);
-            }
-            // The shared lane-block evaluator keeps the pixel pipeline's
-            // generator derivation identical to the batch convention.
-            let runs = evaluate_lane_block_faulted(
-                backend.system(),
-                &xs[..bw],
-                backend.stream_length(),
-                &XoshiroSng::new,
-                |k| mix_seed(row_seed, (start + k) as u64),
-                row_spec
-                    .as_ref()
-                    .map(|spec| move |k: usize| spec.rebased((start + k) as u64)),
-                scratch,
-            )?;
-            out_row.extend(runs.iter().map(|r| r.estimate.clamp(0.0, 1.0)));
-        }
-        Ok::<Vec<f64>, AppError>(out_row)
-    });
-    let mut out = Vec::with_capacity(image.pixels().len());
-    for row in produced {
-        out.extend(row?);
-    }
-    Image::new(width, image.height(), out)
+    let runs = image_rows_eval(
+        evaluator,
+        backend.system(),
+        &XoshiroSng::new,
+        image.width(),
+        0,
+        image.pixels(),
+        backend.stream_length(),
+        backend.seed(),
+        faults,
+    )?;
+    Image::new(
+        image.width(),
+        image.height(),
+        runs.iter().map(|r| r.estimate.clamp(0.0, 1.0)).collect(),
+    )
 }
 
 /// Applies the optical backend's polynomial to every pixel with **three
@@ -383,6 +362,8 @@ pub fn paper_gamma_polynomial() -> Result<osc_stochastic::bernstein::BernsteinPo
 mod tests {
     use super::*;
     use crate::backend::{ElectronicBackend, ExactBackend};
+    use osc_core::batch::mix_seed;
+    use osc_core::system::EvalScratch;
     use osc_math::rng::Xoshiro256PlusPlus;
 
     #[test]

@@ -656,6 +656,8 @@ pub fn run(budget_ms: u64) -> KernelsReport {
     let fault_system_c = fault_system.clone();
     let block_system = fault_system.clone();
     let block_system_c = fault_system.clone();
+    let shift_system = fault_system.clone();
+    let shift_system_c = fault_system.clone();
     let fault_spec = osc_core::fault::FaultSpec::flips(0.01, 0xFA07);
     let mut sng_fb = XoshiroSng::new(21);
     let mut rng_fb = Xoshiro256PlusPlus::new(22);
@@ -734,6 +736,36 @@ pub fn run(budget_ms: u64) -> KernelsReport {
         move || {
             block_round_o += 1;
             lane_block(&block_system_c, block_round_o, None, &mut block_scratch_o)
+        },
+    ));
+
+    // The shift process alone on the same block (shifts 0.001, no flips):
+    // the lane-parallel event draws and the 8-lane zero splice, without
+    // the flip pass riding along. Also an overhead factor.
+    let shift_spec = osc_core::fault::FaultSpec {
+        shift_probability: 0.001,
+        ..osc_core::fault::FaultSpec::with_seed(0xFA09)
+    };
+    let shift_specs: [osc_core::fault::FaultSpec; 8] =
+        std::array::from_fn(|l| shift_spec.rebased(l as u64));
+    let mut shift_scratch_b = EvalScratch::new();
+    let mut shift_scratch_o = EvalScratch::new();
+    let (mut shift_round_b, mut shift_round_o) = (0u64, 0u64);
+    comparisons.push(compare(
+        &mut harness,
+        "fault_shift_lanes8_order6_2048",
+        move || {
+            shift_round_b += 1;
+            lane_block(
+                &shift_system,
+                shift_round_b,
+                Some(&shift_specs),
+                &mut shift_scratch_b,
+            )
+        },
+        move || {
+            shift_round_o += 1;
+            lane_block(&shift_system_c, shift_round_o, None, &mut shift_scratch_o)
         },
     ));
 
@@ -819,7 +851,8 @@ pub fn is_spawn_overhead(name: &str) -> bool {
 /// ns), so a *lower* ratio is the improvement: recorded into the
 /// trajectory, but shortfalls land in [`CheckOutcome::advisory`] and
 /// never fail the gate.
-pub const OVERHEAD_FACTOR_WORKLOADS: &[&str] = &["fault_lanes8_order6_2048"];
+pub const OVERHEAD_FACTOR_WORKLOADS: &[&str] =
+    &["fault_lanes8_order6_2048", "fault_shift_lanes8_order6_2048"];
 
 /// Locates the `shard_worker` binary the sharded workload spawns — the
 /// `OSC_SHARD_WORKER` env override, or a sibling of the running
@@ -1197,7 +1230,7 @@ mod tests {
         // has been built (cargo test builds it for this package's
         // integration tests, but a filtered build may not have).
         let expect_sharded = shard_worker_path().is_some();
-        assert_eq!(r.comparisons.len(), if expect_sharded { 19 } else { 14 });
+        assert_eq!(r.comparisons.len(), if expect_sharded { 20 } else { 15 });
         for c in &r.comparisons {
             assert!(c.baseline_ns > 0.0 && c.optimized_ns > 0.0, "{c:?}");
         }
@@ -1212,6 +1245,7 @@ mod tests {
         assert!(json.contains("gamma_64x64_order6_fused"));
         assert!(json.contains("fault_rate_sweep_order6"));
         assert!(json.contains("fault_lanes8_order6_2048"));
+        assert!(json.contains("fault_shift_lanes8_order6_2048"));
         assert!(json.contains("fold_avx512_order6"));
         for pool_workload in [
             "gamma_64x64_order6_sharded",

@@ -13,8 +13,8 @@
 use osc_apps::backend::OpticalBackend;
 use osc_apps::contrast::{run_contrast_lanes, run_contrast_pooled, smoothstep_poly};
 use osc_apps::gamma_app::{
-    apply_optical_lanes, apply_optical_pooled, paper_gamma_polynomial, run_gamma_lanes,
-    run_gamma_pooled,
+    apply_optical_lanes, apply_optical_lanes_faulted, apply_optical_pooled,
+    apply_optical_pooled_faulted, paper_gamma_polynomial, run_gamma_lanes, run_gamma_pooled,
 };
 use osc_apps::image::Image;
 use osc_bench::soak::{self, SoakConfig, SoakMode};
@@ -403,6 +403,58 @@ fn capacity_one_cache_thrash_is_byte_identical() {
         .unwrap();
     let roomy = soak::run(&cfg, SoakMode::Pool(&mut roomy_pool)).unwrap();
     assert_eq!(roomy.bytes, in_process.bytes, "capacity-4 ≡ in-process");
+}
+
+#[test]
+fn invalid_fault_specs_are_errors_in_process_as_through_the_pool() {
+    // Out-of-range and NaN rates: the in-process image path must refuse
+    // them exactly as the worker does, never return bytes.
+    let image = Image::blobs(9, 4);
+    let backend = OpticalBackend::new(
+        CircuitParams::paper_fig7(3, Nanometers::new(0.2)),
+        smoothstep_poly(),
+        128,
+        3,
+    )
+    .unwrap();
+    let evaluator = BatchEvaluator::with_threads(2);
+    let mut pool = PoolConfig::new(WORKER, 2).spawn().unwrap();
+    let base = FaultSpec::with_seed(11);
+    for bad in [
+        FaultSpec {
+            flip_probability: 2.0,
+            ..base
+        },
+        FaultSpec {
+            flip_probability: -0.5,
+            ..base
+        },
+        FaultSpec {
+            flip_probability: f64::NAN,
+            ..base
+        },
+        FaultSpec {
+            shift_probability: 1.5,
+            ..base
+        },
+    ] {
+        let in_process = apply_optical_lanes_faulted(&image, &backend, &evaluator, Some(&bad));
+        let err = in_process.expect_err("in-process accepted an invalid spec");
+        assert!(err.to_string().contains("invalid fault spec"), "{err}");
+        assert!(
+            apply_optical_pooled_faulted(&image, &backend, &mut pool, Some(&bad)).is_err(),
+            "the pool accepted {bad:?}"
+        );
+    }
+    // The same pool and evaluator still serve a valid spec identically.
+    let good = FaultSpec {
+        flip_probability: 0.02,
+        shift_probability: 0.01,
+        ..base
+    };
+    let want = apply_optical_lanes_faulted(&image, &backend, &evaluator, Some(&good)).unwrap();
+    let got = apply_optical_pooled_faulted(&image, &backend, &mut pool, Some(&good)).unwrap();
+    assert_eq!(got, want);
 }
 
 #[test]

@@ -1619,15 +1619,23 @@ fn handle_request(req: &ShardRequest) -> Result<Vec<OpticalRun>, String> {
     )
 }
 
-/// The worker half of the image job: evaluates row-major pixels with the
-/// row+lane pipeline's per-pixel universes,
-/// `mix_seed(mix_seed(seed, global row), column)` — identical to the
-/// in-process `apply_optical_lanes` derivation, so shard boundaries are
-/// invisible in the output. A fault spec rebases the same way (by
-/// global row, then column), keeping faulty sharded output identical to
-/// faulty in-process output.
+/// Evaluates row-major image pixels (`width` per row, the first at
+/// global row `first_row`) on `evaluator`'s threads: rows fan across
+/// the workers, and within a row pixels run through the lane-blocked
+/// fused kernel in blocks of 8/4/2/1 ([`lane_blocks`]). Pixel `(row,
+/// col)` draws from `mix_seed(mix_seed(seed, global row), col)`, and a
+/// fault spec rebases the same way (by global row, then column), so
+/// the runs depend only on the global pixel position: the in-process
+/// image path (`apply_optical_lanes_faulted` in `osc-apps`) and every
+/// shard of a worker job call this one function and agree byte for
+/// byte. Pixels are clamped into `[0, 1]`.
+///
+/// # Errors
+///
+/// An invalid fault spec ([`FaultSpec::validate`]) before any work,
+/// otherwise the first evaluation failure by row order.
 #[allow(clippy::too_many_arguments)]
-fn image_rows_eval<S, F>(
+pub fn image_rows_eval<S, F>(
     evaluator: &BatchEvaluator,
     system: &OpticalScSystem,
     factory: &F,
@@ -1648,7 +1656,7 @@ where
             crate::CircuitError::InvalidStructure(format!("invalid fault spec: {e}"))
         })?;
     }
-    let rows: Vec<usize> = (0..pixels.len() / width).collect();
+    let rows: Vec<usize> = (0..pixels.len().checked_div(width).unwrap_or(0)).collect();
     let blocks = lane_blocks(width);
     let produced = evaluator.par_map_with(&rows, EvalScratch::new, |scratch, _, &r| {
         let row_seed = mix_seed(seed, first_row + r as u64);

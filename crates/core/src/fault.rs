@@ -47,19 +47,33 @@
 //!   stream without a shift event touches no word; otherwise each output
 //!   word, top-down from the last one, is a funnel read of the
 //!   still-unmodified words below it at its constant shift.
-//! - **Flips** XOR single bits into the packed words. In the lane
-//!   kernel, the flip processes of a whole lane block are drawn
-//!   **lane-parallel** by one AVX-512 loop
-//!   ([`osc_stochastic::simd::geometric_flip_lanes`]): per-lane
-//!   xoshiro256++ states in vector registers, a polynomial `ln`, and a
-//!   masked gather / XOR / scatter per event. Every vector gap is
-//!   **certified** — it is accepted only when a `±δ` band around it
-//!   (`δ = 1e-9·y + 1e-12`, far above the polynomial's error) truncates
-//!   to one integer, and a lane that fails recomputes the gap with the
-//!   scalar formula — so the events are the scalar loop's exactly.
-//!   Lanes the vector loop cannot draw (`p = 1`, `p <= 2⁻⁵⁴`) and every
-//!   lane below the AVX-512 tier run the scalar loop.
+//! - **Flips** XOR single bits into the packed words.
 //! - **Stuck-at** is one AND/OR per word.
+//!
+//! In the lane kernel, both processes of a whole lane block are drawn
+//! **lane-parallel** by one AVX-512 event engine
+//! ([`osc_stochastic::simd::geometric_event_lanes`]): per-lane
+//! xoshiro256++ states in vector registers and a polynomial `ln`. Every
+//! vector gap is **certified** — it is accepted only when a `±δ` band
+//! around it (`δ = 1e-9·y + 1e-12`, far above the polynomial's error)
+//! truncates to one integer, and a lane that fails recomputes the gap
+//! with the scalar formula — so the events are the scalar loop's
+//! exactly.
+//!
+//! - Flip events go straight into the words by a masked gather / XOR /
+//!   scatter per event.
+//! - Shift events are marked at their output positions (an event after
+//!   `k` earlier zeros lands `k` places up) in a zeroed mask block and
+//!   spliced into all lanes by one top-down vector pass
+//!   ([`osc_stochastic::simd::splice_zero_lanes`]): each lane's shift
+//!   count lives in a vector register, a per-lane variable funnel builds
+//!   every word, and a word holding zeros is rebuilt one zero at a time,
+//!   highest first, at one shift less below each.
+//!
+//! Lanes the engine cannot draw (`p = 1`, `p <= 2⁻⁵⁴`), lanes with more
+//! than 64 shift zeros, blocks with fewer than four eligible lanes
+//! and every block below the AVX-512 tier run the scalar loop and splice
+//! lane by lane.
 //!
 //! [`FaultSpec::apply_to_bits`] is the per-bit reference twin — same
 //! draws, same event positions, applied one bit at a time — and the
@@ -438,64 +452,129 @@ impl FaultPlan {
             *slot = (*slot & !m) | (stuck.value & m);
         }
     }
+}
 
-    /// `1 / ln(1 − p)` of the flip process when the vector event loop
-    /// can draw it: `0 < p < 1` and `p` large enough for `ln(1 − p)` to
-    /// be nonzero.
-    fn vector_flip_rate(&self) -> Option<f64> {
-        match self.flip {
-            EventMode::Geometric { inv_log_q } if inv_log_q.is_finite() => Some(inv_log_q),
-            _ => None,
-        }
+/// `1 / ln(1 − p)` of a process when the vector event engine can draw
+/// it: `0 < p < 1` and `p` large enough for `ln(1 − p)` to be nonzero.
+fn vector_rate(mode: EventMode) -> Option<f64> {
+    match mode {
+        EventMode::Geometric { inv_log_q } if inv_log_q.is_finite() => Some(inv_log_q),
+        _ => None,
     }
 }
 
-/// Fewest flip lanes the vector event loop takes on. One loop iteration
+/// Fewest lanes the vector event engine takes on. One loop iteration
 /// costs about as much as two scalar draws, so below four lanes the
 /// scalar loop is as fast or faster (one lane on a 2048-bit stream at
 /// `p = 0.01`: 24 ns/word vector vs 16 ns/word scalar).
 const MIN_VECTOR_LANES: u32 = 4;
+
+/// The lanes of a block whose process (chosen by `process`: its mode
+/// and universe seed) the vector event engine can draw for stream
+/// `stream`, with their seeds and rates — or `None` when fewer than
+/// [`MIN_VECTOR_LANES`] qualify.
+fn vector_lanes<const L: usize>(
+    plans: &[FaultPlan; L],
+    stream: u64,
+    process: impl Fn(&FaultPlan) -> (EventMode, u64),
+) -> Option<(u8, [u64; L], [f64; L])> {
+    if L > 8 {
+        return None;
+    }
+    let (mut lanes, mut seeds, mut inv_log_q) = (0u8, [0u64; L], [-1.0f64; L]);
+    for (l, plan) in plans.iter().enumerate() {
+        let (mode, seed) = process(plan);
+        if let Some(q) = vector_rate(mode) {
+            lanes |= 1 << l;
+            seeds[l] = mix_seed(seed, stream);
+            inv_log_q[l] = q;
+        }
+    }
+    (lanes.count_ones() >= MIN_VECTOR_LANES).then_some((lanes, seeds, inv_log_q))
+}
+
+/// [`geometric_gap`] in the form the vector event engine falls back to.
+fn exact_gap(u: f64, inv_log_q: f64) -> u64 {
+    geometric_gap(u, inv_log_q) as u64
+}
+
+/// Shift pass of a lane block through the vector engine: draws the
+/// events of every eligible lane together as output zero positions in
+/// `marks` (a zeroed mask block shaped like `d`), then splices all those
+/// lanes in one vector pass. Returns the lanes it handled; the others
+/// (ineligible, more than [`simd::MAX_SPLICE_ZEROS`] zeros, or no vector
+/// path) are left to [`FaultPlan::shift_lane`].
+fn shift_lanes_vector<const L: usize>(
+    plans: &[FaultPlan; L],
+    stream: u64,
+    d: &mut [u64],
+    len: usize,
+    marks: &mut Vec<u64>,
+) -> u8 {
+    let Some((lanes, seeds, inv_log_q)) =
+        vector_lanes(plans, stream, |p| (p.shift, p.spec.shift_seed))
+    else {
+        return 0;
+    };
+    marks.clear();
+    marks.resize(d.len(), 0);
+    let sink = simd::EventSink::Zeros(marks);
+    let Some(counts) = simd::geometric_event_lanes(&seeds, &inv_log_q, lanes, len, exact_gap, sink)
+    else {
+        return 0;
+    };
+    let spliced = (0..L)
+        .filter(|&l| counts[l] <= simd::MAX_SPLICE_ZEROS)
+        .fold(0u8, |m, l| m | 1 << l)
+        & lanes;
+    if simd::splice_zero_lanes(d, marks, L, len, &counts, spliced) {
+        spliced
+    } else {
+        0
+    }
+}
 
 /// Applies each lane's plan to stream `stream` of a lane block: lane `l`'s
 /// word `w` at `d[w * L + l]`, `len` bits per lane. Shifts, then flips,
 /// then stuck-at, per lane — lanes never share a word, so running each
 /// mechanism across all lanes before the next is the per-lane order.
 ///
-/// When at least [`MIN_VECTOR_LANES`] flip processes have a finite
-/// `inv_log_q`, they go through [`simd::geometric_flip_lanes`] together,
-/// which draws every such lane's events in one AVX-512 pass with
-/// certified gaps; the other lanes, and every lane when the vector path
-/// is unavailable, run the scalar event loop. Both produce the same
-/// events.
+/// When at least [`MIN_VECTOR_LANES`] shift (or flip) processes have a
+/// finite `inv_log_q`, [`simd::geometric_event_lanes`] draws all their
+/// events in one AVX-512 pass with certified gaps: shift zeros are
+/// marked in `marks` (scratch, resized here) and spliced by
+/// [`simd::splice_zero_lanes`] in one top-down pass over the block,
+/// flips XOR straight into the words. The other lanes, lanes with more
+/// than [`simd::MAX_SPLICE_ZEROS`] shift zeros, and every lane when the
+/// vector path is unavailable run the scalar event loop. Both produce
+/// the same events.
 pub(crate) fn apply_lane_block<const L: usize>(
     plans: &[FaultPlan; L],
     stream: u64,
     d: &mut [u64],
     len: usize,
+    marks: &mut Vec<u64>,
 ) {
     if len == 0 {
         return;
     }
+    let shifted = shift_lanes_vector(plans, stream, d, len, marks);
     for (l, plan) in plans.iter().enumerate() {
-        plan.shift_lane(stream, d, l, L, len);
-    }
-    let mut vector_lanes = 0u8;
-    let mut seeds = [0u64; L];
-    let mut inv_log_q = [-1.0f64; L];
-    if L <= 8 {
-        for (l, plan) in plans.iter().enumerate() {
-            if let Some(q) = plan.vector_flip_rate() {
-                vector_lanes |= 1 << l;
-                seeds[l] = mix_seed(plan.spec.flip_seed, stream);
-                inv_log_q[l] = q;
-            }
+        if shifted >> l & 1 == 0 {
+            plan.shift_lane(stream, d, l, L, len);
         }
     }
-    let exact_gap: fn(f64, f64) -> u64 = |u, q| geometric_gap(u, q) as u64;
-    let vectored = vector_lanes.count_ones() >= MIN_VECTOR_LANES
-        && simd::geometric_flip_lanes(&seeds, &inv_log_q, vector_lanes, d, len, exact_gap);
+    let mut flipped = 0u8;
+    if let Some((lanes, seeds, inv_log_q)) =
+        vector_lanes(plans, stream, |p| (p.flip, p.spec.flip_seed))
+    {
+        let sink = simd::EventSink::Flip(&mut *d);
+        if simd::geometric_event_lanes(&seeds, &inv_log_q, lanes, len, exact_gap, sink).is_some() {
+            flipped = lanes;
+        }
+    }
     for (l, plan) in plans.iter().enumerate() {
-        if !vectored || (vector_lanes >> l) & 1 == 0 {
+        if flipped >> l & 1 == 0 {
             plan.flip_lane(stream, d, l, L, len);
         }
         plan.stuck_lane(d, l, L, len);
@@ -518,6 +597,7 @@ pub fn apply_to_lane_block<const L: usize>(
         stream,
         words,
         stream_length,
+        &mut Vec::new(),
     );
 }
 

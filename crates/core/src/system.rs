@@ -98,6 +98,9 @@ pub struct EvalScratch {
     /// Landing buffer for up to two streams being generated (one pair),
     /// before their words fold into `planes`/`sel`.
     stream_buf: Vec<u64>,
+    /// Shift-zero marks of the faulted lane kernel's vector shift pass,
+    /// shaped like one lane-interleaved stream.
+    zero_marks: Vec<u64>,
 }
 
 impl EvalScratch {
@@ -113,6 +116,7 @@ impl EvalScratch {
             + self.coeff.capacity()
             + self.sel.capacity()
             + self.stream_buf.capacity()
+            + self.zero_marks.capacity()
     }
 }
 
@@ -124,10 +128,12 @@ type LaneCounts<const L: usize> = ([usize; L], [usize; L], [usize; L]);
 /// freshly drained lane-interleaved words (block `w` of lane `l` at
 /// `d[w * L + l]`) with each lane's fault process, after generation and
 /// **before** the words fold into count planes / the decision. One call
-/// covers the whole lane block ([`fault::apply_lane_block`]): each
-/// lane's shift zeros are spliced in place, then the flip events of
-/// every lane are drawn together by the AVX-512 event loop where it
-/// applies (per-lane scalar loops otherwise), then the stuck-at masks.
+/// covers the whole lane block ([`fault::apply_lane_block`]): the shift
+/// events of every lane are drawn together by the AVX-512 event engine
+/// and their zeros spliced into all lanes in one vector pass, then the
+/// flip events are drawn the same way and XORed in (per-lane scalar
+/// loops wherever the vector path does not apply), then the stuck-at
+/// masks.
 /// Lane `l`'s events depend only on `(faults[l], j, bit position)` —
 /// never on `L`, the lane slot or the dispatch tier — which is what
 /// keeps faulty evaluation bit-identical across tiers and lane widths.
@@ -136,9 +142,10 @@ fn apply_stream_faults<const L: usize>(
     j: usize,
     d: &mut [u64],
     stream_length: usize,
+    zero_marks: &mut Vec<u64>,
 ) {
     if let Some(plans) = plans {
-        fault::apply_lane_block(plans, j as u64, d, stream_length);
+        fault::apply_lane_block(plans, j as u64, d, stream_length, zero_marks);
     }
 }
 
@@ -709,7 +716,13 @@ impl OpticalScSystem {
                 }
                 if paired {
                     for (jj, d) in [(j, d0), (j + 1, d1)] {
-                        apply_stream_faults::<L>(plans.as_ref(), jj, d, stream_length);
+                        apply_stream_faults::<L>(
+                            plans.as_ref(),
+                            jj,
+                            d,
+                            stream_length,
+                            &mut scratch.zero_marks,
+                        );
                         if jj < N {
                             fold_data_words(d, &mut scratch.planes, nplanes);
                         } else {
@@ -733,7 +746,13 @@ impl OpticalScSystem {
                         w += 1;
                     })?;
                 }
-                apply_stream_faults::<L>(plans.as_ref(), j, d, stream_length);
+                apply_stream_faults::<L>(
+                    plans.as_ref(),
+                    j,
+                    d,
+                    stream_length,
+                    &mut scratch.zero_marks,
+                );
                 if j < N {
                     fold_data_words(d, &mut scratch.planes, nplanes);
                 } else {

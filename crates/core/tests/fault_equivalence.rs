@@ -434,9 +434,9 @@ fn spec_blocks<const L: usize>() -> Vec<[FaultSpec; L]> {
 const TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512];
 const LENGTHS: [usize; 6] = [1, 63, 64, 65, 2048, 4097];
 
-fn lane_block_pass_matches_bit_twin<const L: usize>() {
+fn lane_block_pass_matches_bit_twin<const L: usize>(blocks: Vec<[FaultSpec; L]>) {
     let mut rng = Xoshiro256PlusPlus::new(0xB10C + L as u64);
-    for specs in spec_blocks::<L>() {
+    for specs in blocks {
         for len in LENGTHS {
             let words: Vec<u64> = (0..len.div_ceil(64) * L).map(|_| rng.next_u64()).collect();
             let lane_bits = |words: &[u64], l: usize| -> Vec<bool> {
@@ -469,10 +469,79 @@ fn lane_block_fault_pass_matches_the_bit_twin_per_lane() {
     // The lane-block hook (one vector flip pass for the eligible lanes)
     // against per-lane `apply_to_words` and the per-bit reference, with
     // mixed per-lane rates, under every dispatch tier.
-    lane_block_pass_matches_bit_twin::<1>();
-    lane_block_pass_matches_bit_twin::<2>();
-    lane_block_pass_matches_bit_twin::<4>();
-    lane_block_pass_matches_bit_twin::<8>();
+    lane_block_pass_matches_bit_twin::<1>(spec_blocks());
+    lane_block_pass_matches_bit_twin::<2>(spec_blocks());
+    lane_block_pass_matches_bit_twin::<4>(spec_blocks());
+    lane_block_pass_matches_bit_twin::<8>(spec_blocks());
+}
+
+/// A shift-only spec at rate `shift` in its own universe.
+fn shift_spec(shift: f64, salt: u64) -> FaultSpec {
+    FaultSpec {
+        flip_probability: 0.0,
+        shift_probability: shift,
+        ..active_spec().rebased(0x5817 + salt)
+    }
+}
+
+/// Eight shift processes covering every branch of the vector shift
+/// pass: light rates the event engine draws and splices together, 0.03
+/// (about 61 zeros at 2048 bits, near the per-lane cap), 0.05 and 0.5
+/// (past the cap from about 1300 bits on, so those lanes fall back to
+/// the scalar splice), `p = 1` (`Every`: a zero before every bit, no
+/// draws) and rate 0 (`Never`), one lane also flipping.
+fn shift_specs() -> [FaultSpec; 8] {
+    [
+        shift_spec(0.001, 0),
+        shift_spec(0.05, 1),
+        shift_spec(0.002, 2),
+        shift_spec(1.0, 3),
+        shift_spec(0.03, 4),
+        shift_spec(0.0, 5),
+        shift_spec(0.5, 6),
+        FaultSpec {
+            flip_probability: 0.01,
+            ..shift_spec(0.004, 7)
+        },
+    ]
+}
+
+/// Shift-heavy blocks for lane width `L`: every rotation of
+/// [`shift_specs`], and for `L >= 4` one block with exactly three
+/// eligible (geometric) shift lanes, below the vector engine's minimum,
+/// and one with exactly four.
+fn shift_blocks<const L: usize>() -> Vec<[FaultSpec; L]> {
+    let specs = shift_specs();
+    let mut blocks: Vec<[FaultSpec; L]> = (0..8)
+        .map(|rot| std::array::from_fn(|l| specs[(l + rot) % 8]))
+        .collect();
+    if L >= 4 {
+        for eligible in [3, 4] {
+            blocks.push(std::array::from_fn(|l| {
+                if l < eligible {
+                    shift_spec(0.001 * (l + 1) as f64, 10 + l as u64)
+                } else if l % 2 == 0 {
+                    shift_spec(1.0, 10 + l as u64)
+                } else {
+                    FaultSpec::CLEAN
+                }
+            }));
+        }
+    }
+    blocks
+}
+
+#[test]
+fn shift_heavy_lane_blocks_match_the_bit_twin_per_lane() {
+    // The vector shift pass (one engine draw for all eligible lanes, one
+    // top-down splice) against per-lane `apply_to_words` and the per-bit
+    // reference: lanes past the per-lane event cap, `Every` and `Never`
+    // lanes among geometric ones, three vs four eligible lanes, at
+    // L = 1/2/4/8 under every dispatch tier.
+    lane_block_pass_matches_bit_twin::<1>(shift_blocks());
+    lane_block_pass_matches_bit_twin::<2>(shift_blocks());
+    lane_block_pass_matches_bit_twin::<4>(shift_blocks());
+    lane_block_pass_matches_bit_twin::<8>(shift_blocks());
 }
 
 fn mixed_lane_blocks_match_per_lane_runs<const L: usize>(system: &OpticalScSystem, label: &str) {
@@ -504,5 +573,48 @@ fn mixed_rate_lane_blocks_equal_per_lane_faulted_runs() {
         mixed_lane_blocks_match_per_lane_runs::<2>(&system, label);
         mixed_lane_blocks_match_per_lane_runs::<4>(&system, label);
         mixed_lane_blocks_match_per_lane_runs::<8>(&system, label);
+    }
+}
+
+#[test]
+fn marked_shift_zeros_are_the_fault_events_positions() {
+    // The shift mode of the shared vector engine against the library's
+    // own scalar process, `FaultEvents`, lane by lane: a zero marked at
+    // output position `z` after `k` earlier zeros is event `z - k`.
+    let gap = |u: f64, inv_log_q: f64| {
+        let y = ((1.0 - u).ln() * inv_log_q).floor();
+        if y.is_finite() && y < u64::MAX as f64 {
+            y as u64
+        } else {
+            u64::MAX
+        }
+    };
+    let rates = [0.001, 0.002, 0.01, 0.03, 0.05, 0.3, 1e-4, 0.004];
+    for len in LENGTHS {
+        let seeds: [u64; 8] = std::array::from_fn(|l| 0x5EED + (len * 8 + l) as u64);
+        let inv_log_q = rates.map(|p: f64| 1.0 / (1.0 - p).ln());
+        let mut marks = vec![0u64; len.div_ceil(64) * 8];
+        let sink = simd::EventSink::Zeros(&mut marks);
+        let Some(counts) = simd::geometric_event_lanes(&seeds, &inv_log_q, 0xFF, len, gap, sink)
+        else {
+            eprintln!("vector event engine unavailable: nothing to compare");
+            return;
+        };
+        for (l, (&seed, &p)) in seeds.iter().zip(&rates).enumerate() {
+            let mut events = osc_core::fault::FaultEvents::new(seed, p);
+            let want: Vec<usize> = std::iter::from_fn(|| events.next_event(len))
+                .enumerate()
+                .map(|(k, e)| e + k)
+                .take_while(|&z| z < len)
+                .collect();
+            if want.len() > simd::MAX_SPLICE_ZEROS {
+                assert_eq!(counts[l], simd::MAX_SPLICE_ZEROS + 1, "len={len} lane {l}");
+                continue;
+            }
+            let marked: Vec<usize> = (0..len)
+                .filter(|&b| marks[(b / 64) * 8 + l] >> (b % 64) & 1 == 1)
+                .collect();
+            assert_eq!(marked, want, "len={len} lane {l}");
+        }
     }
 }

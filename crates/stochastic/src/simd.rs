@@ -30,7 +30,8 @@
 //! | [`popcount_lanes_accumulate`] | count-plane fold | `vpopcntq` | nibble-LUT `vpshufb` + `vpsadbw` | — |
 //! | [`assemble_indices16`] | noisy-tier index assembly | `vpmovm2w` mask broadcast (needs `avx512bw`) | — (scalar fallback) | — |
 //! | [`BitMatrixKernels::classify_cycles`] | noisy-tier decision pass, orders ≤ 6 | bit-matrix transposes + one `vpermi2b` per count row (needs `gfni` + `avx512vbmi`) | — (index assembly + table walk) | — |
-//! | [`geometric_flip_lanes`] | lane-block fault hook (flip events) | per-lane xoshiro256++ in ZMMs, polynomial `ln`, certified gaps, masked gather / XOR / scatter | — (per-lane scalar event loop) | `avx512dq` |
+//! | [`geometric_event_lanes`] | lane-block fault hook (flip and shift events) | per-lane xoshiro256++ in ZMMs (vector SplitMix64 seeding), polynomial `ln`, certified gaps, masked gather / XOR / scatter into the words (flips) or a zero-mask block (shifts) | — (per-lane scalar event loop) | `avx512dq`, `avx512cd` |
+//! | [`splice_zero_lanes`] | lane-block fault hook (shift zeros) | top-down per-lane variable funnel (`vpsllvq` / `vpsrlvq`), one `vplzcntq` round per zero in a word | — (per-lane scalar splice) | `avx512dq`, `avx512cd` |
 //!
 //! Dispatch rules, uniform across the family:
 //!
@@ -727,12 +728,35 @@ unsafe fn xoshiro_chains_avx2(
     }
 }
 
-/// Draws every lane's seeded Bernoulli flip process over one
-/// lane-interleaved stream and XORs the events into `words` (bit `b` of
-/// lane `l` lives in `words[(b / 64) * stride + l]`, `stride =
-/// seeds.len()`), with all lanes advancing together. Returns `false`
-/// (touching nothing) when no vector path applies — the caller then runs
-/// its per-lane scalar event loop.
+/// Most shift zeros one lane of a lane block may hold for
+/// [`splice_zero_lanes`]: with at most 64 zeros below any word, every
+/// output word is a funnel of the two source words just below it. The
+/// event engine stops a lane that reaches one more zero, and the caller
+/// splices that lane with its scalar loop.
+pub const MAX_SPLICE_ZEROS: usize = 64;
+
+/// Where [`geometric_event_lanes`] puts each lane's events. Both targets
+/// are lane-interleaved blocks: bit `b` of lane `l` lives in
+/// `block[(b / 64) * stride + l]`, `stride = seeds.len()`.
+#[derive(Debug)]
+pub enum EventSink<'a> {
+    /// The flip process: XOR each event's bit into the stream words.
+    Flip(&'a mut [u64]),
+    /// The shift process: set each event's zero position in a zeroed
+    /// mask block. The zero inserted before original bit `e`, after `k`
+    /// earlier insertions, sits at output position `e + k`; a lane stops
+    /// once its next zero falls past the stream, or at its zero number
+    /// [`MAX_SPLICE_ZEROS`] `+ 1`, which it counts but does not mark (an
+    /// overflowed lane, whose marks are incomplete).
+    Zeros(&'a mut [u64]),
+}
+
+/// Draws every lane's seeded Bernoulli event process over a `len`-bit
+/// stream with all lanes advancing together, and marks the events in
+/// `sink`. Returns each lane's event count — for
+/// [`EventSink::Zeros`], `MAX_SPLICE_ZEROS + 1` marks an overflowed
+/// lane — or `None` (touching nothing) when no vector path applies: the
+/// caller then runs its per-lane scalar event loop.
 ///
 /// Lane `l` (for each bit set in `lanes`) draws from
 /// `Xoshiro256PlusPlus::new(seeds[l])`: each uniform `u` gives the run of
@@ -743,30 +767,32 @@ unsafe fn xoshiro_chains_avx2(
 /// 1e-12`, it is accepted only when `trunc(max(y − δ, 0)) == trunc(y +
 /// δ)`, far above the polynomial's ~1e-15 relative error. A lane that
 /// fails the certificate takes `exact_gap(u, inv_log_q[l])` — the
-/// caller's scalar definition — so the events, and the bytes, are those
-/// of the scalar loop by construction.
+/// caller's scalar definition — so the events are those of the scalar
+/// loop by construction.
 ///
 /// # Panics
 ///
-/// Panics if `seeds` and `inv_log_q` differ in length, hold more than 8
-/// lanes, or `words` is shorter than the `len` bits of every lane need.
-pub fn geometric_flip_lanes(
+/// Panics if `seeds` and `inv_log_q` differ in length or hold more than
+/// 8 lanes, or the sink is shorter than the `len` bits of every lane
+/// need.
+pub fn geometric_event_lanes(
     seeds: &[u64],
     inv_log_q: &[f64],
     lanes: u8,
-    words: &mut [u64],
     len: usize,
     exact_gap: fn(f64, f64) -> u64,
-) -> bool {
+    sink: EventSink<'_>,
+) -> Option<[usize; 8]> {
     let stride = seeds.len();
     assert!(stride <= 8 && inv_log_q.len() == stride);
-    assert!(len == 0 || words.len() >= (len - 1) / 64 * stride + stride);
-    if !geometric_flips_applicable() {
-        return false;
+    let (EventSink::Flip(block) | EventSink::Zeros(block)) = &sink;
+    assert!(len == 0 || block.len() >= (len - 1) / 64 * stride + stride);
+    if !event_lanes_applicable() {
+        return None;
     }
     #[cfg(target_arch = "x86_64")]
     {
-        let mut states = [[0u64; 4]; 8];
+        let mut seedv = [0u64; 8];
         let mut invq = [-1.0f64; 8];
         // Only lanes below `stride` exist; an empty stream has no events.
         let lanes = if len == 0 {
@@ -777,28 +803,42 @@ pub fn geometric_flip_lanes(
         for l in 0..stride {
             if lanes >> l & 1 == 1 {
                 debug_assert!(inv_log_q[l].is_finite() && inv_log_q[l] < 0.0);
-                states[l] = osc_math::rng::Xoshiro256PlusPlus::new(seeds[l]).state_words();
+                seedv[l] = seeds[l];
                 invq[l] = inv_log_q[l];
             }
         }
-        // SAFETY: geometric_flips_applicable checked the AVX-512 tier
+        // SAFETY: event_lanes_applicable checked the AVX-512 tier
         // (clamped to the detected hardware, so avx512f is present) and
-        // avx512dq; the asserts above bound every gathered and scattered
-        // index to `words`.
-        unsafe { geometric_flips_avx512(&states, &invq, lanes, words, stride, len, exact_gap) };
+        // avx512dq; the assert above bounds every gathered and scattered
+        // index to the sink.
+        let counts = unsafe {
+            match sink {
+                EventSink::Flip(words) => geometric_events_avx512::<false>(
+                    &seedv, &invq, lanes, words, stride, len, exact_gap,
+                ),
+                EventSink::Zeros(marks) => geometric_events_avx512::<true>(
+                    &seedv, &invq, lanes, marks, stride, len, exact_gap,
+                ),
+            }
+        };
+        Some(counts.map(|c| c as usize))
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (lanes, exact_gap);
-    true
+    {
+        let _ = (lanes, exact_gap, sink);
+        None
+    }
 }
 
-/// Whether [`geometric_flip_lanes`] runs under the current dispatch
-/// tier: the AVX-512 tier plus `avx512dq` (the `u64` ↔ `f64`
-/// conversions and `vpmullq`).
-fn geometric_flips_applicable() -> bool {
+/// Whether [`geometric_event_lanes`] and [`splice_zero_lanes`] run under
+/// the current dispatch tier: the AVX-512 tier plus `avx512dq` (the
+/// `u64` ↔ `f64` conversions and `vpmullq`) and `avx512cd` (`vplzcntq`).
+fn event_lanes_applicable() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        active_tier() == SimdTier::Avx512 && is_x86_feature_detected!("avx512dq")
+        active_tier() == SimdTier::Avx512
+            && is_x86_feature_detected!("avx512dq")
+            && is_x86_feature_detected!("avx512cd")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -806,43 +846,59 @@ fn geometric_flips_applicable() -> bool {
     }
 }
 
-/// The AVX-512 flip-event loop behind [`geometric_flip_lanes`]: state
-/// word `i` of all lanes in one ZMM (the recurrence of
-/// [`xoshiro_chains8_avx512`]), four certified gaps drawn per lane
-/// ahead, then one masked gather / XOR / scatter of the event bits per
-/// gap. A lane leaves the loop once its next event falls past `len`.
+/// The AVX-512 event loop behind [`geometric_event_lanes`]: each lane's
+/// xoshiro256++ state seeded by a vector SplitMix64 expansion (the
+/// scalar `Xoshiro256PlusPlus::new`), state word `i` of all lanes in one
+/// ZMM (the recurrence of [`xoshiro_chains8_avx512`]), four certified
+/// gaps drawn per lane ahead, then one masked gather / XOR / scatter of
+/// the event bits per gap. A lane leaves the loop once its next event
+/// falls past `len`.
+///
+/// With `ZEROS` on, consecutive events sit `gap + 2` apart instead of
+/// `gap + 1` (each earlier zero moves the next one up by one), and a
+/// lane leaves the loop after `MAX_SPLICE_ZEROS + 1` events.
 ///
 /// # Safety
 ///
 /// The CPU must support `avx512f` and `avx512dq`, and every index
 /// `(b / 64) * stride + l` with `b < len` and `l` in `lanes` must lie
-/// inside `words`.
+/// inside `block`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn geometric_flips_avx512(
-    states: &[[u64; 4]; 8],
+unsafe fn geometric_events_avx512<const ZEROS: bool>(
+    seeds: &[u64; 8],
     inv_log_q: &[f64; 8],
     lanes: u8,
-    words: &mut [u64],
+    block: &mut [u64],
     stride: usize,
     len: usize,
     exact_gap: fn(f64, f64) -> u64,
-) {
+) -> [u64; 8] {
     use std::arch::x86_64::*;
     const XOR3: i32 = 0x96;
     const AHEAD: usize = 4;
-    let load = |i: usize| {
-        let tmp: [u64; 8] = std::array::from_fn(|l| states[l][i]);
-        _mm512_loadu_si512(tmp.as_ptr() as *const __m512i)
+    let splitmix = |i: i64| {
+        let s = _mm512_add_epi64(
+            _mm512_loadu_si512(seeds.as_ptr() as *const __m512i),
+            _mm512_set1_epi64(SPLITMIX_GAMMA.wrapping_mul(i as u64) as i64),
+        );
+        let c1 = _mm512_set1_epi64(SPLITMIX_MIX1 as i64);
+        let c2 = _mm512_set1_epi64(SPLITMIX_MIX2 as i64);
+        let z = _mm512_mullo_epi64(_mm512_xor_si512(s, _mm512_srli_epi64::<30>(s)), c1);
+        let z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), c2);
+        _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
     };
-    let (mut s0, mut s1, mut s2, mut s3) = (load(0), load(1), load(2), load(3));
+    let (mut s0, mut s1, mut s2, mut s3) = (splitmix(1), splitmix(2), splitmix(3), splitmix(4));
     let invq = _mm512_loadu_pd(inv_log_q.as_ptr());
     let lane_ids = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
     let stridev = _mm512_set1_epi64(stride as i64);
     let lenv = _mm512_set1_epi64(len as i64);
     let one = _mm512_set1_epi64(1);
-    let base = words.as_mut_ptr() as *mut i64;
+    let spacing = _mm512_set1_epi64(if ZEROS { 2 } else { 1 });
+    let cap = _mm512_set1_epi64(MAX_SPLICE_ZEROS as i64 + 1);
+    let base = block.as_mut_ptr() as *mut i64;
     let mut pos = _mm512_setzero_si512();
+    let mut count = _mm512_setzero_si512();
     let mut live = lanes;
     while live != 0 {
         // Draw AHEAD gaps per lane before applying any: the `ln` chains
@@ -879,10 +935,16 @@ unsafe fn geometric_flips_avx512(
             }
         }
         for gap in gaps {
-            // The event lands inside the stream iff gap < len - pos (pos
-            // <= len always, so neither side wraps).
-            let hit = _mm512_mask_cmplt_epu64_mask(live, gap, _mm512_sub_epi64(lenv, pos));
+            // The event lands inside the stream iff gap < len - pos. A
+            // zero lane's `pos` may reach len + 1, so the room clamps at
+            // zero; `len` is far below 2⁶³, so the signed max is exact.
+            let room = _mm512_max_epi64(_mm512_sub_epi64(lenv, pos), _mm512_setzero_si512());
+            let mut hit = _mm512_mask_cmplt_epu64_mask(live, gap, room);
             let event = _mm512_add_epi64(pos, gap);
+            count = _mm512_mask_add_epi64(count, hit, count, one);
+            if ZEROS {
+                hit &= !_mm512_mask_cmpeq_epu64_mask(hit, count, cap);
+            }
             let idx = _mm512_add_epi64(
                 _mm512_mullo_epi64(_mm512_srli_epi64::<6>(event), stridev),
                 lane_ids,
@@ -890,9 +952,153 @@ unsafe fn geometric_flips_avx512(
             let bit = _mm512_sllv_epi64(one, _mm512_and_si512(event, _mm512_set1_epi64(63)));
             let old = _mm512_mask_i64gather_epi64::<8>(_mm512_setzero_si512(), hit, idx, base);
             _mm512_mask_i64scatter_epi64::<8>(base, hit, idx, _mm512_xor_si512(old, bit));
-            pos = _mm512_add_epi64(event, one);
+            pos = _mm512_add_epi64(event, spacing);
             live = hit;
         }
+    }
+    let mut counts = [0u64; 8];
+    _mm512_storeu_si512(counts.as_mut_ptr() as *mut __m512i, count);
+    counts
+}
+
+/// Inserts each lane's shift zeros into a lane-interleaved block in
+/// place, all lanes in one top-down vector pass. Returns `false`
+/// (touching nothing) under the same dispatch rule as
+/// [`geometric_event_lanes`]; the caller then splices lane by lane.
+///
+/// Lane `l` (for each bit set in `lanes`) takes a zero at every output
+/// position set in its lane of `zeros` (the block
+/// [`EventSink::Zeros`] marks, `counts[l] <= MAX_SPLICE_ZEROS` of them,
+/// all below `len`): the bits between zeros `t` and `t + 1` (1-based)
+/// move up by `t`, bits pushed past `len` are lost, and bits below the
+/// first zero stay put — the scalar splice's result. Each lane carries
+/// its shift count (the zeros below the current word's top) in one ZMM.
+/// A word without a zero of the lane is a per-lane variable funnel of
+/// the two still-unmodified source words below it (`vpsllvq` /
+/// `vpsrlvq`, whose counts of 64 give zero); a word holding zeros is
+/// built one zero at a time, highest first (`vplzcntq`): the bits below
+/// the zero are the funnel at one shift less and the zero itself stays
+/// clear.
+///
+/// # Panics
+///
+/// Panics if `stride > 8`, a lane in `lanes` has more than
+/// [`MAX_SPLICE_ZEROS`] zeros, or `words` or `zeros` is shorter than
+/// `len` bits of `stride` lanes need.
+pub fn splice_zero_lanes(
+    words: &mut [u64],
+    zeros: &[u64],
+    stride: usize,
+    len: usize,
+    counts: &[usize; 8],
+    lanes: u8,
+) -> bool {
+    assert!(stride <= 8);
+    // A lane without zeros keeps its words as they are.
+    let lanes = (0..stride)
+        .filter(|&l| lanes >> l & 1 == 1 && counts[l] > 0)
+        .fold(0u8, |m, l| m | 1 << l);
+    if len == 0 || lanes == 0 {
+        return event_lanes_applicable();
+    }
+    let need = (len - 1) / 64 * stride + stride;
+    assert!(words.len() >= need && zeros.len() >= need);
+    assert!((0..stride).all(|l| lanes >> l & 1 == 0 || counts[l] <= MAX_SPLICE_ZEROS));
+    if !event_lanes_applicable() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: event_lanes_applicable admitted the AVX-512 tier (avx512f
+    // present) and avx512cd; the asserts above bound every word the
+    // pass touches and every lane's shift count.
+    unsafe {
+        splice_zero_lanes_avx512(words, zeros, stride, len, counts, lanes)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = counts;
+    true
+}
+
+/// The vector pass behind [`splice_zero_lanes`], from the top word down
+/// until no lane has a zero left below the current word.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512cd`; `lanes` are below
+/// `stride` with at most [`MAX_SPLICE_ZEROS`] zeros each, and `words`
+/// and `zeros` hold `len > 0` bits of `stride` lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512cd")]
+unsafe fn splice_zero_lanes_avx512(
+    words: &mut [u64],
+    zeros: &[u64],
+    stride: usize,
+    len: usize,
+    counts: &[usize; 8],
+    lanes: u8,
+) {
+    use std::arch::x86_64::*;
+    let k0: [u64; 8] = std::array::from_fn(|l| {
+        if lanes >> l & 1 == 1 {
+            counts[l] as u64
+        } else {
+            0
+        }
+    });
+    let mut k = _mm512_loadu_si512(k0.as_ptr() as *const __m512i);
+    let present = ((1u16 << stride) - 1) as u8;
+    let ones = _mm512_set1_epi64(-1);
+    let one = _mm512_set1_epi64(1);
+    let sixty_three = _mm512_set1_epi64(63);
+    let sixty_four = _mm512_set1_epi64(64);
+    let top = (len - 1) / 64;
+    let tail = match len % 64 {
+        0 => u64::MAX,
+        r => (1u64 << r) - 1,
+    };
+    let (wp, zp) = (words.as_mut_ptr() as *mut i64, zeros.as_ptr() as *const i64);
+    let mut w = top;
+    loop {
+        let hi = _mm512_maskz_loadu_epi64(present, wp.add(w * stride));
+        let lo = if w > 0 {
+            _mm512_maskz_loadu_epi64(present, wp.add((w - 1) * stride))
+        } else {
+            _mm512_setzero_si512()
+        };
+        // Source bits `64·w − k ..` of each lane: hi << k | lo >> (64 − k).
+        let funnel = |k: __m512i| {
+            _mm512_or_si512(
+                _mm512_sllv_epi64(hi, k),
+                _mm512_srlv_epi64(lo, _mm512_sub_epi64(sixty_four, k)),
+            )
+        };
+        let mut out = funnel(k);
+        let mut rest = _mm512_maskz_loadu_epi64(lanes, zp.add(w * stride));
+        let mut in_word = _mm512_test_epi64_mask(rest, rest);
+        // One round per zero, highest first: everything below it comes
+        // from one shift less.
+        loop {
+            let b = _mm512_sub_epi64(sixty_three, _mm512_lzcnt_epi64(rest));
+            k = _mm512_mask_sub_epi64(k, in_word, k, one);
+            let below_zero = _mm512_andnot_si512(_mm512_sllv_epi64(ones, b), funnel(k));
+            let above_zero = _mm512_sllv_epi64(ones, _mm512_add_epi64(b, one));
+            // (out & above_zero) | below_zero
+            let spliced = _mm512_ternarylogic_epi64::<0xEA>(out, above_zero, below_zero);
+            out = _mm512_mask_mov_epi64(out, in_word, spliced);
+            rest = _mm512_mask_andnot_epi64(rest, in_word, _mm512_sllv_epi64(one, b), rest);
+            in_word = _mm512_test_epi64_mask(rest, rest);
+            if in_word == 0 {
+                break;
+            }
+        }
+        if w == top {
+            out = _mm512_and_si512(out, _mm512_set1_epi64(tail as i64));
+        }
+        _mm512_mask_storeu_epi64(wp.add(w * stride), lanes, out);
+        if w == 0 || _mm512_test_epi64_mask(k, k) == 0 {
+            break;
+        }
+        w -= 1;
     }
 }
 
@@ -1951,12 +2157,171 @@ mod tests {
                     }
                 }
                 let mut got = init.clone();
-                let ran = geometric_flip_lanes(&seeds, &qs, lanes, &mut got, len, floor_gap);
+                let sink = EventSink::Flip(&mut got);
+                let ran = geometric_event_lanes(&seeds, &qs, lanes, len, floor_gap, sink);
                 let tag = format!("stride {stride} len {len}");
-                if ran {
+                if ran.is_some() {
                     assert_eq!(got, want, "{tag}");
                 } else {
                     assert_eq!(got, init, "a declining engine touched the words: {tag}");
+                }
+            }
+        }
+    }
+
+    /// The event positions of a seeded geometric process below `len`,
+    /// drawn one event at a time (the scalar `FaultEvents` loop).
+    fn scalar_events(seed: u64, inv_log_q: f64, len: usize) -> Vec<usize> {
+        let mut rng = osc_math::rng::Xoshiro256PlusPlus::new(seed);
+        let (mut pos, mut out) = (0usize, Vec::new());
+        while pos < len {
+            let gap = floor_gap(rng.next_f64(), inv_log_q);
+            if gap >= (len - pos) as u64 {
+                break;
+            }
+            out.push(pos + gap as usize);
+            pos += gap as usize + 1;
+        }
+        out
+    }
+
+    #[test]
+    fn zero_marks_are_the_scalar_event_positions() {
+        // 0.3 and 0.05 overflow the per-lane cap at the longer lengths;
+        // 1e-4 mostly draws no event at all.
+        let ps = [0.001f64, 0.3, 0.05, 1e-4, 0.01];
+        let mut seeder = SplitMix64::new(0x5817);
+        for stride in [1usize, 2, 4, 8] {
+            for len in [1usize, 63, 64, 65, 2048, 4097] {
+                let seeds: Vec<u64> = (0..stride).map(|_| seeder.next_u64()).collect();
+                let qs: Vec<f64> = (0..stride)
+                    .map(|l| 1.0 / (1.0 - ps[(l + len) % ps.len()]).ln())
+                    .collect();
+                let lanes = (u8::MAX >> (8 - stride)) & !2;
+                let mut marks = vec![0u64; len.div_ceil(64) * stride];
+                let sink = EventSink::Zeros(&mut marks);
+                let Some(counts) = geometric_event_lanes(&seeds, &qs, lanes, len, floor_gap, sink)
+                else {
+                    continue;
+                };
+                for l in 0..stride {
+                    let tag = format!("stride {stride} len {len} lane {l}");
+                    let marked: Vec<usize> = (0..len)
+                        .filter(|&b| marks[(b / 64) * stride + l] >> (b % 64) & 1 == 1)
+                        .collect();
+                    if lanes >> l & 1 == 0 {
+                        assert!(marked.is_empty() && counts[l] == 0, "{tag}");
+                        continue;
+                    }
+                    // The scalar shift loop: event `e` after `k` zeros
+                    // lands at `e + k`, and the process ends at the
+                    // first zero past the stream.
+                    let want: Vec<usize> = scalar_events(seeds[l], qs[l], len)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(k, e)| e + k)
+                        .take_while(|&z| z < len)
+                        .collect();
+                    if want.len() > MAX_SPLICE_ZEROS {
+                        assert_eq!(counts[l], MAX_SPLICE_ZEROS + 1, "{tag}: overflow");
+                    } else {
+                        assert_eq!(marked, want, "{tag}");
+                        assert_eq!(counts[l], want.len(), "{tag}");
+                        // Unmapped, the marks are the scalar positions.
+                        let events: Vec<usize> =
+                            marked.iter().enumerate().map(|(k, &z)| z - k).collect();
+                        let scalar = scalar_events(seeds[l], qs[l], len);
+                        assert_eq!(events, scalar[..events.len()], "{tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Zero insertion one bit at a time: output bit `p` is clear when
+    /// `p` is a zero, else source bit `p − #{zeros < p}`.
+    fn bitwise_splice(
+        src: &[u64],
+        lane: usize,
+        stride: usize,
+        len: usize,
+        zeros: &[usize],
+    ) -> Vec<u64> {
+        let mut out = vec![0u64; len.div_ceil(64)];
+        for p in 0..len {
+            if !zeros.contains(&p) {
+                let s = p - zeros.iter().filter(|&&z| z < p).count();
+                out[p / 64] |= (src[(s / 64) * stride + lane] >> (s % 64) & 1) << (p % 64);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn vector_splice_equals_bitwise_zero_insertion() {
+        let mut rng = SplitMix64::new(0x5_9111CE);
+        for stride in [1usize, 4, 8] {
+            for len in [1usize, 64, 65, 700, 4097] {
+                let nwords = len.div_ceil(64);
+                let tail = if len % 64 == 0 {
+                    u64::MAX
+                } else {
+                    (1 << (len % 64)) - 1
+                };
+                let init: Vec<u64> = (0..nwords * stride)
+                    .map(|i| {
+                        rng.next_u64()
+                            & if i / stride + 1 == nwords {
+                                tail
+                            } else {
+                                u64::MAX
+                            }
+                    })
+                    .collect();
+                // Per lane: no zeros, a few, the full cap, zeros packed
+                // into few words, and zeros at both stream ends.
+                let mut marks = vec![0u64; nwords * stride];
+                let mut counts = [0usize; 8];
+                let mut lists = vec![Vec::new(); stride];
+                for l in 0..stride {
+                    let want = [0, 3, MAX_SPLICE_ZEROS, 40, 2, 1, 17, 63][(l + len) % 8].min(len);
+                    let mut z: Vec<usize> = match l % 3 {
+                        0 => (0..want)
+                            .map(|_| (rng.next_u64() % len as u64) as usize)
+                            .collect(),
+                        1 => (0..want).map(|i| (len - 1 - i).min(len / 2 + i)).collect(),
+                        _ => (0..want)
+                            .map(|i| i * (len / want.max(1)).max(1) % len)
+                            .collect(),
+                    };
+                    z.sort_unstable();
+                    z.dedup();
+                    for &p in &z {
+                        marks[(p / 64) * stride + l] |= 1 << (p % 64);
+                    }
+                    counts[l] = z.len();
+                    lists[l] = z;
+                }
+                let lanes = (u8::MAX >> (8 - stride)) & !4;
+                let mut want = init.clone();
+                for (l, z) in lists
+                    .iter()
+                    .enumerate()
+                    .filter(|&(l, _)| lanes >> l & 1 == 1)
+                {
+                    for (w, v) in bitwise_splice(&init, l, stride, len, z)
+                        .into_iter()
+                        .enumerate()
+                    {
+                        want[w * stride + l] = v;
+                    }
+                }
+                let mut got = init.clone();
+                let tag = format!("stride {stride} len {len}");
+                if splice_zero_lanes(&mut got, &marks, stride, len, &counts, lanes) {
+                    assert_eq!(got, want, "{tag}");
+                } else {
+                    assert_eq!(got, init, "a declining splice touched the words: {tag}");
                 }
             }
         }
