@@ -15,7 +15,7 @@
 //! [osc_service] listening on 127.0.0.1:7411 (3 workers, depth 2, queue cap 64)
 //! ```
 //!
-//! Clients speak the v2/v3 framed wire protocol (see the `shard`
+//! Clients speak the framed wire protocol (see the `shard`
 //! module's *Service framing* doc section); `gamma_pool --service` is
 //! the matching load generator. The transmission backend travels
 //! per-request in the canonical circuit bytes, so one service instance

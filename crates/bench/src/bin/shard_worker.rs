@@ -4,18 +4,18 @@
 //! shard_worker            # serve the wire protocol over stdin/stdout
 //! ```
 //!
-//! Speaks the framed binary protocol documented in
-//! [`osc_core::batch::shard`] — both versions: one-shot v1 requests and
-//! the v2 pool protocol (request IDs, cached-circuit references; the
-//! last few built circuits persist across requests in an LRU cache, so
-//! a pool's repeat requests skip the rebuild). Reads request frames
-//! from stdin until EOF, answering each with one response frame on
-//! stdout in the version it arrived in. Every expressible failure —
-//! malformed frames, unknown protocol versions, invalid configurations,
-//! evaluation errors, caught panics — is reported *as an error
-//! response*, so a coordinator never sees this process abort on bad
-//! input; a non-zero exit happens only when the transport itself dies
-//! (truncated frame, oversized length prefix, vanished pipe).
+//! Speaks the one framed binary protocol documented in
+//! [`osc_core::batch::shard`]: request IDs and cached-circuit
+//! references (the last few built circuits persist across requests in
+//! an LRU cache, so a pool's repeat requests skip the rebuild). Reads
+//! request frames from stdin until EOF, answering each with one
+//! response frame on stdout. Every expressible failure — malformed
+//! frames, other protocol versions, sizes past the decode-time bounds,
+//! invalid configurations, evaluation errors, caught panics — is
+//! reported *as an error response*, so a coordinator never sees this
+//! process abort on bad input; a non-zero exit happens only when the
+//! transport itself dies (truncated frame, oversized length prefix,
+//! vanished pipe).
 //!
 //! The in-process thread count follows `OSC_THREADS` (the coordinator
 //! exports it when pinned via `ShardCoordinator::with_worker_threads`

@@ -9,7 +9,7 @@
 //! [`Image::blobs`] frame through the paper's order-6 gamma circuit
 //! when `r` is even and the order-3 smoothstep contrast circuit when
 //! `r` is odd, with a per-request backend seed — the alternating
-//! circuits keep both digests live in the workers' v2 circuit caches,
+//! circuits keep both digests live in the workers' circuit caches,
 //! so a pooled run exercises the cache-hit path on every request after
 //! the first two.
 //!

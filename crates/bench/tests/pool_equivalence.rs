@@ -6,7 +6,7 @@
 //! [`ShardError`] value with the pool still usable afterwards.
 //!
 //! This suite owns the worker binary via `CARGO_BIN_EXE_shard_worker`;
-//! the in-memory v2 protocol properties live in
+//! the in-memory wire protocol properties live in
 //! `osc-core/tests/shard_equivalence.rs` and
 //! `osc-core/tests/protocol_robustness.rs`.
 
@@ -528,6 +528,39 @@ fn garbage_speaking_worker_fails_as_a_value() {
         .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
         .unwrap_err();
     assert!(matches!(err, ShardError::Worker { .. }), "{err}");
+}
+
+#[test]
+fn out_of_bounds_request_sizes_are_remote_errors_and_the_workers_survive() {
+    // A 2^40-bit stream used to abort the worker on a 512 GiB
+    // allocation, surfacing as "worker closed its pipe"; a batch
+    // starting at index u64::MAX wrapped to index 0. Both are now
+    // refused at decode time: each fails as a Remote error value, no
+    // worker is respawned, and the next good request is answered.
+    let system = fig5_system();
+    let mut pool = PoolConfig::new(WORKER, 2).spawn().unwrap();
+    let pids = pool.worker_pids();
+    let bad = [
+        ShardRequest::batch(&system, SngKind::Xoshiro, 0, &[0.5], 1 << 40, 1, None),
+        ShardRequest::batch(&system, SngKind::Xoshiro, u64::MAX, &[0.5], 64, 1, None),
+    ];
+    for (request, what) in bad.iter().zip(["stream length", "overflows"]) {
+        let err = pool
+            .run_requests(std::slice::from_ref(request), &[1])
+            .unwrap_err();
+        assert!(
+            matches!(&err, ShardError::Remote { detail, .. } if detail.contains(what)),
+            "{err}"
+        );
+    }
+    assert_eq!(pool.worker_pids(), pids, "no worker died or was respawned");
+    let runs = pool
+        .evaluate_many(&system, SngKind::Xoshiro, &[0.5], 64, 1, None)
+        .unwrap();
+    assert_eq!(
+        runs,
+        reference_runs(&system, SngKind::Xoshiro, &[0.5], 64, 1)
+    );
 }
 
 #[test]

@@ -400,77 +400,20 @@ impl BatchEvaluator {
         S: StochasticNumberGenerator,
         F: Fn(u64) -> S + Sync,
     {
-        self.evaluate_range(system, xs, stream_length, sng_factory, seed, 0)
-    }
-
-    /// [`BatchEvaluator::evaluate_many`] with an optional batch-level
-    /// [`FaultSpec`]: item `i` perturbs its streams with
-    /// `faults.rebased(i)`, mirroring the `mix_seed(seed, i)` SNG
-    /// derivation, so faulty results are as blocking/thread/shard
-    /// invariant as clean ones. `faults: None` is the clean path.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an invalid spec ([`FaultSpec::validate`]) before any
-    /// evaluation; otherwise propagates the first evaluation failure.
-    pub fn evaluate_many_faulted<S, F>(
-        &self,
-        system: &OpticalScSystem,
-        xs: &[f64],
-        stream_length: usize,
-        sng_factory: F,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Result<Vec<OpticalRun>, CircuitError>
-    where
-        S: StochasticNumberGenerator,
-        F: Fn(u64) -> S + Sync,
-    {
-        self.evaluate_range_faulted(system, xs, stream_length, sng_factory, seed, 0, faults)
+        self.evaluate_range_faulted(system, xs, stream_length, sng_factory, seed, 0, None)
     }
 
     /// [`BatchEvaluator::evaluate_many`] for a contiguous *slice of a
-    /// larger batch*: item `i` of `xs` derives its generators from
-    /// `mix_seed(seed, first_index + i)`. This is the primitive the
-    /// process-sharding layer ([`shard`]) runs inside each worker — a
-    /// shard covering global indices `[a, b)` calls
-    /// `evaluate_range(..., a)` and reproduces exactly the runs a
-    /// single-process `evaluate_many` over the whole batch would have
-    /// produced for those indices, because every item's universe depends
-    /// only on `(seed, global index)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first evaluation failure (by index order).
-    pub fn evaluate_range<S, F>(
-        &self,
-        system: &OpticalScSystem,
-        xs: &[f64],
-        stream_length: usize,
-        sng_factory: F,
-        seed: u64,
-        first_index: u64,
-    ) -> Result<Vec<OpticalRun>, CircuitError>
-    where
-        S: StochasticNumberGenerator,
-        F: Fn(u64) -> S + Sync,
-    {
-        self.evaluate_range_faulted(
-            system,
-            xs,
-            stream_length,
-            sng_factory,
-            seed,
-            first_index,
-            None,
-        )
-    }
-
-    /// [`BatchEvaluator::evaluate_range`] with an optional batch-level
-    /// [`FaultSpec`]: item `i` of `xs` perturbs with
-    /// `faults.rebased(first_index + i)` — the global index, so a shard
-    /// evaluating `[a, b)` injects exactly the faults the full batch
-    /// would have at those indices (faulty sharded ≡ faulty unsharded).
+    /// larger batch*, optionally under a batch-level [`FaultSpec`]. Item
+    /// `i` of `xs` derives its generators from
+    /// `mix_seed(seed, first_index + i)` and perturbs its streams with
+    /// `faults.rebased(first_index + i)` — the global index in both
+    /// cases. This is the primitive the process-sharding layer
+    /// ([`shard`]) runs inside each worker: a shard covering global
+    /// indices `[a, b)` passes `first_index = a` and reproduces exactly
+    /// the runs — faulty or clean — a single-process evaluation of the
+    /// whole batch produces at those indices. `first_index` 0 with
+    /// `faults: None` is [`BatchEvaluator::evaluate_many`].
     ///
     /// # Errors
     ///
@@ -836,7 +779,7 @@ mod tests {
             .unwrap();
         for (a, b) in [(0usize, 5usize), (5, 17), (3, 4), (16, 17), (7, 7)] {
             let part = BatchEvaluator::with_threads(3)
-                .evaluate_range(&s, &xs[a..b], 700, XoshiroSng::new, 55, a as u64)
+                .evaluate_range_faulted(&s, &xs[a..b], 700, XoshiroSng::new, 55, a as u64, None)
                 .unwrap();
             assert_eq!(part, full[a..b].to_vec(), "range {a}..{b}");
         }

@@ -7,9 +7,9 @@
 //!
 //! - [`ShardPlan`] — splits a batch of `n` items into contiguous,
 //!   balanced index ranges, one per shard;
-//! - the **wire protocol** ([`ShardRequest`] / [`ShardResponse`], see
-//!   below) — a framed, versioned binary encoding of "evaluate these
-//!   items of this system" and the per-item [`OpticalRun`]s coming back;
+//! - the **wire protocol** ([`ShardRequest`] / [`ShardResponseV2`], see
+//!   below) — one framed binary codec for "evaluate these items of this
+//!   system" and the per-item [`OpticalRun`]s coming back;
 //! - [`serve`] — the worker side: a read-request/write-response loop any
 //!   binary can expose over stdin/stdout (the `osc-bench` crate ships it
 //!   as the `shard_worker` binary), holding a small LRU cache of built
@@ -58,7 +58,7 @@
 //! `mix_seed(mix_seed(seed, row), column)` for image jobs — exactly as
 //! the single-process paths ([`super::BatchEvaluator::evaluate_many`],
 //! the row+lane image pipelines) do. A shard covering `[a, b)` runs
-//! [`super::BatchEvaluator::evaluate_range`] with `first_index = a`
+//! [`super::BatchEvaluator::evaluate_range_faulted`] with `first_index = a`
 //! inside its own process, so concatenating shard outputs in plan order
 //! is **byte-identical** to the unsharded evaluation for every shard
 //! count, worker thread count and SIMD tier. The `f64` payloads travel
@@ -67,82 +67,112 @@
 //!
 //! # Wire protocol
 //!
-//! Both directions use the same framing: a little-endian `u64` payload
-//! length (capped at [`MAX_FRAME_BYTES`] — a garbled prefix is rejected
-//! before any allocation), then the payload. Integers are little-endian;
-//! every `f64` is its IEEE-754 bit pattern as a `u64`. A worker reads
-//! frames until EOF and answers each with exactly one response frame.
-//! Two payload versions coexist — the version word directly after the
-//! magic selects the decoder, and [`serve`] answers a frame in the
-//! version it arrived in, so v1 coordinators keep working against v2
-//! workers unchanged.
+//! One codec, one version. Both directions use the same framing: a
+//! little-endian `u64` payload length, then the payload. Integers are
+//! little-endian; every `f64` is its IEEE-754 bit pattern as a `u64`. A
+//! worker reads frames until EOF and answers each with exactly one
+//! response frame.
 //!
-//! Version-1 request payload:
+//! Request payload ([`encode_request_v2`] / [`decode_request_v2`]):
 //!
 //! ```text
 //! u32  magic  "OSCR" (0x4F53_4352)
-//! u32  version (currently 1)
+//! u32  version (3, PROTOCOL_VERSION)
+//! u64  request id (opaque to the worker, echoed in the response)
+//! u8   circuit kind  0 = inline, 1 = cached reference
 //! u8   job kind      0 = Batch, 1 = ImageRows
 //! u8   SNG kind      0 = lfsr, 1 = counter, 2 = xoshiro, 3 = chaotic
-//! u16  reserved (0)
+//! u8   reserved (0)
 //! u64  batch seed
 //! u64  stream length (bits per evaluation)
-//! CircuitParams      one u64: order in the low 32 bits, backend tag
-//!                    in the high 32 bits ([`crate::backend::BackendKind::tag`];
-//!                    0 = MRR/MZI, 1 = nanocavity); then 19 f64s in
-//!                    declaration order
-//!                    (spacing, λ_last, λ_ref, MZI IL dB, MZI ER dB,
-//!                    modulator r1/r2/a/FSR/Δλ, filter r1/r2/a/FSR/OTE,
-//!                    pump mW, probe mW, responsivity, noise current)
-//! u64  coefficient count, then that many f64 Bernstein coefficients
+//! u8   fault present  0 = none, 1 = spec follows
+//! if present: f64 flip probability, f64 shift probability,
+//!             u64 flip seed, u64 shift seed,
+//!             u8 stuck-at present (0/1), then u64 mask + u64 value
+//! inline:  CircuitParams — one u64: order in the low 32 bits, backend
+//!          tag in the high 32 bits; then 19 f64s in declaration order
+//!          (spacing, λ_last, λ_ref, MZI IL dB, MZI ER dB, modulator
+//!          r1/r2/a/FSR/Δλ, filter r1/r2/a/FSR/OTE, pump mW, probe mW,
+//!          responsivity, noise current) — then u64 coefficient count
+//!          and that many f64 Bernstein coefficients
+//! cached:  u64 digest (the worker looks the system up; a miss is
+//!          answered with a cache-miss response, never an evaluation)
 //! Batch job:     u64 first global index, u64 count, count × f64 inputs
 //! ImageRows job: u64 image width, u64 first global row, u64 pixel
 //!                count, count × f64 pixels (row-major)
 //! ```
 //!
-//! Version-1 response payload:
+//! Response payload ([`encode_response_v2`] / [`decode_response_v2`]):
 //!
 //! ```text
 //! u32  magic  "OSCA" (0x4F53_4341)
-//! u32  version (1)
-//! u8   status        0 = ok, 1 = error
-//! ok:    u64 run count, then per run: estimate, ideal_estimate, exact,
-//!        observed_ber (4 × f64) and stream_length (u64), in item order
-//! error: u64 message length, then that many UTF-8 bytes
+//! u32  version (3, PROTOCOL_VERSION)
+//! u64  request id (echoed)
+//! u8   status        0 = ok, 1 = error, 2 = cache miss
+//! ok:         u64 run count, then per run: estimate, ideal_estimate,
+//!             exact, observed_ber (4 × f64) and stream_length (u64), in
+//!             item order
+//! error:      u64 message length, then that many UTF-8 bytes
+//! cache miss: u64 digest that was not found (the sender falls back to
+//!             an inline request; [`pool::WorkerPool`] does this
+//!             transparently)
 //! ```
 //!
-//! ## Backend tag and backward compatibility
+//! ## The version rule
+//!
+//! Every encoder writes [`PROTOCOL_VERSION`], and it is the only version
+//! the decoders accept. Coordinator and worker ship from the same build,
+//! so there is nothing to negotiate: a frame with a bad magic or any
+//! other version word is refused. [`serve`] (and the TCP service)
+//! answers such a frame with an error response that echoes the bytes
+//! where the request ID would sit and names the problem, then keeps
+//! serving.
+//!
+//! ## Decode-time bounds
+//!
+//! Every size a frame supplies is checked before it is trusted, so one
+//! hostile or corrupted frame costs an error value, never a worker:
+//!
+//! - a length prefix above [`MAX_FRAME_BYTES`] is refused before any
+//!   allocation, and the payload buffer grows only as bytes actually
+//!   arrive ([`read_frame`]);
+//! - a declared element count (coefficients, inputs, pixels, runs,
+//!   message bytes) must fit in the bytes left in the payload;
+//! - a stream length above [`MAX_STREAM_LENGTH`] is refused;
+//! - a batch whose first index plus item count, or an image whose first
+//!   row plus row count, overflows `u64` is refused, as is an image
+//!   whose width is zero or does not divide its pixel count;
+//! - the fault block is validated ([`crate::fault::FaultSpec::validate`]:
+//!   probabilities finite and in `[0, 1]`).
+//!
+//! ## Backend tag
 //!
 //! The transmission backend rides in the **high 32 bits of the order
-//! word** of the `CircuitParams` block — the same packing in every
-//! protocol version. The rule that keeps this compatible both ways:
-//! the default backend ([`crate::backend::BackendKind::MrrMzi`]) is
-//! tag **0**, so default-backend traffic is byte-identical to frames
-//! produced before the tag existed — digests, cache keys and recorded
-//! fixtures all survive unchanged. A peer too old to know the tag
-//! decodes a non-default frame as an absurd order (≥ 2³²) and fails
-//! its order validation loudly; a peer receiving an unknown tag
-//! rejects the frame with a clean `unknown backend tag` error. Either
-//! way a mismatch is an error response, never silently-wrong physics.
-//! The tag is part of the canonical circuit bytes, so
+//! word** of the `CircuitParams` block
+//! ([`crate::backend::BackendKind::tag`]: 0 = MRR/MZI, 1 = nanocavity).
+//! The default backend ([`crate::backend::BackendKind::MrrMzi`]) is tag
+//! **0**, so its
+//! canonical circuit bytes — and with them [`circuit_digest`] and every
+//! cache key — are the same as before the tag existed. An unknown tag is
+//! a clean `unknown backend tag` decode error, never silently-wrong
+//! physics. The tag is part of the canonical circuit bytes, so
 //! [`circuit_digest`] and the full cache key separate backends that
 //! share every numeric parameter.
 //!
-//! # Wire protocol v2 (request IDs + circuit cache)
+//! ## Request IDs and the circuit cache
 //!
-//! Version 2 adds what a persistent pool needs: a **request ID** echoed
-//! in every response (so one worker can serve interleaved requests from
-//! a coordinator and desyncs are detectable), and a **circuit-cache
-//! reference** so a stream of requests against the same circuit ships
-//! the parameters + coefficients once. The worker keeps the last
-//! [`CIRCUIT_CACHE_CAPACITY`] built [`OpticalScSystem`]s in LRU order,
-//! keyed by [`circuit_digest`] (FNV-1a over the canonical encoding of
-//! params + coefficients). Digest collisions cannot silently evaluate
-//! the wrong circuit: inline insertions compare the full encoded key
-//! and evict any same-digest entry with a different key (one circuit
-//! per digest, always), and [`pool::WorkerPool`] only sends a cached
-//! reference when the full key matches the circuit it last shipped
-//! inline under that digest — a collision costs rebuilds, never
+//! The request ID echoed in every response lets one worker serve
+//! pipelined requests from a coordinator and makes desyncs detectable.
+//! The circuit-cache reference lets a stream of requests against the
+//! same circuit ship the parameters + coefficients once. The worker
+//! keeps the last [`CIRCUIT_CACHE_CAPACITY`] built [`OpticalScSystem`]s
+//! in LRU order, keyed by [`circuit_digest`] (FNV-1a over the canonical
+//! encoding of params + coefficients). Digest collisions cannot silently
+//! evaluate the wrong circuit: inline insertions compare the full
+//! encoded key and evict any same-digest entry with a different key
+//! (one circuit per digest, always), and [`pool::WorkerPool`] only sends
+//! a cached reference when the full key matches the circuit it last
+//! shipped inline under that digest — a collision costs rebuilds, never
 //! correctness.
 //!
 //! **Sizing the cache for many-distinct-circuits workloads.** The
@@ -158,81 +188,12 @@
 //! rebuild time, never bytes, so this is purely a throughput knob (the
 //! `design_sweep_order_grid` bench record tracks it).
 //!
-//! Version-2 request payload ([`encode_request_v2`] / [`decode_request_v2`]):
+//! ## Faults
 //!
-//! ```text
-//! u32  magic  "OSCR"
-//! u32  version (2)
-//! u64  request id (opaque to the worker, echoed in the response)
-//! u8   circuit kind  0 = inline, 1 = cached reference
-//! u8   job kind      0 = Batch, 1 = ImageRows
-//! u8   SNG kind      0 = lfsr, 1 = counter, 2 = xoshiro, 3 = chaotic
-//! u8   reserved (0)
-//! u64  batch seed
-//! u64  stream length (bits per evaluation)
-//! inline:  CircuitParams + u64 coefficient count + coefficients
-//!          (worker builds — or reuses — the system and caches it
-//!          under its digest)
-//! cached:  u64 digest (worker looks the system up; a miss is answered
-//!          with a cache-miss response, never an evaluation)
-//! job body exactly as in version 1
-//! ```
-//!
-//! Version-2 response payload ([`encode_response_v2`] / [`decode_response_v2`]):
-//!
-//! ```text
-//! u32  magic  "OSCA"
-//! u32  version (2)
-//! u64  request id (echoed)
-//! u8   status        0 = ok, 1 = error, 2 = cache miss
-//! ok / error: exactly the version-1 bodies
-//! cache miss: u64 digest that was not found (the sender falls back to
-//!             an inline request; [`pool::WorkerPool`] does this
-//!             transparently)
-//! ```
-//!
-//! # Wire protocol v3 (fault injection)
-//!
-//! Version 3 carries an optional [`crate::fault::FaultSpec`] so faulty
-//! evaluation rides the same shard/pool machinery as clean evaluation.
-//! The layout is exactly the v2 request with version word `3` and one
-//! **fault block** inserted between the stream length and the circuit:
-//!
-//! ```text
-//! u32  magic  "OSCR"
-//! u32  version (3)
-//! u64  request id
-//! u8   circuit kind, u8 job kind, u8 SNG kind, u8 reserved — as in v2
-//! u64  batch seed
-//! u64  stream length (bits per evaluation)
-//! u8   fault present  0 = none, 1 = spec follows
-//! if present: f64 flip probability, f64 shift probability,
-//!             u64 flip seed, u64 shift seed,
-//!             u8 stuck-at present (0/1), then u64 mask + u64 value
-//! circuit + job bodies exactly as in version 2
-//! ```
-//!
-//! Version-negotiation rules:
-//!
-//! - [`encode_request_v2`] emits version **2** when the request carries
-//!   no fault spec and version **3** only when one is present, so
-//!   fault-free traffic is byte-identical to what a pre-fault build
-//!   emits and keeps working against old workers unchanged;
-//! - [`decode_request_v2`] accepts versions 2 and 3 (a v2 frame simply
-//!   has no fault block); [`serve`] answers both with **v2 responses**
-//!   — responses are unversioned by faults;
-//! - the decoded [`crate::fault::FaultSpec`] is validated at decode
-//!   time (probabilities finite, in `[0, 1]`): a malformed spec comes
-//!   back as an error *value* with the echoed request ID, never a
-//!   worker panic;
-//! - an old worker that predates v3 fails the v2 sniff on a v3 frame
-//!   and answers a clean v1 "unsupported version" error — a faulty
-//!   request against an old worker fails fast, it never hangs;
-//! - v1 frames cannot carry a fault spec at all ([`encode_request`]
-//!   ignores the field; [`decode_request`] yields `faults: None`).
-//!
-//! The fault determinism contract matches the clean one: workers rebase
-//! the request-level spec per item — [`crate::fault::FaultSpec::rebased`]
+//! The optional [`crate::fault::FaultSpec`] lets faulty evaluation ride
+//! the same shard/pool machinery as clean evaluation. The fault
+//! determinism contract matches the clean one: workers rebase the
+//! request-level spec per item — [`crate::fault::FaultSpec::rebased`]
 //! with the global index for flat batches, by row then column for image
 //! jobs — so faulty sharded ≡ faulty unsharded ≡ faulty pooled, bit for
 //! bit, for every shard count.
@@ -260,13 +221,10 @@
 //!   connection) but never out of order. The connection ends when the
 //!   client closes it (half-close or full close), when a transport
 //!   error occurs, or when the service drains.
-//! - **Version negotiation per connection.** Each *frame* carries its
-//!   own version word, exactly as on a worker pipe. The service accepts
-//!   v2 and v3 frames (v3 iff a fault block is present) and answers in
-//!   kind. v1 frames — which carry no request ID, so desyncs on a
-//!   shared transport would be silent — are answered with a clean **v1
-//!   error value** naming the requirement, and the connection stays
-//!   open: a client can upgrade mid-connection.
+//! - **One version.** Each *frame* carries its own version word,
+//!   exactly as on a worker pipe, under the same rule: anything but
+//!   [`PROTOCOL_VERSION`] is answered with an error value and the
+//!   connection stays open.
 //! - **Per-connection circuit cache.** Each connection holds its own
 //!   LRU of [`CIRCUIT_CACHE_CAPACITY`] circuits keyed by
 //!   [`circuit_digest`]; [`CircuitRef::Cached`] references resolve
@@ -312,14 +270,9 @@ pub mod service;
 pub const REQUEST_MAGIC: u32 = 0x4F53_4352;
 /// Response frame magic, `"OSCA"`.
 pub const RESPONSE_MAGIC: u32 = 0x4F53_4341;
-/// Original protocol version: one-shot requests, circuit always inline.
-pub const PROTOCOL_VERSION: u32 = 1;
-/// Pool protocol version: request IDs + worker-side circuit cache.
-pub const PROTOCOL_VERSION_V2: u32 = 2;
-/// Fault-injection protocol version: the v2 layout plus an optional
-/// [`FaultSpec`] block. Emitted only when a request actually carries a
-/// spec — fault-free traffic stays on v2.
-pub const PROTOCOL_VERSION_V3: u32 = 3;
+/// The wire protocol version: every encoder writes it, and it is the
+/// only version the decoders accept.
+pub const PROTOCOL_VERSION: u32 = 3;
 /// Upper bound accepted for any frame payload: a corrupted or hostile
 /// length prefix is rejected with a clean protocol error **before** any
 /// allocation is attempted. 256 MiB comfortably covers the largest real
@@ -328,8 +281,13 @@ pub const PROTOCOL_VERSION_V3: u32 = 3;
 /// carry 40 bytes per run, so the cap also bounds one shard to ~6.7M
 /// items per response — plan more shards for batches beyond that.
 pub const MAX_FRAME_BYTES: u64 = 256 * (1 << 20);
+/// Upper bound on a request's stream length (bits per evaluation),
+/// enforced at decode time so a forged length cannot drive a worker
+/// into an allocation it cannot satisfy. Every stream the repo's
+/// binaries and tests ship is at most 2¹⁷ bits.
+pub const MAX_STREAM_LENGTH: u64 = 1 << 24;
 /// How many built [`OpticalScSystem`]s a [`serve`] loop keeps, in LRU
-/// order, for v2 cached-circuit requests.
+/// order, for cached-circuit requests.
 pub const CIRCUIT_CACHE_CAPACITY: usize = 8;
 /// Register width used when a wire request selects the LFSR source; the
 /// per-item seed is truncated to the register. Width 16 is inside the
@@ -650,8 +608,7 @@ pub struct ShardRequest {
     pub seed: u64,
     /// Stream length (bits) per evaluation.
     pub stream_length: u64,
-    /// Optional fault process, rebased per item on the worker. Only
-    /// travels on v3 frames; v1 encoding drops it.
+    /// Optional fault process, rebased per item on the worker.
     pub faults: Option<FaultSpec>,
     /// The work itself.
     pub job: ShardJob,
@@ -726,15 +683,6 @@ impl ShardRequest {
     }
 }
 
-/// One framed response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ShardResponse {
-    /// Per-item runs, in item order.
-    Runs(Vec<OpticalRun>),
-    /// The worker rejected the request or failed evaluating it.
-    Error(String),
-}
-
 // ---------------------------------------------------------------------
 // Encoding primitives
 // ---------------------------------------------------------------------
@@ -777,10 +725,6 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
     fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -793,15 +737,23 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// `count` f64s, refused before any allocation unless the payload
+    /// still holds them, and allocated exactly once.
     fn f64_vec(&mut self, count: u64) -> Result<Vec<f64>, String> {
-        let count = usize::try_from(count).map_err(|_| "count overflows usize".to_string())?;
-        if count
-            .checked_mul(8)
-            .is_none_or(|bytes| bytes > self.buf.len() - self.pos)
-        {
-            return Err(format!("declared {count} f64s exceed the payload"));
-        }
-        (0..count).map(|_| self.f64()).collect()
+        let bytes = usize::try_from(count)
+            .ok()
+            .and_then(|n| n.checked_mul(8))
+            .filter(|&bytes| bytes <= self.remaining())
+            .ok_or_else(|| format!("declared {count} f64s exceed the payload"))?;
+        Ok(self
+            .take(bytes)?
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().expect("8-byte chunk"))))
+            .collect())
     }
 
     fn finished(&self) -> bool {
@@ -913,11 +865,18 @@ fn encode_job(buf: &mut Vec<u8>, job: &ShardJob) {
     }
 }
 
+/// Reads a job body, refusing index ranges that overflow `u64` and
+/// images whose width does not tile the pixel count.
 fn decode_job(c: &mut Cursor<'_>, job_kind: u8) -> Result<ShardJob, String> {
     match job_kind {
         0 => {
             let first_index = c.u64()?;
             let n = c.u64()?;
+            if first_index.checked_add(n).is_none() {
+                return Err(format!(
+                    "batch index range {first_index} + {n} overflows u64"
+                ));
+            }
             Ok(ShardJob::Batch {
                 first_index,
                 xs: c.f64_vec(n)?,
@@ -927,6 +886,20 @@ fn decode_job(c: &mut Cursor<'_>, job_kind: u8) -> Result<ShardJob, String> {
             let width = c.u64()?;
             let first_row = c.u64()?;
             let n = c.u64()?;
+            if width == 0 {
+                return Err("image width must be positive".to_string());
+            }
+            if !n.is_multiple_of(width) {
+                return Err(format!(
+                    "pixel count {n} is not a multiple of width {width}"
+                ));
+            }
+            if first_row.checked_add(n / width).is_none() {
+                return Err(format!(
+                    "image row range {first_row} + {} overflows u64",
+                    n / width
+                ));
+            }
             Ok(ShardJob::ImageRows {
                 width,
                 first_row,
@@ -937,171 +910,7 @@ fn decode_job(c: &mut Cursor<'_>, job_kind: u8) -> Result<ShardJob, String> {
     }
 }
 
-/// Serializes a request into one frame payload (no length prefix).
-///
-/// Version 1 has no fault field: a `faults` spec on the request does
-/// **not** travel on a v1 frame (use [`encode_request_v2`], which
-/// negotiates up to v3 when a spec is present).
-pub fn encode_request(req: &ShardRequest) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(256);
-    put_u32(&mut buf, REQUEST_MAGIC);
-    put_u32(&mut buf, PROTOCOL_VERSION);
-    buf.push(req.job.kind());
-    buf.push(req.sng.as_u8());
-    buf.extend_from_slice(&0u16.to_le_bytes());
-    put_u64(&mut buf, req.seed);
-    put_u64(&mut buf, req.stream_length);
-    encode_params(&mut buf, &req.params);
-    put_u64(&mut buf, req.coeffs.len() as u64);
-    for &c in &req.coeffs {
-        put_f64(&mut buf, c);
-    }
-    encode_job(&mut buf, &req.job);
-    buf
-}
-
-/// Parses a request frame payload.
-///
-/// # Errors
-///
-/// A description of the first violation (bad magic, unknown version,
-/// truncation, trailing bytes).
-pub fn decode_request(payload: &[u8]) -> Result<ShardRequest, String> {
-    let mut c = Cursor::new(payload);
-    let magic = c.u32()?;
-    if magic != REQUEST_MAGIC {
-        return Err(format!("bad request magic {magic:#010x}"));
-    }
-    let version = c.u32()?;
-    if version != PROTOCOL_VERSION {
-        return Err(format!(
-            "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
-        ));
-    }
-    let job_kind = c.u8()?;
-    let sng = SngKind::from_u8(c.u8()?)?;
-    let _reserved = c.u16()?;
-    let seed = c.u64()?;
-    let stream_length = c.u64()?;
-    let params = decode_params(&mut c)?;
-    let n_coeffs = c.u64()?;
-    let coeffs = c.f64_vec(n_coeffs)?;
-    let job = decode_job(&mut c, job_kind)?;
-    if !c.finished() {
-        return Err(format!(
-            "{} trailing bytes after request",
-            payload.len() - c.pos
-        ));
-    }
-    Ok(ShardRequest {
-        params,
-        coeffs,
-        sng,
-        seed,
-        stream_length,
-        faults: None,
-        job,
-    })
-}
-
-/// Serializes a response into one frame payload (no length prefix).
-pub fn encode_response(resp: &ShardResponse) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    put_u32(&mut buf, RESPONSE_MAGIC);
-    put_u32(&mut buf, PROTOCOL_VERSION);
-    match resp {
-        ShardResponse::Runs(runs) => {
-            buf.push(0);
-            put_u64(&mut buf, runs.len() as u64);
-            for run in runs {
-                put_f64(&mut buf, run.estimate);
-                put_f64(&mut buf, run.ideal_estimate);
-                put_f64(&mut buf, run.exact);
-                put_f64(&mut buf, run.observed_ber);
-                put_u64(&mut buf, run.stream_length as u64);
-            }
-        }
-        ShardResponse::Error(msg) => {
-            buf.push(1);
-            put_u64(&mut buf, msg.len() as u64);
-            buf.extend_from_slice(msg.as_bytes());
-        }
-    }
-    buf
-}
-
-/// Parses a response frame payload.
-///
-/// # Errors
-///
-/// A description of the first violation (bad magic, unknown version,
-/// truncation, trailing bytes).
-pub fn decode_response(payload: &[u8]) -> Result<ShardResponse, String> {
-    let mut c = Cursor::new(payload);
-    let magic = c.u32()?;
-    if magic != RESPONSE_MAGIC {
-        return Err(format!("bad response magic {magic:#010x}"));
-    }
-    let version = c.u32()?;
-    if version != PROTOCOL_VERSION {
-        return Err(format!(
-            "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
-        ));
-    }
-    let resp = match c.u8()? {
-        0 => {
-            let count = c.u64()?;
-            let count =
-                usize::try_from(count).map_err(|_| "run count overflows usize".to_string())?;
-            if count
-                .checked_mul(40)
-                .is_none_or(|bytes| bytes > payload.len())
-            {
-                return Err(format!("declared {count} runs exceed the payload"));
-            }
-            let mut runs = Vec::with_capacity(count);
-            for _ in 0..count {
-                let estimate = c.f64()?;
-                let ideal_estimate = c.f64()?;
-                let exact = c.f64()?;
-                let observed_ber = c.f64()?;
-                let stream_length = usize::try_from(c.u64()?)
-                    .map_err(|_| "stream length overflows usize".to_string())?;
-                runs.push(OpticalRun {
-                    estimate,
-                    ideal_estimate,
-                    exact,
-                    observed_ber,
-                    stream_length,
-                });
-            }
-            ShardResponse::Runs(runs)
-        }
-        1 => {
-            let len = c.u64()?;
-            let bytes = c.take(
-                usize::try_from(len).map_err(|_| "message length overflows usize".to_string())?,
-            )?;
-            ShardResponse::Error(
-                String::from_utf8(bytes.to_vec()).map_err(|_| "non-UTF-8 error message")?,
-            )
-        }
-        other => return Err(format!("unknown response status {other}")),
-    };
-    if !c.finished() {
-        return Err(format!(
-            "{} trailing bytes after response",
-            payload.len() - c.pos
-        ));
-    }
-    Ok(resp)
-}
-
-// ---------------------------------------------------------------------
-// Protocol v2: request IDs + circuit-cache references
-// ---------------------------------------------------------------------
-
-/// How a v2 request names its circuit.
+/// How a request names its circuit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CircuitRef {
     /// Parameters + coefficients shipped in full; the worker builds (or
@@ -1121,7 +930,8 @@ pub enum CircuitRef {
     },
 }
 
-/// One decoded v2 request.
+/// One decoded request: a [`ShardRequest`] whose circuit may travel as
+/// a cache reference, plus the request ID.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRequestV2 {
     /// Opaque to the worker; echoed verbatim in the response.
@@ -1134,14 +944,14 @@ pub struct ShardRequestV2 {
     pub seed: u64,
     /// Stream length (bits) per evaluation.
     pub stream_length: u64,
-    /// Optional fault process (v3 frames only), validated at decode and
-    /// rebased per item on the worker.
+    /// Optional fault process, validated at decode and rebased per item
+    /// on the worker.
     pub faults: Option<FaultSpec>,
     /// The work itself.
     pub job: ShardJob,
 }
 
-/// One v2 response, always echoing the request ID.
+/// One response, always echoing the request ID.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ShardResponseV2 {
     /// Per-item runs, in item order.
@@ -1181,10 +991,10 @@ fn circuit_key(params: &CircuitParams, coeffs: &[f64]) -> Vec<u8> {
     buf
 }
 
-/// FNV-1a digest of [`circuit_key`] — the key v2 cached-circuit
-/// references travel as. Workers verify inline insertions against the
-/// full key, so a collision can cost a rebuild but never a wrong
-/// evaluation.
+/// FNV-1a digest of the canonical circuit bytes (the inline params +
+/// coefficient encoding) — the key cached-circuit references travel
+/// as. Workers verify inline insertions against the full key, so a
+/// collision can cost a rebuild but never a wrong evaluation.
 pub fn circuit_digest(params: &CircuitParams, coeffs: &[f64]) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for &b in &circuit_key(params, coeffs) {
@@ -1194,7 +1004,7 @@ pub fn circuit_digest(params: &CircuitParams, coeffs: &[f64]) -> u64 {
     h
 }
 
-/// Writes the v3 fault block: a presence flag, then the spec fields.
+/// Writes the fault block: a presence flag, then the spec fields.
 fn encode_fault_block(buf: &mut Vec<u8>, faults: Option<&FaultSpec>) {
     match faults {
         None => buf.push(0),
@@ -1216,7 +1026,7 @@ fn encode_fault_block(buf: &mut Vec<u8>, faults: Option<&FaultSpec>) {
     }
 }
 
-/// Reads the v3 fault block and validates the decoded spec, so a
+/// Reads the fault block and validates the decoded spec, so a
 /// malformed probability is an error value at the wire boundary.
 fn decode_fault_block(c: &mut Cursor<'_>) -> Result<Option<FaultSpec>, String> {
     if c.u8()? == 0 {
@@ -1246,14 +1056,12 @@ fn decode_fault_block(c: &mut Cursor<'_>) -> Result<Option<FaultSpec>, String> {
     Ok(Some(spec))
 }
 
-/// Serializes a [`ShardRequest`] as a v2-family frame payload: version
-/// 2 when the request is fault-free, version 3 (the v2 layout plus the
-/// fault block) when it carries a [`FaultSpec`] — so fault-free traffic
-/// stays byte-identical to pre-fault builds. With
-/// `cached_digest = Some(d)` the circuit travels as a cache reference
-/// `d` instead of inline parameters — the caller asserts a previous
-/// inline request cached it on the receiving worker (a stale assertion
-/// costs one [`ShardResponseV2::CacheMiss`] round trip, nothing more).
+/// Serializes a [`ShardRequest`] as one request frame payload (no
+/// length prefix). With `cached_digest = Some(d)` the circuit travels
+/// as a cache reference `d` instead of inline parameters — the caller
+/// asserts a previous inline request cached it on the receiving worker
+/// (a stale assertion costs one [`ShardResponseV2::CacheMiss`] round
+/// trip, nothing more).
 pub fn encode_request_v2(
     req: &ShardRequest,
     request_id: u64,
@@ -1261,12 +1069,7 @@ pub fn encode_request_v2(
 ) -> Vec<u8> {
     let mut buf = Vec::with_capacity(256);
     put_u32(&mut buf, REQUEST_MAGIC);
-    let version = if req.faults.is_some() {
-        PROTOCOL_VERSION_V3
-    } else {
-        PROTOCOL_VERSION_V2
-    };
-    put_u32(&mut buf, version);
+    put_u32(&mut buf, PROTOCOL_VERSION);
     put_u64(&mut buf, request_id);
     buf.push(u8::from(cached_digest.is_some()));
     buf.push(req.job.kind());
@@ -1274,9 +1077,7 @@ pub fn encode_request_v2(
     buf.push(0); // reserved
     put_u64(&mut buf, req.seed);
     put_u64(&mut buf, req.stream_length);
-    if version == PROTOCOL_VERSION_V3 {
-        encode_fault_block(&mut buf, req.faults.as_ref());
-    }
+    encode_fault_block(&mut buf, req.faults.as_ref());
     match cached_digest {
         Some(digest) => put_u64(&mut buf, digest),
         None => {
@@ -1291,26 +1092,34 @@ pub fn encode_request_v2(
     buf
 }
 
-/// Parses a v2 or v3 request frame payload (a v2 frame simply carries
-/// no fault block, so `faults` comes back `None`).
+/// Reads the magic + version header both directions share, refusing a
+/// wrong magic and every version but [`PROTOCOL_VERSION`].
+fn decode_header(c: &mut Cursor<'_>, magic: u32, what: &str) -> Result<(), String> {
+    let got = c.u32()?;
+    if got != magic {
+        return Err(format!("bad {what} magic {got:#010x}"));
+    }
+    let version = c.u32()?;
+    if version != PROTOCOL_VERSION {
+        return Err(format!(
+            "unsupported protocol version {version} (this build speaks {PROTOCOL_VERSION})"
+        ));
+    }
+    Ok(())
+}
+
+/// Parses a request frame payload, enforcing the decode-time bounds of
+/// the module docs.
 ///
 /// # Errors
 ///
 /// A description of the first violation (bad magic, wrong version,
-/// unknown circuit/job/SNG tag, invalid fault spec, truncation,
-/// trailing bytes).
+/// unknown circuit/job/SNG tag, stream length over
+/// [`MAX_STREAM_LENGTH`], an index range that overflows `u64`, a ragged
+/// image, invalid fault spec, truncation, trailing bytes).
 pub fn decode_request_v2(payload: &[u8]) -> Result<ShardRequestV2, String> {
     let mut c = Cursor::new(payload);
-    let magic = c.u32()?;
-    if magic != REQUEST_MAGIC {
-        return Err(format!("bad request magic {magic:#010x}"));
-    }
-    let version = c.u32()?;
-    if version != PROTOCOL_VERSION_V2 && version != PROTOCOL_VERSION_V3 {
-        return Err(format!(
-            "not a v2/v3 request (version {version}, expected {PROTOCOL_VERSION_V2} or {PROTOCOL_VERSION_V3})"
-        ));
-    }
+    decode_header(&mut c, REQUEST_MAGIC, "request")?;
     let request_id = c.u64()?;
     let circuit_kind = c.u8()?;
     let job_kind = c.u8()?;
@@ -1318,11 +1127,12 @@ pub fn decode_request_v2(payload: &[u8]) -> Result<ShardRequestV2, String> {
     let _reserved = c.u8()?;
     let seed = c.u64()?;
     let stream_length = c.u64()?;
-    let faults = if version == PROTOCOL_VERSION_V3 {
-        decode_fault_block(&mut c)?
-    } else {
-        None
-    };
+    if stream_length > MAX_STREAM_LENGTH {
+        return Err(format!(
+            "stream length {stream_length} exceeds the {MAX_STREAM_LENGTH}-bit cap"
+        ));
+    }
+    let faults = decode_fault_block(&mut c)?;
     let circuit = match circuit_kind {
         0 => {
             let params = decode_params(&mut c)?;
@@ -1338,7 +1148,7 @@ pub fn decode_request_v2(payload: &[u8]) -> Result<ShardRequestV2, String> {
     let job = decode_job(&mut c, job_kind)?;
     if !c.finished() {
         return Err(format!(
-            "{} trailing bytes after v2 request",
+            "{} trailing bytes after request",
             payload.len() - c.pos
         ));
     }
@@ -1353,11 +1163,11 @@ pub fn decode_request_v2(payload: &[u8]) -> Result<ShardRequestV2, String> {
     })
 }
 
-/// Serializes a v2 response into one frame payload (no length prefix).
+/// Serializes a response into one frame payload (no length prefix).
 pub fn encode_response_v2(resp: &ShardResponseV2) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
     put_u32(&mut buf, RESPONSE_MAGIC);
-    put_u32(&mut buf, PROTOCOL_VERSION_V2);
+    put_u32(&mut buf, PROTOCOL_VERSION);
     match resp {
         ShardResponseV2::Runs { request_id, runs } => {
             put_u64(&mut buf, *request_id);
@@ -1389,7 +1199,7 @@ pub fn encode_response_v2(resp: &ShardResponseV2) -> Vec<u8> {
     buf
 }
 
-/// Parses a v2 response frame payload.
+/// Parses a response frame payload.
 ///
 /// # Errors
 ///
@@ -1397,16 +1207,7 @@ pub fn encode_response_v2(resp: &ShardResponseV2) -> Vec<u8> {
 /// unknown status, truncation, trailing bytes).
 pub fn decode_response_v2(payload: &[u8]) -> Result<ShardResponseV2, String> {
     let mut c = Cursor::new(payload);
-    let magic = c.u32()?;
-    if magic != RESPONSE_MAGIC {
-        return Err(format!("bad response magic {magic:#010x}"));
-    }
-    let version = c.u32()?;
-    if version != PROTOCOL_VERSION_V2 {
-        return Err(format!(
-            "not a v2 response (version {version}, expected {PROTOCOL_VERSION_V2})"
-        ));
-    }
+    decode_header(&mut c, RESPONSE_MAGIC, "response")?;
     let request_id = c.u64()?;
     let resp = match c.u8()? {
         0 => {
@@ -1415,7 +1216,7 @@ pub fn decode_response_v2(payload: &[u8]) -> Result<ShardResponseV2, String> {
                 usize::try_from(count).map_err(|_| "run count overflows usize".to_string())?;
             if count
                 .checked_mul(40)
-                .is_none_or(|bytes| bytes > payload.len())
+                .is_none_or(|bytes| bytes > c.remaining())
             {
                 return Err(format!("declared {count} runs exceed the payload"));
             }
@@ -1456,11 +1257,55 @@ pub fn decode_response_v2(payload: &[u8]) -> Result<ShardResponseV2, String> {
     };
     if !c.finished() {
         return Err(format!(
-            "{} trailing bytes after v2 response",
+            "{} trailing bytes after response",
             payload.len() - c.pos
         ));
     }
     Ok(resp)
+}
+
+/// What a cleanly decoded response settled to, once checked against the
+/// request it answers.
+enum Settled {
+    Runs(Vec<OpticalRun>),
+    Remote(String),
+    CacheMiss { digest: u64 },
+}
+
+/// Decodes a response and checks it against the request it must answer:
+/// the echoed ID and, for runs, the run count — the one reading of a
+/// response that the pool and the service client share. `Err` describes
+/// a malformed or desynced response.
+fn settle_response(
+    payload: &[u8],
+    expected_id: u64,
+    expected_runs: usize,
+) -> Result<Settled, String> {
+    let (request_id, settled) =
+        match decode_response_v2(payload).map_err(|e| format!("malformed response: {e}"))? {
+            ShardResponseV2::Runs { request_id, runs } => {
+                if runs.len() != expected_runs {
+                    return Err(format!(
+                        "response carried {} runs, expected {expected_runs}",
+                        runs.len()
+                    ));
+                }
+                (request_id, Settled::Runs(runs))
+            }
+            ShardResponseV2::Error {
+                request_id,
+                message,
+            } => (request_id, Settled::Remote(message)),
+            ShardResponseV2::CacheMiss { request_id, digest } => {
+                (request_id, Settled::CacheMiss { digest })
+            }
+        };
+    if request_id != expected_id {
+        return Err(format!(
+            "response echoed request id {request_id}, expected {expected_id} — desynced"
+        ));
+    }
+    Ok(settled)
 }
 
 // ---------------------------------------------------------------------
@@ -1476,6 +1321,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
     w.write_all(&(payload.len() as u64).to_le_bytes())?;
     w.write_all(payload)
 }
+
+/// The first buffer [`read_frame`] reserves for a payload; every real
+/// request and response of the repo's workloads fits in it.
+const FRAME_READ_CHUNK: usize = 64 * 1024;
 
 /// Reads one length-prefixed frame. Returns `Ok(None)` on a clean EOF at
 /// a frame boundary; EOF inside a frame is an error.
@@ -1514,8 +1363,22 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Grow the buffer geometrically as bytes arrive, never past the
+    // declared length: a prefix that promises more than the peer sends
+    // costs at most twice what actually arrived, not the whole cap.
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let target = (payload.len() * 2).max(FRAME_READ_CHUNK).min(len);
+        payload.reserve_exact(target - payload.len());
+        let want = (target - payload.len()) as u64;
+        if (&mut *r).take(want).read_to_end(&mut payload)? < want as usize {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "EOF inside a frame payload",
+            ));
+        }
+    }
     Ok(Some(payload))
 }
 
@@ -1531,10 +1394,10 @@ fn build_system(params: &CircuitParams, coeffs: &[f64]) -> Result<OpticalScSyste
     OpticalScSystem::new(*params, poly).map_err(|e| e.to_string())
 }
 
-/// Evaluates one job on an already-built system, as a value — every
-/// failure (out-of-range input, ragged image payload) comes back as
-/// `Err`. Shared by the v1 and v2 request handlers, so both versions
-/// pin identical generator universes.
+/// Evaluates one decoded job on an already-built system, as a value —
+/// every failure (out-of-range input, an unframeable response) comes
+/// back as `Err`. The decoder has already bounded the stream length
+/// and the index ranges.
 fn evaluate_job(
     system: &OpticalScSystem,
     sng: SngKind,
@@ -1548,10 +1411,7 @@ fn evaluate_job(
     // Refuse upfront a job whose response could not be framed — the
     // coordinator side plans against the same bound, so this only
     // triggers for foreign clients, before any evaluation work.
-    let runs = match job {
-        ShardJob::Batch { xs, .. } => xs.len(),
-        ShardJob::ImageRows { pixels, .. } => pixels.len(),
-    };
+    let runs = job.expected_runs();
     if response_frame_bound(runs) > MAX_FRAME_BYTES {
         return Err(format!(
             "a {runs}-run response would exceed the {MAX_FRAME_BYTES}-byte frame cap — \
@@ -1559,64 +1419,36 @@ fn evaluate_job(
         ));
     }
     let evaluator = BatchEvaluator::new();
-    match job {
-        ShardJob::Batch { first_index, xs } => dispatch_sng!(sng, factory => {
-            evaluator
-                .evaluate_range_faulted(
-                    system,
-                    xs,
-                    stream_length,
-                    factory,
-                    seed,
-                    *first_index,
-                    faults,
-                )
-                .map_err(|e| e.to_string())
-        }),
+    dispatch_sng!(sng, factory => match job {
+        ShardJob::Batch { first_index, xs } => evaluator.evaluate_range_faulted(
+            system,
+            xs,
+            stream_length,
+            factory,
+            seed,
+            *first_index,
+            faults,
+        ),
         ShardJob::ImageRows {
             width,
             first_row,
             pixels,
-        } => {
-            let width = usize::try_from(*width)
-                .ok()
-                .filter(|&w| w > 0)
-                .ok_or_else(|| "image width must be a positive usize".to_string())?;
-            if !pixels.len().is_multiple_of(width) {
-                return Err(format!(
-                    "pixel count {} is not a multiple of width {width}",
-                    pixels.len()
-                ));
-            }
-            dispatch_sng!(sng, factory => {
-                image_rows_eval(
-                    &evaluator,
-                    system,
-                    &factory,
-                    width,
-                    *first_row,
-                    pixels,
-                    stream_length,
-                    seed,
-                    faults,
-                )
-                .map_err(|e| e.to_string())
-            })
-        }
-    }
-}
-
-/// Evaluates one v1 request to runs, as a value.
-fn handle_request(req: &ShardRequest) -> Result<Vec<OpticalRun>, String> {
-    let system = build_system(&req.params, &req.coeffs)?;
-    evaluate_job(
-        &system,
-        req.sng,
-        req.seed,
-        req.stream_length,
-        req.faults.as_ref(),
-        &req.job,
-    )
+        } => image_rows_eval(
+            &evaluator,
+            system,
+            &factory,
+            // The decoder made `width` divide the pixel count, so it fits
+            // in a usize whenever there are pixels; without pixels it is
+            // never used.
+            usize::try_from(*width).unwrap_or(usize::MAX),
+            *first_row,
+            pixels,
+            stream_length,
+            seed,
+            faults,
+        ),
+    })
+    .map_err(|e| e.to_string())
 }
 
 /// Evaluates row-major image pixels (`width` per row, the first at
@@ -1657,7 +1489,12 @@ where
         })?;
     }
     let rows: Vec<usize> = (0..pixels.len().checked_div(width).unwrap_or(0)).collect();
-    let blocks = lane_blocks(width);
+    // An image without rows plans no blocks, whatever width it claims.
+    let blocks = if rows.is_empty() {
+        Vec::new()
+    } else {
+        lane_blocks(width)
+    };
     let produced = evaluator.par_map_with(&rows, EvalScratch::new, |scratch, _, &r| {
         let row_seed = mix_seed(seed, first_row + r as u64);
         let row_spec = faults.map(|spec| spec.rebased(first_row + r as u64));
@@ -1701,7 +1538,7 @@ struct CircuitCache {
 
 impl CircuitCache {
     /// A cache holding at most `capacity` systems (at least 1 — a
-    /// zero-capacity cache would make every v2 cached reference a
+    /// zero-capacity cache would make every cached reference a
     /// permanent miss loop).
     fn with_capacity(capacity: usize) -> Self {
         let capacity = capacity.max(1);
@@ -1754,8 +1591,8 @@ impl CircuitCache {
     }
 }
 
-/// Evaluates one v2 request against the worker's circuit cache.
-fn handle_request_v2(req: &ShardRequestV2, cache: &mut CircuitCache) -> ShardResponseV2 {
+/// Evaluates one decoded request against the worker's circuit cache.
+fn handle_request(req: &ShardRequestV2, cache: &mut CircuitCache) -> ShardResponseV2 {
     let request_id = req.request_id;
     let system = match &req.circuit {
         CircuitRef::Cached { digest } => match cache.get(*digest) {
@@ -1793,8 +1630,9 @@ fn handle_request_v2(req: &ShardRequestV2, cache: &mut CircuitCache) -> ShardRes
     }
 }
 
-/// The request ID of a v2 frame, best effort — used to echo an ID even
-/// when the rest of the payload fails to decode.
+/// The request ID of a frame, best effort — used to echo an ID even
+/// when the rest of the payload fails to decode (0 when the frame is
+/// too short to hold one).
 fn peek_request_id(payload: &[u8]) -> u64 {
     payload
         .get(8..16)
@@ -1802,64 +1640,43 @@ fn peek_request_id(payload: &[u8]) -> u64 {
         .unwrap_or(0)
 }
 
-/// Answers one already-read frame payload, in the protocol version it
-/// arrived in. Panics inside evaluation are caught and reported as
-/// error responses.
+/// Answers one already-read frame payload. A frame that fails to decode
+/// (bad magic, another version, a bound violated) gets an error response
+/// echoing [`peek_request_id`]; panics inside evaluation are caught and
+/// reported the same way.
 fn answer_payload(payload: &[u8], cache: &mut CircuitCache) -> Vec<u8> {
-    let is_v2_family = payload.len() >= 8
-        && payload[..4] == REQUEST_MAGIC.to_le_bytes()
-        && (payload[4..8] == PROTOCOL_VERSION_V2.to_le_bytes()
-            || payload[4..8] == PROTOCOL_VERSION_V3.to_le_bytes());
-    if is_v2_family {
-        let response = match decode_request_v2(payload) {
-            Err(e) => ShardResponseV2::Error {
-                request_id: peek_request_id(payload),
-                message: format!("bad request: {e}"),
-            },
-            Ok(req) => {
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_request_v2(&req, cache)
-                })) {
-                    Ok(resp) => resp,
-                    Err(panic) => ShardResponseV2::Error {
-                        request_id: req.request_id,
-                        message: format!("worker panicked: {}", panic_message(panic.as_ref())),
-                    },
-                }
-            }
-        };
-        return encode_response_v2(&response);
-    }
-    // v1 — and anything unrecognizable (bad magic, unknown version),
-    // which decode_request reports as a clean v1 error value.
-    let response = match decode_request(payload) {
-        Err(e) => ShardResponse::Error(format!("bad request: {e}")),
+    let response = match decode_request_v2(payload) {
+        Err(e) => ShardResponseV2::Error {
+            request_id: peek_request_id(payload),
+            message: format!("bad request: {e}"),
+        },
         Ok(req) => {
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle_request(&req))) {
-                Ok(Ok(runs)) => ShardResponse::Runs(runs),
-                Ok(Err(msg)) => ShardResponse::Error(msg),
-                Err(panic) => ShardResponse::Error(format!(
-                    "worker panicked: {}",
-                    panic_message(panic.as_ref())
-                )),
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                handle_request(&req, cache)
+            })) {
+                Ok(resp) => resp,
+                Err(panic) => ShardResponseV2::Error {
+                    request_id: req.request_id,
+                    message: format!("worker panicked: {}", panic_message(panic.as_ref())),
+                },
             }
         }
     };
-    encode_response(&response)
+    encode_response_v2(&response)
 }
 
 /// The worker loop: reads request frames from `input` until EOF,
-/// answering each with exactly one response frame on `output` — v1
-/// frames get v1 responses, v2 frames get v2 responses, and a circuit
-/// cache (capacity [`CIRCUIT_CACHE_CAPACITY`]) persists across requests
-/// for the v2 cached-circuit path.
+/// answering each with exactly one response frame on `output`, with a
+/// circuit cache (capacity [`CIRCUIT_CACHE_CAPACITY`]) that persists
+/// across requests for the cached-circuit path.
 ///
 /// Every failure mode that can be expressed as a value is: malformed
-/// requests, invalid configurations, unknown protocol versions and
-/// evaluation errors come back as error responses, and panics inside
-/// evaluation are caught and reported the same way — the process
-/// boundary only ever sees clean frames or EOF. The loop survives every
-/// answered error, so one bad request never costs a live worker.
+/// requests, frames of another protocol version, out-of-bounds sizes,
+/// invalid configurations and evaluation errors come back as error
+/// responses, and panics inside evaluation are caught and reported the
+/// same way — the process boundary only ever sees clean frames or EOF.
+/// The loop survives every answered error, so one bad request never
+/// costs a live worker.
 ///
 /// # Errors
 ///
@@ -1926,14 +1743,10 @@ pub fn locate_worker(name: &str) -> Option<PathBuf> {
 }
 
 /// Conservative upper bound on a request's encoded frame size, in
-/// bytes (v2 header + params + coefficients + job payload, with
-/// slack).
+/// bytes (header + fault block + params + coefficients + job payload,
+/// with slack).
 fn request_frame_bound(req: &ShardRequest) -> u64 {
-    let items = match &req.job {
-        ShardJob::Batch { xs, .. } => xs.len(),
-        ShardJob::ImageRows { pixels, .. } => pixels.len(),
-    };
-    256 + (req.coeffs.len() as u64 + items as u64) * 8
+    320 + (req.coeffs.len() as u64 + req.job.expected_runs() as u64) * 8
 }
 
 /// The encoded size of a runs response carrying `runs` items (header +
@@ -2166,6 +1979,25 @@ mod tests {
         }
     }
 
+    /// Encodes `req` with its circuit inline, decodes the frame and
+    /// reassembles the request it carries.
+    fn roundtrip(req: &ShardRequest, request_id: u64) -> ShardRequest {
+        let decoded = decode_request_v2(&encode_request_v2(req, request_id, None)).unwrap();
+        assert_eq!(decoded.request_id, request_id);
+        let CircuitRef::Inline { params, coeffs } = decoded.circuit else {
+            panic!("expected an inline circuit, got {:?}", decoded.circuit);
+        };
+        ShardRequest {
+            params,
+            coeffs,
+            sng: decoded.sng,
+            seed: decoded.seed,
+            stream_length: decoded.stream_length,
+            faults: decoded.faults,
+            job: decoded.job,
+        }
+    }
+
     #[test]
     fn plan_covers_everything_contiguously_and_balanced() {
         for items in 0..40usize {
@@ -2197,18 +2029,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_request_roundtrips_bit_exactly() {
-        // Awkward payload values: signaling bit patterns must survive the
-        // wire unchanged (the contract serializes f64 bit patterns).
-        let req = fig5_request(ShardJob::Batch {
-            first_index: 3,
-            xs: vec![0.0, 1.0, 0.123_456_789, f64::MIN_POSITIVE],
-        });
-        let decoded = decode_request(&encode_request(&req)).unwrap();
-        assert_eq!(decoded, req);
-    }
-
-    #[test]
     fn image_request_roundtrips() {
         let mut req = fig5_request(ShardJob::ImageRows {
             width: 3,
@@ -2216,65 +2036,94 @@ mod tests {
             pixels: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
         });
         req.sng = SngKind::Counter;
-        let decoded = decode_request(&encode_request(&req)).unwrap();
-        assert_eq!(decoded, req);
-    }
-
-    #[test]
-    fn responses_roundtrip() {
-        let runs = vec![
-            OpticalRun {
-                estimate: 0.5,
-                ideal_estimate: 0.51,
-                exact: 0.52,
-                observed_ber: 1e-6,
-                stream_length: 1024,
-            },
-            OpticalRun {
-                estimate: 0.0,
-                ideal_estimate: 1.0,
-                exact: 0.25,
-                observed_ber: 0.0,
-                stream_length: 1,
-            },
-        ];
-        let ok = ShardResponse::Runs(runs);
-        assert_eq!(decode_response(&encode_response(&ok)).unwrap(), ok);
-        let err = ShardResponse::Error("no circuit for you".into());
-        assert_eq!(decode_response(&encode_response(&err)).unwrap(), err);
+        assert_eq!(roundtrip(&req, 11), req);
     }
 
     #[test]
     fn decode_rejects_malformed_payloads() {
-        let good = encode_request(&fig5_request(ShardJob::Batch {
+        let req = fig5_request(ShardJob::Batch {
             first_index: 0,
             xs: vec![0.5],
-        }));
+        });
+        let good = encode_request_v2(&req, 9, None);
         // Wrong magic.
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert!(decode_request(&bad).unwrap_err().contains("magic"));
-        // Wrong version.
-        let mut bad = good.clone();
-        bad[4] = 99;
-        assert!(decode_request(&bad).unwrap_err().contains("version"));
+        assert!(decode_request_v2(&bad).unwrap_err().contains("magic"));
+        // Every version but the one this build speaks, the retired ones
+        // included.
+        for version in [1u32, 2, 4, 99] {
+            let mut bad = good.clone();
+            bad[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = decode_request_v2(&bad).unwrap_err();
+            assert!(err.contains(&format!("version {version}")), "{err}");
+        }
         // Truncation at every length: never a panic, always an Err.
         for cut in 0..good.len() {
-            assert!(decode_request(&good[..cut]).is_err(), "cut={cut}");
+            assert!(decode_request_v2(&good[..cut]).is_err(), "cut={cut}");
         }
+        // Unknown circuit kind.
+        let mut bad = good.clone();
+        bad[16] = 9;
+        assert!(decode_request_v2(&bad).unwrap_err().contains("circuit"));
         // Trailing garbage.
         let mut bad = good.clone();
         bad.push(0);
-        assert!(decode_request(&bad).unwrap_err().contains("trailing"));
+        assert!(decode_request_v2(&bad).unwrap_err().contains("trailing"));
         // A declared element count far beyond the payload must be
         // rejected before any allocation attempt.
         let mut huge = good.clone();
-        let coeff_count_at = 4 + 4 + 4 + 8 + 8 + 8 + 19 * 8;
+        let coeff_count_at = 4 + 4 + 8 + 4 + 8 + 8 + 1 + 20 * 8;
         huge[coeff_count_at..coeff_count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(decode_request(&huge).is_err());
+        assert!(decode_request_v2(&huge).unwrap_err().contains("exceed"));
         // Response-side garbage.
-        assert!(decode_response(&good).unwrap_err().contains("magic"));
-        assert!(decode_response(&[]).is_err());
+        assert!(decode_response_v2(&good).unwrap_err().contains("magic"));
+        assert!(decode_response_v2(&[]).is_err());
+        let resp = encode_response_v2(&ShardResponseV2::CacheMiss {
+            request_id: 1,
+            digest: 2,
+        });
+        for cut in 0..resp.len() {
+            assert!(decode_response_v2(&resp[..cut]).is_err(), "cut={cut}");
+        }
+    }
+
+    #[test]
+    fn decode_bounds_stream_lengths_and_index_ranges() {
+        let batch = |first_index: u64, stream_length: u64| ShardRequest {
+            stream_length,
+            ..fig5_request(ShardJob::Batch {
+                first_index,
+                xs: vec![0.5, 0.5],
+            })
+        };
+        let decode = |req: &ShardRequest| decode_request_v2(&encode_request_v2(req, 1, None));
+        // The stream-length cap itself decodes; one bit past it does not.
+        decode(&batch(0, MAX_STREAM_LENGTH)).unwrap();
+        for stream_length in [MAX_STREAM_LENGTH + 1, 1 << 36, 1 << 40, u64::MAX] {
+            let err = decode(&batch(0, stream_length)).unwrap_err();
+            assert!(err.contains("stream length"), "{err}");
+        }
+        // The last index a two-item batch can start at decodes; one
+        // further wraps and is refused.
+        decode(&batch(u64::MAX - 2, 64)).unwrap();
+        for first_index in [u64::MAX - 1, u64::MAX] {
+            let err = decode(&batch(first_index, 64)).unwrap_err();
+            assert!(err.contains("overflows"), "{err}");
+        }
+        // Image rows bound the same way, and a zero width is refused.
+        let image = |width: u64, first_row: u64| {
+            fig5_request(ShardJob::ImageRows {
+                width,
+                first_row,
+                pixels: vec![0.5; 4],
+            })
+        };
+        decode(&image(2, u64::MAX - 2)).unwrap();
+        let err = decode(&image(2, u64::MAX - 1)).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+        let err = decode(&image(0, 0)).unwrap_err();
+        assert!(err.contains("width"), "{err}");
     }
 
     #[test]
@@ -2334,20 +2183,9 @@ mod tests {
             first_index: 3,
             xs: vec![0.0, 1.0, 0.123_456_789, f64::MIN_POSITIVE],
         });
-        // Inline: the circuit travels in full.
-        let decoded = decode_request_v2(&encode_request_v2(&base, 0xFEED, None)).unwrap();
-        assert_eq!(decoded.request_id, 0xFEED);
-        assert_eq!(decoded.sng, base.sng);
-        assert_eq!(decoded.seed, base.seed);
-        assert_eq!(decoded.stream_length, base.stream_length);
-        assert_eq!(decoded.job, base.job);
-        match &decoded.circuit {
-            CircuitRef::Inline { params, coeffs } => {
-                assert_eq!(*params, base.params);
-                assert_eq!(*coeffs, base.coeffs);
-            }
-            other => panic!("expected inline circuit, got {other:?}"),
-        }
+        // Inline: the circuit travels in full, every f64 bit pattern
+        // (subnormal-adjacent values included) unchanged.
+        assert_eq!(roundtrip(&base, 0xFEED), base);
         // Cached: only the digest travels.
         let digest = circuit_digest(&base.params, &base.coeffs);
         let frame = encode_request_v2(&base, 7, Some(digest));
@@ -2357,27 +2195,29 @@ mod tests {
         );
         let decoded = decode_request_v2(&frame).unwrap();
         assert_eq!(decoded.circuit, CircuitRef::Cached { digest });
-        // Image jobs ride v2 unchanged.
-        let img = fig5_request(ShardJob::ImageRows {
-            width: 3,
-            first_row: 7,
-            pixels: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
-        });
-        let decoded = decode_request_v2(&encode_request_v2(&img, 1, None)).unwrap();
-        assert_eq!(decoded.job, img.job);
+        assert_eq!(decoded.job, base.job);
     }
 
     #[test]
     fn v2_responses_roundtrip_all_statuses() {
         let runs = ShardResponseV2::Runs {
             request_id: 42,
-            runs: vec![OpticalRun {
-                estimate: 0.5,
-                ideal_estimate: 0.51,
-                exact: 0.52,
-                observed_ber: 1e-6,
-                stream_length: 1024,
-            }],
+            runs: vec![
+                OpticalRun {
+                    estimate: 0.5,
+                    ideal_estimate: 0.51,
+                    exact: 0.52,
+                    observed_ber: 1e-6,
+                    stream_length: 1024,
+                },
+                OpticalRun {
+                    estimate: 0.0,
+                    ideal_estimate: 1.0,
+                    exact: 0.25,
+                    observed_ber: 0.0,
+                    stream_length: 1,
+                },
+            ],
         };
         assert_eq!(
             decode_response_v2(&encode_response_v2(&runs)).unwrap(),
@@ -2396,12 +2236,10 @@ mod tests {
             decode_response_v2(&encode_response_v2(&miss)).unwrap(),
             miss
         );
-        // A v1 response is not mistaken for v2, and vice versa.
-        let v1 = encode_response(&ShardResponse::Error("old".into()));
-        assert!(decode_response_v2(&v1).unwrap_err().contains("version"));
-        assert!(decode_response(&encode_response_v2(&miss))
-            .unwrap_err()
-            .contains("version"));
+        // A response of another version is refused, not reinterpreted.
+        let mut old = encode_response_v2(&err);
+        old[4..8].copy_from_slice(&2u32.to_le_bytes());
+        assert!(decode_response_v2(&old).unwrap_err().contains("version 2"));
     }
 
     #[test]
@@ -2410,11 +2248,14 @@ mod tests {
             first_index: 2,
             xs: vec![0.25, 0.75],
         });
-        // Fault-free traffic must stay byte-for-byte on version 2.
+        // Clean and faulted requests share one version; a clean frame
+        // carries an empty fault block (one zero byte after the stream
+        // length).
         let clean = encode_request_v2(&req, 5, None);
-        assert_eq!(clean[4..8], PROTOCOL_VERSION_V2.to_le_bytes());
-        // A fault spec upgrades the frame to v3 and roundtrips exactly,
-        // including the stuck-at block and both seeds.
+        assert_eq!(clean[4..8], PROTOCOL_VERSION.to_le_bytes());
+        assert_eq!(clean[36], 0);
+        // A fault spec roundtrips exactly, including the stuck-at block
+        // and both seeds.
         req.faults = Some(FaultSpec {
             flip_probability: 0.01,
             shift_probability: 0.001,
@@ -2425,7 +2266,8 @@ mod tests {
             ..FaultSpec::with_seed(99)
         });
         let frame = encode_request_v2(&req, 5, None);
-        assert_eq!(frame[4..8], PROTOCOL_VERSION_V3.to_le_bytes());
+        assert_eq!(frame[4..8], PROTOCOL_VERSION.to_le_bytes());
+        assert_eq!(frame.len(), clean.len() + 49, "the fault block's bytes");
         let decoded = decode_request_v2(&frame).unwrap();
         assert_eq!(decoded.request_id, 5);
         assert_eq!(decoded.faults, req.faults);
@@ -2472,7 +2314,7 @@ mod tests {
             assert!(err.contains("fault"), "{err}");
         }
         // The serve loop answers the malformed spec as an error value in
-        // a clean v2 response frame — never a worker death.
+        // a clean response frame — never a worker death.
         let mut bad = good.clone();
         bad[prob_at..prob_at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         let mut input = Vec::new();
@@ -2550,20 +2392,15 @@ mod tests {
             },
             faults: None,
         };
-        let decoded = decode_request(&encode_request(&req)).unwrap();
-        assert_eq!(decoded.params.backend, BackendKind::Nanocavity);
-        let v2 = decode_request_v2(&encode_request_v2(&req, 3, None)).unwrap();
-        match v2.circuit {
-            CircuitRef::Inline { params, .. } => {
-                assert_eq!(params.backend, BackendKind::Nanocavity);
-            }
-            other => panic!("expected an inline circuit, got {other:?}"),
-        }
+        assert_eq!(roundtrip(&req, 3), req);
         // An unknown tag fails decoding loudly instead of guessing.
-        let mut frame = encode_request(&req);
-        let order_word_at = 28; // magic + version + kind/sng/reserved + seed + stream
+        let mut frame = encode_request_v2(&req, 3, None);
+        // magic + version + id + kind/job/sng/reserved + seed + stream
+        // + empty fault block
+        let order_word_at = 37;
+        assert_eq!(frame[order_word_at..order_word_at + 4], 2u32.to_le_bytes());
         frame[order_word_at + 4..order_word_at + 8].copy_from_slice(&0xBEEFu32.to_le_bytes());
-        assert!(decode_request(&frame)
+        assert!(decode_request_v2(&frame)
             .unwrap_err()
             .contains("unknown backend tag"));
     }
@@ -2592,38 +2429,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_decode_rejects_malformed_payloads() {
-        let req = fig5_request(ShardJob::Batch {
-            first_index: 0,
-            xs: vec![0.5],
-        });
-        let good = encode_request_v2(&req, 9, None);
-        // Truncation at every length: never a panic, always an Err.
-        for cut in 0..good.len() {
-            assert!(decode_request_v2(&good[..cut]).is_err(), "cut={cut}");
-        }
-        // Unknown circuit kind.
-        let mut bad = good.clone();
-        bad[16] = 9;
-        assert!(decode_request_v2(&bad).unwrap_err().contains("circuit"));
-        // Trailing garbage.
-        let mut bad = good.clone();
-        bad.push(0);
-        assert!(decode_request_v2(&bad).unwrap_err().contains("trailing"));
-        // A v1 frame is cleanly rejected by the v2 decoder.
-        let v1 = encode_request(&req);
-        assert!(decode_request_v2(&v1).unwrap_err().contains("version"));
-        // Response-side truncation sweep.
-        let resp = encode_response_v2(&ShardResponseV2::CacheMiss {
-            request_id: 1,
-            digest: 2,
-        });
-        for cut in 0..resp.len() {
-            assert!(decode_response_v2(&resp[..cut]).is_err(), "cut={cut}");
-        }
-    }
-
-    #[test]
     fn framing_roundtrips_and_detects_truncation() {
         let mut buf = Vec::new();
         write_frame(&mut buf, b"hello").unwrap();
@@ -2647,14 +2452,19 @@ mod tests {
         }
     }
 
-    /// Drives a request through the in-process worker loop.
-    fn serve_one(req: &ShardRequest) -> ShardResponse {
+    /// Drives a request through the in-process worker loop; `Err` holds
+    /// the worker's error message.
+    fn serve_one(req: &ShardRequest) -> Result<Vec<OpticalRun>, String> {
         let mut input = Vec::new();
-        write_frame(&mut input, &encode_request(req)).unwrap();
+        write_frame(&mut input, &encode_request_v2(req, 1, None)).unwrap();
         let mut output = Vec::new();
         serve(&input[..], &mut output).unwrap();
         let payload = read_frame(&mut &output[..]).unwrap().expect("one response");
-        decode_response(&payload).unwrap()
+        match decode_response_v2(&payload).unwrap() {
+            ShardResponseV2::Runs { runs, .. } => Ok(runs),
+            ShardResponseV2::Error { message, .. } => Err(message),
+            miss => panic!("inline request answered with {miss:?}"),
+        }
     }
 
     #[test]
@@ -2665,33 +2475,29 @@ mod tests {
             xs: vec![0.5],
         });
         req.coeffs = vec![0.5, 0.5];
-        match serve_one(&req) {
-            ShardResponse::Error(msg) => assert!(msg.contains("degree"), "{msg}"),
-            other => panic!("expected an error response, got {other:?}"),
-        }
+        let msg = serve_one(&req).unwrap_err();
+        assert!(msg.contains("degree"), "{msg}");
         // Out-of-range input.
         let req = fig5_request(ShardJob::Batch {
             first_index: 0,
             xs: vec![0.5, 1.5],
         });
-        assert!(matches!(serve_one(&req), ShardResponse::Error(_)));
+        assert!(serve_one(&req).is_err());
         // Invalid params (order zero).
         let mut req = fig5_request(ShardJob::Batch {
             first_index: 0,
             xs: vec![0.5],
         });
         req.params.order = 0;
-        assert!(matches!(serve_one(&req), ShardResponse::Error(_)));
+        assert!(serve_one(&req).is_err());
         // Ragged image payload.
         let req = fig5_request(ShardJob::ImageRows {
             width: 3,
             first_row: 0,
             pixels: vec![0.5; 7],
         });
-        match serve_one(&req) {
-            ShardResponse::Error(msg) => assert!(msg.contains("multiple"), "{msg}"),
-            other => panic!("expected an error response, got {other:?}"),
-        }
+        let msg = serve_one(&req).unwrap_err();
+        assert!(msg.contains("multiple"), "{msg}");
         // A garbage frame still gets a clean error frame back.
         let mut input = Vec::new();
         write_frame(&mut input, b"not a request").unwrap();
@@ -2699,8 +2505,8 @@ mod tests {
         serve(&input[..], &mut output).unwrap();
         let payload = read_frame(&mut &output[..]).unwrap().unwrap();
         assert!(matches!(
-            decode_response(&payload).unwrap(),
-            ShardResponse::Error(_)
+            decode_response_v2(&payload).unwrap(),
+            ShardResponseV2::Error { .. }
         ));
     }
 
@@ -2722,10 +2528,7 @@ mod tests {
                 first_index: start as u64,
                 xs: xs[start..start + len].to_vec(),
             });
-            match serve_one(&req) {
-                ShardResponse::Runs(runs) => merged.extend(runs),
-                ShardResponse::Error(msg) => panic!("worker error: {msg}"),
-            }
+            merged.extend(serve_one(&req).expect("worker error"));
         }
         assert_eq!(merged, direct);
     }

@@ -27,10 +27,10 @@
 //!   requests are queued than there are pumps with an empty pipeline —
 //!   so a batch of one request per worker lands on every worker, and a
 //!   deeper batch keeps every pipe busy;
-//! - the pool speaks the **v2 protocol family** (v3 when a request
-//!   carries a fault spec): every request carries an ID the
-//!   worker echoes (desyncs are detected, not silently misattributed),
-//!   and repeat circuits travel as [`super::CircuitRef::Cached`] digest
+//! - the pool speaks the one wire protocol of [`super`]: every request
+//!   carries an ID the worker echoes (desyncs are detected, not
+//!   silently misattributed), and repeat circuits travel as
+//!   [`super::CircuitRef::Cached`] digest
 //!   references — each pump mirrors its worker's LRU cache state, and a
 //!   stale mirror costs one clean
 //!   [`super::ShardResponseV2::CacheMiss`] + inline resend, never a
@@ -59,8 +59,8 @@
 //! depends only on `(seed, global index)`.
 
 use super::{
-    batch_requests, circuit_digest, circuit_key, decode_response_v2, encode_request_v2,
-    image_requests, read_frame, write_frame, ShardError, ShardRequest, ShardResponseV2, SngKind,
+    batch_requests, circuit_digest, circuit_key, encode_request_v2, image_requests, read_frame,
+    settle_response, write_frame, Settled, ShardError, ShardRequest, SngKind,
     CIRCUIT_CACHE_CAPACITY,
 };
 use crate::fault::FaultSpec;
@@ -414,7 +414,7 @@ fn spawn_slot(config: &PoolConfig) -> Result<WorkerSlot, String> {
 }
 
 /// A long-lived pool of `shard_worker` subprocesses serving batches of
-/// [`ShardRequest`]s over the v2 wire protocol — the single-caller
+/// [`ShardRequest`]s over the wire protocol — the single-caller
 /// batch front end over an exclusively owned [`PoolDispatcher`].
 ///
 /// Construct with [`PoolConfig::spawn`]; drive with
@@ -669,50 +669,7 @@ fn slot_read(
     // Any clean frame proves the worker is alive and making
     // progress; the slot's respawn backoff starts over.
     *streak = 0;
-    let response = match decode_response_v2(&payload) {
-        Ok(response) => response,
-        Err(e) => {
-            // A v1-only worker answers v2 frames with a clean v1
-            // error; surface its message instead of "malformed".
-            if let Ok(super::ShardResponse::Error(msg)) = super::decode_response(&payload) {
-                return Ok(Settled::Remote(format!(
-                    "worker speaks protocol v1 only: {msg}"
-                )));
-            }
-            return Err(Failure::Transport(format!("malformed response: {e}")));
-        }
-    };
-    let (request_id, settled) = match response {
-        ShardResponseV2::Runs { request_id, runs } => {
-            if runs.len() != expected_runs {
-                return Err(Failure::Transport(format!(
-                    "worker returned {} runs, expected {expected_runs}",
-                    runs.len()
-                )));
-            }
-            (request_id, Settled::Runs(runs))
-        }
-        ShardResponseV2::Error {
-            request_id,
-            message,
-        } => (request_id, Settled::Remote(message)),
-        ShardResponseV2::CacheMiss { request_id, digest } => {
-            (request_id, Settled::CacheMiss { digest })
-        }
-    };
-    if request_id != expected_id {
-        return Err(Failure::Transport(format!(
-            "response echoed request id {request_id}, expected {expected_id}"
-        )));
-    }
-    Ok(settled)
-}
-
-/// What a cleanly-read response settled to.
-enum Settled {
-    Runs(Vec<OpticalRun>),
-    Remote(String),
-    CacheMiss { digest: u64 },
+    settle_response(&payload, expected_id, expected_runs).map_err(Failure::Transport)
 }
 
 // ---------------------------------------------------------------------

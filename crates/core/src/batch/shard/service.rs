@@ -3,10 +3,10 @@
 //!
 //! A [`Service`] binds a `std::net::TcpListener` and serves each
 //! accepted connection on its own thread (std-only, offline-safe —
-//! no async runtime). Connections speak the exact framed v2/v3 wire
-//! protocol of [`super`] (see the *Service framing* section of the
-//! [`super`] module doc for the connection lifecycle, per-connection
-//! version negotiation, overload and drain rules); every decoded
+//! no async runtime). Connections speak the one framed wire protocol
+//! of [`super`] (see the *Service framing* section of the [`super`]
+//! module doc for the connection lifecycle, version rule, overload and
+//! drain rules); every decoded
 //! request is submitted to the shared dispatcher, which multiplexes
 //! all connections onto the worker processes with pipelining, fair
 //! FIFO scheduling and bounded backpressure.
@@ -26,10 +26,9 @@
 
 use super::pool::{note_digest, PoolDispatcher};
 use super::{
-    circuit_digest, circuit_key, decode_request_v2, decode_response, decode_response_v2,
-    encode_request_v2, encode_response, encode_response_v2, peek_request_id, read_frame,
-    write_frame, CircuitRef, ShardError, ShardRequest, ShardResponse, ShardResponseV2,
-    CIRCUIT_CACHE_CAPACITY, PROTOCOL_VERSION_V2, PROTOCOL_VERSION_V3, REQUEST_MAGIC,
+    circuit_digest, circuit_key, decode_request_v2, encode_request_v2, encode_response_v2,
+    peek_request_id, read_frame, settle_response, write_frame, CircuitRef, Settled, ShardError,
+    ShardRequest, ShardResponseV2, CIRCUIT_CACHE_CAPACITY,
 };
 use crate::params::CircuitParams;
 use crate::system::OpticalRun;
@@ -242,20 +241,6 @@ fn answer_connection_frame(
     circuits: &mut VecDeque<ConnCircuit>,
     shared: &ServiceShared,
 ) -> Vec<u8> {
-    let is_v2_family = payload.len() >= 8
-        && payload[..4] == REQUEST_MAGIC.to_le_bytes()
-        && (payload[4..8] == PROTOCOL_VERSION_V2.to_le_bytes()
-            || payload[4..8] == PROTOCOL_VERSION_V3.to_le_bytes());
-    if !is_v2_family {
-        // v1 (or garbage) carries no request id, so desyncs on a
-        // shared transport would be silent — refuse as a clean v1
-        // error value and keep the connection open.
-        return encode_response(&ShardResponse::Error(
-            "this service requires protocol v2/v3 (request ids); \
-             v1 one-shot framing is not accepted over TCP"
-                .to_string(),
-        ));
-    }
     let req = match decode_request_v2(payload) {
         Ok(req) => req,
         Err(e) => {
@@ -314,12 +299,16 @@ fn answer_connection_frame(
 // Client side
 // ---------------------------------------------------------------------
 
-/// What a cleanly-decoded service response settled to, before cache
-/// fallback.
-enum ClientSettled {
-    Runs(Vec<OpticalRun>),
-    Remote(String),
-    CacheMiss { digest: u64 },
+/// What a settled response to an inline request means for the caller: a
+/// cache miss cannot answer one, so it is a protocol violation.
+fn inline_result(settled: Settled) -> Result<Vec<OpticalRun>, ShardError> {
+    match settled {
+        Settled::Runs(runs) => Ok(runs),
+        Settled::Remote(detail) => Err(ShardError::Remote { shard: 0, detail }),
+        Settled::CacheMiss { digest } => Err(ShardError::Protocol(format!(
+            "service reported a cache miss for digest {digest:#018x} on an inline request"
+        ))),
+    }
 }
 
 /// A blocking client for one [`Service`] connection.
@@ -401,31 +390,14 @@ impl ServiceClient {
         super::check_frame_bounds(request, expected)?;
         let (id, was_cached) = self.send(request, false)?;
         match self.read(id, expected)? {
-            ClientSettled::Runs(runs) => Ok(runs),
-            ClientSettled::Remote(message) => Err(ShardError::Remote {
-                shard: 0,
-                detail: message,
-            }),
-            ClientSettled::CacheMiss { digest } if was_cached => {
+            Settled::CacheMiss { digest } if was_cached => {
                 // The service's cache (or the connection) is younger
                 // than our mirror: heal with an inline resend.
                 self.known.retain(|(d, _)| *d != digest);
                 let (id, _) = self.send(request, true)?;
-                match self.read(id, expected)? {
-                    ClientSettled::Runs(runs) => Ok(runs),
-                    ClientSettled::Remote(message) => Err(ShardError::Remote {
-                        shard: 0,
-                        detail: message,
-                    }),
-                    ClientSettled::CacheMiss { digest } => Err(ShardError::Protocol(format!(
-                        "service reported a cache miss for digest {digest:#018x} \
-                         on an inline request"
-                    ))),
-                }
+                inline_result(self.read(id, expected)?)
             }
-            ClientSettled::CacheMiss { digest } => Err(ShardError::Protocol(format!(
-                "service reported a cache miss for digest {digest:#018x} on an inline request"
-            ))),
+            settled => inline_result(settled),
         }
     }
 
@@ -455,16 +427,7 @@ impl ServiceClient {
         id: u64,
         expected: usize,
     ) -> Result<Vec<OpticalRun>, ShardError> {
-        match self.read(id, expected)? {
-            ClientSettled::Runs(runs) => Ok(runs),
-            ClientSettled::Remote(message) => Err(ShardError::Remote {
-                shard: 0,
-                detail: message,
-            }),
-            ClientSettled::CacheMiss { digest } => Err(ShardError::Protocol(format!(
-                "service reported a cache miss for digest {digest:#018x} on an inline request"
-            ))),
-        }
+        inline_result(self.read(id, expected)?)
     }
 
     /// Writes one request frame; returns the id used and whether it
@@ -494,7 +457,7 @@ impl ServiceClient {
 
     /// Reads and decodes one response frame, checking the echoed id
     /// and run count.
-    fn read(&mut self, id: u64, expected: usize) -> Result<ClientSettled, ShardError> {
+    fn read(&mut self, id: u64, expected: usize) -> Result<Settled, ShardError> {
         let payload = read_frame(&mut self.reader)
             .map_err(|e| ShardError::Worker {
                 shard: 0,
@@ -506,44 +469,7 @@ impl ServiceClient {
                          reconnect — any replica answers byte-identically"
                     .to_string(),
             })?;
-        let response = match decode_response_v2(&payload) {
-            Ok(response) => response,
-            Err(e) => {
-                // The v1 refusal path answers with a clean v1 error.
-                if let Ok(ShardResponse::Error(message)) = decode_response(&payload) {
-                    return Err(ShardError::Remote {
-                        shard: 0,
-                        detail: message,
-                    });
-                }
-                return Err(ShardError::Protocol(format!(
-                    "malformed service response: {e}"
-                )));
-            }
-        };
-        let (request_id, settled) = match response {
-            ShardResponseV2::Runs { request_id, runs } => {
-                if runs.len() != expected {
-                    return Err(ShardError::Protocol(format!(
-                        "service returned {} runs, expected {expected}",
-                        runs.len()
-                    )));
-                }
-                (request_id, ClientSettled::Runs(runs))
-            }
-            ShardResponseV2::Error {
-                request_id,
-                message,
-            } => (request_id, ClientSettled::Remote(message)),
-            ShardResponseV2::CacheMiss { request_id, digest } => {
-                (request_id, ClientSettled::CacheMiss { digest })
-            }
-        };
-        if request_id != id {
-            return Err(ShardError::Protocol(format!(
-                "service echoed request id {request_id}, expected {id} — connection desynced"
-            )));
-        }
-        Ok(settled)
+        settle_response(&payload, id, expected)
+            .map_err(|e| ShardError::Protocol(format!("service: {e}")))
     }
 }

@@ -174,7 +174,7 @@ impl FaultSpec {
             ("shift probability", self.shift_probability),
         ] {
             if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} {p} is not in [0, 1]"));
+                return Err(format!("{name} {p:?} is not in [0, 1]"));
             }
         }
         Ok(())

@@ -19,8 +19,8 @@
 
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::{
-    decode_response, encode_request, read_frame, serve, write_frame, ShardJob, ShardPlan,
-    ShardRequest, ShardResponse, SngKind,
+    decode_response_v2, encode_request_v2, read_frame, serve, write_frame, ShardJob, ShardPlan,
+    ShardRequest, ShardResponseV2, SngKind,
 };
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
@@ -152,13 +152,13 @@ fn sharded_equals_unsharded_for_every_backend() {
                         },
                     };
                     let mut input = Vec::new();
-                    write_frame(&mut input, &encode_request(&req)).unwrap();
+                    write_frame(&mut input, &encode_request_v2(&req, 1, None)).unwrap();
                     let mut output = Vec::new();
                     serve(&input[..], &mut output).unwrap();
                     let payload = read_frame(&mut &output[..]).unwrap().expect("one response");
-                    match decode_response(&payload).unwrap() {
-                        ShardResponse::Runs(runs) => merged.extend(runs),
-                        ShardResponse::Error(msg) => panic!("{label}: worker error: {msg}"),
+                    match decode_response_v2(&payload).unwrap() {
+                        ShardResponseV2::Runs { runs, .. } => merged.extend(runs),
+                        other => panic!("{label}: worker error: {other:?}"),
                     }
                 }
                 assert_eq!(merged, reference, "{label}, shards={shards}");

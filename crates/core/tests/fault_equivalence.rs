@@ -4,7 +4,7 @@
 //! path and every dispatch tier and lane width, and independent of how
 //! a batch is split across shards.
 //!
-//! The in-memory v3 protocol path is pinned here; the subprocess
+//! The in-memory wire protocol path is pinned here; the subprocess
 //! coordinator and pool are exercised end to end by the `osc-bench`
 //! integration suite, which owns the worker binary.
 
@@ -62,31 +62,34 @@ fn batch_runs(
 ) -> Vec<OpticalRun> {
     let ev = BatchEvaluator::with_threads(2);
     match kind {
-        SngKind::Lfsr => ev.evaluate_many_faulted(
+        SngKind::Lfsr => ev.evaluate_range_faulted(
             system,
             xs,
             stream_length,
             |s| LfsrSng::new(16, s as u32).unwrap(),
             seed,
+            0,
             faults,
         ),
-        SngKind::Counter => ev.evaluate_many_faulted(
+        SngKind::Counter => ev.evaluate_range_faulted(
             system,
             xs,
             stream_length,
             |_| CounterSng::new(),
             seed,
+            0,
             faults,
         ),
         SngKind::Xoshiro => {
-            ev.evaluate_many_faulted(system, xs, stream_length, XoshiroSng::new, seed, faults)
+            ev.evaluate_range_faulted(system, xs, stream_length, XoshiroSng::new, seed, 0, faults)
         }
-        SngKind::Chaotic => ev.evaluate_many_faulted(
+        SngKind::Chaotic => ev.evaluate_range_faulted(
             system,
             xs,
             stream_length,
             ChaoticLaserSng::seeded,
             seed,
+            0,
             faults,
         ),
     }
@@ -237,7 +240,7 @@ fn batch_splits_rebase_faults_by_global_index() {
     let xs: Vec<f64> = (0..11).map(|i| i as f64 / 10.0).collect();
     let ev = BatchEvaluator::with_threads(2);
     let whole = ev
-        .evaluate_many_faulted(&system, &xs, 256, XoshiroSng::new, 7, Some(&spec))
+        .evaluate_range_faulted(&system, &xs, 256, XoshiroSng::new, 7, 0, Some(&spec))
         .unwrap();
     for split in [1usize, 4, 8, 10] {
         let mut merged = ev
@@ -267,9 +270,8 @@ fn batch_splits_rebase_faults_by_global_index() {
     }
 }
 
-/// Runs one faulted request through the in-memory worker loop as a v3
-/// frame.
-fn serve_one_v3(req: &ShardRequest) -> Vec<OpticalRun> {
+/// Runs one faulted request through the in-memory worker loop.
+fn serve_one(req: &ShardRequest) -> Vec<OpticalRun> {
     let mut input = Vec::new();
     write_frame(&mut input, &encode_request_v2(req, 1, None)).unwrap();
     let mut output = Vec::new();
@@ -284,7 +286,7 @@ fn serve_one_v3(req: &ShardRequest) -> Vec<OpticalRun> {
 #[test]
 fn in_memory_sharded_faults_are_identical_across_shard_counts() {
     // Any ShardPlan partition of a faulted batch, served shard by shard
-    // through the v3 protocol and merged in index order, must equal the
+    // through the wire protocol and merged in index order, must equal the
     // unsharded faulted reference — the acceptance shard counts plus
     // degenerate ones.
     let spec = active_spec();
@@ -308,7 +310,7 @@ fn in_memory_sharded_faults_are_identical_across_shard_counts() {
                         xs: xs[start..start + len].to_vec(),
                     },
                 };
-                merged.extend(serve_one_v3(&req));
+                merged.extend(serve_one(&req));
             }
             assert_eq!(merged, reference, "{label} shards={shards}");
         }
@@ -338,12 +340,12 @@ fn in_memory_sharded_image_faults_are_identical_across_shard_counts() {
             pixels: rows.to_vec(),
         },
     };
-    let whole = serve_one_v3(&make_req(0, &pixels));
+    let whole = serve_one(&make_req(0, &pixels));
     for shards in [2usize, 3, 7] {
         let plan = ShardPlan::new(height, shards);
         let mut merged = Vec::with_capacity(width * height);
         for &(start, len) in plan.ranges() {
-            merged.extend(serve_one_v3(&make_req(
+            merged.extend(serve_one(&make_req(
                 start,
                 &pixels[start * width..(start + len) * width],
             )));

@@ -11,9 +11,8 @@
 //! `osc-bench` integration suite, which owns the worker binary.
 
 use osc_core::batch::shard::{
-    circuit_digest, decode_response, decode_response_v2, encode_request, encode_request_v2,
-    read_frame, serve, write_frame, ShardJob, ShardPlan, ShardRequest, ShardResponse,
-    ShardResponseV2, SngKind, CIRCUIT_CACHE_CAPACITY,
+    circuit_digest, decode_response_v2, encode_request_v2, read_frame, serve, write_frame,
+    ShardJob, ShardPlan, ShardRequest, ShardResponseV2, SngKind, CIRCUIT_CACHE_CAPACITY,
 };
 use osc_core::batch::BatchEvaluator;
 use osc_core::params::CircuitParams;
@@ -46,13 +45,13 @@ fn noisy_system() -> OpticalScSystem {
 /// Runs one request through the in-memory worker loop.
 fn serve_one(req: &ShardRequest) -> Vec<OpticalRun> {
     let mut input = Vec::new();
-    write_frame(&mut input, &encode_request(req)).unwrap();
+    write_frame(&mut input, &encode_request_v2(req, 1, None)).unwrap();
     let mut output = Vec::new();
     serve(&input[..], &mut output).unwrap();
     let payload = read_frame(&mut &output[..]).unwrap().expect("one response");
-    match decode_response(&payload).unwrap() {
-        ShardResponse::Runs(runs) => runs,
-        ShardResponse::Error(msg) => panic!("worker error: {msg}"),
+    match decode_response_v2(&payload).unwrap() {
+        ShardResponseV2::Runs { runs, .. } => runs,
+        other => panic!("worker error: {other:?}"),
     }
 }
 
@@ -147,10 +146,10 @@ fn v2_runs(payload: &[u8]) -> (u64, Vec<OpticalRun>) {
 }
 
 #[test]
-fn v2_requests_match_v1_and_the_single_process_reference() {
-    // The same request through the v1 frame, the v2 inline frame and
-    // the v2 cached-reference frame must produce identical runs — and
-    // all of them the single-process reference bytes.
+fn inline_and_cached_requests_match_the_single_process_reference() {
+    // The same request through the inline frame and the
+    // cached-reference frame must produce identical runs — and both of
+    // them the single-process reference bytes.
     let system = clean_system();
     let xs: Vec<f64> = (0..9).map(|i| i as f64 / 8.0).collect();
     let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 160, 21);
@@ -168,21 +167,15 @@ fn v2_requests_match_v1_and_the_single_process_reference() {
     };
     let digest = circuit_digest(&req.params, &req.coeffs);
     let responses = serve_frames(&[
-        encode_request(&req),                       // v1
-        encode_request_v2(&req, 101, None),         // v2 inline (caches the circuit)
-        encode_request_v2(&req, 102, Some(digest)), // v2 cached reference (hit)
+        encode_request_v2(&req, 101, None), // inline (caches the circuit)
+        encode_request_v2(&req, 102, Some(digest)), // cached reference (hit)
     ]);
-    let v1 = match decode_response(&responses[0]).unwrap() {
-        ShardResponse::Runs(runs) => runs,
-        ShardResponse::Error(msg) => panic!("v1 worker error: {msg}"),
-    };
-    let (id_inline, inline) = v2_runs(&responses[1]);
-    let (id_cached, cached) = v2_runs(&responses[2]);
+    let (id_inline, inline) = v2_runs(&responses[0]);
+    let (id_cached, cached) = v2_runs(&responses[1]);
     assert_eq!(id_inline, 101);
     assert_eq!(id_cached, 102);
-    assert_eq!(v1, reference, "v1 ≡ single-process");
-    assert_eq!(inline, reference, "v2 inline ≡ single-process");
-    assert_eq!(cached, reference, "v2 cache hit ≡ single-process");
+    assert_eq!(inline, reference, "inline ≡ single-process");
+    assert_eq!(cached, reference, "cache hit ≡ single-process");
 }
 
 #[test]
