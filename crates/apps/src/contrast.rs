@@ -39,85 +39,16 @@ pub fn run_contrast<B: PixelBackend>(
     Ok((produced, mae))
 }
 
-/// [`run_contrast`] with row-parallel pixel evaluation (see
-/// [`crate::gamma_app::apply_backend_par`]).
-///
-/// # Errors
-///
-/// Propagates backend failures.
-pub fn run_contrast_par<B: PixelBackend + Sync>(
-    image: &Image,
-    backend: &B,
-    evaluator: &osc_core::batch::BatchEvaluator,
-) -> Result<(Image, f64), AppError> {
-    let reference = image.map(smoothstep);
-    let produced = crate::gamma_app::apply_backend_par(image, backend, evaluator)?;
-    let mae = produced.mae(&reference)?;
-    Ok((produced, mae))
-}
-
-/// [`run_contrast`] with row- **and lane-**parallel pixel evaluation on
-/// the optical backend (see
-/// [`crate::gamma_app::apply_optical_lanes`]).
-///
-/// # Errors
-///
-/// Propagates backend failures.
-pub fn run_contrast_lanes(
-    image: &Image,
-    backend: &crate::backend::OpticalBackend,
-    evaluator: &osc_core::batch::BatchEvaluator,
-) -> Result<(Image, f64), AppError> {
-    let reference = image.map(smoothstep);
-    let produced = crate::gamma_app::apply_optical_lanes(image, backend, evaluator)?;
-    let mae = produced.mae(&reference)?;
-    Ok((produced, mae))
-}
-
-/// [`run_contrast`] with process-sharded row evaluation on the optical
-/// backend (see [`crate::gamma_app::apply_optical_sharded`]): the
-/// produced image is byte-identical to [`run_contrast_lanes`]' for
-/// every shard count.
-///
-/// # Errors
-///
-/// Propagates shard and backend failures.
-pub fn run_contrast_sharded(
-    image: &Image,
-    backend: &crate::backend::OpticalBackend,
-    coordinator: &osc_core::batch::shard::ShardCoordinator,
-) -> Result<(Image, f64), AppError> {
-    let reference = image.map(smoothstep);
-    let produced = crate::gamma_app::apply_optical_sharded(image, backend, coordinator)?;
-    let mae = produced.mae(&reference)?;
-    Ok((produced, mae))
-}
-
-/// [`run_contrast_sharded`] on a persistent
-/// [`osc_core::batch::shard::pool::WorkerPool`] (see
-/// [`crate::gamma_app::apply_optical_pooled`]): the produced image is
-/// byte-identical to [`run_contrast_lanes`]' for every worker count,
-/// but spawn + circuit construction are paid once per pool, not per
-/// call.
-///
-/// # Errors
-///
-/// Propagates pool and backend failures.
-pub fn run_contrast_pooled(
-    image: &Image,
-    backend: &crate::backend::OpticalBackend,
-    pool: &mut osc_core::batch::shard::pool::WorkerPool,
-) -> Result<(Image, f64), AppError> {
-    let reference = image.map(smoothstep);
-    let produced = crate::gamma_app::apply_optical_pooled(image, backend, pool)?;
-    let mae = produced.mae(&reference)?;
-    Ok((produced, mae))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{ElectronicBackend, ExactBackend};
+    use crate::gamma_app::apply_backend_par;
+
+    /// Mean absolute error of `produced` against the exact smoothstep.
+    fn contrast_mae(img: &Image, produced: &Image) -> f64 {
+        produced.mae(&img.map(smoothstep)).unwrap()
+    }
 
     #[test]
     fn bernstein_form_is_exact() {
@@ -158,25 +89,30 @@ mod tests {
         use osc_core::batch::BatchEvaluator;
         let img = Image::blobs(12, 12);
         let b = ElectronicBackend::new(smoothstep_poly(), 4096, 5);
-        let (img1, mae1) = run_contrast_par(&img, &b, &BatchEvaluator::with_threads(1)).unwrap();
-        let (img4, mae4) = run_contrast_par(&img, &b, &BatchEvaluator::with_threads(4)).unwrap();
+        let img1 = apply_backend_par(&img, &b, &BatchEvaluator::with_threads(1)).unwrap();
+        let img4 = apply_backend_par(&img, &b, &BatchEvaluator::with_threads(4)).unwrap();
         assert_eq!(img1, img4);
-        assert_eq!(mae1, mae4);
+        let mae1 = contrast_mae(&img, &img1);
         assert!(mae1 < 0.03, "mae {mae1}");
     }
 
     #[test]
     fn lane_blocked_contrast_matches_thread_counts_and_quality() {
         use crate::backend::OpticalBackend;
+        use crate::gamma_app::apply_optical;
+        use osc_core::batch::shard::Executor;
         use osc_core::batch::BatchEvaluator;
         use osc_core::params::CircuitParams;
         let img = Image::blobs(12, 6);
         let params = CircuitParams::paper_fig7(3, osc_units::Nanometers::new(0.2));
         let b = OpticalBackend::new(params, smoothstep_poly(), 4096, 5).unwrap();
-        let (img1, mae1) = run_contrast_lanes(&img, &b, &BatchEvaluator::with_threads(1)).unwrap();
-        let (img4, mae4) = run_contrast_lanes(&img, &b, &BatchEvaluator::with_threads(4)).unwrap();
+        let on = |threads| {
+            let evaluator = BatchEvaluator::with_threads(threads);
+            apply_optical(&img, &b, &mut Executor::InProcess(&evaluator), None).unwrap()
+        };
+        let (img1, img4) = (on(1), on(4));
         assert_eq!(img1, img4);
-        assert_eq!(mae1, mae4);
+        let mae1 = contrast_mae(&img, &img1);
         assert!(mae1 < 0.03, "mae {mae1}");
     }
 }

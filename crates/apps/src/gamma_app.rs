@@ -4,16 +4,21 @@
 //! image processing, involves a 6th order degree. Compared to the 100MHz
 //! frequency considered in \[9\], the use of integrated optics will lead to
 //! a 10x speedup."
+//!
+//! Three pipelines apply a backend to an image: [`apply_backend`] (one
+//! sequential generator chain), [`apply_backend_par`] (rows fanned over
+//! threads, any [`PixelBackend`]) and [`apply_optical`] — the optical
+//! circuit's row + lane pipeline, served through any
+//! [`Executor`] tier (in process, spawned workers, a persistent pool or
+//! a TCP service) with byte-identical output.
 
 use crate::backend::{throughput_evals_per_second, OpticalBackend, PixelBackend};
 use crate::image::Image;
 use crate::AppError;
-use osc_core::batch::shard::pool::WorkerPool;
-use osc_core::batch::shard::{image_rows_eval, ShardCoordinator, SngKind};
+use osc_core::batch::shard::{Executor, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 use osc_stochastic::gamma::{fit_gamma_bernstein, gamma_exact, DISPLAY_GAMMA, PAPER_GAMMA_DEGREE};
-use osc_stochastic::sng::XoshiroSng;
 
 /// Result of running gamma correction on one backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,174 +76,65 @@ pub fn apply_backend_par<B: PixelBackend + Sync>(
     Image::new(width, image.height(), out)
 }
 
-/// Applies the optical backend's polynomial to every pixel with **two
-/// levels of parallelism**: image rows fan across the
-/// [`BatchEvaluator`]'s workers (thread level), and within a row pixels
-/// run through the lane-blocked fused kernel
+/// Applies the optical backend's polynomial to every pixel through
+/// `executor`, optionally under a per-stream fault process. Rows fan
+/// across threads (and, off process, across workers), and within a row
+/// pixels run through the lane-blocked fused kernel
 /// ([`osc_core::system::OpticalScSystem::evaluate_fused_lanes`]) in
-/// register groups of 8/4/2/1 (SIMD/ILP level) — the image-pipeline form
-/// of the paper's Section V.C lane bank.
+/// register groups of 8/4/2/1 — the image-pipeline form of the paper's
+/// Section V.C lane bank.
 ///
-/// Each pixel gets its own generator universe derived as
-/// `mix_seed(mix_seed(backend seed, row), column)`, so the output is a
-/// pure function of the backend's seed and the image — identical for
-/// every thread count *and* every lane-block decomposition (pinned by
-/// the tests against per-pixel fused evaluation). Note the per-pixel
-/// seeding differs from [`apply_backend_par`]'s sequential per-row
-/// generator chain, so the two pipelines produce statistically
-/// equivalent but not bit-equal images.
-///
-/// # Errors
-///
-/// Propagates backend failures (first failing row by index order).
-pub fn apply_optical_lanes(
-    image: &Image,
-    backend: &OpticalBackend,
-    evaluator: &BatchEvaluator,
-) -> Result<Image, AppError> {
-    apply_optical_lanes_faulted(image, backend, evaluator, None)
-}
-
-/// [`apply_optical_lanes`] under an optional per-stream fault process:
-/// each pixel's spec rebases by global row then column
-/// ([`FaultSpec::rebased`]), mirroring the generator derivation — so
-/// faulty output, like clean output, is identical across thread counts,
-/// lane decompositions, SIMD tiers and (via the sharded/pooled
-/// variants) shard counts.
+/// Each pixel gets its own Xoshiro generator universe derived as
+/// `mix_seed(mix_seed(backend seed, row), column)`, and a fault spec
+/// rebases by row then column ([`FaultSpec::rebased`]), so the output
+/// is a pure function of the backend's seed, the image and the spec —
+/// byte-identical for every [`Executor`] tier, thread count, worker
+/// count, lane decomposition and SIMD tier. The per-pixel seeding
+/// differs from [`apply_backend_par`]'s sequential per-row generator
+/// chain, so the two pipelines produce statistically equivalent but not
+/// bit-equal images.
 ///
 /// # Errors
 ///
 /// An invalid fault spec ([`FaultSpec::validate`]) before any pixel
-/// runs, otherwise backend failures (first failing row by index order).
+/// runs, otherwise the tier's evaluation or transport failures
+/// ([`AppError::Circuit`] in process, [`AppError::Shard`] elsewhere).
+pub fn apply_optical(
+    image: &Image,
+    backend: &OpticalBackend,
+    executor: &mut Executor<'_>,
+    faults: Option<&FaultSpec>,
+) -> Result<Image, AppError> {
+    let runs = executor.image(
+        backend.system(),
+        SngKind::Xoshiro,
+        image.width(),
+        image.pixels(),
+        backend.stream_length(),
+        backend.seed(),
+        faults,
+    )?;
+    Image::new(
+        image.width(),
+        image.height(),
+        runs.iter().map(|r| r.estimate.clamp(0.0, 1.0)).collect(),
+    )
+}
+
+/// [`apply_optical`] in this process on `evaluator`'s threads. New code
+/// calls [`apply_optical`]; this name stays because the benchmark
+/// package (`perfbench/`) calls it.
+///
+/// # Errors
+///
+/// As [`apply_optical`].
 pub fn apply_optical_lanes_faulted(
     image: &Image,
     backend: &OpticalBackend,
     evaluator: &BatchEvaluator,
     faults: Option<&FaultSpec>,
 ) -> Result<Image, AppError> {
-    let runs = image_rows_eval(
-        evaluator,
-        backend.system(),
-        &XoshiroSng::new,
-        image.width(),
-        0,
-        image.pixels(),
-        backend.stream_length(),
-        backend.seed(),
-        faults,
-    )?;
-    Image::new(
-        image.width(),
-        image.height(),
-        runs.iter().map(|r| r.estimate.clamp(0.0, 1.0)).collect(),
-    )
-}
-
-/// Applies the optical backend's polynomial to every pixel with **three
-/// levels of parallelism**: image rows shard across worker
-/// *subprocesses* (a [`ShardCoordinator`] running the
-/// [`osc_core::batch::shard`] wire protocol), rows fan across each
-/// worker's threads, and within a row pixels run through the
-/// lane-blocked fused kernel — the scale-out form of the paper's
-/// Section V.C lane bank.
-///
-/// The per-pixel generator universes are exactly
-/// [`apply_optical_lanes`]' (`mix_seed(mix_seed(backend seed, row),
-/// column)` with Xoshiro sources), and every worker evaluates its rows
-/// with their *global* row indices, so the output is **byte-identical**
-/// to [`apply_optical_lanes`] — and therefore identical for every shard
-/// count — not merely statistically equivalent.
-///
-/// # Errors
-///
-/// Propagates shard failures ([`AppError::Shard`]: spawn failures, dead
-/// workers after retries, protocol violations) and evaluation errors
-/// reported by workers.
-pub fn apply_optical_sharded(
-    image: &Image,
-    backend: &OpticalBackend,
-    coordinator: &ShardCoordinator,
-) -> Result<Image, AppError> {
-    apply_optical_sharded_faulted(image, backend, coordinator, None)
-}
-
-/// [`apply_optical_sharded`] under an optional fault process — workers
-/// rebase the spec per pixel by global row then column, so faulty
-/// sharded output is byte-identical to
-/// [`apply_optical_lanes_faulted`]'s for every shard count.
-///
-/// # Errors
-///
-/// As [`apply_optical_sharded`].
-pub fn apply_optical_sharded_faulted(
-    image: &Image,
-    backend: &OpticalBackend,
-    coordinator: &ShardCoordinator,
-    faults: Option<&FaultSpec>,
-) -> Result<Image, AppError> {
-    let runs = coordinator.image_rows(
-        backend.system(),
-        SngKind::Xoshiro,
-        image.width(),
-        image.pixels(),
-        backend.stream_length(),
-        backend.seed(),
-        faults,
-    )?;
-    Image::new(
-        image.width(),
-        image.height(),
-        runs.iter().map(|r| r.estimate.clamp(0.0, 1.0)).collect(),
-    )
-}
-
-/// [`apply_optical_sharded`] on a persistent [`WorkerPool`]: identical
-/// row sharding, per-pixel universes and output bytes, but the worker
-/// processes (and their cached circuits) survive across calls — the
-/// right shape for a stream of small images, where per-call spawn +
-/// circuit rebuild dominates ([`ShardCoordinator`] pays both every
-/// call).
-///
-/// # Errors
-///
-/// Propagates pool failures ([`AppError::Shard`]: dead workers after
-/// respawn + retries, protocol violations) and evaluation errors
-/// reported by workers.
-pub fn apply_optical_pooled(
-    image: &Image,
-    backend: &OpticalBackend,
-    pool: &mut WorkerPool,
-) -> Result<Image, AppError> {
-    apply_optical_pooled_faulted(image, backend, pool, None)
-}
-
-/// [`apply_optical_pooled`] under an optional fault process —
-/// byte-identical to [`apply_optical_lanes_faulted`] and
-/// [`apply_optical_sharded_faulted`] for every worker count.
-///
-/// # Errors
-///
-/// As [`apply_optical_pooled`].
-pub fn apply_optical_pooled_faulted(
-    image: &Image,
-    backend: &OpticalBackend,
-    pool: &mut WorkerPool,
-    faults: Option<&FaultSpec>,
-) -> Result<Image, AppError> {
-    let runs = pool.image_rows(
-        backend.system(),
-        SngKind::Xoshiro,
-        image.width(),
-        image.pixels(),
-        backend.stream_length(),
-        backend.seed(),
-        faults,
-    )?;
-    Image::new(
-        image.width(),
-        image.height(),
-        runs.iter().map(|r| r.estimate.clamp(0.0, 1.0)).collect(),
-    )
+    apply_optical(image, backend, &mut Executor::InProcess(evaluator), faults)
 }
 
 /// Runs gamma correction on a backend and reports quality + throughput
@@ -261,94 +157,6 @@ pub fn run_gamma<B: PixelBackend>(
     })
 }
 
-/// [`run_gamma`] with row-parallel pixel evaluation (see
-/// [`apply_backend_par`]).
-///
-/// # Errors
-///
-/// Propagates backend failures.
-pub fn run_gamma_par<B: PixelBackend + Sync>(
-    image: &Image,
-    backend: &B,
-    evaluator: &BatchEvaluator,
-) -> Result<GammaRunReport, AppError> {
-    let reference = image.map(|p| gamma_exact(p, DISPLAY_GAMMA));
-    let produced = apply_backend_par(image, backend, evaluator)?;
-    Ok(GammaRunReport {
-        backend: backend.name().to_string(),
-        psnr_db: produced.psnr_db(&reference)?,
-        mae: produced.mae(&reference)?,
-        evals_per_second: throughput_evals_per_second(backend),
-    })
-}
-
-/// [`run_gamma`] with row- **and lane-**parallel pixel evaluation (see
-/// [`apply_optical_lanes`]).
-///
-/// # Errors
-///
-/// Propagates backend failures.
-pub fn run_gamma_lanes(
-    image: &Image,
-    backend: &OpticalBackend,
-    evaluator: &BatchEvaluator,
-) -> Result<GammaRunReport, AppError> {
-    let reference = image.map(|p| gamma_exact(p, DISPLAY_GAMMA));
-    let produced = apply_optical_lanes(image, backend, evaluator)?;
-    Ok(GammaRunReport {
-        backend: backend.name().to_string(),
-        psnr_db: produced.psnr_db(&reference)?,
-        mae: produced.mae(&reference)?,
-        evals_per_second: throughput_evals_per_second(backend),
-    })
-}
-
-/// [`run_gamma`] with process-sharded row evaluation (see
-/// [`apply_optical_sharded`]): the report's quality numbers are computed
-/// from an image byte-identical to [`run_gamma_lanes`]' for every shard
-/// count.
-///
-/// # Errors
-///
-/// Propagates shard and backend failures.
-pub fn run_gamma_sharded(
-    image: &Image,
-    backend: &OpticalBackend,
-    coordinator: &ShardCoordinator,
-) -> Result<GammaRunReport, AppError> {
-    let reference = image.map(|p| gamma_exact(p, DISPLAY_GAMMA));
-    let produced = apply_optical_sharded(image, backend, coordinator)?;
-    Ok(GammaRunReport {
-        backend: backend.name().to_string(),
-        psnr_db: produced.psnr_db(&reference)?,
-        mae: produced.mae(&reference)?,
-        evals_per_second: throughput_evals_per_second(backend),
-    })
-}
-
-/// [`run_gamma_sharded`] on a persistent [`WorkerPool`] (see
-/// [`apply_optical_pooled`]): the report's quality numbers are computed
-/// from an image byte-identical to [`run_gamma_lanes`]' for every
-/// worker count.
-///
-/// # Errors
-///
-/// Propagates pool and backend failures.
-pub fn run_gamma_pooled(
-    image: &Image,
-    backend: &OpticalBackend,
-    pool: &mut WorkerPool,
-) -> Result<GammaRunReport, AppError> {
-    let reference = image.map(|p| gamma_exact(p, DISPLAY_GAMMA));
-    let produced = apply_optical_pooled(image, backend, pool)?;
-    Ok(GammaRunReport {
-        backend: backend.name().to_string(),
-        psnr_db: produced.psnr_db(&reference)?,
-        mae: produced.mae(&reference)?,
-        evals_per_second: throughput_evals_per_second(backend),
-    })
-}
-
 /// The paper's degree-6 gamma polynomial, ready for backends.
 ///
 /// # Errors
@@ -363,8 +171,22 @@ mod tests {
     use super::*;
     use crate::backend::{ElectronicBackend, ExactBackend};
     use osc_core::batch::mix_seed;
+    use osc_core::batch::shard::ShardCoordinator;
     use osc_core::system::EvalScratch;
     use osc_math::rng::Xoshiro256PlusPlus;
+    use osc_stochastic::sng::XoshiroSng;
+
+    /// Gamma-corrects `img` in process on `evaluator`.
+    fn optical(img: &Image, backend: &OpticalBackend, evaluator: &BatchEvaluator) -> Image {
+        apply_optical(img, backend, &mut Executor::InProcess(evaluator), None).unwrap()
+    }
+
+    /// Mean absolute error of `produced` against the exact gamma map.
+    fn gamma_mae(img: &Image, produced: &Image) -> f64 {
+        produced
+            .mae(&img.map(|p| gamma_exact(p, DISPLAY_GAMMA)))
+            .unwrap()
+    }
 
     #[test]
     fn exact_backend_matches_polynomial_not_map() {
@@ -402,15 +224,10 @@ mod tests {
         let img = Image::gradient(16, 8);
         let backend = ElectronicBackend::new(paper_gamma_polynomial().unwrap(), 4096, 5);
         let seq = run_gamma(&img, &mut backend.fork(u64::MAX)).unwrap();
-        let par = run_gamma_par(&img, &backend, &BatchEvaluator::with_threads(3)).unwrap();
+        let par = apply_backend_par(&img, &backend, &BatchEvaluator::with_threads(3)).unwrap();
+        let par_mae = gamma_mae(&img, &par);
         // Different streams, same statistics.
-        assert!(
-            (seq.mae - par.mae).abs() < 0.01,
-            "{} vs {}",
-            seq.mae,
-            par.mae
-        );
-        assert_eq!(seq.backend, par.backend);
+        assert!((seq.mae - par_mae).abs() < 0.01, "{} vs {par_mae}", seq.mae);
     }
 
     #[test]
@@ -420,8 +237,8 @@ mod tests {
         let img = Image::blobs(13, 5);
         let poly = osc_stochastic::bernstein::BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap();
         let backend = OpticalBackend::new(CircuitParams::paper_fig5(), poly, 512, 41).unwrap();
-        let one = apply_optical_lanes(&img, &backend, &BatchEvaluator::with_threads(1)).unwrap();
-        let four = apply_optical_lanes(&img, &backend, &BatchEvaluator::with_threads(4)).unwrap();
+        let one = optical(&img, &backend, &BatchEvaluator::with_threads(1));
+        let four = optical(&img, &backend, &BatchEvaluator::with_threads(4));
         assert_eq!(one, four, "thread-count invariance");
         // Per-pixel replay through the unblocked fused path: the lane
         // decomposition must be unobservable.
@@ -459,16 +276,10 @@ mod tests {
         let params = CircuitParams::paper_fig7(6, osc_units::Nanometers::new(0.165));
         let backend = OpticalBackend::new(params, poly, 2048, 7).unwrap();
         let ev = BatchEvaluator::with_threads(3);
-        let lanes = run_gamma_lanes(&img, &backend, &ev).unwrap();
-        let rows = run_gamma_par(&img, &backend, &ev).unwrap();
+        let lanes = gamma_mae(&img, &optical(&img, &backend, &ev));
+        let rows = gamma_mae(&img, &apply_backend_par(&img, &backend, &ev).unwrap());
         // Different per-pixel streams, same statistics.
-        assert!(
-            (lanes.mae - rows.mae).abs() < 0.01,
-            "{} vs {}",
-            lanes.mae,
-            rows.mae
-        );
-        assert_eq!(lanes.backend, rows.backend);
+        assert!((lanes - rows).abs() < 0.01, "{lanes} vs {rows}");
     }
 
     #[test]
@@ -483,7 +294,8 @@ mod tests {
         let poly = osc_stochastic::bernstein::BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap();
         let backend = OpticalBackend::new(CircuitParams::paper_fig5(), poly, 64, 5).unwrap();
         let coordinator = ShardCoordinator::new("/nonexistent/shard_worker_binary", 2);
-        let err = apply_optical_sharded(&img, &backend, &coordinator).unwrap_err();
+        let err =
+            apply_optical(&img, &backend, &mut Executor::Spawn(&coordinator), None).unwrap_err();
         assert!(
             matches!(err, crate::AppError::Shard(_)),
             "expected a shard error, got {err:?}"

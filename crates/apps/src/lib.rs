@@ -66,7 +66,10 @@ impl From<osc_core::CircuitError> for AppError {
 
 impl From<osc_core::batch::shard::ShardError> for AppError {
     fn from(e: osc_core::batch::shard::ShardError) -> Self {
-        AppError::Shard(e.to_string())
+        match e {
+            osc_core::batch::shard::ShardError::Circuit(e) => e.into(),
+            e => AppError::Shard(e.to_string()),
+        }
     }
 }
 

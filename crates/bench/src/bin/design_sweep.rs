@@ -10,7 +10,8 @@
 //! Enumerates at least `--candidates` (default 64) design candidates
 //! over the Fig. 6 device ranges ([`osc_bench::sweep::axes_for`]),
 //! solves each distinct design point, measures every candidate's
-//! empirical accuracy through one of four serving modes, extracts the
+//! empirical accuracy through one of four serving tiers (one
+//! [`Executor`] variant each), extracts the
 //! accuracy × energy × area Pareto frontier and prints a one-line
 //! timing summary:
 //!
@@ -22,8 +23,9 @@
 //!   knob);
 //! - `--workers 0`: in-process, through the same SNG dispatch point
 //!   the workers run;
-//! - `--spawn-per-request`: a fresh single-shard coordinator per
-//!   candidate — the per-request-spawn baseline the pool amortizes;
+//! - `--spawn-per-request`: a fresh `N`-shard coordinator per
+//!   candidate (at most one worker per probe) — the per-request-spawn
+//!   baseline the pool amortizes;
 //! - `--service HOST:PORT`: one TCP connection to a running
 //!   `osc_service` front door, one request per candidate.
 //!
@@ -40,9 +42,9 @@ use osc_bench::sweep::{axes_for, summary_line};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
 use osc_core::batch::shard::service::ServiceClient;
-use osc_core::batch::shard::{locate_worker, ShardCoordinator};
+use osc_core::batch::shard::{locate_worker, Executor, ShardCoordinator};
 use osc_core::batch::BatchEvaluator;
-use osc_core::design::sweep::{frontier_csv, pareto_frontier, DesignSweep, SweepMode};
+use osc_core::design::sweep::{frontier_csv, pareto_frontier, DesignSweep};
 use std::time::Instant;
 
 fn fail(msg: &str) -> ! {
@@ -138,38 +140,36 @@ fn main() {
         })
     };
     let eval_start = Instant::now();
-    let (points, mode_name) = if let Some(addr) = service_addr {
+    let (evaluator, coordinator, mut pool, mut client);
+    let (executor, mode_name) = if let Some(addr) = service_addr {
         let addr: std::net::SocketAddr = addr
             .parse()
             .unwrap_or_else(|_| fail("--service needs HOST:PORT"));
-        let mut client = ServiceClient::connect(addr)
+        client = ServiceClient::connect(addr)
             .unwrap_or_else(|e| fail(&format!("connecting to {addr}: {e}")));
-        let points = sweep
-            .evaluate(SweepMode::Service(&mut client))
-            .unwrap_or_else(|e| fail(&format!("service sweep against {addr}: {e}")));
-        (points, format!("service({addr})"))
+        (Executor::Service(&mut client), format!("service({addr})"))
     } else if workers == 0 {
-        let evaluator = BatchEvaluator::new();
-        let points = sweep
-            .evaluate(SweepMode::InProcess(&evaluator))
-            .unwrap_or_else(|e| fail(&format!("in-process sweep: {e}")));
-        (points, "in-process".to_string())
+        evaluator = BatchEvaluator::new();
+        (Executor::InProcess(&evaluator), "in-process".to_string())
     } else if spawn_per_request {
-        let coordinator = ShardCoordinator::new(worker(), workers);
-        let points = sweep
-            .evaluate(SweepMode::Spawn(&coordinator))
-            .unwrap_or_else(|e| fail(&format!("spawn-per-request sweep: {e}")));
-        (points, format!("spawn-per-request({workers})"))
+        coordinator = ShardCoordinator::new(worker(), workers);
+        (
+            Executor::Spawn(&coordinator),
+            format!("spawn-per-request({workers})"),
+        )
     } else {
-        let mut pool = PoolConfig::new(worker(), workers)
+        pool = PoolConfig::new(worker(), workers)
             .with_circuit_cache_capacity(cache)
             .spawn()
             .unwrap_or_else(|e| fail(&format!("pool spawn: {e}")));
-        let points = sweep
-            .evaluate(SweepMode::Pool(&mut pool))
-            .unwrap_or_else(|e| fail(&format!("pooled sweep: {e}")));
-        (points, format!("pool({workers}, cache {cache})"))
+        (
+            Executor::Pool(&mut pool),
+            format!("pool({workers}, cache {cache})"),
+        )
     };
+    let points = sweep
+        .evaluate(executor)
+        .unwrap_or_else(|e| fail(&format!("{mode_name} sweep: {e}")));
     let eval_s = eval_start.elapsed().as_secs_f64();
 
     let frontier = pareto_frontier(&points);

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Drives the shared [`osc_bench::soak`] schedule — `R` small
-//! alternating gamma/contrast image requests — through one of three
+//! alternating gamma/contrast image requests — through one of four
 //! serving modes, writes every output pixel's raw little-endian
 //! IEEE-754 bytes to `--out`, and prints a one-line timing summary:
 //!
@@ -26,9 +26,11 @@
 //!   response (closed-loop) to sending its whole burst up front, so
 //!   the p50/p95/p99 latencies include queueing delay.
 //!
-//! The determinism contract makes the output bytes **identical across
-//! all modes and worker counts**, so CI `cmp`s them directly; the
-//! timing lines are the amortization story.
+//! The first three modes are [`Executor`] variants handed to
+//! [`soak::run`]; the service mode is the multi-connection
+//! [`soak::run_service`]. The determinism contract makes the output
+//! bytes **identical across all modes and worker counts**, so CI `cmp`s
+//! them directly; the timing lines are the amortization story.
 //!
 //! `--backend NAME` (`mrr-mzi`, the default, or `nanocavity`) selects
 //! the transmission physics behind every request's circuit — the CI
@@ -40,10 +42,11 @@
 //! fault-universe determinism contract keeps faulty bytes identical
 //! across modes and worker counts too.
 
-use osc_bench::soak::{self, LoadConfig, SoakConfig, SoakMode};
+use osc_bench::soak::{self, LoadConfig, SoakConfig};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{locate_worker, ShardCoordinator};
+use osc_core::batch::shard::{locate_worker, Executor, ShardCoordinator};
+use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 
 fn fail(msg: &str) -> ! {
@@ -167,22 +170,26 @@ fn main() {
                 load.connections
             ),
         )
-    } else if workers == 0 {
-        let report = soak::run(&cfg, SoakMode::InProcess)
-            .unwrap_or_else(|e| fail(&format!("in-process soak: {e}")));
-        (report, "in-process".to_string())
-    } else if spawn_per_request {
-        let coordinator = ShardCoordinator::new(worker(), workers);
-        let report = soak::run(&cfg, SoakMode::Spawn(&coordinator))
-            .unwrap_or_else(|e| fail(&format!("spawn-per-request soak: {e}")));
-        (report, format!("spawn-per-request({workers})"))
     } else {
-        let mut pool = PoolConfig::new(worker(), workers)
-            .spawn()
-            .unwrap_or_else(|e| fail(&format!("pool spawn: {e}")));
-        let report = soak::run(&cfg, SoakMode::Pool(&mut pool))
-            .unwrap_or_else(|e| fail(&format!("pooled soak: {e}")));
-        (report, format!("pool({workers})"))
+        let (evaluator, coordinator, mut pool);
+        let (executor, mode_name) = if workers == 0 {
+            evaluator = BatchEvaluator::new();
+            (Executor::InProcess(&evaluator), "in-process".to_string())
+        } else if spawn_per_request {
+            coordinator = ShardCoordinator::new(worker(), workers);
+            (
+                Executor::Spawn(&coordinator),
+                format!("spawn-per-request({workers})"),
+            )
+        } else {
+            pool = PoolConfig::new(worker(), workers)
+                .spawn()
+                .unwrap_or_else(|e| fail(&format!("pool spawn: {e}")));
+            (Executor::Pool(&mut pool), format!("pool({workers})"))
+        };
+        let report =
+            soak::run(&cfg, executor).unwrap_or_else(|e| fail(&format!("{mode_name} soak: {e}")));
+        (report, mode_name)
     };
     println!(
         "{}",

@@ -31,6 +31,8 @@
 //! `shutdown` line on stdin (stdin EOF is ignored, so `osc_service
 //! < /dev/null &` with a later `kill -TERM` is the whole CI
 //! lifecycle).
+//!
+//! [`PoolDispatcher`]: osc_core::batch::shard::pool::PoolDispatcher
 
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::locate_worker;

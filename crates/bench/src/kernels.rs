@@ -14,7 +14,7 @@
 use crate::microbench::Harness;
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{locate_worker, ShardCoordinator};
+use osc_core::batch::shard::{locate_worker, Executor, ShardCoordinator};
 use osc_core::batch::BatchEvaluator;
 use osc_core::params::CircuitParams;
 use osc_core::system::{EvalScratch, OpticalScSystem};
@@ -438,14 +438,16 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             &mut harness,
             "gamma_64x64_order6_sharded",
             move || {
-                osc_apps::gamma_app::apply_optical_lanes(&image_s, &backend_s, &one_thread)
+                let mut executor = Executor::InProcess(&one_thread);
+                osc_apps::gamma_app::apply_optical(&image_s, &backend_s, &mut executor, None)
                     .unwrap()
                     .pixels()
                     .iter()
                     .sum()
             },
             move || {
-                osc_apps::gamma_app::apply_optical_sharded(&image_s2, &backend_s2, &coordinator)
+                let mut executor = Executor::Spawn(&coordinator);
+                osc_apps::gamma_app::apply_optical(&image_s2, &backend_s2, &mut executor, None)
                     .unwrap()
                     .pixels()
                     .iter()
@@ -474,14 +476,16 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             &mut harness,
             "gamma_64x64_order6_pooled",
             move || {
-                osc_apps::gamma_app::apply_optical_sharded(&image_q, &backend_q, &spawn_coordinator)
+                let mut executor = Executor::Spawn(&spawn_coordinator);
+                osc_apps::gamma_app::apply_optical(&image_q, &backend_q, &mut executor, None)
                     .unwrap()
                     .pixels()
                     .iter()
                     .sum()
             },
             move || {
-                osc_apps::gamma_app::apply_optical_pooled(&image_q2, &backend_q2, &mut warm_pool)
+                let mut executor = Executor::Pool(&mut warm_pool);
+                osc_apps::gamma_app::apply_optical(&image_q2, &backend_q2, &mut executor, None)
                     .unwrap()
                     .pixels()
                     .iter()
@@ -510,13 +514,13 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             &mut harness,
             "pool_small_requests_1024",
             move || {
-                crate::soak::run(&soak_cfg, crate::soak::SoakMode::Spawn(&soak_spawn))
+                crate::soak::run(&soak_cfg, Executor::Spawn(&soak_spawn))
                     .unwrap()
                     .bytes
                     .len() as f64
             },
             move || {
-                crate::soak::run(&soak_cfg, crate::soak::SoakMode::Pool(&mut soak_pool))
+                crate::soak::run(&soak_cfg, Executor::Pool(&mut soak_pool))
                     .unwrap()
                     .bytes
                     .len() as f64
@@ -543,7 +547,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             &mut harness,
             "service_soak",
             move || {
-                crate::soak::run(&svc_cfg, crate::soak::SoakMode::Spawn(&svc_spawn))
+                crate::soak::run(&svc_cfg, Executor::Spawn(&svc_spawn))
                     .unwrap()
                     .bytes
                     .len() as f64
@@ -583,7 +587,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             "design_sweep_order_grid",
             move || {
                 grid_sweep
-                    .evaluate(crate::sweep::SweepMode::Spawn(&sweep_spawn))
+                    .evaluate(Executor::Spawn(&sweep_spawn))
                     .unwrap()
                     .iter()
                     .map(|p| p.mean_abs_error)
@@ -591,7 +595,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             },
             move || {
                 grid_sweep2
-                    .evaluate(crate::sweep::SweepMode::Pool(&mut sweep_pool))
+                    .evaluate(Executor::Pool(&mut sweep_pool))
                     .unwrap()
                     .iter()
                     .map(|p| p.mean_abs_error)

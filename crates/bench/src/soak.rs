@@ -1,5 +1,5 @@
 //! The shared soak workload: a stream of small gamma/contrast image
-//! requests, runnable through any serving mode.
+//! requests, runnable through any serving tier ([`Executor`]).
 //!
 //! This is the one request schedule the CI `pool-soak` job, the
 //! `gamma_pool` demo binary (every serving mode, spawn-per-request
@@ -13,22 +13,22 @@
 //! so a pooled run exercises the cache-hit path on every request after
 //! the first two.
 //!
-//! Every mode produces the pixels of every request, concatenated in
+//! Every tier produces the pixels of every request, concatenated in
 //! request order as little-endian IEEE-754 bit patterns
-//! ([`SoakReport::bytes`]) — byte-identical across modes by the
+//! ([`SoakReport::bytes`]) — byte-identical across tiers by the
 //! sharding determinism contract, so a plain `cmp` is the whole
-//! equivalence check.
+//! equivalence check. [`run`] sends each request through one
+//! [`Executor::image`] call; [`run_service`] is the multi-connection
+//! load generator against a running `osc_service`.
 
 use osc_apps::backend::OpticalBackend;
 use osc_apps::contrast::smoothstep_poly;
-use osc_apps::gamma_app::{self, paper_gamma_polynomial};
+use osc_apps::gamma_app::paper_gamma_polynomial;
 use osc_apps::image::Image;
 use osc_apps::AppError;
 use osc_core::backend::BackendKind;
-use osc_core::batch::shard::pool::WorkerPool;
 use osc_core::batch::shard::service::ServiceClient;
-use osc_core::batch::shard::{ShardCoordinator, ShardRequest, SngKind};
-use osc_core::batch::BatchEvaluator;
+use osc_core::batch::shard::{Executor, ShardRequest, SngKind};
 use osc_core::fault::FaultSpec;
 use osc_core::params::CircuitParams;
 use osc_core::system::OpticalRun;
@@ -50,10 +50,10 @@ pub struct SoakConfig {
     pub stream: usize,
     /// Optional fault process applied to every request (the fault-mode
     /// soak leg); `None` drives the clean pipeline. Faulty output is
-    /// byte-identical across [`SoakMode`]s exactly like clean output.
+    /// byte-identical across tiers exactly like clean output.
     pub fault: Option<FaultSpec>,
     /// Which transmission physics realizes every request's circuit.
-    /// Output for any backend is byte-identical across [`SoakMode`]s;
+    /// Output for any backend is byte-identical across tiers;
     /// the CI backend-matrix leg pins that per backend.
     pub backend: BackendKind,
 }
@@ -73,28 +73,12 @@ impl Default for SoakConfig {
     }
 }
 
-/// Which serving architecture evaluates the requests.
-pub enum SoakMode<'a> {
-    /// The unsharded in-process row+lane pipeline — the reference.
-    InProcess,
-    /// A persistent [`WorkerPool`]: spawn + circuit build paid once.
-    Pool(&'a mut WorkerPool),
-    /// A [`ShardCoordinator`] per request: spawn + circuit build paid
-    /// on **every** request — the baseline the pool amortizes.
-    Spawn(&'a ShardCoordinator),
-    /// One [`ServiceClient`] connection to a running `osc_service`
-    /// front door: each request crosses the TCP framing once as a
-    /// whole-image job. For the multi-connection load generator see
-    /// [`run_service`].
-    Service(&'a mut ServiceClient),
-}
-
 /// What a soak run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoakReport {
     /// Every output pixel of every request, in request order, as
     /// little-endian IEEE-754 bit patterns — byte-identical across
-    /// [`SoakMode`]s.
+    /// tiers.
     pub bytes: Vec<u8>,
     /// Requests driven.
     pub requests: usize,
@@ -140,12 +124,12 @@ pub fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
 }
 
 /// The backend seed of request `r` — deterministic and
-/// request-distinct, shared by every mode.
+/// request-distinct, shared by every tier.
 fn request_seed(r: usize) -> u64 {
     0x50C5 + 7919 * r as u64
 }
 
-/// The two per-schedule circuit backends every mode derives its
+/// The two per-schedule circuit backends every tier derives its
 /// per-request backends from (gamma on even requests, contrast on
 /// odd).
 fn schedule_bases(cfg: &SoakConfig) -> Result<(OpticalBackend, OpticalBackend), AppError> {
@@ -198,9 +182,7 @@ fn wire_request(
 }
 
 /// The soak byte encoding of one response: every run's estimate through
-/// the image pixel clamp, as little-endian IEEE-754 bit patterns —
-/// exactly the bytes the in-process modes extract from their produced
-/// [`Image`]s.
+/// the image pixel clamp, as little-endian IEEE-754 bit patterns.
 fn run_bytes(runs: &[OpticalRun]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(runs.len() * 8);
     for run in runs {
@@ -209,53 +191,36 @@ fn run_bytes(runs: &[OpticalRun]) -> Vec<u8> {
     bytes
 }
 
-/// Drives the soak schedule through `mode`.
+/// Drives the soak schedule through `executor`, one
+/// [`Executor::image`] call per request.
 ///
 /// # Errors
 ///
 /// Propagates backend construction and evaluation failures (including
 /// shard/pool failures as [`AppError::Shard`]).
-pub fn run(cfg: &SoakConfig, mut mode: SoakMode<'_>) -> Result<SoakReport, AppError> {
+pub fn run(cfg: &SoakConfig, mut executor: Executor<'_>) -> Result<SoakReport, AppError> {
     let image = Image::blobs(cfg.width, cfg.height);
     // The two circuits are fixed across the schedule: build each once
     // and derive per-request backends via the cheap table-reusing
     // `with_seed` clone, the same way a real service front-end would.
     let bases = schedule_bases(cfg)?;
-    let evaluator = BatchEvaluator::new();
     let mut bytes = Vec::with_capacity(cfg.requests * cfg.width * cfg.height * 8);
     let mut latencies = Vec::with_capacity(cfg.requests);
     let started = Instant::now();
     for r in 0..cfg.requests {
         let backend = request_backend(&bases, r);
         let submitted = Instant::now();
-        let produced = match &mut mode {
-            SoakMode::InProcess => gamma_app::apply_optical_lanes_faulted(
-                &image,
-                &backend,
-                &evaluator,
-                cfg.fault.as_ref(),
-            )?,
-            SoakMode::Pool(pool) => {
-                gamma_app::apply_optical_pooled_faulted(&image, &backend, pool, cfg.fault.as_ref())?
-            }
-            SoakMode::Spawn(coordinator) => gamma_app::apply_optical_sharded_faulted(
-                &image,
-                &backend,
-                coordinator,
-                cfg.fault.as_ref(),
-            )?,
-            SoakMode::Service(client) => {
-                let request = wire_request(cfg, &bases, &image, r)?;
-                let runs = client.request(&request)?;
-                latencies.push(submitted.elapsed());
-                bytes.extend_from_slice(&run_bytes(&runs));
-                continue;
-            }
-        };
+        let runs = executor.image(
+            backend.system(),
+            SngKind::Xoshiro,
+            image.width(),
+            image.pixels(),
+            backend.stream_length(),
+            backend.seed(),
+            cfg.fault.as_ref(),
+        )?;
         latencies.push(submitted.elapsed());
-        for &p in produced.pixels() {
-            bytes.extend_from_slice(&p.to_bits().to_le_bytes());
-        }
+        bytes.extend_from_slice(&run_bytes(&runs));
     }
     Ok(SoakReport {
         bytes,
@@ -298,7 +263,7 @@ type ConnectionTake = Vec<(usize, Vec<u8>, Duration)>;
 /// Drives the soak schedule against a running `osc_service` front door
 /// from `load.connections` concurrent client connections. Output bytes
 /// are reassembled in request order, so the report is byte-identical
-/// to every single-connection [`SoakMode`] — the replica
+/// to [`run`] through any tier — the replica
 /// interchangeability the determinism contract promises.
 ///
 /// # Errors
@@ -432,8 +397,9 @@ mod tests {
             stream: 64,
             ..Default::default()
         };
-        let a = run(&cfg, SoakMode::InProcess).unwrap();
-        let b = run(&cfg, SoakMode::InProcess).unwrap();
+        let evaluator = osc_core::batch::BatchEvaluator::new();
+        let a = run(&cfg, Executor::InProcess(&evaluator)).unwrap();
+        let b = run(&cfg, Executor::InProcess(&evaluator)).unwrap();
         assert_eq!(a.bytes, b.bytes);
         assert_eq!(a.bytes.len(), 3 * 5 * 2 * 8);
         assert_eq!(a.latencies.len(), 3);

@@ -11,16 +11,13 @@
 //! `osc-core/tests/protocol_robustness.rs`.
 
 use osc_apps::backend::OpticalBackend;
-use osc_apps::contrast::{run_contrast_lanes, run_contrast_pooled, smoothstep_poly};
-use osc_apps::gamma_app::{
-    apply_optical_lanes, apply_optical_lanes_faulted, apply_optical_pooled,
-    apply_optical_pooled_faulted, paper_gamma_polynomial, run_gamma_lanes, run_gamma_pooled,
-};
+use osc_apps::contrast::{smoothstep, smoothstep_poly};
+use osc_apps::gamma_app::{apply_optical, apply_optical_lanes_faulted, paper_gamma_polynomial};
 use osc_apps::image::Image;
-use osc_bench::soak::{self, SoakConfig, SoakMode};
+use osc_bench::soak::{self, SoakConfig};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{ShardCoordinator, ShardError, ShardRequest, SngKind};
+use osc_core::batch::shard::{Executor, ShardCoordinator, ShardError, ShardRequest, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 use osc_core::params::CircuitParams;
@@ -115,29 +112,28 @@ fn pooled_images_are_byte_identical_to_the_lanes_pipeline() {
     )
     .unwrap();
     let evaluator = BatchEvaluator::with_threads(2);
-    let gamma_ref = apply_optical_lanes(&image, &gamma_backend, &evaluator).unwrap();
-    let (contrast_ref, contrast_ref_mae) =
-        run_contrast_lanes(&image, &contrast_backend, &evaluator).unwrap();
+    let mut in_process = Executor::InProcess(&evaluator);
+    let gamma_ref = apply_optical(&image, &gamma_backend, &mut in_process, None).unwrap();
+    let contrast_ref = apply_optical(&image, &contrast_backend, &mut in_process, None).unwrap();
+    let contrast_exact = image.map(smoothstep);
+    let contrast_ref_mae = contrast_ref.mae(&contrast_exact).unwrap();
     let mut pool = PoolConfig::new(WORKER, 3).spawn().unwrap();
+    let mut pooled = Executor::Pool(&mut pool);
     // Alternate gamma/contrast twice: both circuits stay cached, and
     // every repetition must reproduce the in-process bytes exactly.
     for round in 0..2 {
-        let gamma_pooled = apply_optical_pooled(&image, &gamma_backend, &mut pool).unwrap();
+        let gamma_pooled = apply_optical(&image, &gamma_backend, &mut pooled, None).unwrap();
         let identical = gamma_pooled
             .pixels()
             .iter()
             .zip(gamma_ref.pixels())
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(identical, "round {round}: pooled gamma bytes diverged");
-        let (contrast_pooled, contrast_mae) =
-            run_contrast_pooled(&image, &contrast_backend, &mut pool).unwrap();
+        let contrast_pooled = apply_optical(&image, &contrast_backend, &mut pooled, None).unwrap();
         assert_eq!(contrast_pooled, contrast_ref, "round {round}");
+        let contrast_mae = contrast_pooled.mae(&contrast_exact).unwrap();
         assert_eq!(contrast_mae, contrast_ref_mae, "round {round}");
     }
-    // The derived gamma reports agree exactly too.
-    let lanes_report = run_gamma_lanes(&image, &gamma_backend, &evaluator).unwrap();
-    let pooled_report = run_gamma_pooled(&image, &gamma_backend, &mut pool).unwrap();
-    assert_eq!(pooled_report, lanes_report);
 }
 
 #[test]
@@ -152,11 +148,11 @@ fn soak_modes_produce_identical_bytes() {
         stream: 64,
         ..Default::default()
     };
-    let in_process = soak::run(&cfg, SoakMode::InProcess).unwrap();
+    let in_process = soak::run(&cfg, Executor::InProcess(&BatchEvaluator::new())).unwrap();
     let mut pool = PoolConfig::new(WORKER, 3).spawn().unwrap();
-    let pooled = soak::run(&cfg, SoakMode::Pool(&mut pool)).unwrap();
+    let pooled = soak::run(&cfg, Executor::Pool(&mut pool)).unwrap();
     let coordinator = ShardCoordinator::new(WORKER, 3);
-    let spawned = soak::run(&cfg, SoakMode::Spawn(&coordinator)).unwrap();
+    let spawned = soak::run(&cfg, Executor::Spawn(&coordinator)).unwrap();
     assert_eq!(pooled.bytes, in_process.bytes, "pool ≡ in-process");
     assert_eq!(spawned.bytes, in_process.bytes, "spawn ≡ in-process");
 }
@@ -180,18 +176,18 @@ fn faulted_soak_modes_produce_identical_bytes_across_worker_counts() {
         ..Default::default()
     };
     let clean_cfg = SoakConfig { fault: None, ..cfg };
-    let in_process = soak::run(&cfg, SoakMode::InProcess).unwrap();
-    let clean = soak::run(&clean_cfg, SoakMode::InProcess).unwrap();
+    let in_process = soak::run(&cfg, Executor::InProcess(&BatchEvaluator::new())).unwrap();
+    let clean = soak::run(&clean_cfg, Executor::InProcess(&BatchEvaluator::new())).unwrap();
     assert_ne!(in_process.bytes, clean.bytes, "faults must perturb output");
     for workers in [1usize, 2, 3, 7] {
         let mut pool = PoolConfig::new(WORKER, workers).spawn().unwrap();
-        let pooled = soak::run(&cfg, SoakMode::Pool(&mut pool)).unwrap();
+        let pooled = soak::run(&cfg, Executor::Pool(&mut pool)).unwrap();
         assert_eq!(
             pooled.bytes, in_process.bytes,
             "faulted pool({workers}) ≡ in-process"
         );
         let coordinator = ShardCoordinator::new(WORKER, workers);
-        let spawned = soak::run(&cfg, SoakMode::Spawn(&coordinator)).unwrap();
+        let spawned = soak::run(&cfg, Executor::Spawn(&coordinator)).unwrap();
         assert_eq!(
             spawned.bytes, in_process.bytes,
             "faulted spawn({workers}) ≡ in-process"
@@ -333,11 +329,11 @@ fn nanocavity_soak_modes_produce_identical_bytes() {
         backend: BackendKind::Nanocavity,
         ..Default::default()
     };
-    let in_process = soak::run(&cfg, SoakMode::InProcess).unwrap();
+    let in_process = soak::run(&cfg, Executor::InProcess(&BatchEvaluator::new())).unwrap();
     let mut pool = PoolConfig::new(WORKER, 2).spawn().unwrap();
-    let pooled = soak::run(&cfg, SoakMode::Pool(&mut pool)).unwrap();
+    let pooled = soak::run(&cfg, Executor::Pool(&mut pool)).unwrap();
     let coordinator = ShardCoordinator::new(WORKER, 2);
-    let spawned = soak::run(&cfg, SoakMode::Spawn(&coordinator)).unwrap();
+    let spawned = soak::run(&cfg, Executor::Spawn(&coordinator)).unwrap();
     assert_eq!(
         pooled.bytes, in_process.bytes,
         "nanocavity pool ≡ in-process"
@@ -387,12 +383,12 @@ fn capacity_one_cache_thrash_is_byte_identical() {
         stream: 64,
         ..Default::default()
     };
-    let in_process = soak::run(&cfg, SoakMode::InProcess).unwrap();
+    let in_process = soak::run(&cfg, Executor::InProcess(&BatchEvaluator::new())).unwrap();
     let mut thrashing_pool = PoolConfig::new(WORKER, 2)
         .with_circuit_cache_capacity(1)
         .spawn()
         .unwrap();
-    let thrashed = soak::run(&cfg, SoakMode::Pool(&mut thrashing_pool)).unwrap();
+    let thrashed = soak::run(&cfg, Executor::Pool(&mut thrashing_pool)).unwrap();
     assert_eq!(
         thrashed.bytes, in_process.bytes,
         "capacity-1 thrash ≡ in-process"
@@ -401,7 +397,7 @@ fn capacity_one_cache_thrash_is_byte_identical() {
         .with_circuit_cache_capacity(4)
         .spawn()
         .unwrap();
-    let roomy = soak::run(&cfg, SoakMode::Pool(&mut roomy_pool)).unwrap();
+    let roomy = soak::run(&cfg, Executor::Pool(&mut roomy_pool)).unwrap();
     assert_eq!(roomy.bytes, in_process.bytes, "capacity-4 ≡ in-process");
 }
 
@@ -442,7 +438,7 @@ fn invalid_fault_specs_are_errors_in_process_as_through_the_pool() {
         let err = in_process.expect_err("in-process accepted an invalid spec");
         assert!(err.to_string().contains("invalid fault spec"), "{err}");
         assert!(
-            apply_optical_pooled_faulted(&image, &backend, &mut pool, Some(&bad)).is_err(),
+            apply_optical(&image, &backend, &mut Executor::Pool(&mut pool), Some(&bad)).is_err(),
             "the pool accepted {bad:?}"
         );
     }
@@ -453,7 +449,13 @@ fn invalid_fault_specs_are_errors_in_process_as_through_the_pool() {
         ..base
     };
     let want = apply_optical_lanes_faulted(&image, &backend, &evaluator, Some(&good)).unwrap();
-    let got = apply_optical_pooled_faulted(&image, &backend, &mut pool, Some(&good)).unwrap();
+    let got = apply_optical(
+        &image,
+        &backend,
+        &mut Executor::Pool(&mut pool),
+        Some(&good),
+    )
+    .unwrap();
     assert_eq!(got, want);
 }
 

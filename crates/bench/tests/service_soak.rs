@@ -10,11 +10,11 @@
 //! the dispatcher's process-level hardening (stalling stubs, kill -9)
 //! lives in `osc-core/tests/pool_hardening.rs`.
 
-use osc_bench::soak::{self, LoadConfig, SoakConfig, SoakMode};
+use osc_bench::soak::{self, LoadConfig, SoakConfig};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
 use osc_core::batch::shard::service::{Service, ServiceClient};
-use osc_core::batch::shard::{ShardError, ShardRequest, SngKind};
+use osc_core::batch::shard::{Executor, ShardError, ShardRequest, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 use osc_core::params::CircuitParams;
@@ -77,7 +77,7 @@ fn service_soak_matches_in_process_bytes() {
         stream: 64,
         ..Default::default()
     };
-    let reference = soak::run(&cfg, SoakMode::InProcess).unwrap();
+    let reference = soak::run(&cfg, Executor::InProcess(&BatchEvaluator::new())).unwrap();
     let service = serve(PoolConfig::new(WORKER, 2));
     let addr = service.local_addr();
 
@@ -106,9 +106,9 @@ fn service_soak_matches_in_process_bytes() {
     .unwrap();
     assert_eq!(open.bytes, reference.bytes);
 
-    // A single-connection SoakMode::Service client agrees too.
+    // A single-connection Executor::Service client agrees too.
     let mut client = ServiceClient::connect(addr).unwrap();
-    let single = soak::run(&cfg, SoakMode::Service(&mut client)).unwrap();
+    let single = soak::run(&cfg, Executor::Service(&mut client)).unwrap();
     assert_eq!(single.bytes, reference.bytes);
 
     assert_eq!(service.drain(), (cfg.requests * 3) as u64);
@@ -128,7 +128,7 @@ fn nanocavity_service_soak_matches_in_process_bytes() {
         backend: BackendKind::Nanocavity,
         ..Default::default()
     };
-    let reference = soak::run(&cfg, SoakMode::InProcess).unwrap();
+    let reference = soak::run(&cfg, Executor::InProcess(&BatchEvaluator::new())).unwrap();
     let service = serve(PoolConfig::new(WORKER, 2));
     let report = soak::run_service(&cfg, service.local_addr(), &LoadConfig::default()).unwrap();
     assert_eq!(report.bytes, reference.bytes);
@@ -148,7 +148,7 @@ fn faulty_service_soak_matches_in_process_bytes() {
         fault: Some(fault),
         ..Default::default()
     };
-    let reference = soak::run(&cfg, SoakMode::InProcess).unwrap();
+    let reference = soak::run(&cfg, Executor::InProcess(&BatchEvaluator::new())).unwrap();
     let service = serve(PoolConfig::new(WORKER, 2));
     let report = soak::run_service(&cfg, service.local_addr(), &LoadConfig::default()).unwrap();
     assert_eq!(report.bytes, reference.bytes);

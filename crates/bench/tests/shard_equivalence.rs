@@ -17,17 +17,15 @@
 //! `osc-core/tests/protocol_robustness.rs`.
 
 use osc_apps::backend::OpticalBackend;
-use osc_apps::contrast::{run_contrast_sharded, smoothstep_poly};
-use osc_apps::gamma_app::{
-    apply_optical_lanes, apply_optical_sharded, paper_gamma_polynomial, run_gamma_lanes,
-    run_gamma_sharded,
-};
+use osc_apps::contrast::{smoothstep, smoothstep_poly};
+use osc_apps::gamma_app::{apply_optical, paper_gamma_polynomial};
 use osc_apps::image::Image;
-use osc_core::batch::shard::{ShardCoordinator, ShardError, SngKind};
+use osc_core::batch::shard::{Executor, ShardCoordinator, ShardError, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::params::CircuitParams;
 use osc_core::system::{OpticalRun, OpticalScSystem};
 use osc_stochastic::bernstein::BernsteinPoly;
+use osc_stochastic::gamma::{gamma_exact, DISPLAY_GAMMA};
 use osc_stochastic::sng::{ChaoticLaserSng, CounterSng, LfsrSng, XoshiroSng};
 use osc_units::Nanometers;
 
@@ -93,22 +91,31 @@ fn sharded_gamma_image_is_byte_identical_across_shard_counts() {
     let poly = paper_gamma_polynomial().unwrap();
     let params = CircuitParams::paper_fig7(6, Nanometers::new(0.165));
     let backend = OpticalBackend::new(params, poly, 256, 13).unwrap();
+    let evaluator = BatchEvaluator::with_threads(2);
     let in_process =
-        apply_optical_lanes(&image, &backend, &BatchEvaluator::with_threads(2)).unwrap();
+        apply_optical(&image, &backend, &mut Executor::InProcess(&evaluator), None).unwrap();
+    let exact = image.map(|p| gamma_exact(p, DISPLAY_GAMMA));
     for shards in [1usize, 2, 3, 7] {
         let coordinator = ShardCoordinator::new(WORKER, shards);
-        let sharded = apply_optical_sharded(&image, &backend, &coordinator).unwrap();
+        let sharded =
+            apply_optical(&image, &backend, &mut Executor::Spawn(&coordinator), None).unwrap();
         let identical = sharded
             .pixels()
             .iter()
             .zip(in_process.pixels())
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(identical, "shards={shards}: sharded image bytes diverged");
-        // The derived quality reports agree exactly too.
-        let lanes_report =
-            run_gamma_lanes(&image, &backend, &BatchEvaluator::with_threads(2)).unwrap();
-        let sharded_report = run_gamma_sharded(&image, &backend, &coordinator).unwrap();
-        assert_eq!(sharded_report, lanes_report, "shards={shards}");
+        // The derived quality numbers agree exactly too.
+        assert_eq!(
+            sharded.mae(&exact).unwrap().to_bits(),
+            in_process.mae(&exact).unwrap().to_bits(),
+            "shards={shards}"
+        );
+        assert_eq!(
+            sharded.psnr_db(&exact).unwrap().to_bits(),
+            in_process.psnr_db(&exact).unwrap().to_bits(),
+            "shards={shards}"
+        );
     }
 }
 
@@ -117,13 +124,15 @@ fn sharded_contrast_matches_lanes_pipeline() {
     let image = Image::blobs(12, 6);
     let params = CircuitParams::paper_fig7(3, Nanometers::new(0.2));
     let backend = OpticalBackend::new(params, smoothstep_poly(), 512, 5).unwrap();
-    let (lanes_img, lanes_mae) =
-        osc_apps::contrast::run_contrast_lanes(&image, &backend, &BatchEvaluator::with_threads(2))
-            .unwrap();
-    let (sharded_img, sharded_mae) =
-        run_contrast_sharded(&image, &backend, &ShardCoordinator::new(WORKER, 3)).unwrap();
+    let evaluator = BatchEvaluator::with_threads(2);
+    let lanes_img =
+        apply_optical(&image, &backend, &mut Executor::InProcess(&evaluator), None).unwrap();
+    let coordinator = ShardCoordinator::new(WORKER, 3);
+    let sharded_img =
+        apply_optical(&image, &backend, &mut Executor::Spawn(&coordinator), None).unwrap();
     assert_eq!(sharded_img, lanes_img);
-    assert_eq!(sharded_mae, lanes_mae);
+    let exact = image.map(smoothstep);
+    assert_eq!(sharded_img.mae(&exact), lanes_img.mae(&exact));
 }
 
 #[test]

@@ -8,11 +8,11 @@
 //!
 //! This suite owns the worker binary via `CARGO_BIN_EXE_shard_worker`.
 
-use osc_bench::sweep::{axes_for, frontier_csv, pareto_frontier, DesignSweep, SweepMode};
+use osc_bench::sweep::{axes_for, frontier_csv, pareto_frontier, DesignSweep};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
 use osc_core::batch::shard::service::{Service, ServiceClient};
-use osc_core::batch::shard::ShardCoordinator;
+use osc_core::batch::shard::{Executor, ShardCoordinator};
 use osc_core::batch::BatchEvaluator;
 
 const WORKER: &str = env!("CARGO_BIN_EXE_shard_worker");
@@ -23,14 +23,14 @@ fn csvs_across_modes(sweep: &DesignSweep) -> Vec<(String, String)> {
     let mut out = Vec::new();
 
     let evaluator = BatchEvaluator::with_threads(2);
-    let points = sweep.evaluate(SweepMode::InProcess(&evaluator)).unwrap();
+    let points = sweep.evaluate(Executor::InProcess(&evaluator)).unwrap();
     out.push((
         "in-process".to_string(),
         frontier_csv(&pareto_frontier(&points)),
     ));
 
     let coordinator = ShardCoordinator::new(WORKER, 2);
-    let points = sweep.evaluate(SweepMode::Spawn(&coordinator)).unwrap();
+    let points = sweep.evaluate(Executor::Spawn(&coordinator)).unwrap();
     out.push(("spawn".to_string(), frontier_csv(&pareto_frontier(&points))));
 
     // A pool with the cache sized to the working set, and one whose
@@ -41,14 +41,14 @@ fn csvs_across_modes(sweep: &DesignSweep) -> Vec<(String, String)> {
             .with_circuit_cache_capacity(cache)
             .spawn()
             .unwrap();
-        let points = sweep.evaluate(SweepMode::Pool(&mut pool)).unwrap();
+        let points = sweep.evaluate(Executor::Pool(&mut pool)).unwrap();
         out.push((label.to_string(), frontier_csv(&pareto_frontier(&points))));
     }
 
     let dispatcher = PoolConfig::new(WORKER, 2).spawn_dispatcher().unwrap();
     let service = Service::bind(("127.0.0.1", 0), dispatcher).unwrap();
     let mut client = ServiceClient::connect(service.local_addr()).unwrap();
-    let points = sweep.evaluate(SweepMode::Service(&mut client)).unwrap();
+    let points = sweep.evaluate(Executor::Service(&mut client)).unwrap();
     out.push((
         "service".to_string(),
         frontier_csv(&pareto_frontier(&points)),
@@ -88,7 +88,7 @@ fn mixed_backend_sweep_agrees_across_modes_and_full_point_sets_match() {
     // frontier).
     let sweep = DesignSweep::new(axes_for(32, None, &[32], 2, 23));
     let evaluator = BatchEvaluator::with_threads(2);
-    let reference = sweep.evaluate(SweepMode::InProcess(&evaluator)).unwrap();
+    let reference = sweep.evaluate(Executor::InProcess(&evaluator)).unwrap();
     let ref_bits: Vec<u64> = reference
         .iter()
         .map(|p| p.mean_abs_error.to_bits())
@@ -98,13 +98,13 @@ fn mixed_backend_sweep_agrees_across_modes_and_full_point_sets_match() {
         .with_circuit_cache_capacity(sweep.designs().len())
         .spawn()
         .unwrap();
-    let pooled = sweep.evaluate(SweepMode::Pool(&mut pool)).unwrap();
+    let pooled = sweep.evaluate(Executor::Pool(&mut pool)).unwrap();
     let pooled_bits: Vec<u64> = pooled.iter().map(|p| p.mean_abs_error.to_bits()).collect();
     assert_eq!(pooled_bits, ref_bits);
 
     // A second pass through the same pool hits the warm digest cache
     // and still reproduces the bytes.
-    let warm = sweep.evaluate(SweepMode::Pool(&mut pool)).unwrap();
+    let warm = sweep.evaluate(Executor::Pool(&mut pool)).unwrap();
     let warm_bits: Vec<u64> = warm.iter().map(|p| p.mean_abs_error.to_bits()).collect();
     assert_eq!(warm_bits, ref_bits);
 

@@ -98,11 +98,20 @@ pub fn lane_blocks_for_tier(tier: simd::SimdTier, n: usize) -> Vec<(usize, usize
 pub const NOISE_SEED_SALT: u64 = 0x0A11_D1CE;
 
 /// Evaluates one lane block of consecutive work items through
-/// [`OpticalScSystem::evaluate_fused_lanes`]: item `l` evaluates `xs[l]`
-/// with SNG `sng_factory(lane_seed(l))` and receiver noise seeded
-/// `mix_seed(lane_seed(l), `[`NOISE_SEED_SALT`]`)`. The single dispatch
-/// point every lane-blocked caller shares — per item the result is
-/// bit-identical to a standalone fused evaluation with the same seeds.
+/// [`OpticalScSystem::evaluate_fused_lanes_faulted`]: item `l` evaluates
+/// `xs[l]` with SNG `sng_factory(lane_seed(l))` and receiver noise
+/// seeded `mix_seed(lane_seed(l), `[`NOISE_SEED_SALT`]`)`. The single
+/// dispatch point every lane-blocked caller shares — per item the
+/// result is bit-identical to a standalone fused evaluation with the
+/// same seeds.
+///
+/// `lane_fault(l)`, when given, supplies lane `l`'s **item-level**
+/// [`FaultSpec`] (callers derive it from the same global index their
+/// `lane_seed` derivation uses, e.g. `spec.rebased(first_index + start
+/// + l)` for flat batches and `spec.rebased(row).rebased(col)` for
+/// image pixels), mirroring the SNG seed contract so faulty results
+/// stay invariant under blocking, threading and sharding. Clean
+/// callers pass `None::<fn(usize) -> FaultSpec>`.
 ///
 /// # Panics
 ///
@@ -112,47 +121,7 @@ pub const NOISE_SEED_SALT: u64 = 0x0A11_D1CE;
 /// # Errors
 ///
 /// Propagates evaluation failures (e.g. an `xs[l]` outside `[0, 1]`).
-pub fn evaluate_lane_block<S, F, G>(
-    system: &OpticalScSystem,
-    xs: &[f64],
-    stream_length: usize,
-    sng_factory: &F,
-    lane_seed: G,
-    scratch: &mut EvalScratch,
-) -> Result<Vec<OpticalRun>, CircuitError>
-where
-    S: StochasticNumberGenerator,
-    F: Fn(u64) -> S,
-    G: Fn(usize) -> u64,
-{
-    evaluate_lane_block_faulted(
-        system,
-        xs,
-        stream_length,
-        sng_factory,
-        lane_seed,
-        None::<fn(usize) -> FaultSpec>,
-        scratch,
-    )
-}
-
-/// [`evaluate_lane_block`] with optional fault injection: `lane_fault(l)`
-/// supplies lane `l`'s **item-level** [`FaultSpec`] (callers derive it
-/// from the same global index their `lane_seed` derivation uses, e.g.
-/// `spec.rebased(first_index + start + l)` for flat batches and
-/// `spec.rebased(row).rebased(col)` for image pixels), mirroring the SNG
-/// seed contract so faulty results stay invariant under blocking,
-/// threading and sharding.
-///
-/// # Panics
-///
-/// Panics if `xs.len()` is not one of the [`lane_blocks`] widths
-/// (1, 2, 4 or 8).
-///
-/// # Errors
-///
-/// Propagates evaluation failures (e.g. an `xs[l]` outside `[0, 1]`).
-pub fn evaluate_lane_block_faulted<S, F, G, H>(
+pub fn evaluate_lane_block<S, F, G, H>(
     system: &OpticalScSystem,
     xs: &[f64],
     stream_length: usize,
@@ -208,7 +177,7 @@ where
     }
 }
 
-/// The monomorphized body of [`evaluate_lane_block_faulted`].
+/// The monomorphized body of [`evaluate_lane_block`].
 fn eval_lane_block<const L: usize, S, F, G, H>(
     system: &OpticalScSystem,
     xs: &[f64],
@@ -445,7 +414,7 @@ impl BatchEvaluator {
             // randomness, so a block with a bad input fails with exactly
             // the error (and at exactly the index) the unblocked path
             // would surface.
-            evaluate_lane_block_faulted(
+            evaluate_lane_block(
                 system,
                 &xs[start..start + width],
                 stream_length,
@@ -492,6 +461,7 @@ impl BatchEvaluator {
                 stream_length,
                 &sng_factory,
                 |l| seeds[start + l],
+                None::<fn(usize) -> FaultSpec>,
                 scratch,
             )
         });

@@ -22,8 +22,13 @@
 //!   is its concurrent serving front end, [`pool::WorkerPool`] its
 //!   batch front end (submit a batch, collect it in request order);
 //! - [`ShardCoordinator`] — the one-shot spawn baseline: every call
-//!   spawns a fresh pool with one worker per shard (acquire → run →
-//!   drop) and merges the shards' runs in index order.
+//!   plans its shards, spawns a fresh pool with one worker per shard
+//!   (acquire → run → drop) and merges the shards' runs in index order;
+//! - [`Executor`] — the one choice of serving tier (in process, spawn,
+//!   pool, service) behind one entry point per wire job kind
+//!   ([`Executor::image`], [`Executor::batches`]). The apps, the soak
+//!   schedule, the design sweep and the demo binaries all evaluate
+//!   through it.
 //!
 //! # One-shot vs pooled
 //!
@@ -251,7 +256,7 @@
 //!   reconnect to any other instance and replay the failed request
 //!   byte-identically.
 
-use super::{evaluate_lane_block_faulted, lane_blocks, mix_seed, BatchEvaluator};
+use super::{evaluate_lane_block, lane_blocks, mix_seed, BatchEvaluator};
 use crate::backend::BackendKind;
 use crate::fault::{FaultSpec, StuckAt};
 use crate::params::{CircuitParams, FilterTemplate, ModulatorTemplate};
@@ -366,6 +371,8 @@ pub enum ShardError {
     /// draining: in-flight and already-queued requests finish, new ones
     /// are refused.
     Draining,
+    /// An [`Executor::InProcess`] evaluation failed in this process.
+    Circuit(crate::CircuitError),
 }
 
 impl std::fmt::Display for ShardError {
@@ -392,11 +399,18 @@ impl std::fmt::Display for ShardError {
             ShardError::Draining => {
                 write!(f, "service draining: not accepting new requests")
             }
+            ShardError::Circuit(e) => write!(f, "{e}"),
         }
     }
 }
 
 impl std::error::Error for ShardError {}
+
+impl From<crate::CircuitError> for ShardError {
+    fn from(e: crate::CircuitError) -> Self {
+        ShardError::Circuit(e)
+    }
+}
 
 /// Which stochastic number generator a worker instantiates per item.
 ///
@@ -492,16 +506,189 @@ macro_rules! dispatch_sng {
     };
 }
 
-/// Evaluates one flat batch **in this process** through the same
-/// [`SngKind`] dispatch point the shard workers use — the in-process
-/// serving tier of a design sweep or any other caller that holds an
-/// [`SngKind`] value rather than a concrete generator type.
+/// One flat batch of an [`Executor::batches`] call: evaluate `xs` on
+/// `system`, item `i` on generators derived from `mix_seed(seed, i)`
+/// and, with a fault process, under `faults.rebased(i)` — a whole
+/// [`ShardRequest::batch`] with `first_index` 0.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchJob<'a> {
+    /// The circuit to evaluate.
+    pub system: &'a OpticalScSystem,
+    /// Generator kind for every item.
+    pub sng: SngKind,
+    /// The inputs, one run each.
+    pub xs: &'a [f64],
+    /// Stream length (bits) per evaluation.
+    pub stream_length: usize,
+    /// Batch seed the per-item universes derive from.
+    pub seed: u64,
+    /// Optional fault process, rebased per item.
+    pub faults: Option<&'a FaultSpec>,
+}
+
+impl BatchJob<'_> {
+    /// The job's wire form.
+    fn request(&self) -> ShardRequest {
+        ShardRequest::batch(
+            self.system,
+            self.sng,
+            0,
+            self.xs,
+            self.stream_length,
+            self.seed,
+            self.faults,
+        )
+    }
+}
+
+/// The serving tier a caller evaluates through — the one place the
+/// in-process / spawn / pool / service choice is made.
 ///
-/// Item `i` derives its universe from [`super::mix_seed`]`(seed, i)`,
-/// exactly as a [`ShardRequest::batch`] with `first_index` 0 does, so
-/// the result is byte-identical to shipping the same request through a
-/// [`ShardCoordinator`], [`pool::WorkerPool`] or
-/// [`service::ServiceClient`].
+/// Every tier runs the same two wire job kinds ([`Executor::image`],
+/// [`Executor::batches`]) and, by the determinism contract above,
+/// returns byte-identical runs: the in-process arm calls the same
+/// [`image_rows_eval`] and [`BatchEvaluator::evaluate_range_faulted`]
+/// the workers run, through the same [`SngKind`] dispatch point.
+///
+/// ```no_run
+/// use osc_core::batch::shard::{pool::PoolConfig, BatchJob, Executor, SngKind};
+/// use osc_core::batch::BatchEvaluator;
+/// # fn demo(system: &osc_core::system::OpticalScSystem) -> Result<(), Box<dyn std::error::Error>> {
+/// let job = BatchJob {
+///     system,
+///     sng: SngKind::Xoshiro,
+///     xs: &[0.25, 0.5],
+///     stream_length: 256,
+///     seed: 7,
+///     faults: None,
+/// };
+/// let evaluator = BatchEvaluator::new();
+/// let here = Executor::InProcess(&evaluator).batches(&[job])?;
+/// let mut pool = PoolConfig::new("shard_worker", 2).spawn()?;
+/// assert_eq!(Executor::Pool(&mut pool).batches(&[job])?, here);
+/// # Ok(()) }
+/// ```
+pub enum Executor<'a> {
+    /// In this process, on the evaluator's threads.
+    InProcess(&'a BatchEvaluator),
+    /// Fresh worker subprocesses per job ([`ShardCoordinator`]): spawn
+    /// and circuit build paid on every job.
+    Spawn(&'a ShardCoordinator),
+    /// A persistent [`pool::WorkerPool`]: spawn paid once, circuits
+    /// cached worker-side. An image's rows split over the workers; a
+    /// batches call streams every job through one pipelined
+    /// [`pool::WorkerPool::run_requests`].
+    Pool(&'a mut pool::WorkerPool),
+    /// One TCP [`service::ServiceClient`] connection, one whole request
+    /// per job.
+    Service(&'a mut service::ServiceClient),
+}
+
+impl Executor<'_> {
+    /// Evaluates row-major image pixels (`width` per row), pixel `(row,
+    /// col)` on generators derived from `mix_seed(mix_seed(seed, row),
+    /// col)` and the fault process rebased the same way; pixels are
+    /// clamped into `[0, 1]`. Returns one run per pixel, row-major.
+    ///
+    /// # Errors
+    ///
+    /// An image that is not a whole number of `width`-sized rows (as a
+    /// [`ShardError::Circuit`] in process, [`ShardError::InvalidPlan`]
+    /// elsewhere); otherwise the tier's evaluation or transport failure.
+    #[allow(clippy::too_many_arguments)]
+    pub fn image(
+        &mut self,
+        system: &OpticalScSystem,
+        sng: SngKind,
+        width: usize,
+        pixels: &[f64],
+        stream_length: usize,
+        seed: u64,
+        faults: Option<&FaultSpec>,
+    ) -> Result<Vec<OpticalRun>, ShardError> {
+        match self {
+            Executor::InProcess(evaluator) => Ok(dispatch_sng!(sng, factory => image_rows_eval(
+                evaluator,
+                system,
+                &factory,
+                width,
+                0,
+                pixels,
+                stream_length,
+                seed,
+                faults,
+            ))?),
+            Executor::Spawn(coordinator) => {
+                coordinator.image_rows(system, sng, width, pixels, stream_length, seed, faults)
+            }
+            Executor::Pool(pool) => {
+                pool.image_rows(system, sng, width, pixels, stream_length, seed, faults)
+            }
+            Executor::Service(client) => client.request(&ShardRequest::whole_image(
+                system,
+                sng,
+                width,
+                pixels,
+                stream_length,
+                seed,
+                faults,
+            )?),
+        }
+    }
+
+    /// Evaluates every job of a call, returning each job's runs in job
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// The first failed job's error, in job order.
+    pub fn batches(&mut self, jobs: &[BatchJob<'_>]) -> Result<Vec<Vec<OpticalRun>>, ShardError> {
+        match self {
+            Executor::InProcess(evaluator) => jobs
+                .iter()
+                .map(|job| {
+                    Ok(
+                        dispatch_sng!(job.sng, factory => evaluator.evaluate_range_faulted(
+                            job.system,
+                            job.xs,
+                            job.stream_length,
+                            factory,
+                            job.seed,
+                            0,
+                            job.faults,
+                        ))?,
+                    )
+                })
+                .collect(),
+            Executor::Spawn(coordinator) => jobs
+                .iter()
+                .map(|job| {
+                    coordinator.evaluate_many(
+                        job.system,
+                        job.sng,
+                        job.xs,
+                        job.stream_length,
+                        job.seed,
+                        job.faults,
+                    )
+                })
+                .collect(),
+            Executor::Pool(pool) => {
+                let requests: Vec<ShardRequest> = jobs.iter().map(BatchJob::request).collect();
+                let expected: Vec<usize> = jobs.iter().map(|job| job.xs.len()).collect();
+                pool.run_requests(&requests, &expected)
+            }
+            Executor::Service(client) => jobs
+                .iter()
+                .map(|job| client.request(&job.request()))
+                .collect(),
+        }
+    }
+}
+
+/// One clean flat batch through [`Executor::InProcess`]. New code calls
+/// the executor; this name stays because the benchmark package
+/// (`perfbench/`) calls it.
 ///
 /// # Errors
 ///
@@ -513,10 +700,16 @@ pub fn evaluate_batch_in_process(
     xs: &[f64],
     stream_length: usize,
     seed: u64,
-) -> Result<Vec<OpticalRun>, crate::CircuitError> {
-    dispatch_sng!(sng, factory => {
-        evaluator.evaluate_range_faulted(system, xs, stream_length, factory, seed, 0, None)
-    })
+) -> Result<Vec<OpticalRun>, ShardError> {
+    let job = BatchJob {
+        system,
+        sng,
+        xs,
+        stream_length,
+        seed,
+        faults: None,
+    };
+    Ok(Executor::InProcess(evaluator).batches(&[job])?.remove(0))
 }
 
 /// A contiguous, balanced decomposition of `items` work items into at
@@ -661,12 +854,7 @@ impl ShardRequest {
         seed: u64,
         faults: Option<&FaultSpec>,
     ) -> Result<ShardRequest, ShardError> {
-        if width == 0 || !pixels.len().is_multiple_of(width) {
-            return Err(ShardError::InvalidPlan(format!(
-                "pixel count {} is not a whole number of width-{width} rows",
-                pixels.len()
-            )));
-        }
+        whole_rows(width, pixels.len()).map_err(ShardError::InvalidPlan)?;
         Ok(ShardRequest {
             params: *system.params(),
             coeffs: system.polynomial().coeffs().to_vec(),
@@ -681,6 +869,18 @@ impl ShardRequest {
             },
         })
     }
+}
+
+/// The row count of `pixels` pixels in `width`-sized rows, or the
+/// message every image entry point refuses a ragged image (or a zero
+/// width) with — the same rule the request decoder applies.
+fn whole_rows(width: usize, pixels: usize) -> Result<usize, String> {
+    if width == 0 || !pixels.is_multiple_of(width) {
+        return Err(format!(
+            "pixel count {pixels} is not a whole number of width-{width} rows"
+        ));
+    }
+    Ok(pixels / width)
 }
 
 // ---------------------------------------------------------------------
@@ -1458,14 +1658,15 @@ fn evaluate_job(
 /// col)` draws from `mix_seed(mix_seed(seed, global row), col)`, and a
 /// fault spec rebases the same way (by global row, then column), so
 /// the runs depend only on the global pixel position: the in-process
-/// image path (`apply_optical_lanes_faulted` in `osc-apps`) and every
-/// shard of a worker job call this one function and agree byte for
-/// byte. Pixels are clamped into `[0, 1]`.
+/// image path ([`Executor::InProcess`]) and every shard of a worker job
+/// call this one function and agree byte for byte. Pixels are clamped
+/// into `[0, 1]`.
 ///
 /// # Errors
 ///
-/// An invalid fault spec ([`FaultSpec::validate`]) before any work,
-/// otherwise the first evaluation failure by row order.
+/// An invalid fault spec ([`FaultSpec::validate`]) or pixels that are
+/// not a whole number of `width`-sized rows before any work, otherwise
+/// the first evaluation failure by row order.
 #[allow(clippy::too_many_arguments)]
 pub fn image_rows_eval<S, F>(
     evaluator: &BatchEvaluator,
@@ -1488,7 +1689,8 @@ where
             crate::CircuitError::InvalidStructure(format!("invalid fault spec: {e}"))
         })?;
     }
-    let rows: Vec<usize> = (0..pixels.len().checked_div(width).unwrap_or(0)).collect();
+    let rows = whole_rows(width, pixels.len()).map_err(crate::CircuitError::InvalidStructure)?;
+    let rows: Vec<usize> = (0..rows).collect();
     // An image without rows plans no blocks, whatever width it claims.
     let blocks = if rows.is_empty() {
         Vec::new()
@@ -1505,7 +1707,7 @@ where
             for (slot, &p) in xs.iter_mut().zip(&row_pixels[start..start + bw]) {
                 *slot = p.clamp(0.0, 1.0);
             }
-            let runs = evaluate_lane_block_faulted(
+            let runs = evaluate_lane_block(
                 system,
                 &xs[..bw],
                 stream_length,
@@ -1822,13 +2024,7 @@ fn image_requests(
     faults: Option<&FaultSpec>,
     shards: usize,
 ) -> Result<(Vec<ShardRequest>, Vec<usize>), ShardError> {
-    if width == 0 || !pixels.len().is_multiple_of(width) {
-        return Err(ShardError::InvalidPlan(format!(
-            "pixel count {} is not a whole number of width-{width} rows",
-            pixels.len()
-        )));
-    }
-    let rows = pixels.len() / width;
+    let rows = whole_rows(width, pixels.len()).map_err(ShardError::InvalidPlan)?;
     let plan = ShardPlan::new(rows, shards);
     let requests = plan
         .ranges()
@@ -1922,8 +2118,16 @@ impl ShardCoordinator {
         seed: u64,
         faults: Option<&FaultSpec>,
     ) -> Result<Vec<OpticalRun>, ShardError> {
-        self.spawn(xs.len())?
-            .evaluate_many(system, sng, xs, stream_length, seed, faults)
+        let (requests, expected) = batch_requests(
+            system,
+            sng,
+            xs,
+            stream_length,
+            seed,
+            faults,
+            self.pool.workers,
+        );
+        self.run(&requests, &expected)
     }
 
     /// Sharded image evaluation: splits the image's rows across worker
@@ -1949,17 +2153,35 @@ impl ShardCoordinator {
         seed: u64,
         faults: Option<&FaultSpec>,
     ) -> Result<Vec<OpticalRun>, ShardError> {
-        let rows = pixels.len() / width.max(1);
-        self.spawn(rows)?
-            .image_rows(system, sng, width, pixels, stream_length, seed, faults)
+        let (requests, expected) = image_requests(
+            system,
+            sng,
+            width,
+            pixels,
+            stream_length,
+            seed,
+            faults,
+            self.pool.workers,
+        )?;
+        self.run(&requests, &expected)
     }
 
-    /// Spawns the one-shot pool for a plan over `items`: one worker per
-    /// shard, so each worker takes exactly one contiguous range.
-    fn spawn(&self, items: usize) -> Result<pool::WorkerPool, ShardError> {
+    /// Runs a planned call on a one-shot pool with one worker per
+    /// shard, so each worker takes exactly one contiguous range, and
+    /// merges the runs in plan order. The plan comes first: an invalid
+    /// one fails before any spawn, and an empty one spawns nothing.
+    fn run(
+        &self,
+        requests: &[ShardRequest],
+        expected: &[usize],
+    ) -> Result<Vec<OpticalRun>, ShardError> {
+        if requests.is_empty() {
+            return Ok(Vec::new());
+        }
         let mut config = self.pool.clone();
-        config.workers = config.workers.min(items).max(1);
-        config.spawn()
+        config.workers = requests.len();
+        let merged = config.spawn()?.run_requests(requests, expected)?;
+        Ok(merged.into_iter().flatten().collect())
     }
 }
 
@@ -2531,6 +2753,62 @@ mod tests {
             merged.extend(serve_one(&req).expect("worker error"));
         }
         assert_eq!(merged, direct);
+    }
+
+    fn fig5_system() -> OpticalScSystem {
+        OpticalScSystem::new(
+            CircuitParams::paper_fig5(),
+            BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn in_process_images_refuse_ragged_rows_like_the_decoder() {
+        let system = fig5_system();
+        let evaluator = BatchEvaluator::with_threads(2);
+        let eval = |width: usize, pixels: &[f64]| {
+            image_rows_eval(
+                &evaluator,
+                &system,
+                &XoshiroSng::new,
+                width,
+                0,
+                pixels,
+                64,
+                5,
+                None,
+            )
+        };
+        // Width 3 over 4 pixels, width 0 over 4 pixels and width 0 over
+        // none: each one the decoder refuses, so in process they fail
+        // too instead of returning fewer runs than pixels.
+        for (width, n) in [(3usize, 4usize), (0, 4), (0, 0)] {
+            let err = eval(width, &vec![0.5; n]).unwrap_err();
+            assert!(
+                err.to_string().contains("not a whole number"),
+                "width {width}, {n} pixels: {err}"
+            );
+        }
+        // Whole rows, and an empty image of any positive width, still
+        // evaluate: one run per pixel.
+        assert_eq!(eval(2, &[0.5; 4]).unwrap().len(), 4);
+        assert!(eval(usize::MAX, &[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn coordinator_plans_before_it_spawns() {
+        // The worker binary does not exist, so any spawn would fail:
+        // these calls must be answered from the plan alone.
+        let system = fig5_system();
+        let coordinator = ShardCoordinator::new("/nonexistent/shard_worker", 3);
+        let empty = coordinator.evaluate_many(&system, SngKind::Xoshiro, &[], 64, 1, None);
+        assert_eq!(empty, Ok(Vec::new()));
+        let ragged = coordinator.image_rows(&system, SngKind::Xoshiro, 3, &[0.5; 4], 64, 1, None);
+        assert!(
+            matches!(ragged, Err(ShardError::InvalidPlan(_))),
+            "{ragged:?}"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! [`super::mzi_first::MziFirstDesign`], joins per-candidate energy
 //! ([`crate::energy::EnergyModel::breakdown_for`]) and a first-order
 //! area proxy ([`area_proxy_mm2`]), measures each candidate's empirical
-//! accuracy through any serving tier ([`SweepMode`]), and extracts the
+//! accuracy through any serving tier ([`Executor`]), and extracts the
 //! non-dominated accuracy × energy × area set ([`pareto_frontier`])
 //! with deterministic tie-breaking.
 //!
@@ -21,12 +21,9 @@
 //! [`crate::batch::mix_seed`] contract. Candidate `i` (its position in
 //! the fixed [`SweepAxes::enumerate`] order, counting infeasible
 //! candidates) seeds its evaluation with `mix_seed(sweep_seed, i)`, and
-//! every serving tier evaluates the candidate's probe batch through the
-//! proven-equivalent entrypoints — the same
-//! [`crate::batch::shard::evaluate_batch_in_process`] dispatch point
-//! the workers run, a [`ShardCoordinator`], a
-//! [`WorkerPool::run_requests`] stream (one [`ShardRequest::batch`] per
-//! candidate, `first_index` 0), or a TCP [`ServiceClient`]. Design
+//! the sweep hands every candidate's probe batch to one
+//! [`Executor::batches`] call — one [`BatchJob`] per candidate, which
+//! each tier evaluates exactly as a whole-batch wire request. Design
 //! solving, the energy/area join, Pareto extraction and the canonical
 //! CSV ([`frontier_csv`]) are all host-side scalar arithmetic over
 //! those bit-exact results, so the frontier bytes are identical across
@@ -34,18 +31,20 @@
 //!
 //! ```no_run
 //! use osc_core::batch::BatchEvaluator;
-//! use osc_core::design::sweep::{frontier_csv, pareto_frontier, DesignSweep, SweepAxes, SweepMode};
+//! use osc_core::batch::shard::Executor;
+//! use osc_core::design::sweep::{frontier_csv, pareto_frontier, DesignSweep, SweepAxes};
 //!
 //! let sweep = DesignSweep::new(SweepAxes::fig6(4));
 //! let evaluator = BatchEvaluator::new();
-//! let points = sweep.evaluate(SweepMode::InProcess(&evaluator)).unwrap();
+//! let points = sweep.evaluate(Executor::InProcess(&evaluator)).unwrap();
 //! let csv = frontier_csv(&pareto_frontier(&points));
 //! # drop(csv);
 //! ```
 //!
 //! A pool-served sweep is the stress profile the digest-keyed worker
 //! circuit cache was built for: ≥ 1000 distinct circuits stream through
-//! [`WorkerPool::run_requests`] as one pipelined call, so size the
+//! [`crate::batch::shard::pool::WorkerPool::run_requests`] as one
+//! pipelined call, so size the
 //! cache to the working set via `OSC_CIRCUIT_CACHE` or
 //! [`crate::batch::shard::pool::PoolConfig::with_circuit_cache_capacity`].
 
@@ -53,16 +52,12 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::backend::BackendKind;
-use crate::batch::shard::pool::WorkerPool;
-use crate::batch::shard::service::ServiceClient;
-use crate::batch::shard::{
-    evaluate_batch_in_process, ShardCoordinator, ShardError, ShardRequest, SngKind,
-};
-use crate::batch::{mix_seed, BatchEvaluator};
+use crate::batch::mix_seed;
+use crate::batch::shard::{BatchJob, Executor, ShardError, SngKind};
 use crate::design::mzi_first::{MziFirstDesign, MziFirstInputs};
 use crate::energy::{EnergyAssumptions, EnergyModel};
 use crate::params::CircuitParams;
-use crate::system::{OpticalRun, OpticalScSystem};
+use crate::system::OpticalScSystem;
 use crate::CircuitError;
 use osc_stochastic::bernstein::BernsteinPoly;
 use osc_units::{DbRatio, Milliwatts, Nanometers};
@@ -282,22 +277,9 @@ pub struct SweepPoint {
     pub mean_abs_error: f64,
 }
 
-/// The serving tier a sweep evaluates through. Every mode produces
-/// bit-identical [`SweepPoint`]s (see the module-level determinism
-/// contract).
-pub enum SweepMode<'a> {
-    /// In this process, through the worker dispatch point
-    /// ([`evaluate_batch_in_process`]).
-    InProcess(&'a BatchEvaluator),
-    /// Spawn-per-call subprocess sharding.
-    Spawn(&'a ShardCoordinator),
-    /// A persistent worker pool; all candidates stream through one
-    /// pipelined [`WorkerPool::run_requests`] call — the many-distinct-
-    /// circuits profile the digest-keyed circuit cache was built for.
-    Pool(&'a mut WorkerPool),
-    /// A TCP service connection, one request per candidate.
-    Service(&'a mut ServiceClient),
-}
+/// The sweep's name for [`Executor`], kept for callers that spell it
+/// `SweepMode::InProcess(&evaluator)` (the benchmark package does).
+pub type SweepMode<'a> = Executor<'a>;
 
 /// Errors of a sweep evaluation.
 #[derive(Debug)]
@@ -327,12 +309,15 @@ impl From<CircuitError> for SweepError {
 
 impl From<ShardError> for SweepError {
     fn from(e: ShardError) -> Self {
-        SweepError::Shard(e)
+        match e {
+            ShardError::Circuit(e) => SweepError::Circuit(e),
+            e => SweepError::Shard(e),
+        }
     }
 }
 
 /// A fully enumerated and solved design sweep, ready to evaluate
-/// through any [`SweepMode`].
+/// through any [`Executor`].
 #[derive(Debug, Clone)]
 pub struct DesignSweep {
     axes: SweepAxes,
@@ -431,79 +416,34 @@ impl DesignSweep {
     }
 
     /// Evaluates every feasible candidate's accuracy through the given
-    /// serving tier and joins the [`SweepPoint`] metrics, in
-    /// enumeration order.
+    /// serving tier — all candidates in one [`Executor::batches`] call —
+    /// and joins the [`SweepPoint`] metrics, in enumeration order.
     ///
     /// # Errors
     ///
-    /// Propagates the first failed evaluation.
-    pub fn evaluate(&self, mode: SweepMode<'_>) -> Result<Vec<SweepPoint>, SweepError> {
+    /// A candidate system that fails to build, otherwise the first
+    /// failed evaluation.
+    pub fn evaluate(&self, mut executor: Executor<'_>) -> Result<Vec<SweepPoint>, SweepError> {
         let xs = probe_inputs(self.axes.probes);
-        let runs_per_design: Vec<Vec<OpticalRun>> = match mode {
-            SweepMode::InProcess(evaluator) => {
-                let mut all = Vec::with_capacity(self.designs.len());
-                for d in &self.designs {
-                    let system = self.system(d)?;
-                    all.push(evaluate_batch_in_process(
-                        evaluator,
-                        &system,
-                        d.candidate.sng,
-                        &xs,
-                        d.candidate.stream_length,
-                        d.candidate.seed_for(self.axes.seed),
-                    )?);
-                }
-                all
-            }
-            SweepMode::Spawn(coordinator) => {
-                let mut all = Vec::with_capacity(self.designs.len());
-                for d in &self.designs {
-                    let system = self.system(d)?;
-                    all.push(coordinator.evaluate_many(
-                        &system,
-                        d.candidate.sng,
-                        &xs,
-                        d.candidate.stream_length,
-                        d.candidate.seed_for(self.axes.seed),
-                        None,
-                    )?);
-                }
-                all
-            }
-            SweepMode::Pool(pool) => {
-                let mut requests = Vec::with_capacity(self.designs.len());
-                for d in &self.designs {
-                    let system = self.system(d)?;
-                    requests.push(ShardRequest::batch(
-                        &system,
-                        d.candidate.sng,
-                        0,
-                        &xs,
-                        d.candidate.stream_length,
-                        d.candidate.seed_for(self.axes.seed),
-                        None,
-                    ));
-                }
-                let expected = vec![xs.len(); requests.len()];
-                pool.run_requests(&requests, &expected)?
-            }
-            SweepMode::Service(client) => {
-                let mut all = Vec::with_capacity(self.designs.len());
-                for d in &self.designs {
-                    let system = self.system(d)?;
-                    all.push(client.request(&ShardRequest::batch(
-                        &system,
-                        d.candidate.sng,
-                        0,
-                        &xs,
-                        d.candidate.stream_length,
-                        d.candidate.seed_for(self.axes.seed),
-                        None,
-                    ))?);
-                }
-                all
-            }
-        };
+        let systems = self
+            .designs
+            .iter()
+            .map(|d| self.system(d))
+            .collect::<Result<Vec<_>, _>>()?;
+        let jobs: Vec<BatchJob<'_>> = self
+            .designs
+            .iter()
+            .zip(&systems)
+            .map(|(d, system)| BatchJob {
+                system,
+                sng: d.candidate.sng,
+                xs: &xs,
+                stream_length: d.candidate.stream_length,
+                seed: d.candidate.seed_for(self.axes.seed),
+                faults: None,
+            })
+            .collect();
+        let runs_per_design = executor.batches(&jobs)?;
         Ok(self
             .designs
             .iter()
@@ -592,6 +532,7 @@ pub fn frontier_csv(points: &[SweepPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchEvaluator;
 
     fn point(index: u64, err: f64, energy: f64, area: f64) -> SweepPoint {
         SweepPoint {
@@ -698,10 +639,10 @@ mod tests {
             ..SweepAxes::fig6(2)
         });
         let one = sweep
-            .evaluate(SweepMode::InProcess(&BatchEvaluator::with_threads(1)))
+            .evaluate(Executor::InProcess(&BatchEvaluator::with_threads(1)))
             .unwrap();
         let four = sweep
-            .evaluate(SweepMode::InProcess(&BatchEvaluator::with_threads(4)))
+            .evaluate(Executor::InProcess(&BatchEvaluator::with_threads(4)))
             .unwrap();
         let csv_one = frontier_csv(&pareto_frontier(&one));
         let csv_four = frontier_csv(&pareto_frontier(&four));

@@ -170,6 +170,7 @@ impl ParallelOpticalSc {
                     per_lane,
                     &sng_factory,
                     |k| mix_seed(seed, (start + k) as u64),
+                    None::<fn(usize) -> crate::fault::FaultSpec>,
                     scratch,
                 )
             });

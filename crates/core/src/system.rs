@@ -601,9 +601,10 @@ impl OpticalScSystem {
     }
 
     /// Streams shorter than this are generated one chain at a time: the
-    /// GF(2) jump that lets [`StochasticNumberGenerator::drain_two`] run
-    /// two streams as interleaved chains costs ~0.6 µs per pair, which
-    /// only pays for itself once each stream is a few thousand bits.
+    /// GF(2) jump that lets [`StochasticNumberGenerator::drain_lanes_two`]
+    /// run two streams per lane as interleaved chains costs ~0.6 µs per
+    /// pair, which only pays for itself once each stream is a few
+    /// thousand bits.
     const PAIR_STREAM_CUTOFF: usize = 4096;
 
     /// The lane-blocked fused kernel body: generation-order streaming

@@ -24,9 +24,9 @@
 //!
 //! | engine | serves | AVX-512 path | AVX2 path | extra gates |
 //! |---|---|---|---|---|
-//! | [`xoshiro_drain_chains`] | `XoshiroSng` | `vprolq` + `vpcmpuq` k-masks, `vpternlogq` update, bit-matrix transpose (needs `gfni` + `avx512vbmi`, else the AVX2 path) | shift-or rotates + sign-bias `vpcmpgtq` | `bmi2` |
-//! | [`splitmix_drain_chains`] | `ChaoticLaserSng` | `vpmullq` mix (needs `avx512dq`) | `vpmuludq` split multiply | `bmi2` |
-//! | [`counter_drain_chains`] | `CounterSng` (base-2 mode) | `vgf2p8affineqb` bit-reverse + `vpcmpuq` | GFNI VEX reverse or shared scalar reverse | — |
+//! | `xoshiro_drain_chains` | `XoshiroSng` | `vprolq` + `vpcmpuq` k-masks, `vpternlogq` update, bit-matrix transpose (needs `gfni` + `avx512vbmi`, else the AVX2 path) | shift-or rotates + sign-bias `vpcmpgtq` | `bmi2` |
+//! | `splitmix_drain_chains` | `ChaoticLaserSng` | `vpmullq` mix (needs `avx512dq`) | `vpmuludq` split multiply | `bmi2` |
+//! | `counter_drain_chains` | `CounterSng` (base-2 mode) | `vgf2p8affineqb` bit-reverse + `vpcmpuq` | GFNI VEX reverse or shared scalar reverse | — |
 //! | [`popcount_lanes_accumulate`] | count-plane fold | `vpopcntq` | nibble-LUT `vpshufb` + `vpsadbw` | — |
 //! | [`assemble_indices16`] | noisy-tier index assembly | `vpmovm2w` mask broadcast (needs `avx512bw`) | — (scalar fallback) | — |
 //! | [`BitMatrixKernels::classify_cycles`] | noisy-tier decision pass, orders ≤ 6 | bit-matrix transposes + one `vpermi2b` per count row (needs `gfni` + `avx512vbmi`) | — (index assembly + table walk) | — |

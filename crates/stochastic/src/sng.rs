@@ -92,36 +92,8 @@ fn drain_with<B: FnMut() -> bool, F: FnMut(u64, usize)>(len: usize, mut bit: B, 
     }
 }
 
-/// Drains two equal-length independent bit sources in word lockstep. The
-/// two comparator chains interleave at bit granularity, so each source's
-/// serial state-update latency hides behind the other's — the engine of
-/// [`StochasticNumberGenerator::drain_two`].
-#[inline]
-fn drain_with2<B0, B1, F>(len: usize, mut bit0: B0, mut bit1: B1, mut emit: F)
-where
-    B0: FnMut() -> bool,
-    B1: FnMut() -> bool,
-    F: FnMut(u64, u64, usize),
-{
-    let mut remaining = len;
-    while remaining >= 64 {
-        let (mut w0, mut w1) = (0u64, 0u64);
-        for _ in 0..64 {
-            w0 = (w0 >> 1) | (u64::from(bit0()) << 63);
-            w1 = (w1 >> 1) | (u64::from(bit1()) << 63);
-        }
-        emit(w0, w1, 64);
-        remaining -= 64;
-    }
-    if remaining > 0 {
-        let w0 = pack_word(remaining, &mut bit0);
-        let w1 = pack_word(remaining, &mut bit1);
-        emit(w0, w1, remaining);
-    }
-}
-
-/// Drains `L` equal-length independent bit sources in word lockstep —
-/// the `L`-chain generalization of [`drain_with2`]. `bit(l)` draws the
+/// Drains `L` equal-length independent bit sources in word lockstep.
+/// `bit(l)` draws the
 /// next bit of lane `l`; lanes interleave at bit granularity, so each
 /// lane's serial state-update latency hides behind the other `L − 1`
 /// chains' — the engine of [`StochasticNumberGenerator::drain_lanes`].
@@ -346,41 +318,6 @@ pub trait StochasticNumberGenerator {
         Ok(BitStream::from_words(words, len))
     }
 
-    /// Streams **two consecutive streams** (`p0` then `p1`, both `len`
-    /// bits) in 64-cycle word lockstep, when the random source can jump
-    /// over a whole stream cheaply.
-    ///
-    /// A single source draws one value per bit, so consecutive streams
-    /// form one long serial dependency chain; a source with an O(1)-ish
-    /// jump (counter reset, SplitMix arithmetic, xoshiro's GF(2) matrix)
-    /// can start the second stream's chain immediately and interleave the
-    /// two chains bit-for-bit, hiding each chain's state-update latency
-    /// behind the other's — ~15–20% faster generation on long streams.
-    ///
-    /// Returns `Ok(false)` **without consuming any randomness** when the
-    /// source has no cheap jump; callers then drain the two streams
-    /// sequentially via [`StochasticNumberGenerator::begin`]. On
-    /// `Ok(true)`, `emit(w0, w1, nbits)` received every block of both
-    /// streams and the generator ended in exactly the state two
-    /// sequential `generate` calls would have left — the emitted words
-    /// are bit-identical to sequential generation (the property tests pin
-    /// this per source).
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::OutOfUnitRange`] if `p0` or `p1` is outside `[0, 1]`
-    /// (checked before any randomness is consumed).
-    fn drain_two<F: FnMut(u64, u64, usize)>(
-        &mut self,
-        p0: f64,
-        p1: f64,
-        len: usize,
-        emit: F,
-    ) -> Result<bool, ScError> {
-        let _ = (p0, p1, len, emit);
-        Ok(false)
-    }
-
     /// Drains one `len`-bit stream per lane — lane `l` draws from
     /// `lanes[l]` at probability `ps[l]` — in 64-cycle word lockstep:
     /// each `emit(&block, nbits)` call delivers one packed word per lane
@@ -435,11 +372,15 @@ pub trait StochasticNumberGenerator {
         Ok(())
     }
 
-    /// Lane-blocked form of [`StochasticNumberGenerator::drain_two`]:
-    /// drains **two consecutive streams per lane** (lane `l` draws
+    /// Drains **two consecutive streams per lane** (lane `l` draws
     /// `ps0[l]` then `ps1[l]`, both `len` bits) as `2L` bit-interleaved
     /// chains, when the random source can jump over a whole stream
-    /// cheaply. Each lane's second chain starts at that lane's
+    /// cheaply (counter reset, SplitMix arithmetic, xoshiro's GF(2)
+    /// matrix). A single source draws one value per bit, so consecutive
+    /// streams form one serial dependency chain; starting the second
+    /// stream's chain at once hides each chain's state-update latency
+    /// behind the other's. `L = 1` is the single-generator case. Each
+    /// lane's second chain starts at that lane's
     /// GF(2)-jumped state (exactly where its first chain will end), so on
     /// `Ok(true)` every lane finishes in the state two sequential
     /// `generate` calls would have left it in, with bit-identical words
@@ -779,29 +720,6 @@ impl StochasticNumberGenerator for CounterSng {
         })
     }
 
-    fn drain_two<F: FnMut(u64, u64, usize)>(
-        &mut self,
-        p0: f64,
-        p1: f64,
-        len: usize,
-        emit: F,
-    ) -> Result<bool, ScError> {
-        let p0 = check_unit("probability", p0)?;
-        let p1 = check_unit("probability", p1)?;
-        // Streams are independent counters over consecutive Halton bases;
-        // "jumping" is just consuming the bases in order.
-        let mode0 = self.next_mode(p0, len);
-        let mode1 = self.next_mode(p1, len);
-        let (mut n0, mut n1) = (0u64, 0u64);
-        drain_with2(
-            len,
-            || counter_bit(&mode0, &mut n0),
-            || counter_bit(&mode1, &mut n1),
-            emit,
-        );
-        Ok(true)
-    }
-
     fn drain_lanes<const L: usize, F>(
         lanes: &mut [Self; L],
         ps: &[f64; L],
@@ -970,33 +888,6 @@ impl StochasticNumberGenerator for XoshiroSng {
             rng: &mut self.rng,
             remaining: len,
         })
-    }
-
-    fn drain_two<F: FnMut(u64, u64, usize)>(
-        &mut self,
-        p0: f64,
-        p1: f64,
-        len: usize,
-        emit: F,
-    ) -> Result<bool, ScError> {
-        let p0 = check_unit("probability", p0)?;
-        let p1 = check_unit("probability", p1)?;
-        let (wide0, always0) = widen_threshold53(unit_threshold(p0, 53));
-        let (wide1, always1) = widen_threshold53(unit_threshold(p1, 53));
-        // Chain A draws the first stream from the current state; chain B
-        // draws the second from the GF(2)-jumped state (exactly where A
-        // will end). B's end state is where sequential generation of both
-        // streams would have left the generator.
-        let mut a = self.rng.clone();
-        let mut b = a.jumped(len);
-        drain_with2(
-            len,
-            || (a.next_u64() < wide0) | always0,
-            || (b.next_u64() < wide1) | always1,
-            emit,
-        );
-        self.rng = b;
-        Ok(true)
     }
 
     fn drain_lanes<const L: usize, F>(
@@ -1203,32 +1094,6 @@ impl StochasticNumberGenerator for ChaoticLaserSng {
             rng: &mut self.rng,
             remaining: len,
         })
-    }
-
-    fn drain_two<F: FnMut(u64, u64, usize)>(
-        &mut self,
-        p0: f64,
-        p1: f64,
-        len: usize,
-        emit: F,
-    ) -> Result<bool, ScError> {
-        let p0 = check_unit("probability", p0)?;
-        let p1 = check_unit("probability", p1)?;
-        let (wide0, always0) = widen_threshold53(Self::comparator_threshold(p0));
-        let (wide1, always1) = widen_threshold53(Self::comparator_threshold(p1));
-        // SplitMix64's state is an arithmetic sequence: the second
-        // stream's start (and the combined end state) are one multiply
-        // away.
-        let mut a = self.rng;
-        let mut b = a.jumped(len as u64);
-        self.rng = b.jumped(len as u64);
-        drain_with2(
-            len,
-            || (a.next_u64() < wide0) | always0,
-            || (b.next_u64() < wide1) | always1,
-            emit,
-        );
-        Ok(true)
     }
 
     fn drain_lanes<const L: usize, F>(
@@ -1478,107 +1343,6 @@ mod tests {
     #[test]
     fn chaotic_fast_path_bit_identical() {
         assert_fast_path_bit_identical(|| ChaoticLaserSng::seeded(7));
-    }
-
-    /// Collects a `drain_two` call into two streams, or None when the
-    /// source reports no cheap jump.
-    fn collect_drain_two<S: StochasticNumberGenerator>(
-        sng: &mut S,
-        p0: f64,
-        p1: f64,
-        len: usize,
-    ) -> Option<(BitStream, BitStream)> {
-        let mut w0 = Vec::new();
-        let mut w1 = Vec::new();
-        let streamed = sng
-            .drain_two(p0, p1, len, |a, b, _| {
-                w0.push(a);
-                w1.push(b);
-            })
-            .unwrap();
-        streamed.then(|| {
-            (
-                BitStream::from_words(w0, len),
-                BitStream::from_words(w1, len),
-            )
-        })
-    }
-
-    fn assert_drain_two_matches_sequential<S>(make: impl Fn() -> S, expect_streamed: bool)
-    where
-        S: StochasticNumberGenerator,
-    {
-        // Pairs cover interior, saturated (0 and 1) and mixed
-        // probabilities; lengths cover ragged tails and multi-word runs.
-        let pairs = [(0.37, 0.62), (1.0, 0.3), (0.0, 1.0), (0.5, 0.5)];
-        for &(p0, p1) in &pairs {
-            for &len in &[1usize, 63, 64, 65, 257, 4096] {
-                let mut paired = make();
-                let mut sequential = make();
-                let Some((s0, s1)) = collect_drain_two(&mut paired, p0, p1, len) else {
-                    assert!(!expect_streamed, "source unexpectedly lacks drain_two");
-                    return;
-                };
-                assert!(expect_streamed, "source unexpectedly streamed");
-                let r0 = sequential.generate(p0, len).unwrap();
-                let r1 = sequential.generate(p1, len).unwrap();
-                assert_eq!(s0, r0, "first stream, p0={p0}, len={len}");
-                assert_eq!(s1, r1, "second stream, p1={p1}, len={len}");
-                // End states must agree: the next stream from each source
-                // must be identical.
-                assert_eq!(
-                    paired.generate(0.41, 130).unwrap(),
-                    sequential.generate(0.41, 130).unwrap(),
-                    "post-pair state, p0={p0} p1={p1} len={len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn xoshiro_drain_two_matches_sequential() {
-        assert_drain_two_matches_sequential(|| XoshiroSng::new(97), true);
-    }
-
-    #[test]
-    fn chaotic_drain_two_matches_sequential() {
-        assert_drain_two_matches_sequential(|| ChaoticLaserSng::seeded(31), true);
-    }
-
-    #[test]
-    fn counter_drain_two_matches_sequential() {
-        assert_drain_two_matches_sequential(CounterSng::new, true);
-        // Also from an advanced base position (non-base-2 modes in play).
-        assert_drain_two_matches_sequential(
-            || {
-                let mut sng = CounterSng::new();
-                let _ = sng.generate(0.5, 8);
-                sng
-            },
-            true,
-        );
-    }
-
-    #[test]
-    fn lfsr_drain_two_falls_back() {
-        // No cheap jump for the LFSR: the default must decline without
-        // consuming randomness.
-        let mut sng = LfsrSng::new(16, 0xACE1).unwrap();
-        let before = sng.clone().generate(0.5, 64).unwrap();
-        assert!(collect_drain_two(&mut sng, 0.3, 0.7, 128).is_none());
-        assert_eq!(sng.generate(0.5, 64).unwrap(), before);
-    }
-
-    #[test]
-    fn drain_two_rejects_invalid_probabilities_before_drawing() {
-        let mut sng = XoshiroSng::new(3);
-        let pristine = sng.clone();
-        assert!(sng.drain_two(0.5, 1.5, 64, |_, _, _| {}).is_err());
-        assert!(sng.drain_two(-0.1, 0.5, 64, |_, _, _| {}).is_err());
-        assert_eq!(
-            sng.generate(0.5, 64).unwrap(),
-            pristine.clone().generate(0.5, 64).unwrap()
-        );
     }
 
     /// Collects `drain_lanes` output into one stream per lane.
