@@ -50,6 +50,30 @@ impl PowerBands {
     pub fn midpoint_threshold(&self) -> Milliwatts {
         (self.zero_max + self.one_min) * 0.5
     }
+
+    /// The bands of a `(count, z-word)` power table indexed
+    /// `[count][z_word]`: entry `(count, zw)` transmits bit `count` of
+    /// `zw`.
+    pub fn from_table(table: &[Vec<Milliwatts>]) -> PowerBands {
+        let mut bands = PowerBands {
+            zero_min: Milliwatts::new(f64::INFINITY),
+            zero_max: Milliwatts::new(f64::NEG_INFINITY),
+            one_min: Milliwatts::new(f64::INFINITY),
+            one_max: Milliwatts::new(f64::NEG_INFINITY),
+        };
+        for (count, row) in table.iter().enumerate() {
+            for (zw, &received) in row.iter().enumerate() {
+                if zw >> count & 1 == 1 {
+                    bands.one_min = bands.one_min.min(received);
+                    bands.one_max = bands.one_max.max(received);
+                } else {
+                    bands.zero_min = bands.zero_min.min(received);
+                    bands.zero_max = bands.zero_max.max(received);
+                }
+            }
+        }
+        bands
+    }
 }
 
 /// The generic `n`-th order optical stochastic computing circuit.
@@ -131,13 +155,13 @@ impl OpticalScCircuit {
     pub fn power_level_table(&self) -> Result<Vec<PowerLevelRow>, CircuitError> {
         let n = self.order();
         assert!(n <= 16, "power table infeasible for order {n}");
+        let power_rows = self.model.power_rows(self.params.probe_power);
         let mut rows = Vec::with_capacity(1 << (2 * n + 1));
         for xw in 0..(1u32 << n) {
             let x_bits: Vec<bool> = (0..n).map(|b| xw >> b & 1 == 1).collect();
             let selected = x_bits.iter().filter(|&&b| b).count();
-            for zw in 0..(1u32 << (n + 1)) {
+            for (zw, received) in power_rows.row(&x_bits)?.into_iter().enumerate() {
                 let z_bits: Vec<bool> = (0..=n).map(|b| zw >> b & 1 == 1).collect();
-                let received = self.received_power(&x_bits, &z_bits)?;
                 let transmitted_bit = z_bits[selected];
                 rows.push(PowerLevelRow {
                     x_bits: x_bits.clone(),
@@ -151,43 +175,41 @@ impl OpticalScCircuit {
         Ok(rows)
     }
 
+    /// Received power for every `(count, z-word)` pair, indexed
+    /// `[count][z_word]`: `count` ones among the data bits (canonical
+    /// pattern: the first `count` bits set) and the coefficient bits
+    /// packed LSB-first. Each entry equals
+    /// [`OpticalScCircuit::received_power`] at that pattern bit for bit.
+    ///
+    /// The adder's identical MZIs make received power depend on the data
+    /// word only through its ones count (the pinned
+    /// `control_depends_only_on_count` invariant), so `n+1` rows cover
+    /// every data word.
+    ///
+    /// # Errors
+    ///
+    /// Propagates arity errors (not reachable through the public API).
+    pub fn power_table(&self) -> Result<Vec<Vec<Milliwatts>>, CircuitError> {
+        let n = self.order();
+        let power_rows = self.model.power_rows(self.params.probe_power);
+        (0..=n)
+            .map(|count| {
+                let x_bits: Vec<bool> = (0..n).map(|i| i < count).collect();
+                power_rows.row(&x_bits)
+            })
+            .collect()
+    }
+
     /// The received-power bands for logical 0 and 1 across all input
     /// combinations — the paper's validation criterion ("data '0' and '1'
     /// lead to received optical power in the ranges 0.092–0.099 mW and
-    /// 0.477–0.482 mW").
+    /// 0.477–0.482 mW"), read off [`OpticalScCircuit::power_table`].
     ///
     /// # Errors
     ///
     /// Propagates arity errors (not reachable through the public API).
     pub fn power_bands(&self) -> Result<PowerBands, CircuitError> {
-        // The adder's identical MZIs make received power depend on the
-        // data word only through its ones count (the pinned
-        // `control_depends_only_on_count` invariant), so one canonical
-        // data pattern per count covers every band extreme: (n+1)·2^(n+1)
-        // evaluations instead of the exhaustive 2^(2n+1) table — the
-        // difference between milliseconds and minutes at high orders.
-        let n = self.order();
-        let mut bands = PowerBands {
-            zero_min: Milliwatts::new(f64::INFINITY),
-            zero_max: Milliwatts::new(f64::NEG_INFINITY),
-            one_min: Milliwatts::new(f64::INFINITY),
-            one_max: Milliwatts::new(f64::NEG_INFINITY),
-        };
-        for count in 0..=n {
-            let x_bits: Vec<bool> = (0..n).map(|i| i < count).collect();
-            for zw in 0..(1u32 << (n + 1)) {
-                let z_bits: Vec<bool> = (0..=n).map(|b| zw >> b & 1 == 1).collect();
-                let received = self.received_power(&x_bits, &z_bits)?;
-                if z_bits[count] {
-                    bands.one_min = bands.one_min.min(received);
-                    bands.one_max = bands.one_max.max(received);
-                } else {
-                    bands.zero_min = bands.zero_min.min(received);
-                    bands.zero_max = bands.zero_max.max(received);
-                }
-            }
-        }
-        Ok(bands)
+        Ok(PowerBands::from_table(&self.power_table()?))
     }
 }
 
@@ -208,6 +230,24 @@ mod tests {
         for r in &rows {
             assert_eq!(r.selected, r.x_bits.iter().filter(|&&b| b).count());
             assert_eq!(r.transmitted_bit, r.z_bits[r.selected]);
+        }
+        // Each factored row equals the per-entry Eq. (6) evaluation of
+        // its own data and coefficient words, bit for bit.
+        for order in 1..=4 {
+            let p = CircuitParams::paper_fig7(order, osc_units::Nanometers::new(0.165));
+            let c = OpticalScCircuit::new(p).unwrap();
+            let rows = c.power_level_table().unwrap();
+            assert_eq!(rows.len(), 1 << (2 * order + 1));
+            for r in &rows {
+                let direct = c.received_power(&r.x_bits, &r.z_bits).unwrap();
+                assert_eq!(
+                    r.received.as_mw().to_bits(),
+                    direct.as_mw().to_bits(),
+                    "order {order}: x {:?} z {:?}",
+                    r.x_bits,
+                    r.z_bits
+                );
+            }
         }
     }
 

@@ -14,10 +14,11 @@
 //! Two backends ship:
 //!
 //! - [`MrrMziBackend`] — the paper's MRR/MZI architecture
-//!   ([`OpticalScCircuit`], Eqs. (5)–(7)). This is the default and is
-//!   **byte-identical** to the pre-trait system: it performs the exact
-//!   same [`OpticalScCircuit::received_power`] evaluations, in the same
-//!   order, with the same canonical data patterns.
+//!   ([`OpticalScCircuit`], Eqs. (5)–(7)). This is the default. Its
+//!   table comes from the factored Eq. (6) build
+//!   ([`OpticalScCircuit::power_table`]), which equals the per-entry
+//!   [`OpticalScCircuit::received_power`] at the canonical data patterns
+//!   bit for bit.
 //! - [`crate::nanocavity::NanocavityBackend`] — the simplified
 //!   photonic-crystal nanocavity substrate of the authors' follow-up
 //!   work (PAPERS.md: arXiv 2102.02064).
@@ -133,34 +134,35 @@ pub trait ScBackend {
     /// [`ScBackend::received_power`].
     fn noise_sigma(&self) -> Milliwatts;
 
+    /// Received power for every `(count, z_word)` operating point,
+    /// indexed `[count][z_word]` — the table the system folds its
+    /// decisions from. The provided method evaluates
+    /// [`ScBackend::received_power`] entry by entry; an override must
+    /// equal that bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// As [`ScBackend::received_power`].
+    fn power_table(&self) -> Result<Vec<Vec<Milliwatts>>, CircuitError> {
+        let n = self.order();
+        (0..=n)
+            .map(|count| {
+                (0..(1u32 << (n + 1)))
+                    .map(|zw| self.received_power(count, zw))
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Min/max received power over the transmit-0 / transmit-1
     /// populations — the separation that makes optical de-randomizing
     /// possible, and the source of the decision threshold.
     ///
     /// # Errors
     ///
-    /// As [`ScBackend::received_power`].
+    /// As [`ScBackend::power_table`].
     fn power_bands(&self) -> Result<PowerBands, CircuitError> {
-        let n = self.order();
-        let mut bands = PowerBands {
-            zero_min: Milliwatts::new(f64::INFINITY),
-            zero_max: Milliwatts::new(f64::NEG_INFINITY),
-            one_min: Milliwatts::new(f64::INFINITY),
-            one_max: Milliwatts::new(f64::NEG_INFINITY),
-        };
-        for count in 0..=n {
-            for zw in 0..(1u32 << (n + 1)) {
-                let received = self.received_power(count, zw)?;
-                if zw >> count & 1 == 1 {
-                    bands.one_min = bands.one_min.min(received);
-                    bands.one_max = bands.one_max.max(received);
-                } else {
-                    bands.zero_min = bands.zero_min.min(received);
-                    bands.zero_max = bands.zero_max.max(received);
-                }
-            }
-        }
-        Ok(bands)
+        Ok(PowerBands::from_table(&self.power_table()?))
     }
 
     /// The circuit order `n` this backend was built for.
@@ -169,8 +171,8 @@ pub trait ScBackend {
 
 /// The paper's MRR/MZI transmission physics behind the [`ScBackend`]
 /// surface: an [`OpticalScCircuit`] evaluated at the canonical
-/// per-count data patterns. Byte-identical to the pre-trait system —
-/// same evaluations, same order, same floats.
+/// per-count data patterns, its table built from the factored Eq. (6)
+/// terms ([`crate::transmission::PowerRows`]).
 #[derive(Debug, Clone)]
 pub struct MrrMziBackend {
     circuit: OpticalScCircuit,
@@ -217,10 +219,10 @@ impl ScBackend for MrrMziBackend {
         self.sigma
     }
 
-    fn power_bands(&self) -> Result<PowerBands, CircuitError> {
-        // Delegate to the circuit's own band scan — the identical loop,
-        // kept as the single source of truth for the MRR/MZI bands.
-        self.circuit.power_bands()
+    fn power_table(&self) -> Result<Vec<Vec<Milliwatts>>, CircuitError> {
+        // The factored Eq. (6) build over the same canonical patterns —
+        // bit-identical to the per-entry loop at a fraction of its cost.
+        self.circuit.power_table()
     }
 
     fn order(&self) -> usize {
@@ -280,10 +282,10 @@ impl ScBackend for Backend {
         }
     }
 
-    fn power_bands(&self) -> Result<PowerBands, CircuitError> {
+    fn power_table(&self) -> Result<Vec<Vec<Milliwatts>>, CircuitError> {
         match self {
-            Backend::MrrMzi(b) => b.power_bands(),
-            Backend::Nanocavity(b) => b.power_bands(),
+            Backend::MrrMzi(b) => b.power_table(),
+            Backend::Nanocavity(b) => b.power_table(),
         }
     }
 
@@ -318,14 +320,18 @@ mod tests {
         let params = CircuitParams::paper_fig5();
         let circuit = OpticalScCircuit::new(params).unwrap();
         let backend = MrrMziBackend::new(params).unwrap();
+        let table = circuit.power_table().unwrap();
         let n = circuit.order();
-        for count in 0..=n {
+        assert_eq!(table.len(), n + 1);
+        for (count, row) in table.iter().enumerate() {
             let x_bits: Vec<bool> = (0..n).map(|i| i < count).collect();
-            for zw in 0..(1u32 << (n + 1)) {
+            assert_eq!(row.len(), 1 << (n + 1));
+            for (zw, factored) in (0u32..).zip(row) {
                 let z_bits: Vec<bool> = (0..=n).map(|b| zw >> b & 1 == 1).collect();
                 let direct = circuit.received_power(&x_bits, &z_bits).unwrap();
                 let via_trait = backend.received_power(count, zw).unwrap();
                 assert_eq!(direct.as_mw().to_bits(), via_trait.as_mw().to_bits());
+                assert_eq!(direct.as_mw().to_bits(), factored.as_mw().to_bits());
             }
         }
         let a = circuit.power_bands().unwrap();
@@ -337,33 +343,91 @@ mod tests {
         );
     }
 
-    #[test]
-    fn default_band_scan_matches_the_circuit_scan_for_mrr_mzi() {
-        // The trait's default power_bands walks (count, zw) pairs in the
-        // same order with the same classification as
-        // OpticalScCircuit::power_bands — pin the equivalence so a
-        // backend relying on the default gets the canonical scan.
-        struct Shim(MrrMziBackend);
-        impl ScBackend for Shim {
-            fn kind(&self) -> BackendKind {
-                self.0.kind()
-            }
-            fn received_power(&self, c: usize, z: u32) -> Result<Milliwatts, CircuitError> {
-                self.0.received_power(c, z)
-            }
-            fn noise_sigma(&self) -> Milliwatts {
-                self.0.noise_sigma()
-            }
-            fn order(&self) -> usize {
-                self.0.order()
+    /// The provided per-entry `power_table` over a backend's own
+    /// `received_power` — the oracle every override must equal.
+    struct PerEntry<'a>(&'a Backend);
+
+    impl ScBackend for PerEntry<'_> {
+        fn kind(&self) -> BackendKind {
+            self.0.kind()
+        }
+        fn received_power(&self, c: usize, z: u32) -> Result<Milliwatts, CircuitError> {
+            self.0.received_power(c, z)
+        }
+        fn noise_sigma(&self) -> Milliwatts {
+            self.0.noise_sigma()
+        }
+        fn order(&self) -> usize {
+            self.0.order()
+        }
+    }
+
+    /// Pins the backend's table, bands, the system's threshold and its
+    /// decision classes against the per-entry oracle, bit for bit.
+    fn assert_table_matches_per_entry(params: CircuitParams) {
+        let backend = Backend::new(&params).unwrap();
+        let oracle = PerEntry(&backend);
+        let case = format!(
+            "{} order {} gap {} probe {}",
+            params.backend, params.order, params.wl_spacing, params.probe_power
+        );
+        let table = backend.power_table().unwrap();
+        let expected = oracle.power_table().unwrap();
+        assert_eq!(table.len(), expected.len(), "{case}");
+        for (count, (row, want)) in table.iter().zip(&expected).enumerate() {
+            assert_eq!(row.len(), 1 << (params.order + 1), "{case}");
+            for (zw, (got, want)) in row.iter().zip(want).enumerate() {
+                assert_eq!(
+                    got.as_mw().to_bits(),
+                    want.as_mw().to_bits(),
+                    "{case}: count {count} z-word {zw}"
+                );
             }
         }
-        let params = CircuitParams::paper_fig5();
-        let backend = MrrMziBackend::new(params).unwrap();
-        let direct = backend.power_bands().unwrap();
-        let via_default = Shim(MrrMziBackend::new(params).unwrap())
-            .power_bands()
-            .unwrap();
-        assert_eq!(direct, via_default);
+        let bands = oracle.power_bands().unwrap();
+        assert_eq!(backend.power_bands().unwrap(), bands, "{case}");
+        let threshold = bands.midpoint_threshold();
+        let (_, classes) = crate::system::fold_receiver(&expected, threshold, oracle.noise_sigma());
+        let coeffs = (0..=params.order).map(|j| 0.5 + 0.01 * j as f64).collect();
+        let poly = osc_stochastic::bernstein::BernsteinPoly::new(coeffs).unwrap();
+        let system = crate::system::OpticalScSystem::new(params, poly).unwrap();
+        assert_eq!(
+            system.derandomizer().threshold().as_mw().to_bits(),
+            threshold.as_mw().to_bits(),
+            "{case}"
+        );
+        assert_eq!(system.decision_classes(), &classes[..], "{case}");
+    }
+
+    fn fig7_params(order: usize, gap_nm: f64, probe_mw: f64, kind: BackendKind) -> CircuitParams {
+        CircuitParams::paper_fig7(order, osc_units::Nanometers::new(gap_nm))
+            .with_probe_power(Milliwatts::new(probe_mw))
+            .with_backend(kind)
+    }
+
+    #[test]
+    fn default_band_scan_matches_the_circuit_scan_for_mrr_mzi() {
+        // Every backend's table (the factored MRR/MZI build, the
+        // nanocavity's provided loop) equals the per-entry oracle across
+        // orders, Fig. 7 channel gaps and probe powers.
+        for kind in BackendKind::ALL {
+            assert_table_matches_per_entry(CircuitParams::paper_fig5().with_backend(kind));
+            for order in 1..=8 {
+                for gap_nm in [0.1, 0.165, 0.3] {
+                    for probe_mw in [1.0, 0.25] {
+                        assert_table_matches_per_entry(fig7_params(order, gap_nm, probe_mw, kind));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "the per-entry oracle alone takes seconds at order 12; CI runs it in release"]
+    fn factored_table_matches_per_entry_at_max_order() {
+        let order = crate::system::OpticalScSystem::MAX_SIM_ORDER;
+        for kind in BackendKind::ALL {
+            assert_table_matches_per_entry(fig7_params(order, 0.165, 1.0, kind));
+        }
     }
 }

@@ -48,6 +48,7 @@
 //! cache to the working set via `OSC_CIRCUIT_CACHE` or
 //! [`crate::batch::shard::pool::PoolConfig::with_circuit_cache_capacity`].
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -425,17 +426,28 @@ impl DesignSweep {
     /// failed evaluation.
     pub fn evaluate(&self, mut executor: Executor<'_>) -> Result<Vec<SweepPoint>, SweepError> {
         let xs = probe_inputs(self.axes.probes);
-        let systems = self
-            .designs
-            .iter()
-            .map(|d| self.system(d))
-            .collect::<Result<Vec<_>, _>>()?;
+        // Candidates that differ only in SNG kind or stream length share
+        // params and coefficients: build each distinct (backend, order,
+        // IL, ER) system once.
+        let key = |c: &Candidate| {
+            (
+                c.backend.tag(),
+                c.order,
+                c.il_db.to_bits(),
+                c.er_db.to_bits(),
+            )
+        };
+        let mut systems = BTreeMap::new();
+        for d in &self.designs {
+            if let Entry::Vacant(slot) = systems.entry(key(&d.candidate)) {
+                slot.insert(self.system(d)?);
+            }
+        }
         let jobs: Vec<BatchJob<'_>> = self
             .designs
             .iter()
-            .zip(&systems)
-            .map(|(d, system)| BatchJob {
-                system,
+            .map(|d| BatchJob {
+                system: &systems[&key(&d.candidate)],
                 sng: d.candidate.sng,
                 xs: &xs,
                 stream_length: d.candidate.stream_length,

@@ -73,7 +73,7 @@ impl ParallelRun {
 }
 
 impl ParallelOpticalSc {
-    /// Builds `lanes` identical circuits.
+    /// Builds one circuit and clones it into `lanes` identical lanes.
     ///
     /// # Errors
     ///
@@ -89,10 +89,10 @@ impl ParallelOpticalSc {
                 "need at least one lane".into(),
             ));
         }
-        let lanes = (0..lanes)
-            .map(|_| OpticalScSystem::new(params, poly.clone()))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ParallelOpticalSc { lanes })
+        let system = OpticalScSystem::new(params, poly)?;
+        Ok(ParallelOpticalSc {
+            lanes: vec![system; lanes],
+        })
     }
 
     /// Number of lanes.

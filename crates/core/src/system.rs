@@ -61,6 +61,7 @@
 //!   parallel seed implementation, kept only as the benchmarks' "before"
 //!   side. Do not use in new code.
 
+use crate::architecture::PowerBands;
 use crate::backend::{Backend, BackendKind, ScBackend};
 use crate::fault::{self, FaultPlan, FaultSpec};
 use crate::receiver::Derandomizer;
@@ -205,6 +206,59 @@ impl OpticalRun {
     }
 }
 
+/// Folds the receiver noise into a `(count, z-word)` power table: per
+/// entry, the probability `Q((threshold − power) / σ)` that the noisy
+/// observation clears the threshold (flat, row stride `2^(n+1)`), and its
+/// decision class — 0 = always zero, 1 = always one, 2 = needs a draw.
+pub(crate) fn fold_receiver(
+    power_table: &[Vec<Milliwatts>],
+    threshold: Milliwatts,
+    sigma: Milliwatts,
+) -> (Vec<f64>, Vec<u8>) {
+    let one_probability: Vec<f64> = power_table
+        .iter()
+        .flat_map(|row| {
+            row.iter().map(|&power| {
+                let q = if sigma.as_mw() > 0.0 {
+                    gaussian_q((threshold - power).as_mw() / sigma.as_mw())
+                } else if power > threshold {
+                    1.0
+                } else {
+                    0.0
+                };
+                // Saturate sub-observable tails: a decision-flip
+                // probability below 1e-18 (e.g. Q(16σ) ≈ 1e-58 at the
+                // paper's operating point) would need ~1 exa-cycle to
+                // produce a single flip, far beyond any simulable
+                // stream, so folding it to an exact 0/1 is
+                // statistically invisible — and unlocks the
+                // deterministic kernel tiers. (The upper tail needs no
+                // clamp: 1 − 1e-58 already rounds to exactly 1.0.)
+                if q < OpticalScSystem::NEGLIGIBLE_FLIP_PROBABILITY {
+                    0.0
+                } else if q > 1.0 - OpticalScSystem::NEGLIGIBLE_FLIP_PROBABILITY {
+                    1.0
+                } else {
+                    q
+                }
+            })
+        })
+        .collect();
+    let decision_class = one_probability
+        .iter()
+        .map(|&p| {
+            if p <= 0.0 {
+                0
+            } else if p >= 1.0 {
+                1
+            } else {
+                2
+            }
+        })
+        .collect();
+    (one_probability, decision_class)
+}
+
 /// The complete optical SC computer: transmission backend + programmed
 /// polynomial. The system owns the folded decision tables and every
 /// `evaluate*` kernel; the [`Backend`] supplies only the per-(count,
@@ -292,62 +346,17 @@ impl OpticalScSystem {
             )));
         }
         let backend = Backend::new(&params)?;
-        let bands = backend.power_bands()?;
-        let derandomizer = Derandomizer::from_bands(&bands);
+        // Power for each (count, z-word): the adder only sees the count,
+        // so 2^n data words collapse to n+1 rows. The bands, and so the
+        // threshold, are read off the same table.
+        let power_table = backend.power_table()?;
+        let derandomizer = Derandomizer::from_bands(&PowerBands::from_table(&power_table));
         let n = params.order;
-        // Precompute power for each (count, z-word): the adder only sees
-        // the count, so 2^n data words collapse to n+1 rows.
-        let mut power_table = Vec::with_capacity(n + 1);
-        for count in 0..=n {
-            let mut row = Vec::with_capacity(1 << (n + 1));
-            for zw in 0..(1u32 << (n + 1)) {
-                row.push(backend.received_power(count, zw)?);
-            }
-            power_table.push(row);
-        }
-        let sigma = backend.noise_sigma();
-        let threshold = derandomizer.threshold();
-        let one_probability: Vec<f64> = power_table
-            .iter()
-            .flat_map(|row| {
-                row.iter().map(|&power| {
-                    let q = if sigma.as_mw() > 0.0 {
-                        gaussian_q((threshold - power).as_mw() / sigma.as_mw())
-                    } else if power > threshold {
-                        1.0
-                    } else {
-                        0.0
-                    };
-                    // Saturate sub-observable tails: a decision-flip
-                    // probability below 1e-18 (e.g. Q(16σ) ≈ 1e-58 at the
-                    // paper's operating point) would need ~1 exa-cycle to
-                    // produce a single flip, far beyond any simulable
-                    // stream, so folding it to an exact 0/1 is
-                    // statistically invisible — and unlocks the
-                    // deterministic kernel tiers. (The upper tail needs no
-                    // clamp: 1 − 1e-58 already rounds to exactly 1.0.)
-                    if q < Self::NEGLIGIBLE_FLIP_PROBABILITY {
-                        0.0
-                    } else if q > 1.0 - Self::NEGLIGIBLE_FLIP_PROBABILITY {
-                        1.0
-                    } else {
-                        q
-                    }
-                })
-            })
-            .collect();
-        let decision_class: Vec<u8> = one_probability
-            .iter()
-            .map(|&p| {
-                if p <= 0.0 {
-                    0
-                } else if p >= 1.0 {
-                    1
-                } else {
-                    2
-                }
-            })
-            .collect();
+        let (one_probability, decision_class) = fold_receiver(
+            &power_table,
+            derandomizer.threshold(),
+            backend.noise_sigma(),
+        );
         let decision_rows: Vec<[u8; 128]> = if n <= Self::BITMATRIX_MAX_ORDER {
             decision_class
                 .chunks_exact(1 << (n + 1))
@@ -923,6 +932,12 @@ impl OpticalScSystem {
             }
         }
         Ok((ones, ideal, flips))
+    }
+
+    /// The per-entry decision classes the kernels branch on.
+    #[cfg(test)]
+    pub(crate) fn decision_classes(&self) -> &[u8] {
+        &self.decision_class
     }
 
     /// Whether every receiver decision is exactly the ideal multiplexer

@@ -10,6 +10,27 @@
 //! the shared bus (inter-channel attenuation), and is finally dropped by
 //! the pump-tuned filter. The detector receives the sum over all probe
 //! channels — including the crosstalk the SNR analysis must subtract.
+//!
+//! # Factored tables
+//!
+//! Every factor of Eq. (6) depends on less than the whole input: the
+//! through-port term of modulator `w` on channel `i` only on bit `z_w`,
+//! and the drop-port term only on the data word (through its control
+//! power). [`PowerRows`] caches the modulator products once per
+//! `(channel, z-word)` — built by extending the products of the low `k`
+//! coefficient bits with modulator `k`'s two through-port values — and
+//! then fills one row of `2^(n+1)` received powers per data word with
+//! one drop-port factor per channel. A full `(count, z-word)` table costs
+//! `O((n+1) · 2^(n+1))` multiplications per row instead of `(n+1)²` device
+//! evaluations per entry.
+//!
+//! Every row entry is **bit-identical** to
+//! [`TransmissionModel::received_power`]: the factors are the same
+//! device evaluations, each channel's product is multiplied in the same
+//! order (`t = 1.0`, then `t *= φ_t` modulator by modulator, then
+//! `t *= φ_d`), and the channel powers `probe · t` are summed in the same
+//! LSB-first channel order. Only the reuse of shared prefixes differs,
+//! and reuse does not change a single rounding.
 
 use crate::adder::OpticalAdder;
 use crate::mux::OpticalMux;
@@ -190,6 +211,45 @@ impl TransmissionModel {
             .total_power())
     }
 
+    /// The factored Eq. (6) row builder at `probe_power`: caches every
+    /// channel's modulator product for every coefficient word, so each
+    /// [`PowerRows::row`] costs one drop-port evaluation per channel.
+    pub fn power_rows(&self, probe_power: Milliwatts) -> PowerRows<'_> {
+        let width = self.order() + 1;
+        // `products[zw * width + i]`: channel i's through-port product for
+        // coefficient word zw. Level k doubles the filled prefix by
+        // multiplying in modulator k's factor for z_k = 0 (in place) and
+        // z_k = 1 (into the upper half) — the per-entry loop's order.
+        let mut products = vec![1.0f64; width << width];
+        for (k, modulator) in self.modulators.iter().enumerate() {
+            let through: Vec<[f64; 2]> = self
+                .channels
+                .iter()
+                .map(|&signal| {
+                    [
+                        modulator.through(signal, false),
+                        modulator.through(signal, true),
+                    ]
+                })
+                .collect();
+            let (low, high) = products.split_at_mut(width << k);
+            for (low_word, high_word) in low
+                .chunks_exact_mut(width)
+                .zip(high.chunks_exact_mut(width))
+            {
+                for ((t0, t1), [off, on]) in low_word.iter_mut().zip(high_word).zip(&through) {
+                    *t1 = *t0 * on;
+                    *t0 *= off;
+                }
+            }
+        }
+        PowerRows {
+            model: self,
+            probe_power,
+            products,
+        }
+    }
+
     /// Sampled transmission spectra of each modulator and of the filter
     /// for a given input combination, for reproducing Fig. 5(a)/(b):
     /// returns `(wavelengths, modulator_curves, filter_curve)` over
@@ -226,6 +286,46 @@ impl TransmissionModel {
             .map(|&wl| self.mux.filter().drop(Nanometers::new(wl), control))
             .collect();
         Ok((wavelengths, modulator_curves, filter_curve))
+    }
+}
+
+/// Eq. (6) with its modulator factors cached, from
+/// [`TransmissionModel::power_rows`]: one row of received powers per data
+/// word, bit-identical to [`TransmissionModel::received_power`] entry by
+/// entry (see the module docs).
+#[derive(Debug, Clone)]
+pub struct PowerRows<'a> {
+    model: &'a TransmissionModel,
+    probe_power: Milliwatts,
+    /// Channel modulator products, `[z_word * (n+1) + channel]`.
+    products: Vec<f64>,
+}
+
+impl PowerRows<'_> {
+    /// Received power for every coefficient word `z_word` (LSB-first,
+    /// `2^(n+1)` entries) under the data word `x_bits`.
+    ///
+    /// # Errors
+    ///
+    /// [`CircuitError::ArityMismatch`] on a wrong data word length.
+    pub fn row(&self, x_bits: &[bool]) -> Result<Vec<Milliwatts>, CircuitError> {
+        let model = self.model;
+        let control = model.adder.control_power(x_bits)?;
+        let drops: Vec<f64> = model
+            .channels
+            .iter()
+            .map(|&signal| model.mux.filter().drop(signal, control))
+            .collect();
+        Ok(self
+            .products
+            .chunks_exact(drops.len())
+            .map(|word| {
+                word.iter()
+                    .zip(&drops)
+                    .map(|(&t, &d)| self.probe_power * (t * d))
+                    .sum()
+            })
+            .collect())
     }
 }
 
