@@ -96,8 +96,8 @@ pub struct EvalScratch {
     /// Folded ideal multiplexer output `z_count`, one word per 64-cycle
     /// block (also the decided output in the exact-multiplexer tier).
     sel: Vec<u64>,
-    /// Landing buffer for up to two streams being generated (one pair),
-    /// before their words fold into `planes`/`sel`.
+    /// Landing buffer for the stream being generated, before its words
+    /// fold into `planes`/`sel`.
     stream_buf: Vec<u64>,
     /// Shift-zero marks of the faulted lane kernel's vector shift pass,
     /// shaped like one lane-interleaved stream.
@@ -521,10 +521,8 @@ impl OpticalScSystem {
     /// the per-lane output counting is one SIMD popcount+fold sweep
     /// ([`osc_stochastic::simd`], runtime-dispatched scalar / AVX2 /
     /// AVX-512, overridable via `OSC_SIMD` for CI pinning). Generation
-    /// interleaves all `L` comparator chains
-    /// ([`StochasticNumberGenerator::drain_lanes`]) and, on long streams,
-    /// pairs consecutive streams per lane from GF(2)-jumped states
-    /// (`2L` chains, [`StochasticNumberGenerator::drain_lanes_two`]).
+    /// interleaves all `L` comparator chains, one stream at a time
+    /// ([`StochasticNumberGenerator::drain_lanes`]).
     ///
     /// Lane `l`'s [`OpticalRun`] — and the final states of `sngs[l]` and
     /// `rngs[l]` — are **bit-identical** to a standalone
@@ -609,13 +607,6 @@ impl OpticalScSystem {
         }))
     }
 
-    /// Streams shorter than this are generated one chain at a time: the
-    /// GF(2) jump that lets [`StochasticNumberGenerator::drain_lanes_two`]
-    /// run two streams per lane as interleaved chains costs ~0.6 µs per
-    /// pair, which only pays for itself once each stream is a few
-    /// thousand bits.
-    const PAIR_STREAM_CUTOFF: usize = 4096;
-
     /// The lane-blocked fused kernel body: generation-order streaming
     /// (all data streams, then all coefficient streams — the exact draw
     /// order of [`ReScUnit::generate_streams`], per lane), with the
@@ -628,10 +619,8 @@ impl OpticalScSystem {
     /// fold into bit-sliced ones-count planes, coefficient words fold
     /// into the ideal multiplexer output (and are retained for the noisy
     /// tiers). The elementwise fold passes are lane-width-oblivious —
-    /// they simply run over `words × L` blocks. On long streams,
-    /// consecutive streams are drawn as `2L` interleaved chains from
-    /// GF(2)-jumped states via
-    /// [`StochasticNumberGenerator::drain_lanes_two`]. Per-lane ideal
+    /// they simply run over `words × L` blocks. Every stream is one
+    /// [`StochasticNumberGenerator::drain_lanes`] walk. Per-lane ideal
     /// ones come from one SIMD popcount+fold sweep over the
     /// lane-interleaved output. The noisy decision pass (tiers 2 and 3)
     /// walks each lane's strided words, consuming that lane's `rngs[l]`
@@ -665,8 +654,8 @@ impl OpticalScSystem {
         scratch.planes.resize(wl * nplanes, 0);
         scratch.sel.clear();
         scratch.sel.resize(wl, 0);
-        if scratch.stream_buf.len() < 2 * wl {
-            scratch.stream_buf.resize(2 * wl, 0);
+        if scratch.stream_buf.len() < wl {
+            scratch.stream_buf.resize(wl, 0);
         }
         if !mux_exact && scratch.coeff.len() < (N + 1) * wl {
             scratch.coeff.resize((N + 1) * wl, 0);
@@ -679,8 +668,8 @@ impl OpticalScSystem {
         // Stream j of the generation order: data (lane l at probability
         // xs[l]) for j < N, then the n+1 Bernstein coefficients (shared
         // by every lane). Data streams and — in the exact-multiplexer
-        // regime — coefficient streams fold immediately and land in the
-        // pair buffer; noisy-tier coefficient words are retained in
+        // regime — coefficient streams land in the stream buffer and fold
+        // immediately; noisy-tier coefficient words are retained in
         // `scratch.coeff`.
         let probs = |j: usize| -> [f64; L] {
             if j < N {
@@ -690,85 +679,23 @@ impl OpticalScSystem {
             }
         };
         let buffered = |j: usize| j < N || mux_exact;
-        let total = 2 * N + 1;
-        let try_pairs = stream_length >= Self::PAIR_STREAM_CUTOFF;
-        let mut j = 0usize;
-        while j < total {
-            let mut paired = false;
-            if try_pairs && j + 1 < total {
-                let (buf_a, buf_b) = scratch.stream_buf.split_at_mut(wl);
-                let (d0, d1): (&mut [u64], &mut [u64]) = match (buffered(j), buffered(j + 1)) {
-                    (true, true) => (&mut buf_a[..wl], &mut buf_b[..wl]),
-                    (true, false) => {
-                        let c1 = j + 1 - N;
-                        (&mut buf_a[..wl], &mut scratch.coeff[c1 * wl..(c1 + 1) * wl])
-                    }
-                    (false, false) => {
-                        let c0 = j - N;
-                        let (left, right) = scratch.coeff.split_at_mut((c0 + 1) * wl);
-                        (&mut left[c0 * wl..], &mut right[..wl])
-                    }
-                    (false, true) => unreachable!("data streams precede coefficient streams"),
-                };
-                {
-                    let mut w = 0usize;
-                    paired = S::drain_lanes_two(
-                        sngs,
-                        &probs(j),
-                        &probs(j + 1),
-                        stream_length,
-                        |b0, b1, _| {
-                            d0[w * L..(w + 1) * L].copy_from_slice(b0);
-                            d1[w * L..(w + 1) * L].copy_from_slice(b1);
-                            w += 1;
-                        },
-                    )?;
-                }
-                if paired {
-                    for (jj, d) in [(j, d0), (j + 1, d1)] {
-                        apply_stream_faults::<L>(
-                            plans.as_ref(),
-                            jj,
-                            d,
-                            stream_length,
-                            &mut scratch.zero_marks,
-                        );
-                        if jj < N {
-                            fold_data_words(d, &mut scratch.planes, nplanes);
-                        } else {
-                            fold_sel_words(d, &scratch.planes, &mut scratch.sel, jj - N, nplanes);
-                        }
-                    }
-                    j += 2;
-                }
-            }
-            if !paired {
-                let d: &mut [u64] = if buffered(j) {
-                    &mut scratch.stream_buf[..wl]
-                } else {
-                    let c = j - N;
-                    &mut scratch.coeff[c * wl..(c + 1) * wl]
-                };
-                {
-                    let mut w = 0usize;
-                    S::drain_lanes(sngs, &probs(j), stream_length, |b, _| {
-                        d[w * L..(w + 1) * L].copy_from_slice(b);
-                        w += 1;
-                    })?;
-                }
-                apply_stream_faults::<L>(
-                    plans.as_ref(),
-                    j,
-                    d,
-                    stream_length,
-                    &mut scratch.zero_marks,
-                );
-                if j < N {
-                    fold_data_words(d, &mut scratch.planes, nplanes);
-                } else {
-                    fold_sel_words(d, &scratch.planes, &mut scratch.sel, j - N, nplanes);
-                }
-                j += 1;
+        for j in 0..2 * N + 1 {
+            let d: &mut [u64] = if buffered(j) {
+                &mut scratch.stream_buf[..wl]
+            } else {
+                let c = j - N;
+                &mut scratch.coeff[c * wl..(c + 1) * wl]
+            };
+            let mut w = 0usize;
+            S::drain_lanes(sngs, &probs(j), stream_length, |b, _| {
+                d[w * L..(w + 1) * L].copy_from_slice(b);
+                w += 1;
+            })?;
+            apply_stream_faults::<L>(plans.as_ref(), j, d, stream_length, &mut scratch.zero_marks);
+            if j < N {
+                fold_data_words(d, &mut scratch.planes, nplanes);
+            } else {
+                fold_sel_words(d, &scratch.planes, &mut scratch.sel, j - N, nplanes);
             }
         }
         // Per-lane ideal multiplexer ones: the SIMD popcount+fold over

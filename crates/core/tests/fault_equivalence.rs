@@ -179,7 +179,7 @@ fn lane_block_runs<const L: usize>(
 fn lane_blocked_faulted_equals_per_lane_faulted() {
     // The word-parallel faulted lane kernel against L standalone
     // faulted fused passes, with a distinct spec per lane — clean and
-    // noisy, at lengths covering ragged tails and the pair cutoff.
+    // noisy, at lengths covering ragged tails and multi-kilobit streams.
     let base = active_spec();
     for (label, system) in [("clean", clean_system()), ("noisy", noisy_system())] {
         for &len in &[63usize, 257, 1024, 8257] {

@@ -146,11 +146,9 @@ fn fused_equals_twins_under_visible_noise() {
 }
 
 #[test]
-fn fused_equals_twins_on_paired_stream_lengths() {
-    // Streams past the pairing cutoff run as two interleaved chains from
-    // GF(2)-jumped states; the three-way identity must survive that, on
-    // word-aligned and ragged long lengths, for jump-capable and
-    // fallback (LFSR) sources, in clean and noisy regimes.
+fn fused_equals_bitwise_on_long_streams() {
+    // Multi-kilobit streams, word-aligned and ragged: the identity must
+    // hold for every source, in clean and noisy regimes.
     let mut scratch = EvalScratch::new();
     for (label, system) in [
         ("clean", system_for(2)),

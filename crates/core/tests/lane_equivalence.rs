@@ -7,10 +7,11 @@
 //! starting SNG/RNG states — and leave those generators in the same
 //! final states. The sweeps cover all four stochastic number generators,
 //! L ∈ {1, 2, 4, 8}, odd/ragged/word-aligned lengths, the noisy decision
-//! tiers, the GF(2)-jump paired generation path (lengths past the pair
-//! cutoff), and the [`ParallelOpticalSc`] bank that rides on the kernel.
-//! A separate sweep pins the forced-scalar SIMD dispatch against the
-//! machine-detected tier word-for-word.
+//! tiers, long streams checked against the per-bit
+//! [`OpticalScSystem::evaluate_bitwise`] oracle, and the
+//! [`ParallelOpticalSc`] bank that rides on the kernel. A separate sweep
+//! pins the forced-scalar SIMD dispatch against the machine-detected
+//! tier word-for-word.
 
 use osc_core::batch::mix_seed;
 use osc_core::fault::FaultSpec;
@@ -42,14 +43,24 @@ fn noisy_system() -> OpticalScSystem {
     OpticalScSystem::new(params, poly2()).expect("noisy fig5 builds")
 }
 
+/// The standalone run each lane of a block is compared against.
+#[derive(Clone, Copy)]
+enum Oracle {
+    /// [`OpticalScSystem::evaluate_fused`], the `L = 1` kernel.
+    Fused,
+    /// [`OpticalScSystem::evaluate_bitwise`], the per-bit reference.
+    Bitwise,
+}
+
 /// Runs one lane-blocked evaluation and asserts every lane equal to its
-/// standalone fused run — twice in a row, so diverging post-run SNG/RNG
-/// states would also be caught.
+/// standalone `oracle` run — twice in a row, so diverging post-run
+/// SNG/RNG states would also be caught.
 fn assert_lanes_match_per_lane<const L: usize, S, F>(
     system: &OpticalScSystem,
     make_sng: F,
     len: usize,
     tag: &str,
+    oracle: Oracle,
 ) where
     S: StochasticNumberGenerator,
     F: Fn(usize) -> S,
@@ -75,39 +86,58 @@ fn assert_lanes_match_per_lane<const L: usize, S, F>(
             // re-deriving them and fast-forwarding `round` runs.
             let mut sng = make_sng(l);
             let mut rng = Xoshiro256PlusPlus::new(0xAB5EED ^ (l as u64) << 8 ^ len as u64);
-            let mut want = system
-                .evaluate_fused(xs[l], len, &mut sng, &mut rng, &mut lane_scratch)
-                .unwrap();
+            let mut standalone = || {
+                match oracle {
+                    Oracle::Fused => {
+                        system.evaluate_fused(xs[l], len, &mut sng, &mut rng, &mut lane_scratch)
+                    }
+                    Oracle::Bitwise => system.evaluate_bitwise(xs[l], len, &mut sng, &mut rng),
+                }
+                .unwrap()
+            };
+            let mut want = standalone();
             for _ in 0..round {
-                want = system
-                    .evaluate_fused(xs[l], len, &mut sng, &mut rng, &mut lane_scratch)
-                    .unwrap();
+                want = standalone();
             }
             assert_eq!(blocked[l], want, "{tag}: L={L}, lane {l}, round {round}");
         }
     }
 }
 
-/// One full sweep over the four SNGs at a given width and length.
+/// One full sweep over the four SNGs at a given width and length,
+/// against the standalone fused run.
 fn sweep_all_sngs<const L: usize>(system: &OpticalScSystem, len: usize, tag: &str) {
+    sweep_all_sngs_against::<L>(system, len, tag, Oracle::Fused);
+}
+
+/// [`sweep_all_sngs`] against a chosen standalone oracle.
+fn sweep_all_sngs_against<const L: usize>(
+    system: &OpticalScSystem,
+    len: usize,
+    tag: &str,
+    oracle: Oracle,
+) {
     let seed = (L * 1009 + len) as u64;
     assert_lanes_match_per_lane::<L, _, _>(
         system,
         |l| XoshiroSng::new(seed + 31 * l as u64),
         len,
         &format!("{tag} xoshiro"),
+        oracle,
     );
     assert_lanes_match_per_lane::<L, _, _>(
         system,
         |l| ChaoticLaserSng::seeded(seed + 17 * l as u64),
         len,
         &format!("{tag} chaotic"),
+        oracle,
     );
     assert_lanes_match_per_lane::<L, _, _>(
         system,
         |l| LfsrSng::new(16, 0xACE1 ^ (seed as u32 + 7 * l as u32)).unwrap(),
         len,
         &format!("{tag} lfsr"),
+        oracle,
     );
     assert_lanes_match_per_lane::<L, _, _>(
         system,
@@ -121,6 +151,7 @@ fn sweep_all_sngs<const L: usize>(system: &OpticalScSystem, len: usize, tag: &st
         },
         len,
         &format!("{tag} counter"),
+        oracle,
     );
 }
 
@@ -149,13 +180,13 @@ fn lane_blocked_equals_per_lane_fused_noisy() {
 }
 
 #[test]
-fn lane_blocked_equals_per_lane_on_paired_lengths() {
-    // Past the pair cutoff the kernel draws 2L GF(2)-jumped chains per
-    // stream pair; identity must survive, clean and noisy.
+fn lane_blocked_equals_bitwise_on_long_streams() {
+    // Multi-kilobit streams, word-aligned and ragged: every lane of a
+    // block must equal the per-bit oracle, clean and noisy.
     for (tag, system) in [("clean", clean_system()), ("noisy", noisy_system())] {
         for &len in &[8192usize, 8257] {
-            sweep_all_sngs::<4>(&system, len, tag);
-            sweep_all_sngs::<8>(&system, len, tag);
+            sweep_all_sngs_against::<4>(&system, len, tag, Oracle::Bitwise);
+            sweep_all_sngs_against::<8>(&system, len, tag, Oracle::Bitwise);
         }
     }
 }
@@ -213,8 +244,8 @@ fn run_lanes_under_tier<S: StochasticNumberGenerator>(
 fn forced_scalar_and_detected_simd_agree_word_for_word() {
     // The same lane-blocked workload through the forced-scalar dispatch
     // and through the machine's detected tier must produce identical
-    // runs — for every SNG engine family, clean and noisy, at a length
-    // past the pair cutoff so the paired-generation path is covered too.
+    // runs — for every SNG engine family, clean and noisy, at a short
+    // length and a ragged multi-chunk one.
     // (The CI dispatch matrix pins the same property across processes
     // via OSC_SIMD; this test pins it in-process via the API switch.
     // Safe under parallel tests: every tier is bit-identical by

@@ -41,17 +41,6 @@ impl SplitMix64 {
     pub fn state(&self) -> u64 {
         self.state
     }
-
-    /// The state after exactly `steps` calls to
-    /// [`SplitMix64::next_u64`] — the state walks an arithmetic sequence,
-    /// so jumping is a single multiply.
-    pub fn jumped(&self, steps: u64) -> Self {
-        SplitMix64 {
-            state: self
-                .state
-                .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(steps)),
-        }
-    }
 }
 
 /// Xoshiro256++: high-quality 256-bit state generator.
@@ -166,33 +155,6 @@ impl Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::new(self.next_u64() ^ 0xA5A5_5A5A_DEAD_BEEF)
     }
 
-    /// The state this generator will hold after exactly `steps` calls to
-    /// [`Xoshiro256PlusPlus::next_u64`], computed in O(256²) bit-ops
-    /// instead of O(steps).
-    ///
-    /// The xoshiro256++ state transition is linear over GF(2) (the `++`
-    /// scrambler only shapes the *output*), so `steps` applications
-    /// collapse into one 256×256 bit-matrix multiply. Matrices are built
-    /// by square-and-multiply and cached per step count, which makes
-    /// jumping over a whole stochastic stream (so that consecutive
-    /// streams can be generated as independent, instruction-level
-    /// parallel chains) cost ~1 µs rather than one RNG draw per bit.
-    pub fn jumped(&self, steps: usize) -> Self {
-        if steps == 0 {
-            return self.clone();
-        }
-        let matrix = jump::matrix_for(steps);
-        let mut out = [0u64; 4];
-        for (r, row) in matrix.iter().enumerate() {
-            let acc = (row[0] & self.s[0])
-                ^ (row[1] & self.s[1])
-                ^ (row[2] & self.s[2])
-                ^ (row[3] & self.s[3]);
-            out[r / 64] |= u64::from(acc.count_ones() & 1) << (r % 64);
-        }
-        Xoshiro256PlusPlus { s: out }
-    }
-
     /// The raw 256-bit state, `s[0]..s[3]` — the plumbing the SIMD lane
     /// engines use to hoist several generators into vector registers
     /// (state word `i` of `L` generators forms one SIMD vector). Pair
@@ -216,112 +178,6 @@ impl Xoshiro256PlusPlus {
             let j = self.below(i as u64 + 1) as usize;
             xs.swap(i, j);
         }
-    }
-}
-
-/// GF(2) jump matrices for [`Xoshiro256PlusPlus::jumped`].
-mod jump {
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    /// One 256-bit row per output state bit: row `r` dotted (AND + parity)
-    /// with the input state gives bit `r` of the advanced state.
-    pub(super) type Matrix = [[u64; 4]; 256];
-
-    /// Column-major form used while building (column `c` = image of basis
-    /// state `e_c`), since multiply-from-columns is a sparse XOR.
-    type Cols = Vec<[u64; 4]>;
-
-    fn get_bit(v: &[u64; 4], i: usize) -> bool {
-        v[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// One `next_u64` state transition (the linear part of xoshiro256++).
-    fn step_state(s: &[u64; 4]) -> [u64; 4] {
-        let (s0, s1, s2, s3) = (s[0], s[1], s[2], s[3]);
-        let t = s1 << 17;
-        let s2b = s2 ^ s0;
-        let s3b = s3 ^ s1;
-        let s1b = s1 ^ s2b;
-        let s0b = s0 ^ s3b;
-        let s2c = s2b ^ t;
-        let s3c = s3b.rotate_left(45);
-        [s0b, s1b, s2c, s3c]
-    }
-
-    /// `m · v` with `m` column-major: XOR of the columns selected by `v`.
-    fn apply_cols(m: &Cols, v: &[u64; 4]) -> [u64; 4] {
-        let mut out = [0u64; 4];
-        for (c, col) in m.iter().enumerate() {
-            if get_bit(v, c) {
-                out[0] ^= col[0];
-                out[1] ^= col[1];
-                out[2] ^= col[2];
-                out[3] ^= col[3];
-            }
-        }
-        out
-    }
-
-    fn identity() -> Cols {
-        (0..256)
-            .map(|c| {
-                let mut v = [0u64; 4];
-                v[c / 64] = 1 << (c % 64);
-                v
-            })
-            .collect()
-    }
-
-    fn multiply(a: &Cols, b: &Cols) -> Cols {
-        // (a·b) column c = a · (b's column c).
-        b.iter().map(|col| apply_cols(a, col)).collect()
-    }
-
-    /// Transposes columns into the row form the hot `jumped` loop wants.
-    fn to_rows(cols: &Cols) -> Box<Matrix> {
-        let mut rows = Box::new([[0u64; 4]; 256]);
-        for (c, col) in cols.iter().enumerate() {
-            for (r, row) in rows.iter_mut().enumerate() {
-                if get_bit(col, r) {
-                    row[c / 64] |= 1 << (c % 64);
-                }
-            }
-        }
-        rows
-    }
-
-    /// Cached `M^steps` in row form. Built once per distinct step count
-    /// (square-and-multiply, ~1 ms) and shared process-wide.
-    pub(super) fn matrix_for(steps: usize) -> Arc<Matrix> {
-        static CACHE: OnceLock<Mutex<HashMap<usize, Arc<Matrix>>>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        if let Some(m) = cache.lock().expect("jump cache lock").get(&steps) {
-            return Arc::clone(m);
-        }
-        // Single-step matrix, column-major.
-        let single: Cols = identity().iter().map(step_state).collect();
-        let mut acc: Option<Cols> = None;
-        let mut power = single;
-        let mut n = steps;
-        while n > 0 {
-            if n & 1 == 1 {
-                acc = Some(match acc {
-                    None => power.clone(),
-                    Some(a) => multiply(&power, &a),
-                });
-            }
-            n >>= 1;
-            if n > 0 {
-                power = multiply(&power, &power);
-            }
-        }
-        let rows: Arc<Matrix> = Arc::from(to_rows(&acc.expect("steps > 0")));
-        cache
-            .lock()
-            .expect("jump cache lock")
-            .insert(steps, Arc::clone(&rows));
-        rows
     }
 }
 
@@ -452,23 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn jumped_matches_sequential_draws() {
-        // M^steps must reproduce exactly `steps` state transitions, for
-        // powers of two, composites and tiny counts alike.
-        for &steps in &[1usize, 2, 3, 63, 64, 65, 257, 512, 1000] {
-            let start = Xoshiro256PlusPlus::new(0xFEED ^ steps as u64);
-            let jumped = start.jumped(steps);
-            let mut walked = start.clone();
-            for _ in 0..steps {
-                walked.next_u64();
-            }
-            assert_eq!(jumped, walked, "steps {steps}");
-            // And the draw sequence continues identically.
-            assert_eq!(jumped.clone().next_u64(), walked.next_u64());
-        }
-    }
-
-    #[test]
     fn state_words_round_trip() {
         let mut g = Xoshiro256PlusPlus::new(314);
         let _ = g.next_u64();
@@ -476,12 +315,6 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(rebuilt.next_u64(), g.next_u64());
         }
-    }
-
-    #[test]
-    fn jumped_zero_is_identity() {
-        let g = Xoshiro256PlusPlus::new(5);
-        assert_eq!(g.jumped(0), g);
     }
 
     #[test]

@@ -423,8 +423,7 @@ unsafe fn popcount_lanes_avx512(words: &[u64], lanes: usize, acc: &mut [u64]) {
 
 /// Whether the vectorized xoshiro comparator-chain engine
 /// ([`xoshiro_drain_chains`]) will run for `lanes` chains under the
-/// current dispatch tier. `drain_lanes_two` uses this to decline pairing
-/// when two separate vectorized passes beat one scalar paired pass.
+/// current dispatch tier.
 pub(crate) fn xoshiro_vector_applicable(lanes: usize) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -1182,9 +1181,7 @@ unsafe fn ln_avx512(x: std::arch::x86_64::__m512d) -> std::arch::x86_64::__m512d
 
 /// Whether the vectorized SplitMix64 comparator-chain engine
 /// ([`splitmix_drain_chains`]) will run for `lanes` chains under the
-/// current dispatch tier. `ChaoticLaserSng::drain_lanes_two` uses this
-/// to decline pairing when two vectorized passes beat one scalar paired
-/// pass.
+/// current dispatch tier.
 pub(crate) fn splitmix_vector_applicable(lanes: usize) -> bool {
     #[cfg(target_arch = "x86_64")]
     {

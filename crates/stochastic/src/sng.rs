@@ -195,46 +195,6 @@ fn fill_lane_words<B: FnMut() -> bool>(words: &mut [u64], last_bits: usize, mut 
     }
 }
 
-/// Paired form of [`drain_lanes_with`]: drains **two** consecutive
-/// streams per lane (`2L` interleaved chains — `bit0(l)` for each lane's
-/// first stream, `bit1(l)` for its jumped second chain) in word lockstep.
-#[inline]
-fn drain_lanes_with2<const L: usize, B0, B1, F>(len: usize, mut bit0: B0, mut bit1: B1, mut emit: F)
-where
-    B0: FnMut(usize) -> bool,
-    B1: FnMut(usize) -> bool,
-    F: FnMut(&[u64; L], &[u64; L], usize),
-{
-    let mut remaining = len;
-    while remaining >= 64 {
-        let mut b0 = [0u64; L];
-        let mut b1 = [0u64; L];
-        for _ in 0..64 {
-            for (l, w) in b0.iter_mut().enumerate() {
-                *w = (*w >> 1) | (u64::from(bit0(l)) << 63);
-            }
-            for (l, w) in b1.iter_mut().enumerate() {
-                *w = (*w >> 1) | (u64::from(bit1(l)) << 63);
-            }
-        }
-        emit(&b0, &b1, 64);
-        remaining -= 64;
-    }
-    if remaining > 0 {
-        let mut b0 = [0u64; L];
-        let mut b1 = [0u64; L];
-        for b in 0..remaining {
-            for (l, w) in b0.iter_mut().enumerate() {
-                *w |= u64::from(bit0(l)) << b;
-            }
-            for (l, w) in b1.iter_mut().enumerate() {
-                *w |= u64::from(bit1(l)) << b;
-            }
-        }
-        emit(&b0, &b1, remaining);
-    }
-}
-
 /// Lowers a 53-bit comparator threshold to a full-width `u64` compare:
 /// `(u >> 11) < t  ⇔  (u < wide) | always`. The `always` flag carries the
 /// saturated `t = 2^53` (p = 1) case exactly — the draw still happens,
@@ -372,43 +332,6 @@ pub trait StochasticNumberGenerator {
         Ok(())
     }
 
-    /// Drains **two consecutive streams per lane** (lane `l` draws
-    /// `ps0[l]` then `ps1[l]`, both `len` bits) as `2L` bit-interleaved
-    /// chains, when the random source can jump over a whole stream
-    /// cheaply (counter reset, SplitMix arithmetic, xoshiro's GF(2)
-    /// matrix). A single source draws one value per bit, so consecutive
-    /// streams form one serial dependency chain; starting the second
-    /// stream's chain at once hides each chain's state-update latency
-    /// behind the other's. `L = 1` is the single-generator case. Each
-    /// lane's second chain starts at that lane's
-    /// GF(2)-jumped state (exactly where its first chain will end), so on
-    /// `Ok(true)` every lane finishes in the state two sequential
-    /// `generate` calls would have left it in, with bit-identical words
-    /// (`emit(&block0, &block1, nbits)` carries both streams' blocks).
-    ///
-    /// Returns `Ok(false)` **without consuming any randomness** when the
-    /// source has no cheap jump; callers then issue two
-    /// [`StochasticNumberGenerator::drain_lanes`] calls instead.
-    ///
-    /// # Errors
-    ///
-    /// [`ScError::OutOfUnitRange`] if any probability is outside
-    /// `[0, 1]` (checked before any randomness is consumed).
-    fn drain_lanes_two<const L: usize, F>(
-        lanes: &mut [Self; L],
-        ps0: &[f64; L],
-        ps1: &[f64; L],
-        len: usize,
-        emit: F,
-    ) -> Result<bool, ScError>
-    where
-        Self: Sized,
-        F: FnMut(&[u64; L], &[u64; L], usize),
-    {
-        let _ = (lanes, ps0, ps1, len, emit);
-        Ok(false)
-    }
-
     /// Per-bit reference implementation of [`Self::generate`].
     ///
     /// Generators with a word-parallel fast path override this with the
@@ -520,9 +443,8 @@ impl StochasticNumberGenerator for LfsrSng {
         for (t, (lane, &p)) in thresholds.iter_mut().zip(lanes.iter().zip(ps)) {
             *t = unit_threshold(check_unit("probability", p)?, lane.lfsr.width());
         }
-        // No jump exists for an LFSR, but none is needed: the lanes are
-        // independent registers, so hoisting all L into locals gives the
-        // interleaved chains directly.
+        // The lanes are independent registers, so hoisting all L into
+        // locals gives the interleaved chains directly.
         let mut regs: [Lfsr; L] = std::array::from_fn(|l| lanes[l].lfsr.clone());
         if scalar_lane_burst::<L>() {
             drain_lanes_chunked::<L, _, _>(
@@ -774,40 +696,6 @@ impl StochasticNumberGenerator for CounterSng {
         Ok(())
     }
 
-    fn drain_lanes_two<const L: usize, F>(
-        lanes: &mut [Self; L],
-        ps0: &[f64; L],
-        ps1: &[f64; L],
-        len: usize,
-        emit: F,
-    ) -> Result<bool, ScError>
-    where
-        F: FnMut(&[u64; L], &[u64; L], usize),
-    {
-        let mut checked0 = [0f64; L];
-        let mut checked1 = [0f64; L];
-        for l in 0..L {
-            checked0[l] = check_unit("probability", ps0[l])?;
-            checked1[l] = check_unit("probability", ps1[l])?;
-        }
-        // Each lane's two streams are independent counters over that
-        // lane's next two Halton bases; "jumping" is just consuming the
-        // bases in per-lane order.
-        let modes0: [CounterMode; L] =
-            std::array::from_fn(|l| lanes[l].next_mode(checked0[l], len));
-        let modes1: [CounterMode; L] =
-            std::array::from_fn(|l| lanes[l].next_mode(checked1[l], len));
-        let mut ns0 = [0u64; L];
-        let mut ns1 = [0u64; L];
-        drain_lanes_with2::<L, _, _, _>(
-            len,
-            |l| counter_bit(&modes0[l], &mut ns0[l]),
-            |l| counter_bit(&modes1[l], &mut ns1[l]),
-            emit,
-        );
-        Ok(true)
-    }
-
     fn generate_bitwise(&mut self, p: f64, len: usize) -> Result<BitStream, ScError> {
         let p = check_unit("probability", p)?;
         let base = self.next_base();
@@ -942,53 +830,6 @@ impl StochasticNumberGenerator for XoshiroSng {
             lane.rng = state;
         }
         Ok(())
-    }
-
-    fn drain_lanes_two<const L: usize, F>(
-        lanes: &mut [Self; L],
-        ps0: &[f64; L],
-        ps1: &[f64; L],
-        len: usize,
-        emit: F,
-    ) -> Result<bool, ScError>
-    where
-        F: FnMut(&[u64; L], &[u64; L], usize),
-    {
-        // When the vector engine covers this lane width, two vectorized
-        // single-stream passes beat one scalar 2L-chain pass: decline
-        // pairing (consuming nothing) and let the caller issue two
-        // `drain_lanes` calls — the emitted bits are identical either
-        // way.
-        if crate::simd::xoshiro_vector_applicable(L) {
-            return Ok(false);
-        }
-        let mut wide0 = [0u64; L];
-        let mut always0 = [false; L];
-        let mut wide1 = [0u64; L];
-        let mut always1 = [false; L];
-        for l in 0..L {
-            (wide0[l], always0[l]) =
-                widen_threshold53(unit_threshold(check_unit("probability", ps0[l])?, 53));
-            (wide1[l], always1[l]) =
-                widen_threshold53(unit_threshold(check_unit("probability", ps1[l])?, 53));
-        }
-        // Per lane: chain A draws the first stream from the lane's
-        // current state, chain B the second from its GF(2)-jumped state
-        // (exactly where A will end) — 2L interleaved chains in total.
-        // The jump matrix for `len` steps is cached process-wide, so the
-        // L jumps cost L matrix applications, not L rebuilds.
-        let mut a: [Xoshiro256PlusPlus; L] = std::array::from_fn(|l| lanes[l].rng.clone());
-        let mut b: [Xoshiro256PlusPlus; L] = std::array::from_fn(|l| a[l].jumped(len));
-        drain_lanes_with2::<L, _, _, _>(
-            len,
-            |l| (a[l].next_u64() < wide0[l]) | always0[l],
-            |l| (b[l].next_u64() < wide1[l]) | always1[l],
-            emit,
-        );
-        for (lane, state) in lanes.iter_mut().zip(b) {
-            lane.rng = state;
-        }
-        Ok(true)
     }
 
     fn generate_bitwise(&mut self, p: f64, len: usize) -> Result<BitStream, ScError> {
@@ -1145,54 +986,6 @@ impl StochasticNumberGenerator for ChaoticLaserSng {
             lane.rng = state;
         }
         Ok(())
-    }
-
-    fn drain_lanes_two<const L: usize, F>(
-        lanes: &mut [Self; L],
-        ps0: &[f64; L],
-        ps1: &[f64; L],
-        len: usize,
-        emit: F,
-    ) -> Result<bool, ScError>
-    where
-        F: FnMut(&[u64; L], &[u64; L], usize),
-    {
-        // When the vector engine covers this lane width, two vectorized
-        // single-stream passes beat one scalar 2L-chain pass: decline
-        // pairing (consuming nothing) and let the caller issue two
-        // `drain_lanes` calls — the emitted bits are identical either
-        // way.
-        if crate::simd::splitmix_vector_applicable(L) {
-            return Ok(false);
-        }
-        let mut wide0 = [0u64; L];
-        let mut always0 = [false; L];
-        let mut wide1 = [0u64; L];
-        let mut always1 = [false; L];
-        for l in 0..L {
-            (wide0[l], always0[l]) = widen_threshold53(Self::comparator_threshold(check_unit(
-                "probability",
-                ps0[l],
-            )?));
-            (wide1[l], always1[l]) = widen_threshold53(Self::comparator_threshold(check_unit(
-                "probability",
-                ps1[l],
-            )?));
-        }
-        // SplitMix64 state walks an arithmetic sequence: each lane's
-        // second chain and combined end state are one multiply away.
-        let mut a: [SplitMix64; L] = std::array::from_fn(|l| lanes[l].rng);
-        let mut b: [SplitMix64; L] = std::array::from_fn(|l| a[l].jumped(len as u64));
-        for (lane, state) in lanes.iter_mut().zip(&b) {
-            lane.rng = state.jumped(len as u64);
-        }
-        drain_lanes_with2::<L, _, _, _>(
-            len,
-            |l| (a[l].next_u64() < wide0[l]) | always0[l],
-            |l| (b[l].next_u64() < wide1[l]) | always1[l],
-            emit,
-        );
-        Ok(true)
     }
 
     fn generate_bitwise(&mut self, p: f64, len: usize) -> Result<BitStream, ScError> {
@@ -1413,99 +1206,6 @@ mod tests {
         assert_drain_lanes_matches_standalone::<8, _>(|_| CounterSng::new());
     }
 
-    /// `expect_streamed: Some(b)` pins the pairing decision itself;
-    /// `None` accepts either outcome (used where the decision depends on
-    /// the process-global SIMD tier, which concurrently running tests
-    /// may toggle) and verifies bit-identity whenever pairing did run.
-    fn assert_drain_lanes_two_matches_sequential<const L: usize, S>(
-        make: impl Fn(usize) -> S,
-        expect_streamed: Option<bool>,
-    ) where
-        S: StochasticNumberGenerator,
-    {
-        let ps0: [f64; L] = std::array::from_fn(|l| [0.37, 1.0, 0.0, 0.5][l % 4]);
-        let ps1: [f64; L] = std::array::from_fn(|l| [0.62, 0.3, 1.0, 0.5][l % 4]);
-        for &len in &[1usize, 64, 65, 257, 4096] {
-            let mut paired: [S; L] = std::array::from_fn(&make);
-            let mut sequential: [S; L] = std::array::from_fn(&make);
-            let mut w0: [Vec<u64>; L] = std::array::from_fn(|_| Vec::new());
-            let mut w1: [Vec<u64>; L] = std::array::from_fn(|_| Vec::new());
-            let streamed = S::drain_lanes_two(&mut paired, &ps0, &ps1, len, |b0, b1, _| {
-                for l in 0..L {
-                    w0[l].push(b0[l]);
-                    w1[l].push(b1[l]);
-                }
-            })
-            .unwrap();
-            if let Some(expect) = expect_streamed {
-                assert_eq!(streamed, expect, "len {len}");
-            }
-            if !streamed {
-                return;
-            }
-            for l in 0..L {
-                let r0 = sequential[l].generate(ps0[l], len).unwrap();
-                let r1 = sequential[l].generate(ps1[l], len).unwrap();
-                assert_eq!(
-                    BitStream::from_words(w0[l].clone(), len),
-                    r0,
-                    "lane {l} first stream, len {len}"
-                );
-                assert_eq!(
-                    BitStream::from_words(w1[l].clone(), len),
-                    r1,
-                    "lane {l} second stream, len {len}"
-                );
-                // End states must agree lane by lane.
-                assert_eq!(
-                    paired[l].generate(0.41, 130).unwrap(),
-                    sequential[l].generate(0.41, 130).unwrap(),
-                    "lane {l} post-pair state, len {len}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn drain_lanes_two_matches_sequential_per_lane() {
-        assert_drain_lanes_two_matches_sequential::<1, _>(
-            |l| XoshiroSng::new(90 + l as u64),
-            Some(true),
-        );
-        // At widths the vector engine covers, xoshiro declines pairing
-        // (two vectorized passes win); elsewhere it pairs. The decision
-        // follows the process-global SIMD tier, which other tests toggle
-        // concurrently, so only the bit-identity is asserted here.
-        assert_drain_lanes_two_matches_sequential::<4, _>(|l| XoshiroSng::new(90 + l as u64), None);
-        assert_drain_lanes_two_matches_sequential::<8, _>(|l| XoshiroSng::new(90 + l as u64), None);
-        // Chaotic follows the same rule as xoshiro now that SplitMix64
-        // has a vector engine: decline pairing at covered widths, pair
-        // otherwise — tier-dependent, so only bit-identity is asserted.
-        assert_drain_lanes_two_matches_sequential::<8, _>(
-            |l| ChaoticLaserSng::seeded(17 + l as u64),
-            None,
-        );
-        assert_drain_lanes_two_matches_sequential::<2, _>(
-            |l| ChaoticLaserSng::seeded(17 + l as u64),
-            Some(true),
-        );
-        assert_drain_lanes_two_matches_sequential::<8, _>(
-            |l| {
-                let mut sng = CounterSng::new();
-                for _ in 0..l {
-                    let _ = sng.generate(0.5, 4);
-                }
-                sng
-            },
-            Some(true),
-        );
-        // No cheap jump for the LFSR: the default declines.
-        assert_drain_lanes_two_matches_sequential::<4, _>(
-            |l| LfsrSng::new(16, 0xACE1 + l as u32).unwrap(),
-            Some(false),
-        );
-    }
-
     #[test]
     fn drain_lanes_identical_across_simd_tiers() {
         // The same lane drain forced through every dispatch tier must be
@@ -1568,14 +1268,6 @@ mod tests {
         let mut lanes = [XoshiroSng::new(3), XoshiroSng::new(4)];
         let pristine = [XoshiroSng::new(3), XoshiroSng::new(4)];
         assert!(XoshiroSng::drain_lanes(&mut lanes, &[0.5, 1.5], 64, |_, _| {}).is_err());
-        assert!(XoshiroSng::drain_lanes_two(
-            &mut lanes,
-            &[0.5, 0.5],
-            &[-0.1, 0.5],
-            64,
-            |_, _, _| {}
-        )
-        .is_err());
         for (lane, fresh) in lanes.iter_mut().zip(pristine) {
             assert_eq!(
                 lane.generate(0.5, 64).unwrap(),
