@@ -311,14 +311,17 @@ mod tests {
     #[test]
     fn backends_fused_paths_match_materializing_twins() {
         // The backends run the fused zero-materialization paths; their
-        // outputs must equal direct materializing evaluation with the
+        // outputs must equal the per-bit materializing twins with the
         // same seeds, bit for bit.
         let mut ob = OpticalBackend::new(CircuitParams::paper_fig5(), poly(), 777, 21).unwrap();
         let mut sng = XoshiroSng::new(21);
         let mut rng = Xoshiro256PlusPlus::new(21 ^ 0x5EED);
         for &x in &[0.2, 0.7] {
             let got = ob.evaluate(x).unwrap();
-            let want = ob.system.evaluate(x, 777, &mut sng, &mut rng).unwrap();
+            let want = ob
+                .system
+                .evaluate_bitwise(x, 777, &mut sng, &mut rng)
+                .unwrap();
             assert_eq!(got, want.estimate, "optical x={x}");
         }
         let mut eb = ElectronicBackend::new(poly(), 777, 33);

@@ -19,6 +19,7 @@ use osc_core::batch::shard::{Executor, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 use osc_stochastic::gamma::{fit_gamma_bernstein, gamma_exact, DISPLAY_GAMMA, PAPER_GAMMA_DEGREE};
+use std::sync::OnceLock;
 
 /// Result of running gamma correction on one backend.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,11 +160,17 @@ pub fn run_gamma<B: PixelBackend>(
 
 /// The paper's degree-6 gamma polynomial, ready for backends.
 ///
+/// The fit is a pure function of two constants, so it runs once per
+/// process; every call hands out a clone of that one result.
+///
 /// # Errors
 ///
 /// Propagates fit failures (none for standard parameters).
 pub fn paper_gamma_polynomial() -> Result<osc_stochastic::bernstein::BernsteinPoly, AppError> {
-    Ok(fit_gamma_bernstein(DISPLAY_GAMMA, PAPER_GAMMA_DEGREE)?)
+    static FIT: OnceLock<Result<osc_stochastic::bernstein::BernsteinPoly, AppError>> =
+        OnceLock::new();
+    FIT.get_or_init(|| Ok(fit_gamma_bernstein(DISPLAY_GAMMA, PAPER_GAMMA_DEGREE)?))
+        .clone()
 }
 
 #[cfg(test)]
@@ -186,6 +193,17 @@ mod tests {
         produced
             .mae(&img.map(|p| gamma_exact(p, DISPLAY_GAMMA)))
             .unwrap()
+    }
+
+    #[test]
+    fn cached_gamma_fit_equals_a_fresh_fit_bit_for_bit() {
+        let bits = |p: &osc_stochastic::bernstein::BernsteinPoly| {
+            p.coeffs().iter().map(|c| c.to_bits()).collect::<Vec<_>>()
+        };
+        let fresh = fit_gamma_bernstein(DISPLAY_GAMMA, PAPER_GAMMA_DEGREE).unwrap();
+        for _ in 0..2 {
+            assert_eq!(bits(&paper_gamma_polynomial().unwrap()), bits(&fresh));
+        }
     }
 
     #[test]

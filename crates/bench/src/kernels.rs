@@ -3,10 +3,9 @@
 //! Measures the seed per-bit implementations (kept as `*_bitwise` /
 //! `*_reference` twins) against the current hot paths on the workloads
 //! the acceptance criteria name: the order-2 Fig. 5 circuit at 16384-bit
-//! streams and a 64×64-pixel gamma-correction image. Since the fusion PR
-//! the hot path is the zero-materialization streaming kernel
-//! ([`OpticalScSystem::evaluate_fused`]); dedicated `*_fused` entries pin
-//! it against the materializing word path it replaced. The
+//! streams and a 64×64-pixel gamma-correction image. The hot path is
+//! the zero-materialization streaming kernel
+//! ([`OpticalScSystem::evaluate_fused`]). The
 //! `bench_kernels` binary appends each report as one labelled run record
 //! to `BENCH_kernels.json`, so the file carries the PR-over-PR perf
 //! trajectory instead of a single snapshot (see [`append_run`]).
@@ -125,8 +124,6 @@ pub fn run(budget_ms: u64) -> KernelsReport {
     )
     .expect("fig5 circuit builds");
     let system_b = system.clone();
-    let system_m = system.clone();
-    let system_m2 = system.clone();
     let mut sng_b = XoshiroSng::new(11);
     let mut rng_b = Xoshiro256PlusPlus::new(12);
     let mut sng_o = XoshiroSng::new(11);
@@ -181,30 +178,6 @@ pub fn run(budget_ms: u64) -> KernelsReport {
                     &mut nano_rng_o,
                     &mut nano_scratch,
                 )
-                .unwrap()
-                .estimate
-        },
-    ));
-
-    // Fusion isolated: the materializing word path (the previous hot
-    // path) against the zero-materialization streaming kernel.
-    let mut sng_m = XoshiroSng::new(11);
-    let mut rng_m = Xoshiro256PlusPlus::new(12);
-    let mut sng_f = XoshiroSng::new(11);
-    let mut rng_f = Xoshiro256PlusPlus::new(12);
-    let mut scratch_f = EvalScratch::new();
-    comparisons.push(compare(
-        &mut harness,
-        "optical_evaluate_order2_16384_fused",
-        move || {
-            system_m
-                .evaluate(0.5, 16_384, &mut sng_m, &mut rng_m)
-                .unwrap()
-                .estimate
-        },
-        move || {
-            system_m2
-                .evaluate_fused(0.5, 16_384, &mut sng_f, &mut rng_f, &mut scratch_f)
                 .unwrap()
                 .estimate
         },
@@ -373,10 +346,6 @@ pub fn run(budget_ms: u64) -> KernelsReport {
     let gamma_system =
         OpticalScSystem::new(params, poly.clone()).expect("6th-order circuit builds");
     let image_b = image.clone();
-    let image_m = image.clone();
-    let image_f = image.clone();
-    let gamma_system_m = gamma_system.clone();
-    let gamma_system_f = gamma_system.clone();
     let mut sng_b = XoshiroSng::new(13);
     let mut rng_b = Xoshiro256PlusPlus::new(14);
     let backend = osc_apps::backend::OpticalBackend::new(params, poly, stream, 13)
@@ -610,39 +579,6 @@ pub fn run(budget_ms: u64) -> KernelsReport {
              (build it with `cargo build -p osc-bench --bin shard_worker`)"
         );
     }
-
-    // Fusion isolated on the gamma workload: sequential per-pixel loops,
-    // materializing word path vs streaming kernel with reused scratch
-    // (zero heap allocation per pixel).
-    let mut sng_m = XoshiroSng::new(13);
-    let mut rng_m = Xoshiro256PlusPlus::new(14);
-    let mut sng_f = XoshiroSng::new(13);
-    let mut rng_f = Xoshiro256PlusPlus::new(14);
-    let mut scratch_g = EvalScratch::new();
-    comparisons.push(compare(
-        &mut harness,
-        "gamma_64x64_order6_fused",
-        move || {
-            let mut acc = 0.0;
-            for &p in image_m.pixels() {
-                acc += gamma_system_m
-                    .evaluate(p, stream, &mut sng_m, &mut rng_m)
-                    .unwrap()
-                    .estimate;
-            }
-            acc
-        },
-        move || {
-            let mut acc = 0.0;
-            for &p in image_f.pixels() {
-                acc += gamma_system_f
-                    .evaluate_fused(p, stream, &mut sng_f, &mut rng_f, &mut scratch_g)
-                    .unwrap()
-                    .estimate;
-            }
-            acc
-        },
-    ));
 
     // Fault-injection overhead pinned: the order-6 gamma kernel at a
     // 0.01 bit-flip rate (baseline) against the clean kernel
@@ -1234,19 +1170,17 @@ mod tests {
         // has been built (cargo test builds it for this package's
         // integration tests, but a filtered build may not have).
         let expect_sharded = shard_worker_path().is_some();
-        assert_eq!(r.comparisons.len(), if expect_sharded { 20 } else { 15 });
+        assert_eq!(r.comparisons.len(), if expect_sharded { 18 } else { 13 });
         for c in &r.comparisons {
             assert!(c.baseline_ns > 0.0 && c.optimized_ns > 0.0, "{c:?}");
         }
         let json = render_run(&r, "test", "scalar");
         assert!(json.contains("optical_evaluate_order2_16384"));
-        assert!(json.contains("optical_evaluate_order2_16384_fused"));
         assert!(json.contains("sng_lanes8_xoshiro_16384"));
         assert!(json.contains("sng_lanes8_splitmix_16384"));
         assert!(json.contains("sng_lanes8_counter_16384"));
         assert!(json.contains("parallel_lanes_order2_16384"));
         assert!(json.contains("gamma_64x64_order6"));
-        assert!(json.contains("gamma_64x64_order6_fused"));
         assert!(json.contains("fault_rate_sweep_order6"));
         assert!(json.contains("fault_lanes8_order6_2048"));
         assert!(json.contains("fault_shift_lanes8_order6_2048"));

@@ -552,7 +552,7 @@ mod tests {
     #[test]
     fn evaluate_many_matches_unbatched_materializing_runs() {
         // The batched lane-blocked fused path must agree bit-for-bit with
-        // direct per-item materializing evaluation under the same seed
+        // direct per-item per-bit evaluation under the same seed
         // derivation. 13 items exercise the 8 + 4 + 1 block decomposition.
         let s = system();
         let xs: Vec<f64> = (0..13).map(|i| i as f64 / 12.0).collect();
@@ -563,7 +563,7 @@ mod tests {
             let item_seed = mix_seed(17, i as u64);
             let mut sng = XoshiroSng::new(item_seed);
             let mut rng = Xoshiro256PlusPlus::new(mix_seed(item_seed, 0x0A11_D1CE));
-            let direct = s.evaluate(x, 1000, &mut sng, &mut rng).unwrap();
+            let direct = s.evaluate_bitwise(x, 1000, &mut sng, &mut rng).unwrap();
             assert_eq!(*run, direct, "item {i}");
         }
     }

@@ -1,8 +1,8 @@
-//! Three-way draw-identity of the evaluate paths.
+//! Draw-identity of the fused kernel and its per-bit oracle.
 //!
-//! [`OpticalScSystem::evaluate_fused`] (streaming, zero-materialization),
-//! [`OpticalScSystem::evaluate`] (materializing word kernel) and
-//! [`OpticalScSystem::evaluate_bitwise`] (per-bit reference) must return
+//! [`OpticalScSystem::evaluate_fused`] (streaming, zero-materialization)
+//! and [`OpticalScSystem::evaluate_bitwise`] (materialized streams,
+//! per-bit decisions) must return
 //! the **same** [`OpticalRun`] from the same starting SNG/RNG states —
 //! same comparator draws, same receiver-noise draws, same counts. These
 //! tests sweep every simulable circuit order (1 through `MAX_SIM_ORDER`),
@@ -13,6 +13,7 @@
 
 use osc_core::params::CircuitParams;
 use osc_core::system::{EvalScratch, OpticalScSystem};
+use osc_core::CircuitError;
 use osc_math::rng::Xoshiro256PlusPlus;
 use osc_stochastic::bernstein::BernsteinPoly;
 use osc_stochastic::sng::{
@@ -45,10 +46,10 @@ fn system_for(order: usize) -> OpticalScSystem {
     OpticalScSystem::new(params, poly_for(order)).expect("simulable order builds")
 }
 
-/// Runs the three paths from identical starting states and asserts exact
-/// equality of the runs — twice in a row, so diverging post-run SNG/RNG
-/// states would also be caught.
-fn assert_three_way<S, F>(
+/// Runs the fused path and the per-bit oracle from identical starting
+/// states and asserts exact equality of the runs — twice in a row, so
+/// diverging post-run SNG/RNG states would also be caught.
+fn assert_fused_equals_bitwise<S, F>(
     system: &OpticalScSystem,
     scratch: &mut EvalScratch,
     make_sng: F,
@@ -60,21 +61,17 @@ fn assert_three_way<S, F>(
     F: Fn() -> S,
 {
     let mut sng_fused = make_sng();
-    let mut sng_mat = make_sng();
     let mut sng_bit = make_sng();
     let mut rng_fused = Xoshiro256PlusPlus::new(0xC0FFEE ^ len as u64);
-    let mut rng_mat = rng_fused.clone();
     let mut rng_bit = rng_fused.clone();
     for round in 0..2 {
         let fused = system
             .evaluate_fused(x, len, &mut sng_fused, &mut rng_fused, scratch)
             .unwrap();
-        let mat = system.evaluate(x, len, &mut sng_mat, &mut rng_mat).unwrap();
         let bit = system
             .evaluate_bitwise(x, len, &mut sng_bit, &mut rng_bit)
             .unwrap();
-        assert_eq!(fused, mat, "{tag}: fused vs materializing, round {round}");
-        assert_eq!(mat, bit, "{tag}: materializing vs bitwise, round {round}");
+        assert_eq!(fused, bit, "{tag}: fused vs bitwise, round {round}");
     }
 }
 
@@ -83,7 +80,7 @@ fn assert_three_way<S, F>(
 fn sweep_all_sngs(system: &OpticalScSystem, scratch: &mut EvalScratch, order: usize, x: f64) {
     for &len in &LENGTHS {
         let seed = (order * 131 + len) as u64;
-        assert_three_way(
+        assert_fused_equals_bitwise(
             system,
             scratch,
             || XoshiroSng::new(seed),
@@ -91,7 +88,7 @@ fn sweep_all_sngs(system: &OpticalScSystem, scratch: &mut EvalScratch, order: us
             len,
             &format!("xoshiro order={order} len={len}"),
         );
-        assert_three_way(
+        assert_fused_equals_bitwise(
             system,
             scratch,
             || LfsrSng::new(16, 0xACE1 ^ seed as u32).unwrap(),
@@ -99,7 +96,7 @@ fn sweep_all_sngs(system: &OpticalScSystem, scratch: &mut EvalScratch, order: us
             len,
             &format!("lfsr order={order} len={len}"),
         );
-        assert_three_way(
+        assert_fused_equals_bitwise(
             system,
             scratch,
             CounterSng::new,
@@ -107,7 +104,7 @@ fn sweep_all_sngs(system: &OpticalScSystem, scratch: &mut EvalScratch, order: us
             len,
             &format!("counter order={order} len={len}"),
         );
-        assert_three_way(
+        assert_fused_equals_bitwise(
             system,
             scratch,
             || ChaoticLaserSng::seeded(seed),
@@ -159,7 +156,7 @@ fn fused_equals_bitwise_on_long_streams() {
         ("order3", system_for(3)),
     ] {
         for &len in &[8192usize, 8257] {
-            assert_three_way(
+            assert_fused_equals_bitwise(
                 &system,
                 &mut scratch,
                 || XoshiroSng::new(0xBEEF),
@@ -167,7 +164,7 @@ fn fused_equals_bitwise_on_long_streams() {
                 len,
                 &format!("{label} xoshiro len={len}"),
             );
-            assert_three_way(
+            assert_fused_equals_bitwise(
                 &system,
                 &mut scratch,
                 || ChaoticLaserSng::seeded(0xBEEF),
@@ -175,7 +172,7 @@ fn fused_equals_bitwise_on_long_streams() {
                 len,
                 &format!("{label} chaotic len={len}"),
             );
-            assert_three_way(
+            assert_fused_equals_bitwise(
                 &system,
                 &mut scratch,
                 CounterSng::new,
@@ -183,7 +180,7 @@ fn fused_equals_bitwise_on_long_streams() {
                 len,
                 &format!("{label} counter len={len}"),
             );
-            assert_three_way(
+            assert_fused_equals_bitwise(
                 &system,
                 &mut scratch,
                 || LfsrSng::new(16, 0xACE1).unwrap(),
@@ -207,4 +204,25 @@ fn fused_rejects_invalid_x_like_the_twins() {
     assert!(system
         .evaluate_fused(f64::NAN, 64, &mut sng, &mut rng, &mut scratch)
         .is_err());
+    assert!(matches!(
+        system.evaluate(-0.1, 64, &mut sng, &mut rng),
+        Err(CircuitError::InvalidStructure(_))
+    ));
+    assert!(system
+        .evaluate_bitwise(1.5, 64, &mut sng, &mut rng)
+        .is_err());
+    // Rejected before any draw: both generators are still fresh.
+    let fresh = system
+        .evaluate_fused(
+            0.5,
+            64,
+            &mut XoshiroSng::new(1),
+            &mut Xoshiro256PlusPlus::new(1),
+            &mut scratch,
+        )
+        .unwrap();
+    let after = system
+        .evaluate_fused(0.5, 64, &mut sng, &mut rng, &mut scratch)
+        .unwrap();
+    assert_eq!(after, fresh);
 }

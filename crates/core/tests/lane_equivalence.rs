@@ -105,18 +105,8 @@ fn assert_lanes_match_per_lane<const L: usize, S, F>(
 }
 
 /// One full sweep over the four SNGs at a given width and length,
-/// against the standalone fused run.
-fn sweep_all_sngs<const L: usize>(system: &OpticalScSystem, len: usize, tag: &str) {
-    sweep_all_sngs_against::<L>(system, len, tag, Oracle::Fused);
-}
-
-/// [`sweep_all_sngs`] against a chosen standalone oracle.
-fn sweep_all_sngs_against<const L: usize>(
-    system: &OpticalScSystem,
-    len: usize,
-    tag: &str,
-    oracle: Oracle,
-) {
+/// every lane against its standalone `oracle` run.
+fn sweep_all_sngs<const L: usize>(system: &OpticalScSystem, len: usize, tag: &str, oracle: Oracle) {
     let seed = (L * 1009 + len) as u64;
     assert_lanes_match_per_lane::<L, _, _>(
         system,
@@ -162,10 +152,10 @@ const LENGTHS: [usize; 5] = [63, 64, 65, 257, 1001];
 fn lane_blocked_equals_per_lane_fused_clean() {
     let system = clean_system();
     for &len in &LENGTHS {
-        sweep_all_sngs::<1>(&system, len, "clean");
-        sweep_all_sngs::<2>(&system, len, "clean");
-        sweep_all_sngs::<4>(&system, len, "clean");
-        sweep_all_sngs::<8>(&system, len, "clean");
+        sweep_all_sngs::<1>(&system, len, "clean", Oracle::Fused);
+        sweep_all_sngs::<2>(&system, len, "clean", Oracle::Fused);
+        sweep_all_sngs::<4>(&system, len, "clean", Oracle::Fused);
+        sweep_all_sngs::<8>(&system, len, "clean", Oracle::Fused);
     }
 }
 
@@ -174,8 +164,8 @@ fn lane_blocked_equals_per_lane_fused_noisy() {
     let system = noisy_system();
     assert!(!system.has_deterministic_decisions());
     for &len in &[63usize, 257, 1001] {
-        sweep_all_sngs::<2>(&system, len, "noisy");
-        sweep_all_sngs::<8>(&system, len, "noisy");
+        sweep_all_sngs::<2>(&system, len, "noisy", Oracle::Fused);
+        sweep_all_sngs::<8>(&system, len, "noisy", Oracle::Fused);
     }
 }
 
@@ -185,8 +175,8 @@ fn lane_blocked_equals_bitwise_on_long_streams() {
     // block must equal the per-bit oracle, clean and noisy.
     for (tag, system) in [("clean", clean_system()), ("noisy", noisy_system())] {
         for &len in &[8192usize, 8257] {
-            sweep_all_sngs_against::<4>(&system, len, tag, Oracle::Bitwise);
-            sweep_all_sngs_against::<8>(&system, len, tag, Oracle::Bitwise);
+            sweep_all_sngs::<4>(&system, len, tag, Oracle::Bitwise);
+            sweep_all_sngs::<8>(&system, len, tag, Oracle::Bitwise);
         }
     }
 }
