@@ -363,7 +363,8 @@ mod tests {
     }
 
     /// Pins the backend's table, bands, the system's threshold and its
-    /// decision classes against the per-entry oracle, bit for bit.
+    /// folded receiver (probabilities, classes, class rows and kernel-tier
+    /// flags) against the per-entry oracles, bit for bit.
     fn assert_table_matches_per_entry(params: CircuitParams) {
         let backend = Backend::new(&params).unwrap();
         let oracle = PerEntry(&backend);
@@ -387,7 +388,8 @@ mod tests {
         let bands = oracle.power_bands().unwrap();
         assert_eq!(backend.power_bands().unwrap(), bands, "{case}");
         let threshold = bands.midpoint_threshold();
-        let (_, classes) = crate::system::fold_receiver(&expected, threshold, oracle.noise_sigma());
+        let fold =
+            crate::system::fold_receiver_per_entry(&expected, threshold, oracle.noise_sigma());
         let coeffs = (0..=params.order).map(|j| 0.5 + 0.01 * j as f64).collect();
         let poly = osc_stochastic::bernstein::BernsteinPoly::new(coeffs).unwrap();
         let system = crate::system::OpticalScSystem::new(params, poly).unwrap();
@@ -396,7 +398,7 @@ mod tests {
             threshold.as_mw().to_bits(),
             "{case}"
         );
-        assert_eq!(system.decision_classes(), &classes[..], "{case}");
+        system.folded_receiver().assert_bit_identical(&fold, &case);
     }
 
     fn fig7_params(order: usize, gap_nm: f64, probe_mw: f64, kind: BackendKind) -> CircuitParams {
@@ -408,8 +410,9 @@ mod tests {
     #[test]
     fn default_band_scan_matches_the_circuit_scan_for_mrr_mzi() {
         // Every backend's table (the factored MRR/MZI build, the
-        // nanocavity's provided loop) equals the per-entry oracle across
-        // orders, Fig. 7 channel gaps and probe powers.
+        // nanocavity's provided loop) equals the per-entry oracle, and the
+        // system's receiver fold the every-entry fold, across orders,
+        // Fig. 7 channel gaps and probe powers.
         for kind in BackendKind::ALL {
             assert_table_matches_per_entry(CircuitParams::paper_fig5().with_backend(kind));
             for order in 1..=8 {

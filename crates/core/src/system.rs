@@ -19,7 +19,11 @@
 //! `Q((threshold − power)/σ)`. A cycle's decision is then a Bernoulli
 //! draw against that constant (one uniform draw, and none at all when the
 //! bands are far enough apart that the probability saturates at 0 or 1),
-//! instead of a full Gaussian sample per cycle.
+//! instead of a full Gaussian sample per cycle. The fold evaluates `Q`
+//! only for pairs within [`OpticalScSystem::SATURATION_Z`] = 9σ of the
+//! threshold; past it the probability is exactly what `Q` would have
+//! folded to (0 beyond +9σ, 1 beyond −9σ), so skipping the call changes
+//! no bit. At the paper's operating points most pairs lie past it.
 //!
 //! # The evaluate paths, and when to use each
 //!
@@ -206,15 +210,143 @@ impl OpticalRun {
     }
 }
 
-/// Folds the receiver noise into a `(count, z-word)` power table: per
-/// entry, the probability `Q((threshold − power) / σ)` that the noisy
-/// observation clears the threshold (flat, row stride `2^(n+1)`), and its
-/// decision class — 0 = always zero, 1 = always one, 2 = needs a draw.
+/// The receiver noise folded into a circuit's `(count, z-word)` power
+/// table, with the facts the kernel tiers are selected on.
+#[derive(Debug, Clone)]
+pub(crate) struct FoldedReceiver {
+    /// Probability the noisy observation clears the decision threshold,
+    /// per (count-of-ones, coefficient-word) pair:
+    /// `Q((threshold − power) / σ)`. The analytic folding of the receiver
+    /// noise that lets the hot path decide cycles with at most one uniform
+    /// draw each. Stored flat with row stride `2^(order+1)` — index
+    /// `count << (order+1) | z_word` — so a cycle decision costs one load.
+    one_probability: Vec<f64>,
+    /// Per-entry decision class, same indexing as `one_probability`:
+    /// 0 = always zero, 1 = always one, 2 = needs a uniform draw. Lets
+    /// the mixed kernel tier branch only on the (rare, predictable)
+    /// ambiguous class instead of on two data-dependent f64 compares.
+    decision_class: Vec<u8>,
+    /// `decision_class` cut into one 128-byte row per count (zero
+    /// padded) for orders up to [`OpticalScSystem::BITMATRIX_MAX_ORDER`],
+    /// the table the vector decision pass looks classes up in; empty
+    /// for higher orders.
+    decision_rows: Vec<[u8; 128]>,
+    /// Whether every folded probability is saturated at exactly 0 or 1
+    /// (bands far apart relative to the receiver noise). In that regime
+    /// decisions are a pure function of the cycle's `(count, z-word)` and
+    /// the kernel runs branch-free without consuming any randomness.
+    deterministic_decisions: bool,
+    /// Stronger still: every saturated decision equals the ideal
+    /// multiplexer output `z_count` (the circuit transmits perfectly).
+    /// Then a whole 64-cycle block reduces to a bit-sliced popcount —
+    /// the fastest kernel tier.
+    mux_exact: bool,
+}
+
+/// Decision class of a folded probability: 0 = always zero, 1 = always
+/// one, 2 = needs a draw (NaN included).
+fn class_of(p: f64) -> u8 {
+    if p <= 0.0 {
+        0
+    } else if p >= 1.0 {
+        1
+    } else {
+        2
+    }
+}
+
+/// Folds the receiver noise into a `(count, z-word)` power table (`n + 1`
+/// rows of `2^(n+1)` entries), in one pass over the entries: the
+/// probability `Q(z)`, `z = (threshold − power) / σ`, that the noisy
+/// observation clears the threshold, its decision class, the 128-byte
+/// class rows of the vector decision pass and the two kernel-tier flags.
+///
+/// `Q` is evaluated only for `|z| ≤` [`OpticalScSystem::SATURATION_Z`];
+/// outside that band the probability is the value the evaluated `Q`
+/// would fold to, so every entry keeps its bits:
+///
+/// - `z > 9`: `gaussian_q(z) < 1e-18` for every `z ≥ 8.7573`, so the
+///   [`OpticalScSystem::NEGLIGIBLE_FLIP_PROBABILITY`] clamp makes it 0;
+/// - `z < −9`: `gaussian_q(z)` rounds to exactly 1.0 for every
+///   `z ≤ −8.2924`.
+///
+/// A NaN `z` fails both comparisons and reaches `gaussian_q` (class 2),
+/// and `σ ≤ 0` decides each entry by `power > threshold`, as the
+/// every-entry fold did.
 pub(crate) fn fold_receiver(
     power_table: &[Vec<Milliwatts>],
     threshold: Milliwatts,
     sigma: Milliwatts,
-) -> (Vec<f64>, Vec<u8>) {
+) -> FoldedReceiver {
+    let entries = power_table.iter().map(Vec::len).sum();
+    let with_rows = power_table.len() <= OpticalScSystem::BITMATRIX_MAX_ORDER + 1;
+    let mut one_probability = Vec::with_capacity(entries);
+    let mut decision_class = Vec::with_capacity(entries);
+    let mut decision_rows = Vec::new();
+    let mut deterministic_decisions = true;
+    let mut mux_exact = true;
+    let cutoff = OpticalScSystem::SATURATION_Z;
+    for (count, row) in power_table.iter().enumerate() {
+        let row_start = decision_class.len();
+        for (zw, &power) in row.iter().enumerate() {
+            let p = if sigma.as_mw() > 0.0 {
+                let z = (threshold - power).as_mw() / sigma.as_mw();
+                if z > cutoff {
+                    0.0
+                } else if z < -cutoff {
+                    1.0
+                } else {
+                    // A flip probability below 1e-18 would need ~1
+                    // exa-cycle to show once, so folding it to an exact 0
+                    // is statistically invisible — and unlocks the
+                    // deterministic kernel tiers. The upper tail has no
+                    // clamp (see `NEGLIGIBLE_FLIP_PROBABILITY`): a flip
+                    // probability in [1e-18, 5.6e-17) is a draw below
+                    // the threshold but an exact 1 above it.
+                    let q = gaussian_q(z);
+                    if q < OpticalScSystem::NEGLIGIBLE_FLIP_PROBABILITY {
+                        0.0
+                    } else {
+                        q
+                    }
+                }
+            } else if power > threshold {
+                1.0
+            } else {
+                0.0
+            };
+            let class = class_of(p);
+            deterministic_decisions &= class != 2;
+            // Class 2 equals neither multiplexer bit.
+            mux_exact &= usize::from(class) == (zw >> count) & 1;
+            one_probability.push(p);
+            decision_class.push(class);
+        }
+        if with_rows {
+            let mut padded = [0u8; 128];
+            padded[..row.len()].copy_from_slice(&decision_class[row_start..]);
+            decision_rows.push(padded);
+        }
+    }
+    FoldedReceiver {
+        one_probability,
+        decision_class,
+        decision_rows,
+        deterministic_decisions,
+        mux_exact,
+    }
+}
+
+/// The every-entry fold the cutoff replaced, kept verbatim (its upper
+/// clamp never fires) with the separate passes that derived the rows and
+/// flags: the oracle [`fold_receiver`] must equal bit for bit.
+#[cfg(test)]
+pub(crate) fn fold_receiver_per_entry(
+    power_table: &[Vec<Milliwatts>],
+    threshold: Milliwatts,
+    sigma: Milliwatts,
+) -> FoldedReceiver {
+    let n = power_table.len() - 1;
     let one_probability: Vec<f64> = power_table
         .iter()
         .flat_map(|row| {
@@ -226,14 +358,6 @@ pub(crate) fn fold_receiver(
                 } else {
                     0.0
                 };
-                // Saturate sub-observable tails: a decision-flip
-                // probability below 1e-18 (e.g. Q(16σ) ≈ 1e-58 at the
-                // paper's operating point) would need ~1 exa-cycle to
-                // produce a single flip, far beyond any simulable
-                // stream, so folding it to an exact 0/1 is
-                // statistically invisible — and unlocks the
-                // deterministic kernel tiers. (The upper tail needs no
-                // clamp: 1 − 1e-58 already rounds to exactly 1.0.)
                 if q < OpticalScSystem::NEGLIGIBLE_FLIP_PROBABILITY {
                     0.0
                 } else if q > 1.0 - OpticalScSystem::NEGLIGIBLE_FLIP_PROBABILITY {
@@ -244,19 +368,61 @@ pub(crate) fn fold_receiver(
             })
         })
         .collect();
-    let decision_class = one_probability
-        .iter()
-        .map(|&p| {
-            if p <= 0.0 {
-                0
-            } else if p >= 1.0 {
-                1
-            } else {
-                2
-            }
-        })
-        .collect();
-    (one_probability, decision_class)
+    let decision_class: Vec<u8> = one_probability.iter().map(|&p| class_of(p)).collect();
+    let decision_rows = if n <= OpticalScSystem::BITMATRIX_MAX_ORDER {
+        decision_class
+            .chunks_exact(1 << (n + 1))
+            .map(|row| {
+                let mut padded = [0u8; 128];
+                padded[..row.len()].copy_from_slice(row);
+                padded
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let deterministic_decisions = one_probability.iter().all(|&p| p <= 0.0 || p >= 1.0);
+    let mux_exact = deterministic_decisions
+        && one_probability.iter().enumerate().all(|(idx, &p)| {
+            let count = idx >> (n + 1);
+            let zw = idx & ((1 << (n + 1)) - 1);
+            (p >= 1.0) == ((zw >> count) & 1 == 1)
+        });
+    FoldedReceiver {
+        one_probability,
+        decision_class,
+        decision_rows,
+        deterministic_decisions,
+        mux_exact,
+    }
+}
+
+#[cfg(test)]
+impl FoldedReceiver {
+    /// Asserts `self` equals `want` bit for bit: probabilities by
+    /// `to_bits`, classes, class rows and both kernel-tier flags.
+    pub(crate) fn assert_bit_identical(&self, want: &FoldedReceiver, case: &str) {
+        assert_eq!(
+            self.one_probability.len(),
+            want.one_probability.len(),
+            "{case}"
+        );
+        for (idx, (got, want)) in self
+            .one_probability
+            .iter()
+            .zip(&want.one_probability)
+            .enumerate()
+        {
+            assert_eq!(got.to_bits(), want.to_bits(), "{case}: entry {idx}");
+        }
+        assert_eq!(self.decision_class, want.decision_class, "{case}");
+        assert_eq!(self.decision_rows, want.decision_rows, "{case}");
+        assert_eq!(
+            self.deterministic_decisions, want.deterministic_decisions,
+            "{case}"
+        );
+        assert_eq!(self.mux_exact, want.mux_exact, "{case}");
+    }
 }
 
 /// The complete optical SC computer: transmission backend + programmed
@@ -274,33 +440,9 @@ pub struct OpticalScSystem {
     /// Received power for every (count-of-ones, coefficient-word) pair,
     /// indexed `[count][z_word]`.
     power_table: Vec<Vec<Milliwatts>>,
-    /// Probability the noisy observation clears the decision threshold,
-    /// per (count-of-ones, coefficient-word) pair:
-    /// `Q((threshold − power) / σ)`. The analytic folding of the receiver
-    /// noise that lets the hot path decide cycles with at most one uniform
-    /// draw each. Stored flat with row stride `2^(order+1)` — index
-    /// `count << (order+1) | z_word` — so a cycle decision costs one load.
-    one_probability: Vec<f64>,
-    /// Whether every folded probability is saturated at exactly 0 or 1
-    /// (bands far apart relative to the receiver noise). In that regime
-    /// decisions are a pure function of the cycle's `(count, z-word)` and
-    /// the kernel runs branch-free without consuming any randomness.
-    deterministic_decisions: bool,
-    /// Stronger still: every saturated decision equals the ideal
-    /// multiplexer output `z_count` (the circuit transmits perfectly).
-    /// Then a whole 64-cycle block reduces to a bit-sliced popcount —
-    /// the fastest kernel tier.
-    mux_exact: bool,
-    /// Per-entry decision class, same indexing as `one_probability`:
-    /// 0 = always zero, 1 = always one, 2 = needs a uniform draw. Lets
-    /// the mixed kernel tier branch only on the (rare, predictable)
-    /// ambiguous class instead of on two data-dependent f64 compares.
-    decision_class: Vec<u8>,
-    /// `decision_class` cut into one 128-byte row per count (zero
-    /// padded) for orders up to [`OpticalScSystem::BITMATRIX_MAX_ORDER`],
-    /// the table the vector decision pass looks classes up in; empty
-    /// for higher orders.
-    decision_rows: Vec<[u8; 128]>,
+    /// The receiver noise folded into `power_table`: the decision tables
+    /// and flags every kernel tier runs on.
+    fold: FoldedReceiver,
 }
 
 impl OpticalScSystem {
@@ -314,9 +456,22 @@ impl OpticalScSystem {
     /// drifting apart.
     pub const WORD_REGS: usize = Self::MAX_SIM_ORDER + 1;
 
-    /// Decision-flip probabilities below this are folded to exact 0/1 in
+    /// Decision-flip probabilities below this are folded to an exact 0 in
     /// the receiver table: no simulable stream length could observe them.
+    /// `gaussian_q(z)` drops below it for every `z ≥ 8.7573`. The upper
+    /// tail has no such clamp; it saturates only where `gaussian_q`
+    /// rounds to exactly 1.0 (`z ≤ −8.2924`, flip probability
+    /// ≲ 5.6e-17). [`OpticalScSystem::SATURATION_Z`] lies past both
+    /// edges.
     pub const NEGLIGIBLE_FLIP_PROBABILITY: f64 = 1e-18;
+
+    /// Half-width, in noise σ, of the band around the threshold inside
+    /// which the receiver fold evaluates `gaussian_q`. An entry with
+    /// `z = (threshold − power)/σ > 9` folds to 0 and one with `z < −9`
+    /// to 1 without the call. Both are what the evaluated `Q` folds to
+    /// there (see [`OpticalScSystem::NEGLIGIBLE_FLIP_PROBABILITY`] for
+    /// the two tail edges), so the cutoff changes no bit.
+    pub const SATURATION_Z: f64 = 9.0;
 
     /// Highest order the vector decision pass serves: its z-word of
     /// `order + 1 ≤ 7` bits indexes one 128-byte `vpermi2b` table row.
@@ -351,31 +506,11 @@ impl OpticalScSystem {
         // threshold, are read off the same table.
         let power_table = backend.power_table()?;
         let derandomizer = Derandomizer::from_bands(&PowerBands::from_table(&power_table));
-        let n = params.order;
-        let (one_probability, decision_class) = fold_receiver(
+        let fold = fold_receiver(
             &power_table,
             derandomizer.threshold(),
             backend.noise_sigma(),
         );
-        let decision_rows: Vec<[u8; 128]> = if n <= Self::BITMATRIX_MAX_ORDER {
-            decision_class
-                .chunks_exact(1 << (n + 1))
-                .map(|row| {
-                    let mut padded = [0u8; 128];
-                    padded[..row.len()].copy_from_slice(row);
-                    padded
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let deterministic_decisions = one_probability.iter().all(|&p| p <= 0.0 || p >= 1.0);
-        let mux_exact = deterministic_decisions
-            && one_probability.iter().enumerate().all(|(idx, &p)| {
-                let count = idx >> (n + 1);
-                let zw = idx & ((1 << (n + 1)) - 1);
-                (p >= 1.0) == ((zw >> count) & 1 == 1)
-            });
         Ok(OpticalScSystem {
             params,
             backend,
@@ -383,11 +518,7 @@ impl OpticalScSystem {
             poly,
             derandomizer,
             power_table,
-            one_probability,
-            deterministic_decisions,
-            mux_exact,
-            decision_class,
-            decision_rows,
+            fold,
         })
     }
 
@@ -651,7 +782,7 @@ impl OpticalScSystem {
         let nplanes = planes_for(N);
         let words = stream_length.div_ceil(64);
         let wl = words * L;
-        let mux_exact = self.mux_exact;
+        let mux_exact = self.fold.mux_exact;
         scratch.planes.clear();
         scratch.planes.resize(wl * nplanes, 0);
         scratch.sel.clear();
@@ -714,9 +845,9 @@ impl OpticalScSystem {
         // receiver probabilities, lane by lane so that lane l consumes
         // rngs[l] in exactly the traversal order of a standalone fused
         // run (and of the per-bit twin).
-        let table = &self.one_probability[..];
-        let classes = &self.decision_class[..];
-        let deterministic = self.deterministic_decisions;
+        let table = &self.fold.one_probability[..];
+        let classes = &self.fold.decision_class[..];
+        let deterministic = self.fold.deterministic_decisions;
         let mut ones = [0usize; L];
         let mut flips = [0usize; L];
         let bitmatrix = simd::BitMatrixKernels::active().filter(|_| N <= Self::BITMATRIX_MAX_ORDER);
@@ -725,7 +856,7 @@ impl OpticalScSystem {
             // at once, then draw only for the class-2 cycles, in
             // ascending cycle order — the RNG consumption of the
             // per-cycle walk below.
-            let rows = &self.decision_rows[..];
+            let rows = &self.fold.decision_rows[..];
             let (mut zw, mut count) = ([0u8; 64], [0u8; 64]);
             for (l, rng) in rngs.iter_mut().enumerate() {
                 let mut remaining = stream_length;
@@ -862,24 +993,24 @@ impl OpticalScSystem {
         Ok((ones, ideal, flips))
     }
 
-    /// The per-entry decision classes the kernels branch on.
+    /// The folded receiver tables and flags the kernels run on.
     #[cfg(test)]
-    pub(crate) fn decision_classes(&self) -> &[u8] {
-        &self.decision_class
+    pub(crate) fn folded_receiver(&self) -> &FoldedReceiver {
+        &self.fold
     }
 
     /// Whether every receiver decision is exactly the ideal multiplexer
     /// output `z_count` — the regime where the fastest (bit-sliced,
     /// randomness-free) kernel tier runs.
     pub fn is_mux_exact(&self) -> bool {
-        self.mux_exact
+        self.fold.mux_exact
     }
 
     /// Whether every folded decision probability is saturated at 0 or 1
     /// (decisions are a pure function of each cycle's `(count, z-word)`,
     /// consuming no randomness).
     pub fn has_deterministic_decisions(&self) -> bool {
-        self.deterministic_decisions
+        self.fold.deterministic_decisions
     }
 
     /// Per-bit twin of [`OpticalScSystem::evaluate_fused`]: identical
@@ -1027,7 +1158,7 @@ impl OpticalScSystem {
     /// cost a single uniform draw.
     #[inline]
     fn decide_cycle(&self, count: usize, zw: usize, rng: &mut Xoshiro256PlusPlus) -> bool {
-        let p1 = self.one_probability[(count << (self.params.order + 1)) | zw];
+        let p1 = self.fold.one_probability[(count << (self.params.order + 1)) | zw];
         if p1 >= 1.0 {
             true
         } else if p1 <= 0.0 {
@@ -1136,6 +1267,74 @@ mod tests {
             BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn saturation_cutoff_lies_past_both_tail_edges() {
+        // Every `z` the fold answers without `gaussian_q` must be one
+        // where the evaluated `Q` folds to the same value: below the
+        // negligible flip probability (so 0) for `z ≥ cutoff`, exactly
+        // 1.0 for `z ≤ −cutoff`. Dense scan to 60σ, then both infinities.
+        let cutoff = OpticalScSystem::SATURATION_Z;
+        let negligible = OpticalScSystem::NEGLIGIBLE_FLIP_PROBABILITY;
+        let steps = ((60.0 - cutoff) / 1e-4) as u64;
+        let scan = (0..=steps).map(|i| cutoff + i as f64 * 1e-4);
+        for z in scan.chain([f64::INFINITY]) {
+            assert!(gaussian_q(z) < negligible, "Q({z}) = {:e}", gaussian_q(z));
+            assert_eq!(gaussian_q(-z), 1.0, "Q(-{z})");
+        }
+        // The edges themselves, inside the band: just short of them `Q`
+        // is still observable (lower tail) or still below 1 (upper).
+        assert!(gaussian_q(8.7572) >= negligible);
+        assert!(gaussian_q(-8.2923) < 1.0);
+    }
+
+    #[test]
+    fn flip_probability_tails_saturate_asymmetrically() {
+        // threshold 0, σ = 1 mW: `z = −power`. The same flip probability
+        // Q(8.75) ≈ 1.07e-18 stays a draw (class 2) below the threshold
+        // but rounds to an exact 1 (class 1) above it; from ≈ 5.6e-17 up
+        // the upper tail draws too.
+        let mw = |row: [f64; 4]| row.map(Milliwatts::new).to_vec();
+        let table = vec![
+            mw([-8.75, 8.75, -8.76, 8.29]),
+            mw([-9.5, 9.5, f64::NAN, 0.0]),
+        ];
+        let (threshold, sigma) = (Milliwatts::ZERO, Milliwatts::new(1.0));
+        let fold = fold_receiver(&table, threshold, sigma);
+        fold.assert_bit_identical(&fold_receiver_per_entry(&table, threshold, sigma), "tails");
+        assert_eq!(fold.decision_class, [2, 1, 0, 2, 0, 1, 2, 2]);
+        let p = &fold.one_probability;
+        assert_eq!(p[0], gaussian_q(8.75));
+        assert!(p[0] >= OpticalScSystem::NEGLIGIBLE_FLIP_PROBABILITY);
+        assert_eq!(p[1], 1.0);
+        assert!(p[3] < 1.0);
+        assert!(p[6].is_nan());
+        assert_eq!(p[7], gaussian_q(0.0));
+        assert_eq!(fold.decision_rows.len(), 2);
+        assert!(!fold.deterministic_decisions && !fold.mux_exact);
+        // σ = 0: each entry decided by `power > threshold`.
+        let exact = fold_receiver(&table, threshold, Milliwatts::ZERO);
+        exact.assert_bit_identical(
+            &fold_receiver_per_entry(&table, threshold, Milliwatts::ZERO),
+            "sigma 0",
+        );
+        assert_eq!(exact.decision_class, [0, 1, 0, 1, 0, 1, 0, 0]);
+        // An order-1 ideal multiplexer (z-word bit `count` decides) with
+        // every entry 10σ from the threshold saturates entirely, so both
+        // kernel-tier flags hold; 1σ away every entry draws.
+        for (spread, flags) in [(10.0, true), (1.0, false)] {
+            let mux = vec![
+                mw([-spread, spread, -spread, spread]),
+                mw([-spread, -spread, spread, spread]),
+            ];
+            let fold = fold_receiver(&mux, threshold, sigma);
+            fold.assert_bit_identical(&fold_receiver_per_entry(&mux, threshold, sigma), "mux");
+            assert_eq!(
+                (fold.deterministic_decisions, fold.mux_exact),
+                (flags, flags)
+            );
+        }
     }
 
     #[test]
