@@ -337,6 +337,28 @@ pub(crate) fn fold_receiver(
     }
 }
 
+impl FoldedReceiver {
+    /// Probability that the cycle at table index `idx` decides 1: its
+    /// class for classes 0 and 1, else the chance that the kernel's draw
+    /// `rng.next_f64() < q` fires — `next_f64` is `u / 2⁵³` for a
+    /// uniform 53-bit `u`, so that is `⌈q·2⁵³⌉ / 2⁵³`, and 0 for NaN.
+    fn draw_probability(&self, idx: usize) -> f64 {
+        match self.decision_class[idx] {
+            0 => 0.0,
+            1 => 1.0,
+            _ => {
+                let q = self.one_probability[idx];
+                if q.is_nan() {
+                    0.0
+                } else {
+                    const SCALE: f64 = (1u64 << 53) as f64;
+                    (q * SCALE).ceil() / SCALE
+                }
+            }
+        }
+    }
+}
+
 /// The every-entry fold the cutoff replaced, kept verbatim (its upper
 /// clamp never fires) with the separate passes that derived the rows and
 /// flags: the oracle [`fold_receiver`] must equal bit for bit.
@@ -1011,6 +1033,57 @@ impl OpticalScSystem {
     /// consuming no randomness).
     pub fn has_deterministic_decisions(&self) -> bool {
         self.fold.deterministic_decisions
+    }
+
+    /// The exact mean of one clean cycle's decided bit at input `x`,
+    /// computed from the folded tables with no sampling:
+    ///
+    /// `Σₖ C(n,k) xᵏ (1−x)ⁿ⁻ᵏ · Σ_z P(z) · P(decide 1 | k, z)`,
+    ///
+    /// where `k` is the ones count of the `n` data streams, `z` the
+    /// `(n+1)`-bit coefficient word and `P(z) = Π_c b_c^{z_c} (1−b_c)^{1−z_c}`
+    /// over the Bernstein coefficients `b_c`. Decision classes 0 and 1
+    /// contribute exactly 0 and 1; a class-2 entry contributes the
+    /// probability that its uniform draw `rng.next_f64() < q` fires,
+    /// `⌈q·2⁵³⌉ / 2⁵³` (0 for a NaN `q`).
+    ///
+    /// The streams are taken as ideal independent Bernoulli sources, so
+    /// this is the value an unbiased SNG's estimates converge to; the
+    /// statistical oracle tests hold every SNG and kernel tier to it.
+    /// For a mux-exact circuit it is the Bernstein polynomial itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is outside `[0, 1]`.
+    pub fn expected_output(&self, x: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&x), "x = {x} outside [0, 1]");
+        let n = self.params.order;
+        let width = 1usize << (n + 1);
+        // P(z) for every coefficient word, built by doubling over the
+        // coefficient streams.
+        let mut pz = vec![0.0f64; width];
+        pz[0] = 1.0;
+        for (c, &b) in self.poly.coeffs().iter().enumerate() {
+            let half = 1usize << c;
+            for z in 0..half {
+                pz[z | half] = pz[z] * b;
+                pz[z] *= 1.0 - b;
+            }
+        }
+        let mut binom = 1.0f64;
+        let mut mean = 0.0;
+        for k in 0..=n {
+            let pk = binom * x.powi(k as i32) * (1.0 - x).powi((n - k) as i32);
+            let row = k << (n + 1);
+            let decide: f64 = pz
+                .iter()
+                .enumerate()
+                .map(|(z, &p)| p * self.fold.draw_probability(row | z))
+                .sum();
+            mean += pk * decide;
+            binom = binom * (n - k) as f64 / (k + 1) as f64;
+        }
+        mean
     }
 
     /// Per-bit twin of [`OpticalScSystem::evaluate_fused`]: identical
