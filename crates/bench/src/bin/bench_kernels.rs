@@ -11,6 +11,10 @@
 //! pre-trajectory single-run file is migrated to the first record), so
 //! the file carries the PR-over-PR perf history.
 //!
+//! `--check PATH` without `--out` is a read-only gate: the run is
+//! judged but written nowhere, so a local check leaves the committed
+//! trajectory untouched. CI passes both.
+//!
 //! `--check PATH` compares this run's speedups against the committed
 //! trajectory in PATH (per workload, the lower median of the last
 //! three same-tier records — robust to a single outlier record) and
@@ -27,7 +31,7 @@ use osc_bench::kernels;
 const CHECK_THRESHOLD: f64 = 0.8;
 
 fn main() {
-    let mut out_path = String::from("BENCH_kernels.json");
+    let mut out_path: Option<String> = None;
     let mut budget_ms = 300u64;
     let mut label = String::from("local");
     let mut check_path: Option<String> = None;
@@ -38,7 +42,9 @@ fn main() {
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out_path = args.next().unwrap_or_else(|| missing("--out needs a path")),
+            "--out" => {
+                out_path = Some(args.next().unwrap_or_else(|| missing("--out needs a path")))
+            }
             "--label" => {
                 label = args
                     .next()
@@ -93,14 +99,23 @@ fn main() {
     let tier = osc_stochastic::simd::active_tier().name();
     let report = kernels::run(budget_ms);
     kernels::print(&report);
-    let record = kernels::render_run(&report, &label, tier);
-    let existing = std::fs::read_to_string(&out_path).ok();
-    let merged = kernels::append_run(existing.as_deref(), &record);
-    if let Err(e) = std::fs::write(&out_path, &merged) {
-        eprintln!("error: could not write {out_path}: {e}");
-        std::process::exit(1);
+    // A bare `--check` only judges; otherwise the record goes to `--out`
+    // (default BENCH_kernels.json).
+    let out_path = match (out_path, &check_path) {
+        (Some(path), _) => Some(path),
+        (None, Some(_)) => None,
+        (None, None) => Some(String::from("BENCH_kernels.json")),
+    };
+    if let Some(out_path) = out_path {
+        let record = kernels::render_run(&report, &label, tier);
+        let existing = std::fs::read_to_string(&out_path).ok();
+        let merged = kernels::append_run(existing.as_deref(), &record);
+        if let Err(e) = std::fs::write(&out_path, &merged) {
+            eprintln!("error: could not write {out_path}: {e}");
+            std::process::exit(1);
+        }
+        println!("[kernel run '{label}' ({tier}) appended to {out_path}]");
     }
-    println!("[kernel run '{label}' ({tier}) appended to {out_path}]");
 
     if let Some(path) = check_path {
         let committed = committed_reference.expect("read when --check was parsed");

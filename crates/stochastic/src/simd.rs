@@ -6,26 +6,26 @@
 //! `osc-core`'s lane kernel) stores every per-stream word array
 //! *lane-interleaved*: block `w` of lane `l` lives at `w * L + l`, so the
 //! `L` lanes of one 64-cycle block are contiguous in memory. Stream
-//! *generation* is the transposed problem — `L` independent comparator
-//! chains advancing in lock-step — so the engines here keep chain states
-//! vertical in vector registers, collect one comparator mask per draw,
-//! and transpose each 64-draw mask block into the per-lane LSB-first
-//! words the scalar drains would have packed.
+//! *generation* is `L` independent generators advancing side by side, so
+//! the engines here keep generator states vertical in vector registers.
+//! The Xoshiro and SplitMix64 engines run the bit-sliced comparator of
+//! `XoshiroSng`/`ChaoticLaserSng` (one draw per threshold bit decides
+//! 64 output bits): a lane's output word *is* its register slot, and a
+//! lane advances its state only while its word is undecided (masked
+//! advance), so lane width and tier stay unobservable.
 //!
-//! Two transposes exist. The AVX2 engines and the SplitMix AVX-512
-//! engine use BMI2 `pext`: 64 bit-gathers per 8-lane block. The
-//! **bit-matrix kernels** ([`BitMatrixKernels`]: AVX-512 tier plus
+//! The **bit-matrix kernels** ([`BitMatrixKernels`]: AVX-512 tier plus
 //! `gfni` and `avx512vbmi`, detected once per process) use one
 //! 8 × 64 bit-matrix transpose built from a `vpermb` byte gather and a
 //! `vgf2p8affineqb` 8 × 8 bit transpose per qword. It drives the
-//! AVX-512 Xoshiro engine and the noisy-tier decision pass.
+//! noisy-tier decision pass.
 //!
 //! # Backend family
 //!
 //! | engine | serves | AVX-512 path | AVX2 path | extra gates |
 //! |---|---|---|---|---|
-//! | `xoshiro_drain_chains` | `XoshiroSng` | `vprolq` + `vpcmpuq` k-masks, `vpternlogq` update, bit-matrix transpose (needs `gfni` + `avx512vbmi`, else the AVX2 path) | shift-or rotates + sign-bias `vpcmpgtq` | `bmi2` |
-//! | `splitmix_drain_chains` | `ChaoticLaserSng` | `vpmullq` mix (needs `avx512dq`) | `vpmuludq` split multiply | `bmi2` |
+//! | `xoshiro_drain_chains` | `XoshiroSng` | `vprolq` rotates, k-masked `vpternlogq` state update and comparator step | shift-or rotates, `vpblendvb` masked update | — |
+//! | `splitmix_drain_chains` | `ChaoticLaserSng` | masked `gamma` add, `vpmullq` mix (needs `avx512dq`, else the AVX2 path) | `vpmuludq` split multiply | — |
 //! | `counter_drain_chains` | `CounterSng` (base-2 mode) | `vgf2p8affineqb` bit-reverse + `vpcmpuq` | GFNI VEX reverse or shared scalar reverse | — |
 //! | [`popcount_lanes_accumulate`] | count-plane fold | `vpopcntq` | nibble-LUT `vpshufb` + `vpsadbw` | — |
 //! | [`assemble_indices16`] | noisy-tier index assembly | `vpmovm2w` mask broadcast (needs `avx512bw`) | — (scalar fallback) | — |
@@ -39,16 +39,16 @@
 //!   extra feature it names is detected at runtime; otherwise the entry
 //!   point returns `false` without touching its outputs and the caller
 //!   runs the portable scalar interleave.
-//! - The chain engines accept `L ∈ {4, 8}`; `L = 8` uses one ZMM per
+//! - The generator engines accept `L ∈ {4, 8}`; `L = 8` uses one ZMM per
 //!   state word on the AVX-512 tier and two YMM register groups on AVX2.
 //!   The counter engine exploits that all lanes of one `drain_lanes`
 //!   call walk the *same* counter sequence, so it bit-reverses each index
 //!   once and compares it against every lane's threshold.
 //! - **Bit-identity guarantee:** every tier of every engine produces
-//!   exactly the words of the scalar reference interleave — same draws,
-//!   same comparator semantics (widened 53-bit thresholds with the
-//!   `always` saturation flag), same LSB-first packing, same final
-//!   generator states. The in-module tests and the cross-crate
+//!   exactly the words of the scalar reference walk — same draws, same
+//!   comparator semantics (the sliced 53-bit comparator and its stopping
+//!   rule for Xoshiro and SplitMix64, integer thresholds for the
+//!   counter), same LSB-first packing, same final generator states. The in-module tests and the cross-crate
 //!   `lane_equivalence.rs` matrix pin this word-for-word across tiers,
 //!   so dispatch may change *speed* but never *results*.
 //!
@@ -75,6 +75,7 @@
 //! the scalar tier, where the `[u64; L]` lock-step walk has no vector
 //! engine behind it and loses to sequential per-lane runs.
 
+use crate::sng::SlicedThreshold;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// One dispatchable implementation level, ordered by register width.
@@ -421,15 +422,19 @@ unsafe fn popcount_lanes_avx512(words: &[u64], lanes: usize, acc: &mut [u64]) {
     }
 }
 
-/// Whether the vectorized xoshiro comparator-chain engine
+/// Whether the vectorized xoshiro sliced-comparator engine
 /// ([`xoshiro_drain_chains`]) will run for `lanes` chains under the
 /// current dispatch tier.
 pub(crate) fn xoshiro_vector_applicable(lanes: usize) -> bool {
+    sliced_vector_applicable(lanes)
+}
+
+/// The shared gate of the two sliced-comparator engines: 4 or 8 lanes
+/// on the AVX2 tier or above.
+fn sliced_vector_applicable(lanes: usize) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        matches!(lanes, 4 | 8)
-            && active_tier() >= SimdTier::Avx2
-            && is_x86_feature_detected!("bmi2")
+        matches!(lanes, 4 | 8) && active_tier() >= SimdTier::Avx2
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -438,26 +443,51 @@ pub(crate) fn xoshiro_vector_applicable(lanes: usize) -> bool {
     }
 }
 
-/// Draws `L` independent xoshiro256++ comparator chains in vector
-/// lock-step: chain `l` starts at `states[l]`, each draw emits bit
-/// `(next_u64() < wide[l]) | always[l]`, and 64 draws per chain pack
-/// into one `emit(&block, nbits)` word per lane (LSB-first, exactly the
-/// scalar drain's bit order). On success the states hold each chain's
-/// post-`len`-draws value and the function returns `true`; it returns
-/// `false` (touching nothing) when no vector path applies — callers
-/// must then run the scalar interleave.
+/// The per-lane threshold vectors of the sliced engines: `T`'s bits
+/// MSB-first, the draw cap and the draw-free word, 8 slots each (unused
+/// slots draw nothing and yield 0).
+#[cfg(target_arch = "x86_64")]
+struct SlicedLanes {
+    bits: [u64; 8],
+    draws: [u64; 8],
+    saturated: [u64; 8],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl SlicedLanes {
+    fn new(thresholds: &[SlicedThreshold]) -> Self {
+        let mut lanes = SlicedLanes {
+            bits: [0; 8],
+            draws: [0; 8],
+            saturated: [0; 8],
+        };
+        for (l, t) in thresholds.iter().enumerate() {
+            lanes.bits[l] = t.bits;
+            lanes.draws[l] = t.draws;
+            lanes.saturated[l] = t.saturated;
+        }
+        lanes
+    }
+}
+
+/// Runs `L` independent xoshiro256++ sliced comparators
+/// ([`SlicedThreshold`]) in vector lock-step: chain `l` starts at
+/// `states[l]` and compares against `thresholds[l]`, and each 64-bit
+/// block emits one word per lane through `emit(&block, nbits)`. A lane
+/// draws (and advances its state) only while its word is undecided, so
+/// every lane's words and final state are those of a standalone scalar
+/// drain. On success the states hold each chain's final value and the
+/// function returns `true`; it returns `false` (touching nothing) when
+/// no vector path applies — callers then run the scalar walk.
 ///
-/// The engine holds state word `i` of all chains in one SIMD register
-/// (AVX-512: 8 chains/register with `vpcmpuq` k-mask comparators, when
-/// the [`BitMatrixKernels`] are active; AVX2: 4 chains/register, two
-/// register groups for `L = 8`), collects one comparator mask per draw,
-/// and transposes each 64-draw mask block into per-lane words (AVX-512:
-/// the GFNI bit-matrix transpose; AVX2: BMI2 `pext`).
+/// State word `i` of all chains lives in one register (AVX-512: 8
+/// chains per ZMM with k-masked updates; AVX2: 4 chains per YMM, two
+/// register groups for `L = 8`, blend-masked updates). A block's output
+/// words are the lanes' `ones` registers themselves — no transpose.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn xoshiro_drain_chains<const L: usize, F>(
     states: &mut [[u64; 4]; L],
-    wide: &[u64; L],
-    always: &[bool; L],
+    thresholds: &[SlicedThreshold; L],
     len: usize,
     mut emit: F,
 ) -> bool
@@ -467,36 +497,29 @@ where
     if !xoshiro_vector_applicable(L) {
         return false;
     }
-    let mut always_mask = 0u8;
-    for (l, &a) in always.iter().enumerate() {
-        always_mask |= u8::from(a) << l;
-    }
-    let mut adapter = |words: &[u64], nbits: usize| {
-        let mut block = [0u64; L];
-        block.copy_from_slice(&words[..L]);
+    let lanes = SlicedLanes::new(thresholds);
+    let mut adapter = |words: &[u64; 8], nbits: usize| {
+        let block: [u64; L] = std::array::from_fn(|l| words[l]);
         emit(&block, nbits);
     };
-    // SAFETY: xoshiro_vector_applicable checked bmi2 + the tier (which
-    // active_tier clamps to the detected hardware), and a
-    // BitMatrixKernels token proves avx512f/bw/dq/vbmi + gfni, so every
-    // feature the target_feature attributes name is present.
+    // SAFETY: xoshiro_vector_applicable checked the tier, which
+    // active_tier clamps to the detected hardware: AVX-512 implies
+    // avx512f, AVX2 implies avx2.
     unsafe {
-        match BitMatrixKernels::active() {
-            Some(_) if L == 8 => {
-                xoshiro_chains8_avx512(states.as_mut_slice(), wide, always_mask, len, &mut adapter)
-            }
-            _ => xoshiro_chains_avx2(states.as_mut_slice(), wide, always_mask, len, &mut adapter),
+        if L == 8 && active_tier() == SimdTier::Avx512 {
+            xoshiro_sliced8_avx512(states.as_mut_slice(), &lanes, len, &mut adapter);
+        } else {
+            xoshiro_sliced_avx2(states.as_mut_slice(), &lanes, len, &mut adapter);
         }
     }
     true
 }
 
-/// Non-x86 stub: no vector engine; callers use the scalar interleave.
+/// Non-x86 stub: no vector engine; callers use the scalar walk.
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) fn xoshiro_drain_chains<const L: usize, F>(
     _states: &mut [[u64; 4]; L],
-    _wide: &[u64; L],
-    _always: &[bool; L],
+    _thresholds: &[SlicedThreshold; L],
     _len: usize,
     _emit: F,
 ) -> bool
@@ -506,25 +529,273 @@ where
     false
 }
 
-/// Transposes one 64-draw mask block (`masks[t]` bit `l` = chain `l`'s
-/// draw `t`) into per-lane LSB-first words via BMI2 `pext`, zeroing
-/// draws at and above `nbits` — the AVX2 engines' and the SplitMix
-/// AVX-512 engine's transpose.
+/// `vpternlogq` truth tables of the sliced engines.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "bmi2")]
-unsafe fn transpose_masks(masks: &mut [u8; 64], lanes: usize, nbits: usize, words: &mut [u64; 8]) {
-    use std::arch::x86_64::_pext_u64;
-    if nbits < 64 {
-        masks[nbits..].fill(0);
-    }
-    for (l, word) in words[..lanes].iter_mut().enumerate() {
-        let sel = 0x0101_0101_0101_0101u64 << l;
-        let mut w = 0u64;
-        for c in 0..8 {
-            let chunk = u64::from_le_bytes(masks[c * 8..c * 8 + 8].try_into().expect("8 bytes"));
-            w |= _pext_u64(chunk, sel) << (c * 8);
+mod ternary {
+    /// `a ^ b ^ c`.
+    pub const XOR3: i32 = 0x96;
+    /// `a | (b & c)`: `ones |= tied & decided_one`.
+    pub const OR_AND: i32 = 0xF8;
+    /// `a & !(b ^ c)`: `tied &= (draw bit == threshold bit)`.
+    pub const AND_XNOR: i32 = 0x90;
+}
+
+/// Folds one draw `r` into an 8-lane sliced comparator under the lane
+/// mask `act`: bits still tied where the draw's bit differs from the
+/// threshold bit (all ones in `tm` where it is 1) are decided — 1 where
+/// the threshold bit is 1 — and leave `tied`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn sliced_step_avx512(
+    act: std::arch::x86_64::__mmask8,
+    r: std::arch::x86_64::__m512i,
+    tm: std::arch::x86_64::__m512i,
+    tied: &mut std::arch::x86_64::__m512i,
+    ones: &mut std::arch::x86_64::__m512i,
+) {
+    use std::arch::x86_64::*;
+    let decided_one = _mm512_andnot_si512(r, tm);
+    *ones = _mm512_mask_ternarylogic_epi64::<{ ternary::OR_AND }>(*ones, act, *tied, decided_one);
+    *tied = _mm512_mask_ternarylogic_epi64::<{ ternary::AND_XNOR }>(*tied, act, r, tm);
+}
+
+/// Drives the 8-lane AVX-512 sliced comparator over `len` bits:
+/// `draw(act)` returns the next draw of every lane, advancing only the
+/// lanes in `act`. Per block, every lane starts with its valid bits tied
+/// and draws while it is running; after each
+/// [`SLICE_EXIT_STRIDE`](crate::sng::SLICE_EXIT_STRIDE)
+/// draws a lane stops once nothing is tied, and no lane draws past its
+/// threshold's `draws`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn sliced_blocks_avx512<D>(
+    lanes: &SlicedLanes,
+    len: usize,
+    mut draw: D,
+    emit: &mut dyn FnMut(&[u64; 8], usize),
+) where
+    D: FnMut(std::arch::x86_64::__mmask8) -> std::arch::x86_64::__m512i,
+{
+    use std::arch::x86_64::*;
+    let bits = _mm512_loadu_si512(lanes.bits.as_ptr() as *const __m512i);
+    let cap = _mm512_loadu_si512(lanes.draws.as_ptr() as *const __m512i);
+    let saturated = _mm512_loadu_si512(lanes.saturated.as_ptr() as *const __m512i);
+    let drawing = _mm512_test_epi64_mask(cap, cap);
+    let mut words = [0u64; 8];
+    let mut remaining = len;
+    while remaining > 0 {
+        let nbits = remaining.min(64);
+        let valid = _mm512_set1_epi64((u64::MAX >> (64 - nbits)) as i64);
+        let mut tied = valid;
+        let mut ones = _mm512_and_si512(saturated, valid);
+        let mut tcur = bits;
+        let mut running = drawing;
+        let mut d = 0u64;
+        while running != 0 {
+            for _ in 0..crate::sng::SLICE_EXIT_STRIDE {
+                let act = running & _mm512_cmpgt_epu64_mask(cap, _mm512_set1_epi64(d as i64));
+                let r = draw(act);
+                let tm = _mm512_srai_epi64::<63>(tcur);
+                sliced_step_avx512(act, r, tm, &mut tied, &mut ones);
+                tcur = _mm512_slli_epi64::<1>(tcur);
+                d += 1;
+            }
+            running &= _mm512_test_epi64_mask(tied, tied)
+                & _mm512_cmpgt_epu64_mask(cap, _mm512_set1_epi64(d as i64));
         }
-        *word = w;
+        _mm512_storeu_si512(words.as_mut_ptr() as *mut __m512i, ones);
+        emit(&words, nbits);
+        remaining -= nbits;
+    }
+}
+
+/// Drives the AVX2 sliced comparator over `len` bits for `groups` (1 or
+/// 2) groups of 4 lanes: `draw(g, act)` returns group `g`'s next draw,
+/// advancing only the lanes whose `act` qword is all ones. The stopping
+/// rule is [`sliced_blocks_avx512`]'s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn sliced_blocks_avx2<D>(
+    lanes: &SlicedLanes,
+    groups: usize,
+    len: usize,
+    mut draw: D,
+    emit: &mut dyn FnMut(&[u64; 8], usize),
+) where
+    D: FnMut(usize, std::arch::x86_64::__m256i) -> std::arch::x86_64::__m256i,
+{
+    use std::arch::x86_64::*;
+    let zero = _mm256_setzero_si256();
+    let load = |a: &[u64; 8], g: usize| _mm256_loadu_si256(a[g * 4..].as_ptr() as *const __m256i);
+    let mut words = [0u64; 8];
+    let mut remaining = len;
+    while remaining > 0 {
+        let nbits = remaining.min(64);
+        let valid = _mm256_set1_epi64x((u64::MAX >> (64 - nbits)) as i64);
+        let mut tied = [valid; 2];
+        let mut ones = [zero; 2];
+        let mut tcur = [zero; 2];
+        let mut running = [zero; 2];
+        for g in 0..groups {
+            ones[g] = _mm256_and_si256(load(&lanes.saturated, g), valid);
+            tcur[g] = load(&lanes.bits, g);
+            running[g] = _mm256_cmpgt_epi64(load(&lanes.draws, g), zero);
+        }
+        let mut d = 0i64;
+        while (0..groups).any(|g| _mm256_testz_si256(running[g], running[g]) == 0) {
+            for _ in 0..crate::sng::SLICE_EXIT_STRIDE {
+                let dv = _mm256_set1_epi64x(d);
+                for g in 0..groups {
+                    let act =
+                        _mm256_and_si256(running[g], _mm256_cmpgt_epi64(load(&lanes.draws, g), dv));
+                    let r = draw(g, act);
+                    // All ones where the threshold bit (the sign bit) is 1.
+                    let tm = _mm256_cmpgt_epi64(zero, tcur[g]);
+                    let decided_one = _mm256_andnot_si256(r, tm);
+                    ones[g] = _mm256_or_si256(
+                        ones[g],
+                        _mm256_and_si256(_mm256_and_si256(tied[g], decided_one), act),
+                    );
+                    let differs = _mm256_xor_si256(r, tm);
+                    tied[g] = _mm256_andnot_si256(_mm256_and_si256(differs, act), tied[g]);
+                    tcur[g] = _mm256_slli_epi64::<1>(tcur[g]);
+                }
+                d += 1;
+            }
+            let dv = _mm256_set1_epi64x(d);
+            for g in 0..groups {
+                let undecided = _mm256_andnot_si256(_mm256_cmpeq_epi64(tied[g], zero), running[g]);
+                running[g] =
+                    _mm256_and_si256(undecided, _mm256_cmpgt_epi64(load(&lanes.draws, g), dv));
+            }
+        }
+        for g in 0..groups {
+            _mm256_storeu_si256(words[g * 4..].as_mut_ptr() as *mut __m256i, ones[g]);
+        }
+        emit(&words, nbits);
+        remaining -= nbits;
+    }
+}
+
+/// AVX-512 xoshiro engine: 8 chains, state word `i` of all chains in one
+/// ZMM, `vprolq` rotates and three-input `vpternlogq` state updates,
+/// each masked to the lanes still drawing.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn xoshiro_sliced8_avx512(
+    states: &mut [[u64; 4]],
+    lanes: &SlicedLanes,
+    len: usize,
+    emit: &mut dyn FnMut(&[u64; 8], usize),
+) {
+    use std::arch::x86_64::*;
+    use ternary::XOR3;
+    debug_assert_eq!(states.len(), 8);
+    let load = |i: usize, states: &[[u64; 4]]| {
+        let tmp: [u64; 8] = std::array::from_fn(|l| states[l][i]);
+        _mm512_loadu_si512(tmp.as_ptr() as *const __m512i)
+    };
+    let (mut s0, mut s1, mut s2, mut s3) = (
+        load(0, states),
+        load(1, states),
+        load(2, states),
+        load(3, states),
+    );
+    sliced_blocks_avx512(
+        lanes,
+        len,
+        |act| {
+            // result = rotl(s0 + s3, 23) + s0.
+            let sum = _mm512_add_epi64(s0, s3);
+            let res = _mm512_add_epi64(_mm512_rol_epi64::<23>(sum), s0);
+            // The linear xoshiro256++ update, each new word one XOR3 of
+            // old words: s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3;
+            // s2 ^= s1 << 17; s3 = rotl(s3, 45) — in the active lanes.
+            let t17 = _mm512_slli_epi64::<17>(s1);
+            let n0 = _mm512_mask_ternarylogic_epi64::<XOR3>(s0, act, s3, s1);
+            let n1 = _mm512_mask_ternarylogic_epi64::<XOR3>(s1, act, s2, s0);
+            let n2 = _mm512_mask_ternarylogic_epi64::<XOR3>(s2, act, s0, t17);
+            s3 = _mm512_mask_mov_epi64(s3, act, _mm512_rol_epi64::<45>(_mm512_xor_si512(s3, s1)));
+            (s0, s1, s2) = (n0, n1, n2);
+            res
+        },
+        emit,
+    );
+    let store = |v: __m512i| {
+        let mut tmp = [0u64; 8];
+        _mm512_storeu_si512(tmp.as_mut_ptr() as *mut __m512i, v);
+        tmp
+    };
+    let (o0, o1, o2, o3) = (store(s0), store(s1), store(s2), store(s3));
+    for (l, st) in states.iter_mut().enumerate() {
+        *st = [o0[l], o1[l], o2[l], o3[l]];
+    }
+}
+
+/// AVX2 xoshiro engine: 4 chains per YMM register group, one group for
+/// `L = 4` and two for `L = 8`; rotates are shift-or pairs and the
+/// state update is blended into the lanes still drawing.
+///
+/// # Safety
+///
+/// The CPU must support `avx2`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn xoshiro_sliced_avx2(
+    states: &mut [[u64; 4]],
+    lanes: &SlicedLanes,
+    len: usize,
+    emit: &mut dyn FnMut(&[u64; 8], usize),
+) {
+    use std::arch::x86_64::*;
+    let groups = states.len() / 4;
+    debug_assert!(groups == 1 || groups == 2);
+    let load = |i: usize, g: usize, states: &[[u64; 4]]| {
+        let tmp: [u64; 4] = std::array::from_fn(|l| states[g * 4 + l][i]);
+        _mm256_loadu_si256(tmp.as_ptr() as *const __m256i)
+    };
+    let mut s = [[_mm256_setzero_si256(); 4]; 2];
+    for g in 0..groups {
+        s[g] = std::array::from_fn(|i| load(i, g, states));
+    }
+    sliced_blocks_avx2(
+        lanes,
+        groups,
+        len,
+        |g, act| {
+            let [s0, s1, s2, s3] = s[g];
+            let sum = _mm256_add_epi64(s0, s3);
+            let rot = _mm256_or_si256(_mm256_slli_epi64::<23>(sum), _mm256_srli_epi64::<41>(sum));
+            let res = _mm256_add_epi64(rot, s0);
+            let n2 = _mm256_xor_si256(s2, s0);
+            let n3 = _mm256_xor_si256(s3, s1);
+            let n1 = _mm256_xor_si256(s1, n2);
+            let n0 = _mm256_xor_si256(s0, n3);
+            let n2 = _mm256_xor_si256(n2, _mm256_slli_epi64::<17>(s1));
+            let n3 = _mm256_or_si256(_mm256_slli_epi64::<45>(n3), _mm256_srli_epi64::<19>(n3));
+            let blend = |old, new| _mm256_blendv_epi8(old, new, act);
+            s[g] = [blend(s0, n0), blend(s1, n1), blend(s2, n2), blend(s3, n3)];
+            res
+        },
+        emit,
+    );
+    for g in 0..groups {
+        let store = |v: __m256i| {
+            let mut tmp = [0u64; 4];
+            _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, v);
+            tmp
+        };
+        let [o0, o1, o2, o3] = s[g].map(store);
+        for l in 0..4 {
+            states[g * 4 + l] = [o0[l], o1[l], o2[l], o3[l]];
+        }
     }
 }
 
@@ -566,165 +837,6 @@ unsafe fn bit_transpose_8x64(v: std::arch::x86_64::__m512i) -> std::arch::x86_64
     let gather = _mm512_loadu_si512(TRANSPOSE_GATHER.as_ptr() as *const __m512i);
     let unit_bytes = _mm512_set1_epi64(0x8040_2010_0804_0201u64 as i64);
     _mm512_gf2p8affine_epi64_epi8::<0>(unit_bytes, _mm512_permutexvar_epi8(gather, v))
-}
-
-/// AVX-512 engine: 8 chains, state word `i` of all chains in one ZMM,
-/// `vprolq` rotates, `vpcmpuq` comparator k-masks stored straight into
-/// the per-draw byte buffer, three-input `vpternlogq` state updates and
-/// the GFNI bit-matrix transpose; `always` lanes are set to their valid
-/// bits after the transpose.
-///
-/// # Safety
-///
-/// The CPU must support `avx512f`, `avx512bw`, `avx512dq`, `avx512vbmi`
-/// and `gfni` (`avx512dq` lets each k-mask store as one `kmovb`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vbmi,gfni")]
-unsafe fn xoshiro_chains8_avx512(
-    states: &mut [[u64; 4]],
-    wide: &[u64],
-    always_mask: u8,
-    len: usize,
-    emit: &mut dyn FnMut(&[u64], usize),
-) {
-    use std::arch::x86_64::*;
-    // Three-input XOR and `(a | b) & c` as vpternlogq truth tables.
-    const XOR3: i32 = 0x96;
-    const OR_AND: i32 = 0xA8;
-    debug_assert_eq!(states.len(), 8);
-    let load = |i: usize, states: &[[u64; 4]]| {
-        let tmp: [u64; 8] = std::array::from_fn(|l| states[l][i]);
-        _mm512_loadu_si512(tmp.as_ptr() as *const __m512i)
-    };
-    let (mut s0, mut s1, mut s2, mut s3) = (
-        load(0, states),
-        load(1, states),
-        load(2, states),
-        load(3, states),
-    );
-    let widev = _mm512_loadu_si512(wide.as_ptr() as *const __m512i);
-    let always = _mm512_maskz_set1_epi64(always_mask, -1);
-    let mut masks = [0u8; 64];
-    let mut words = [0u64; 8];
-    let mut remaining = len;
-    while remaining > 0 {
-        let nbits = remaining.min(64);
-        for m in masks[..nbits].iter_mut() {
-            // result = rotl(s0 + s3, 23) + s0, compared below the
-            // widened threshold (exact unsigned compare).
-            let sum = _mm512_add_epi64(s0, s3);
-            let res = _mm512_add_epi64(_mm512_rol_epi64::<23>(sum), s0);
-            *m = _mm512_cmplt_epu64_mask(res, widev);
-            // The linear xoshiro256++ update, each new word one XOR3 of
-            // old words: s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3;
-            // s2 ^= s1 << 17; s3 = rotl(s3, 45).
-            let t17 = _mm512_slli_epi64::<17>(s1);
-            let n0 = _mm512_ternarylogic_epi64::<XOR3>(s0, s3, s1);
-            let n1 = _mm512_ternarylogic_epi64::<XOR3>(s1, s2, s0);
-            let n2 = _mm512_ternarylogic_epi64::<XOR3>(s2, s0, t17);
-            s3 = _mm512_rol_epi64::<45>(_mm512_xor_si512(s3, s1));
-            (s0, s1, s2) = (n0, n1, n2);
-        }
-        // Bytes at and above nbits are stale; they land in word bits at
-        // and above nbits, which the valid mask clears.
-        let drawn = _mm512_loadu_si512(masks.as_ptr() as *const __m512i);
-        let lane_words = bit_transpose_8x64(bit_transpose_8x64(drawn));
-        let valid = _mm512_set1_epi64((u64::MAX >> (64 - nbits)) as i64);
-        let out = _mm512_ternarylogic_epi64::<OR_AND>(lane_words, always, valid);
-        _mm512_storeu_si512(words.as_mut_ptr() as *mut __m512i, out);
-        emit(&words, nbits);
-        remaining -= nbits;
-    }
-    let store = |v: __m512i| {
-        let mut tmp = [0u64; 8];
-        _mm512_storeu_si512(tmp.as_mut_ptr() as *mut __m512i, v);
-        tmp
-    };
-    let (o0, o1, o2, o3) = (store(s0), store(s1), store(s2), store(s3));
-    for (l, st) in states.iter_mut().enumerate() {
-        *st = [o0[l], o1[l], o2[l], o3[l]];
-    }
-}
-
-/// AVX2 engine: 4 chains per YMM register group, one group for `L = 4`
-/// and two for `L = 8`; rotates are shift-or pairs and the unsigned
-/// comparator is the sign-bias `vpcmpgtq` trick + `vmovmskpd`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi2")]
-unsafe fn xoshiro_chains_avx2(
-    states: &mut [[u64; 4]],
-    wide: &[u64],
-    always_mask: u8,
-    len: usize,
-    emit: &mut dyn FnMut(&[u64], usize),
-) {
-    use std::arch::x86_64::*;
-    let lanes = states.len();
-    debug_assert!(lanes == 4 || lanes == 8);
-    let groups = lanes / 4;
-    let load = |i: usize, g: usize, states: &[[u64; 4]]| {
-        let tmp: [u64; 4] = std::array::from_fn(|l| states[g * 4 + l][i]);
-        _mm256_loadu_si256(tmp.as_ptr() as *const __m256i)
-    };
-    let mut s0 = [_mm256_setzero_si256(); 2];
-    let mut s1 = [_mm256_setzero_si256(); 2];
-    let mut s2 = [_mm256_setzero_si256(); 2];
-    let mut s3 = [_mm256_setzero_si256(); 2];
-    let mut widev = [_mm256_setzero_si256(); 2];
-    let bias = _mm256_set1_epi64x(i64::MIN);
-    for g in 0..groups {
-        s0[g] = load(0, g, states);
-        s1[g] = load(1, g, states);
-        s2[g] = load(2, g, states);
-        s3[g] = load(3, g, states);
-        widev[g] = _mm256_xor_si256(
-            _mm256_loadu_si256(wide[g * 4..].as_ptr() as *const __m256i),
-            bias,
-        );
-    }
-    let mut masks = [0u8; 64];
-    let mut words = [0u64; 8];
-    let mut remaining = len;
-    while remaining > 0 {
-        let nbits = remaining.min(64);
-        for m in masks[..nbits].iter_mut() {
-            let mut bits = 0u32;
-            for g in 0..groups {
-                let sum = _mm256_add_epi64(s0[g], s3[g]);
-                let rot =
-                    _mm256_or_si256(_mm256_slli_epi64::<23>(sum), _mm256_srli_epi64::<41>(sum));
-                let res = _mm256_add_epi64(rot, s0[g]);
-                // Unsigned res < wide  ⇔  signed (wide ^ bias) > (res ^ bias).
-                let lt = _mm256_cmpgt_epi64(widev[g], _mm256_xor_si256(res, bias));
-                bits |= (_mm256_movemask_pd(_mm256_castsi256_pd(lt)) as u32) << (g * 4);
-                let t17 = _mm256_slli_epi64::<17>(s1[g]);
-                s2[g] = _mm256_xor_si256(s2[g], s0[g]);
-                s3[g] = _mm256_xor_si256(s3[g], s1[g]);
-                s1[g] = _mm256_xor_si256(s1[g], s2[g]);
-                s0[g] = _mm256_xor_si256(s0[g], s3[g]);
-                s2[g] = _mm256_xor_si256(s2[g], t17);
-                s3[g] = _mm256_or_si256(
-                    _mm256_slli_epi64::<45>(s3[g]),
-                    _mm256_srli_epi64::<19>(s3[g]),
-                );
-            }
-            *m = bits as u8 | always_mask;
-        }
-        transpose_masks(&mut masks, lanes, nbits, &mut words);
-        emit(&words[..lanes], nbits);
-        remaining -= nbits;
-    }
-    for g in 0..groups {
-        let store = |v: __m256i| {
-            let mut tmp = [0u64; 4];
-            _mm256_storeu_si256(tmp.as_mut_ptr() as *mut __m256i, v);
-            tmp
-        };
-        let (o0, o1, o2, o3) = (store(s0[g]), store(s1[g]), store(s2[g]), store(s3[g]));
-        for l in 0..4 {
-            states[g * 4 + l] = [o0[l], o1[l], o2[l], o3[l]];
-        }
-    }
 }
 
 /// Most shift zeros one lane of a lane block may hold for
@@ -1179,31 +1291,19 @@ unsafe fn ln_avx512(x: std::arch::x86_64::__m512d) -> std::arch::x86_64::__m512d
     _mm512_fmsub_pd(k, c(LN2_HI), _mm512_sub_pd(_mm512_sub_pd(hfsq, inner), f))
 }
 
-/// Whether the vectorized SplitMix64 comparator-chain engine
+/// Whether the vectorized SplitMix64 sliced-comparator engine
 /// ([`splitmix_drain_chains`]) will run for `lanes` chains under the
 /// current dispatch tier.
 pub(crate) fn splitmix_vector_applicable(lanes: usize) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        matches!(lanes, 4 | 8)
-            && active_tier() >= SimdTier::Avx2
-            && is_x86_feature_detected!("bmi2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = lanes;
-        false
-    }
+    sliced_vector_applicable(lanes)
 }
 
-/// Draws `L` independent SplitMix64 comparator chains in vector
-/// lock-step: chain `l` starts at state `states[l]`, each draw emits bit
-/// `(next_u64() < wide[l]) | always[l]`, and 64 draws per chain pack
-/// into one `emit(&block, nbits)` word per lane (LSB-first, exactly the
-/// scalar drain's bit order). On success the states hold each chain's
-/// post-`len`-draws value and the function returns `true`; it returns
-/// `false` (touching nothing) when no vector path applies — callers
-/// must then run the scalar interleave.
+/// Runs `L` independent SplitMix64 sliced comparators in vector
+/// lock-step — [`xoshiro_drain_chains`] for the chaotic-laser source:
+/// chain `l` starts at state `states[l]`, a lane advances only while its
+/// word is undecided, and the words and final states equal a standalone
+/// scalar drain's. Returns `false` (touching nothing) when no vector
+/// path applies.
 ///
 /// The SplitMix64 output mix is two 64-bit multiplies per draw: the
 /// AVX-512 path uses `vpmullq` (gated on `avx512dq`), the AVX2 path
@@ -1211,8 +1311,7 @@ pub(crate) fn splitmix_vector_applicable(lanes: usize) -> bool {
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn splitmix_drain_chains<const L: usize, F>(
     states: &mut [u64; L],
-    wide: &[u64; L],
-    always: &[bool; L],
+    thresholds: &[SlicedThreshold; L],
     len: usize,
     mut emit: F,
 ) -> bool
@@ -1222,35 +1321,29 @@ where
     if !splitmix_vector_applicable(L) {
         return false;
     }
-    let tier = active_tier();
-    let mut always_mask = 0u8;
-    for (l, &a) in always.iter().enumerate() {
-        always_mask |= u8::from(a) << l;
-    }
-    let mut adapter = |words: &[u64], nbits: usize| {
-        let mut block = [0u64; L];
-        block.copy_from_slice(&words[..L]);
+    let lanes = SlicedLanes::new(thresholds);
+    let mut adapter = |words: &[u64; 8], nbits: usize| {
+        let block: [u64; L] = std::array::from_fn(|l| words[l]);
         emit(&block, nbits);
     };
-    // SAFETY: splitmix_vector_applicable checked bmi2 + the tier (which
+    // SAFETY: splitmix_vector_applicable checked the tier (which
     // active_tier clamps to the detected hardware); the avx512 arm
     // additionally checks avx512dq for vpmullq.
     unsafe {
-        if L == 8 && tier == SimdTier::Avx512 && is_x86_feature_detected!("avx512dq") {
-            splitmix_chains8_avx512(states.as_mut_slice(), wide, always_mask, len, &mut adapter);
+        if L == 8 && active_tier() == SimdTier::Avx512 && is_x86_feature_detected!("avx512dq") {
+            splitmix_sliced8_avx512(states.as_mut_slice(), &lanes, len, &mut adapter);
         } else {
-            splitmix_chains_avx2(states.as_mut_slice(), wide, always_mask, len, &mut adapter);
+            splitmix_sliced_avx2(states.as_mut_slice(), &lanes, len, &mut adapter);
         }
     }
     true
 }
 
-/// Non-x86 stub: no vector engine; callers use the scalar interleave.
+/// Non-x86 stub: no vector engine; callers use the scalar walk.
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) fn splitmix_drain_chains<const L: usize, F>(
     _states: &mut [u64; L],
-    _wide: &[u64; L],
-    _always: &[bool; L],
+    _thresholds: &[SlicedThreshold; L],
     _len: usize,
     _emit: F,
 ) -> bool
@@ -1264,61 +1357,60 @@ const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 const SPLITMIX_MIX1: u64 = 0xBF58_476D_1CE4_E5B9;
 const SPLITMIX_MIX2: u64 = 0x94D0_49BB_1331_11EB;
 
-/// AVX-512 engine: 8 chains, all states in one ZMM, `vpmullq` mix
-/// multiplies, `vpcmpuq` comparator k-masks.
+/// AVX-512 SplitMix64 engine: 8 chains, all states in one ZMM, the
+/// `gamma` step masked to the lanes still drawing, `vpmullq` mix
+/// multiplies.
+///
+/// # Safety
+///
+/// The CPU must support `avx512f` and `avx512dq`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512dq,bmi2")]
-unsafe fn splitmix_chains8_avx512(
+#[target_feature(enable = "avx512f,avx512dq")]
+unsafe fn splitmix_sliced8_avx512(
     states: &mut [u64],
-    wide: &[u64],
-    always_mask: u8,
+    lanes: &SlicedLanes,
     len: usize,
-    emit: &mut dyn FnMut(&[u64], usize),
+    emit: &mut dyn FnMut(&[u64; 8], usize),
 ) {
     use std::arch::x86_64::*;
     debug_assert_eq!(states.len(), 8);
     let mut s = _mm512_loadu_si512(states.as_ptr() as *const __m512i);
-    let widev = _mm512_loadu_si512(wide.as_ptr() as *const __m512i);
     let gamma = _mm512_set1_epi64(SPLITMIX_GAMMA as i64);
     let c1 = _mm512_set1_epi64(SPLITMIX_MIX1 as i64);
     let c2 = _mm512_set1_epi64(SPLITMIX_MIX2 as i64);
-    let mut masks = [0u8; 64];
-    let mut words = [0u64; 8];
-    let mut remaining = len;
-    while remaining > 0 {
-        let nbits = remaining.min(64);
-        for m in masks[..nbits].iter_mut() {
-            s = _mm512_add_epi64(s, gamma);
+    sliced_blocks_avx512(
+        lanes,
+        len,
+        |act| {
+            s = _mm512_mask_add_epi64(s, act, s, gamma);
             let mut z = _mm512_mullo_epi64(_mm512_xor_si512(s, _mm512_srli_epi64::<30>(s)), c1);
             z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64::<27>(z)), c2);
-            z = _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z));
-            *m = _mm512_cmplt_epu64_mask(z, widev) | always_mask;
-        }
-        transpose_masks(&mut masks, 8, nbits, &mut words);
-        emit(&words, nbits);
-        remaining -= nbits;
-    }
+            _mm512_xor_si512(z, _mm512_srli_epi64::<31>(z))
+        },
+        emit,
+    );
     _mm512_storeu_si512(states.as_mut_ptr() as *mut __m512i, s);
 }
 
-/// AVX2 engine: 4 chains per YMM register group; the 64-bit mix
-/// multiplies are synthesized from `vpmuludq` 32×32→64 halves
-/// (`lo·lo + ((lo·hi + hi·lo) << 32)`), the unsigned comparator is the
-/// sign-bias `vpcmpgtq` trick + `vmovmskpd`.
+/// AVX2 SplitMix64 engine: 4 chains per YMM register group; the `gamma`
+/// step is masked by AND-ing it with the active lanes, and the 64-bit
+/// mix multiplies are synthesized from `vpmuludq` 32×32→64 halves
+/// (`lo·lo + ((lo·hi + hi·lo) << 32)`).
+///
+/// # Safety
+///
+/// The CPU must support `avx2`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,bmi2")]
-unsafe fn splitmix_chains_avx2(
+#[target_feature(enable = "avx2")]
+unsafe fn splitmix_sliced_avx2(
     states: &mut [u64],
-    wide: &[u64],
-    always_mask: u8,
+    lanes: &SlicedLanes,
     len: usize,
-    emit: &mut dyn FnMut(&[u64], usize),
+    emit: &mut dyn FnMut(&[u64; 8], usize),
 ) {
     use std::arch::x86_64::*;
-    let lanes = states.len();
-    debug_assert!(lanes == 4 || lanes == 8);
-    let groups = lanes / 4;
-    let bias = _mm256_set1_epi64x(i64::MIN);
+    let groups = states.len() / 4;
+    debug_assert!(groups == 1 || groups == 2);
     let gamma = _mm256_set1_epi64x(SPLITMIX_GAMMA as i64);
     let c1 = _mm256_set1_epi64x(SPLITMIX_MIX1 as i64);
     let c2 = _mm256_set1_epi64x(SPLITMIX_MIX2 as i64);
@@ -1331,36 +1423,21 @@ unsafe fn splitmix_chains_avx2(
         _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
     };
     let mut s = [_mm256_setzero_si256(); 2];
-    let mut widev = [_mm256_setzero_si256(); 2];
     for g in 0..groups {
         s[g] = _mm256_loadu_si256(states[g * 4..].as_ptr() as *const __m256i);
-        widev[g] = _mm256_xor_si256(
-            _mm256_loadu_si256(wide[g * 4..].as_ptr() as *const __m256i),
-            bias,
-        );
     }
-    let mut masks = [0u8; 64];
-    let mut words = [0u64; 8];
-    let mut remaining = len;
-    while remaining > 0 {
-        let nbits = remaining.min(64);
-        for m in masks[..nbits].iter_mut() {
-            let mut bits = 0u32;
-            for g in 0..groups {
-                s[g] = _mm256_add_epi64(s[g], gamma);
-                let mut z = mul64(_mm256_xor_si256(s[g], _mm256_srli_epi64::<30>(s[g])), c1);
-                z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)), c2);
-                z = _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z));
-                // Unsigned z < wide  ⇔  signed (wide ^ bias) > (z ^ bias).
-                let lt = _mm256_cmpgt_epi64(widev[g], _mm256_xor_si256(z, bias));
-                bits |= (_mm256_movemask_pd(_mm256_castsi256_pd(lt)) as u32) << (g * 4);
-            }
-            *m = bits as u8 | always_mask;
-        }
-        transpose_masks(&mut masks, lanes, nbits, &mut words);
-        emit(&words[..lanes], nbits);
-        remaining -= nbits;
-    }
+    sliced_blocks_avx2(
+        lanes,
+        groups,
+        len,
+        |g, act| {
+            s[g] = _mm256_add_epi64(s[g], _mm256_and_si256(gamma, act));
+            let mut z = mul64(_mm256_xor_si256(s[g], _mm256_srli_epi64::<30>(s[g])), c1);
+            z = mul64(_mm256_xor_si256(z, _mm256_srli_epi64::<27>(z)), c2);
+            _mm256_xor_si256(z, _mm256_srli_epi64::<31>(z))
+        },
+        emit,
+    );
     for g in 0..groups {
         _mm256_storeu_si256(states[g * 4..].as_mut_ptr() as *mut __m256i, s[g]);
     }
@@ -1754,102 +1831,6 @@ mod tests {
         }
     }
 
-    /// Scalar reference for the SplitMix engine: the same draws the
-    /// `ChaoticLaserSng` interleave makes.
-    fn splitmix_reference(
-        states: &mut [u64],
-        wide: &[u64],
-        always: &[bool],
-        len: usize,
-    ) -> Vec<(Vec<u64>, usize)> {
-        let mut rngs: Vec<SplitMix64> = states.iter().map(|&s| SplitMix64::new(s)).collect();
-        let mut out = Vec::new();
-        let mut remaining = len;
-        while remaining > 0 {
-            let nbits = remaining.min(64);
-            let mut words = vec![0u64; states.len()];
-            for b in 0..nbits {
-                for (l, w) in words.iter_mut().enumerate() {
-                    let bit = (rngs[l].next_u64() < wide[l]) | always[l];
-                    *w |= u64::from(bit) << b;
-                }
-            }
-            out.push((words, nbits));
-            remaining -= nbits;
-        }
-        for (s, rng) in states.iter_mut().zip(&rngs) {
-            *s = rng.state();
-        }
-        out
-    }
-
-    #[test]
-    fn splitmix_engine_matches_scalar_reference_on_every_tier() {
-        // The engine only runs when a vector tier is active; when another
-        // test has raced the global override down to scalar it declines,
-        // which is itself the correct (and asserted) behaviour.
-        let mut seeder = SplitMix64::new(0x5EED_CAFE);
-        for tier in [SimdTier::Avx2, SimdTier::Avx512] {
-            for lanes in [4usize, 8] {
-                for len in [1usize, 63, 64, 65, 257, 1000] {
-                    let mut states: [u64; 8] = std::array::from_fn(|_| seeder.next_u64());
-                    let mut wide = [0u64; 8];
-                    for w in wide.iter_mut().take(lanes) {
-                        *w = seeder.next_u64();
-                    }
-                    // Exercise the saturation flag on one lane.
-                    let mut always = [false; 8];
-                    always[lanes - 1] = true;
-                    let mut want_states = states;
-                    let want = splitmix_reference(
-                        &mut want_states[..lanes],
-                        &wide[..lanes],
-                        &always[..lanes],
-                        len,
-                    );
-                    let granted = set_tier_override(Some(tier));
-                    let mut got = Vec::new();
-                    let ran = if lanes == 4 {
-                        let mut s4: [u64; 4] = states[..4].try_into().unwrap();
-                        let w4: [u64; 4] = wide[..4].try_into().unwrap();
-                        let a4: [bool; 4] = always[..4].try_into().unwrap();
-                        let ran = splitmix_drain_chains::<4, _>(
-                            &mut s4,
-                            &w4,
-                            &a4,
-                            len,
-                            |block, nbits| got.push((block.to_vec(), nbits)),
-                        );
-                        states[..4].copy_from_slice(&s4);
-                        ran
-                    } else {
-                        splitmix_drain_chains::<8, _>(
-                            &mut states,
-                            &wide,
-                            &always,
-                            len,
-                            |block, nbits| got.push((block.to_vec(), nbits)),
-                        )
-                    };
-                    set_tier_override(None);
-                    if !ran {
-                        assert!(
-                            granted < SimdTier::Avx2 || !splitmix_vector_applicable(lanes),
-                            "engine declined although applicable"
-                        );
-                        continue;
-                    }
-                    assert_eq!(got, want, "tier {tier:?}, lanes {lanes}, len {len}");
-                    assert_eq!(
-                        &states[..lanes],
-                        &want_states[..lanes],
-                        "final states, tier {tier:?}, lanes {lanes}, len {len}"
-                    );
-                }
-            }
-        }
-    }
-
     /// Scalar reference for the counter engine: shared counter walk,
     /// per-lane thresholds, `counter_bit` semantics.
     fn counter_reference(wide: &[u64], always: &[bool], len: usize) -> Vec<(Vec<u64>, usize)> {
@@ -1916,95 +1897,71 @@ mod tests {
         }
     }
 
-    /// Scalar reference for the xoshiro engine: the draws the
-    /// `XoshiroSng` interleave makes, from raw state words.
-    fn xoshiro_reference(
-        states: &mut [[u64; 4]],
-        wide: &[u64],
-        always: &[bool],
-        len: usize,
-    ) -> Vec<(Vec<u64>, usize)> {
-        use osc_math::rng::Xoshiro256PlusPlus;
-        let mut rngs: Vec<Xoshiro256PlusPlus> = states
-            .iter()
-            .map(|&s| Xoshiro256PlusPlus::from_state_words(s))
-            .collect();
-        let mut out = Vec::new();
-        let mut remaining = len;
-        while remaining > 0 {
-            let nbits = remaining.min(64);
-            let mut words = vec![0u64; states.len()];
-            for b in 0..nbits {
-                for (l, w) in words.iter_mut().enumerate() {
-                    let bit = (rngs[l].next_u64() < wide[l]) | always[l];
-                    *w |= u64::from(bit) << b;
-                }
-            }
-            out.push((words, nbits));
-            remaining -= nbits;
-        }
-        for (s, rng) in states.iter_mut().zip(&rngs) {
-            *s = rng.state_words();
-        }
-        out
-    }
+    /// Probabilities for the sliced engines: both draw-free endpoints,
+    /// one- and two-draw thresholds, the smallest thresholds and long
+    /// interior ones.
+    const SLICED_PS: [f64; 8] = [
+        0.0,
+        1.0,
+        0.5,
+        0.75,
+        f64::EPSILON / 2.0,
+        f64::EPSILON * 0.75,
+        0.37,
+        1.0 - f64::EPSILON / 2.0,
+    ];
 
-    #[test]
-    fn xoshiro_engine_matches_scalar_reference_on_every_tier() {
-        // p = 0, p = 1 (the `always` flag) and an interior p, rotated
-        // through the lanes so every lane slot sees each of them. As in
-        // the splitmix test, an engine that declines because another
-        // test raced the override down is checked for that reason.
-        let ps = [0.0, 1.0, 0.37];
+    /// Runs one sliced engine against the scalar [`SlicedThreshold::word`]
+    /// walk of the same generator: every tier, 4 and 8 lanes, every
+    /// probability in every lane slot, ragged and multi-word lengths.
+    /// `engine(states, thresholds, len, emit)` is the engine at `L = 8`
+    /// or `4` (the first `lanes` slots); `next(state)` is one scalar draw.
+    /// An engine that declines because another test raced the tier
+    /// override down is checked for that reason.
+    fn assert_sliced_engine_matches_scalar<S: Copy + PartialEq + std::fmt::Debug>(
+        seed: impl Fn(&mut SplitMix64) -> S,
+        next: impl Fn(&mut S) -> u64,
+        engine: impl Fn(
+            usize,
+            &mut [S; 8],
+            &[SlicedThreshold; 8],
+            usize,
+            &mut Vec<(Vec<u64>, usize)>,
+        ) -> bool,
+        applicable: impl Fn(usize) -> bool,
+    ) {
         let mut seeder = SplitMix64::new(0x0105_1120);
         for tier in [SimdTier::Avx2, SimdTier::Avx512] {
             for lanes in [4usize, 8] {
-                for shift in 0..ps.len() {
+                for shift in 0..SLICED_PS.len() {
                     for len in [1usize, 63, 64, 65, 2048] {
-                        let mut states: [[u64; 4]; 8] =
-                            std::array::from_fn(|_| std::array::from_fn(|_| seeder.next_u64() | 1));
-                        let mut wide = [0u64; 8];
-                        let mut always = [false; 8];
-                        for l in 0..lanes {
-                            let t = crate::sng::unit_threshold(ps[(l + shift) % ps.len()], 53);
-                            (wide[l], always[l]) = crate::sng::widen_threshold53(t);
-                        }
+                        let mut states: [S; 8] = std::array::from_fn(|_| seed(&mut seeder));
+                        let thresholds: [SlicedThreshold; 8] = std::array::from_fn(|l| {
+                            let p = SLICED_PS[(l + shift) % SLICED_PS.len()];
+                            SlicedThreshold::new(crate::sng::unit_threshold(p, 53))
+                        });
                         let mut want_states = states;
-                        let want = xoshiro_reference(
-                            &mut want_states[..lanes],
-                            &wide[..lanes],
-                            &always[..lanes],
-                            len,
-                        );
+                        let mut want = Vec::new();
+                        let mut remaining = len;
+                        while remaining > 0 {
+                            let nbits = remaining.min(64);
+                            let words: Vec<u64> = (0..lanes)
+                                .map(|l| {
+                                    let st = &mut want_states[l];
+                                    thresholds[l].word(nbits, || next(st))
+                                })
+                                .collect();
+                            want.push((words, nbits));
+                            remaining -= nbits;
+                        }
                         let granted = set_tier_override(Some(tier));
                         let mut got = Vec::new();
-                        let ran = if lanes == 4 {
-                            let mut s4: [[u64; 4]; 4] = states[..4].try_into().unwrap();
-                            let w4: [u64; 4] = wide[..4].try_into().unwrap();
-                            let a4: [bool; 4] = always[..4].try_into().unwrap();
-                            let ran = xoshiro_drain_chains::<4, _>(
-                                &mut s4,
-                                &w4,
-                                &a4,
-                                len,
-                                |block, nbits| got.push((block.to_vec(), nbits)),
-                            );
-                            states[..4].copy_from_slice(&s4);
-                            ran
-                        } else {
-                            xoshiro_drain_chains::<8, _>(
-                                &mut states,
-                                &wide,
-                                &always,
-                                len,
-                                |block, nbits| got.push((block.to_vec(), nbits)),
-                            )
-                        };
+                        let ran = engine(lanes, &mut states, &thresholds, len, &mut got);
                         set_tier_override(None);
                         let tag = format!("tier {tier:?}, lanes {lanes}, shift {shift}, len {len}");
                         if !ran {
                             assert!(
-                                granted < SimdTier::Avx2 || !xoshiro_vector_applicable(lanes),
+                                granted < SimdTier::Avx2 || !applicable(lanes),
                                 "engine declined although applicable: {tag}"
                             );
                             continue;
@@ -2019,6 +1976,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn xoshiro_engine_matches_scalar_reference_on_every_tier() {
+        use osc_math::rng::Xoshiro256PlusPlus;
+        assert_sliced_engine_matches_scalar(
+            |seeder| std::array::from_fn::<u64, 4, _>(|_| seeder.next_u64() | 1),
+            |s| {
+                let mut rng = Xoshiro256PlusPlus::from_state_words(*s);
+                let r = rng.next_u64();
+                *s = rng.state_words();
+                r
+            },
+            |lanes, states, thresholds, len, got| {
+                let mut push = |block: &[u64], nbits| got.push((block.to_vec(), nbits));
+                if lanes == 4 {
+                    let mut s4: [[u64; 4]; 4] = states[..4].try_into().unwrap();
+                    let t4: [SlicedThreshold; 4] = thresholds[..4].try_into().unwrap();
+                    let ran = xoshiro_drain_chains::<4, _>(&mut s4, &t4, len, |b, n| push(b, n));
+                    states[..4].copy_from_slice(&s4);
+                    ran
+                } else {
+                    xoshiro_drain_chains::<8, _>(states, thresholds, len, |b, n| push(b, n))
+                }
+            },
+            xoshiro_vector_applicable,
+        );
+    }
+
+    #[test]
+    fn splitmix_engine_matches_scalar_reference_on_every_tier() {
+        assert_sliced_engine_matches_scalar(
+            SplitMix64::next_u64,
+            |s| {
+                let mut rng = SplitMix64::new(*s);
+                let r = rng.next_u64();
+                *s = rng.state();
+                r
+            },
+            |lanes, states, thresholds, len, got| {
+                let mut push = |block: &[u64], nbits| got.push((block.to_vec(), nbits));
+                if lanes == 4 {
+                    let mut s4: [u64; 4] = states[..4].try_into().unwrap();
+                    let t4: [SlicedThreshold; 4] = thresholds[..4].try_into().unwrap();
+                    let ran = splitmix_drain_chains::<4, _>(&mut s4, &t4, len, |b, n| push(b, n));
+                    states[..4].copy_from_slice(&s4);
+                    ran
+                } else {
+                    splitmix_drain_chains::<8, _>(states, thresholds, len, |b, n| push(b, n))
+                }
+            },
+            splitmix_vector_applicable,
+        );
     }
 
     /// The literal pre-floor-free gap formula: `floor`, then a finite /

@@ -19,7 +19,13 @@
 //! Every generator assembles whole 64-bit words instead of setting bits
 //! one at a time, and the comparator is lowered to an exact integer
 //! threshold where the random source has a power-of-two range (see
-//! [`unit_threshold`]). The primitive is the *streaming* form: a
+//! [`unit_threshold`]). The LFSR and counter sources compare one state
+//! per bit, as the hardware they model does. The Xoshiro and
+//! chaotic-laser sources run the 53-bit comparison MSB-first over 64
+//! output bits at once: one 64-bit draw per threshold bit, each output
+//! bit decided at its first random bit that differs from the threshold's
+//! — about 9 draws per word instead of 64, with every output bit still
+//! exactly Bernoulli(`⌈p·2⁵³⌉ / 2⁵³`). The primitive is the *streaming* form: a
 //! [`StochasticNumberGenerator::begin`] call hands back a
 //! [`SngWordCursor`] that yields one packed word per 64 clock cycles
 //! straight out of the random source, with no [`BitStream`] (or any heap)
@@ -195,17 +201,181 @@ fn fill_lane_words<B: FnMut() -> bool>(words: &mut [u64], last_bits: usize, mut 
     }
 }
 
-/// Lowers a 53-bit comparator threshold to a full-width `u64` compare:
-/// `(u >> 11) < t  ⇔  (u < wide) | always`. The `always` flag carries the
-/// saturated `t = 2^53` (p = 1) case exactly — the draw still happens,
-/// only the comparison is constant.
-#[inline]
-pub(crate) fn widen_threshold53(t: u64) -> (u64, bool) {
-    if t >= 1 << 53 {
-        (0, true)
-    } else {
-        (t << 11, false)
+/// Draws between two exit tests of the sliced comparator: a word stops
+/// drawing at the first multiple of `SLICE_EXIT_STRIDE` draws after
+/// which none of its bits is still tied (or earlier, once its threshold
+/// runs out of one bits). Part of the stream definition: every path —
+/// cursor, lane drains, vector engines and the per-bit oracle — obeys
+/// it, so the words and final generator states are the same everywhere.
+pub(crate) const SLICE_EXIT_STRIDE: u32 = 4;
+
+/// The 53-bit comparator `u < T` (`T =` [`unit_threshold`]`(p, 53)`) in
+/// the MSB-first bit-sliced form that decides 64 output bits at once.
+///
+/// Output bit `i` of a word compares the uniform 53-bit
+/// `U_i = Σ_j bit_i(r_j) · 2^(52 − j)` against `T`, where `r_0, r_1, …`
+/// are the word's successive 64-bit draws: draw `j` supplies bit `52 − j`
+/// of every output bit's uniform at once. Bit `i` is decided at its
+/// first draw whose bit differs from threshold bit `52 − j` — 1 when the
+/// threshold bit is 1 (`U_i < T`), 0 otherwise — and a bit still tied
+/// when the threshold's remaining bits are all zero is 0 (`U_i ≥ T`).
+/// So each output bit is exactly Bernoulli(`T / 2⁵³`), and a word draws
+/// only until its valid bits are decided:
+///
+/// - `draws` is the threshold's length in bits up to its lowest one bit
+///   (`53 − trailing_zeros(T)`); a word never draws more than that;
+/// - after every [`SLICE_EXIT_STRIDE`]-th draw the word stops if no
+///   valid bit is tied;
+/// - `T = 0` (p = 0) and `T = 2⁵³` (p = 1) draw nothing: every bit is 0,
+///   respectively 1.
+///
+/// A generic `p` takes about 9 draws per 64-bit word (p = 0.5 takes
+/// one), where a per-bit comparator takes 64.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlicedThreshold {
+    /// `T`'s 53 bits MSB-first from bit 63 (`T << 11`): draw `j` reads
+    /// bit `63 − j`.
+    pub(crate) bits: u64,
+    /// Most draws a word takes (0 for `T ∈ {0, 2⁵³}`).
+    pub(crate) draws: u64,
+    /// The word a draw-free threshold yields: all ones for `T = 2⁵³`,
+    /// else 0.
+    pub(crate) saturated: u64,
+}
+
+impl SlicedThreshold {
+    /// The sliced form of the 53-bit threshold `t ≤ 2⁵³`.
+    pub(crate) fn new(t: u64) -> Self {
+        debug_assert!(t <= 1 << 53);
+        if t == 0 || t >= 1 << 53 {
+            SlicedThreshold {
+                bits: 0,
+                draws: 0,
+                saturated: if t == 0 { 0 } else { u64::MAX },
+            }
+        } else {
+            SlicedThreshold {
+                bits: t << 11,
+                draws: u64::from(53 - t.trailing_zeros()),
+                saturated: 0,
+            }
+        }
     }
+
+    /// The sliced threshold for probability `p`, validated.
+    fn for_probability(p: f64) -> Result<Self, ScError> {
+        Ok(Self::new(unit_threshold(check_unit("probability", p)?, 53)))
+    }
+
+    /// Produces one word of `nbits ∈ 1..=64` valid bits from the draws
+    /// `next()` yields, LSB-first with zero padding above the valid bits.
+    /// Only the valid bits start tied, so a ragged word stops as soon as
+    /// they are decided.
+    #[inline]
+    pub(crate) fn word<R: FnMut() -> u64>(&self, nbits: usize, mut next: R) -> u64 {
+        let valid = u64::MAX >> (64 - nbits);
+        if self.draws == 0 {
+            return self.saturated & valid;
+        }
+        let (mut tied, mut ones) = (valid, 0u64);
+        let (mut tbits, mut left) = (self.bits, self.draws);
+        loop {
+            for _ in 0..SLICE_EXIT_STRIDE {
+                let r = next();
+                // All ones where this draw's threshold bit is 1.
+                let tm = ((tbits as i64) >> 63) as u64;
+                ones |= tied & !r & tm;
+                tied &= !(r ^ tm);
+                tbits <<= 1;
+                left -= 1;
+                if left == 0 {
+                    return ones;
+                }
+            }
+            if tied == 0 {
+                return ones;
+            }
+        }
+    }
+
+    /// Per-bit reference of [`SlicedThreshold::word`]: draws the word's
+    /// random words one at a time under the same stopping rule, judging
+    /// "still tied" bit by bit from each bit's drawn prefix, then decides
+    /// every bit by comparing its `d`-bit prefix with `T`'s top `d` bits.
+    fn word_bitwise<R: FnMut() -> u64>(&self, nbits: usize, mut next: R) -> Vec<bool> {
+        let t = if self.saturated != 0 {
+            1u64 << 53
+        } else {
+            self.bits >> 11
+        };
+        let mut draws: Vec<u64> = Vec::new();
+        let prefix = |draws: &[u64], i: usize| {
+            draws
+                .iter()
+                .fold(0u64, |acc, &r| (acc << 1) | ((r >> i) & 1))
+        };
+        let top = |d: usize| t >> (53 - d);
+        while (draws.len() as u64) < self.draws {
+            draws.push(next());
+            let d = draws.len();
+            if d as u64 % u64::from(SLICE_EXIT_STRIDE) == 0
+                && (0..nbits).all(|i| prefix(&draws, i) != top(d))
+            {
+                break;
+            }
+        }
+        (0..nbits)
+            .map(|i| prefix(&draws, i) < top(draws.len()))
+            .collect()
+    }
+}
+
+/// Drains `len` bits as consecutive words of `word(nbits)`.
+#[inline]
+fn drain_words<W: FnMut(usize) -> u64, F: FnMut(u64, usize)>(len: usize, mut word: W, mut emit: F) {
+    let mut remaining = len;
+    while remaining > 0 {
+        let nbits = remaining.min(64);
+        emit(word(nbits), nbits);
+        remaining -= nbits;
+    }
+}
+
+/// Drains `L` lanes in word lockstep, each word one `word(l, nbits)`
+/// call — the portable lane walk of the sliced-comparator sources, whose
+/// per-word draw loops already carry the instruction-level parallelism.
+/// Per lane the draws are strictly sequential, so each lane's words and
+/// final source state equal a standalone drain.
+#[inline]
+fn drain_lane_words<const L: usize, W, F>(len: usize, mut word: W, mut emit: F)
+where
+    W: FnMut(usize, usize) -> u64,
+    F: FnMut(&[u64; L], usize),
+{
+    let mut remaining = len;
+    while remaining > 0 {
+        let nbits = remaining.min(64);
+        let block: [u64; L] = std::array::from_fn(|l| word(l, nbits));
+        emit(&block, nbits);
+        remaining -= nbits;
+    }
+}
+
+/// Per-bit form of a sliced stream: each 64-bit block through
+/// [`SlicedThreshold::word_bitwise`].
+fn sliced_stream_bitwise<R: FnMut() -> u64>(
+    threshold: SlicedThreshold,
+    len: usize,
+    mut next: R,
+) -> BitStream {
+    let mut bits = Vec::with_capacity(len);
+    let mut remaining = len;
+    while remaining > 0 {
+        let nbits = remaining.min(64);
+        bits.extend(threshold.word_bitwise(nbits, &mut next));
+        remaining -= nbits;
+    }
+    BitStream::from_fn(len, |i| bits[i])
 }
 
 /// A streaming word cursor over one stream being generated.
@@ -254,7 +424,7 @@ pub trait StochasticNumberGenerator {
     /// word at a time, without materializing the stream. Draining the
     /// cursor leaves the generator in the same state `generate(p, len)`
     /// would; abandoning it part-way advances the random source only by
-    /// the bits actually pulled — though per-stream setup (such as
+    /// the draws of the words actually pulled — though per-stream setup (such as
     /// [`CounterSng`]'s Halton base) is consumed by `begin` itself, so an
     /// abandoned cursor still counts as one begun stream.
     ///
@@ -287,9 +457,9 @@ pub trait StochasticNumberGenerator {
     /// The lanes are *independent generator instances*, so no jumping is
     /// required: each lane simply draws its own stream. What the blocked
     /// form buys is instruction-level parallelism — `L` comparator chains
-    /// interleave at bit granularity, hiding each source's serial
-    /// state-update latency behind the other `L − 1` (the engine of the
-    /// lane-blocked evaluation pipeline). Per lane the bits and the final
+    /// run side by side (interleaved per bit, or as vector lanes), hiding
+    /// each source's serial state-update latency behind the other `L − 1`
+    /// (the engine of the lane-blocked evaluation pipeline). Per lane the bits and the final
     /// generator state are **identical** to a standalone
     /// [`StochasticNumberGenerator::begin`]`/drain` of the same stream —
     /// the crate's property tests pin that per source.
@@ -334,10 +504,12 @@ pub trait StochasticNumberGenerator {
 
     /// Per-bit reference implementation of [`Self::generate`].
     ///
-    /// Generators with a word-parallel fast path override this with the
-    /// straightforward one-comparison-per-bit loop; the two must be
-    /// bit-identical (including the generator state left behind). The
-    /// default simply delegates to `generate`.
+    /// Generators with a word-parallel fast path override this with a
+    /// straightforward per-bit form of their comparator (one comparison
+    /// per bit; for the sliced sources, each bit's drawn prefix against
+    /// the threshold's); the two must be bit-identical (including the
+    /// generator state left behind). The default simply delegates to
+    /// `generate`.
     ///
     /// # Errors
     ///
@@ -728,7 +900,7 @@ impl XoshiroSng {
 #[derive(Debug)]
 pub struct XoshiroWordCursor<'a> {
     rng: &'a mut Xoshiro256PlusPlus,
-    threshold: u64,
+    threshold: SlicedThreshold,
     remaining: usize,
 }
 
@@ -738,11 +910,13 @@ impl SngWordCursor for XoshiroWordCursor<'_> {
     }
 
     fn next_word(&mut self) -> u64 {
+        if self.remaining == 0 {
+            return 0;
+        }
         let nbits = self.remaining.min(64);
         self.remaining -= nbits;
         let rng = &mut *self.rng;
-        let threshold = self.threshold;
-        pack_word(nbits, || (rng.next_u64() >> 11) < threshold)
+        self.threshold.word(nbits, || rng.next_u64())
     }
 
     fn drain<F: FnMut(u64, usize)>(self, emit: F) {
@@ -753,9 +927,12 @@ impl SngWordCursor for XoshiroWordCursor<'_> {
         } = self;
         // Hoist the generator state into a local so it lives in registers
         // across the whole run instead of bouncing through `&mut self`.
-        let (wide, always) = widen_threshold53(threshold);
         let mut local = rng.clone();
-        drain_with(remaining, || (local.next_u64() < wide) | always, emit);
+        drain_words(
+            remaining,
+            |nbits| threshold.word(nbits, || local.next_u64()),
+            emit,
+        );
         *rng = local;
     }
 }
@@ -767,12 +944,11 @@ impl StochasticNumberGenerator for XoshiroSng {
         Self: 'a;
 
     fn begin(&mut self, p: f64, len: usize) -> Result<XoshiroWordCursor<'_>, ScError> {
-        let p = check_unit("probability", p)?;
-        // `next_f64` is `(next_u64() >> 11) / 2^53`; lower the comparison
-        // to an integer threshold and keep one RNG draw per bit, so the
-        // generator state matches the per-bit reference exactly.
+        // The exact comparison `u / 2^53 < p` of a 53-bit uniform, run
+        // through the sliced comparator: one draw per threshold bit
+        // decides 64 output bits at once.
         Ok(XoshiroWordCursor {
-            threshold: unit_threshold(p, 53),
+            threshold: SlicedThreshold::for_probability(p)?,
             rng: &mut self.rng,
             remaining: len,
         })
@@ -787,45 +963,30 @@ impl StochasticNumberGenerator for XoshiroSng {
     where
         F: FnMut(&[u64; L], usize),
     {
-        let mut wide = [0u64; L];
-        let mut always = [false; L];
-        for l in 0..L {
-            let p = check_unit("probability", ps[l])?;
-            (wide[l], always[l]) = widen_threshold53(unit_threshold(p, 53));
+        let mut thresholds = [SlicedThreshold::new(0); L];
+        for (t, &p) in thresholds.iter_mut().zip(ps) {
+            *t = SlicedThreshold::for_probability(p)?;
         }
         // Vector engine first: AVX2/AVX-512 hold state word i of every
-        // lane in one register and draw all L comparator chains per
-        // instruction — bit-identical to the scalar interleave below
-        // (same draws, same packing, same final states).
+        // lane in one register and run all L sliced comparators at once,
+        // each lane advancing only while it is undecided — the same
+        // words and final states as the scalar walk below.
         let mut raw: [[u64; 4]; L] = std::array::from_fn(|l| lanes[l].rng.state_words());
-        if crate::simd::xoshiro_drain_chains::<L, _>(&mut raw, &wide, &always, len, &mut emit) {
+        if crate::simd::xoshiro_drain_chains::<L, _>(&mut raw, &thresholds, len, &mut emit) {
             for (lane, s) in lanes.iter_mut().zip(raw) {
                 lane.rng = Xoshiro256PlusPlus::from_state_words(s);
             }
             return Ok(());
         }
-        // Portable fallback: hoist all L generator states into locals —
-        // the interleaved comparator chains keep every xoshiro
-        // state-update latency hidden behind the other lanes'.
         let mut states: [Xoshiro256PlusPlus; L] = std::array::from_fn(|l| lanes[l].rng.clone());
-        if scalar_lane_burst::<L>() {
-            drain_lanes_chunked::<L, _, _>(
-                len,
-                |l, words, last_bits| {
-                    let mut s = states[l].clone();
-                    let (wide_l, always_l) = (wide[l], always[l]);
-                    fill_lane_words(words, last_bits, || (s.next_u64() < wide_l) | always_l);
-                    states[l] = s;
-                },
-                emit,
-            );
-        } else {
-            drain_lanes_with::<L, _, _>(
-                len,
-                |l| (states[l].next_u64() < wide[l]) | always[l],
-                emit,
-            );
-        }
+        drain_lane_words::<L, _, _>(
+            len,
+            |l, nbits| {
+                let s = &mut states[l];
+                thresholds[l].word(nbits, || s.next_u64())
+            },
+            emit,
+        );
         for (lane, state) in lanes.iter_mut().zip(states) {
             lane.rng = state;
         }
@@ -833,8 +994,10 @@ impl StochasticNumberGenerator for XoshiroSng {
     }
 
     fn generate_bitwise(&mut self, p: f64, len: usize) -> Result<BitStream, ScError> {
-        let p = check_unit("probability", p)?;
-        Ok(BitStream::from_fn(len, |_| self.rng.bernoulli(p)))
+        let threshold = SlicedThreshold::for_probability(p)?;
+        Ok(sliced_stream_bitwise(threshold, len, || {
+            self.rng.next_u64()
+        }))
     }
 
     fn name(&self) -> &'static str {
@@ -882,17 +1045,13 @@ impl ChaoticLaserSng {
             .finish();
         Self::seeded(clock ^ hasher)
     }
-
-    fn comparator_threshold(p: f64) -> u64 {
-        (p * 2f64.powi(53)) as u64
-    }
 }
 
 /// Streaming cursor of [`ChaoticLaserSng`].
 #[derive(Debug)]
 pub struct ChaoticWordCursor<'a> {
     rng: &'a mut SplitMix64,
-    threshold: u64,
+    threshold: SlicedThreshold,
     remaining: usize,
 }
 
@@ -902,11 +1061,13 @@ impl SngWordCursor for ChaoticWordCursor<'_> {
     }
 
     fn next_word(&mut self) -> u64 {
+        if self.remaining == 0 {
+            return 0;
+        }
         let nbits = self.remaining.min(64);
         self.remaining -= nbits;
         let rng = &mut *self.rng;
-        let threshold = self.threshold;
-        pack_word(nbits, || (rng.next_u64() >> 11) < threshold)
+        self.threshold.word(nbits, || rng.next_u64())
     }
 
     fn drain<F: FnMut(u64, usize)>(self, emit: F) {
@@ -915,9 +1076,12 @@ impl SngWordCursor for ChaoticWordCursor<'_> {
             threshold,
             remaining,
         } = self;
-        let (wide, always) = widen_threshold53(threshold);
         let mut local = *rng;
-        drain_with(remaining, || (local.next_u64() < wide) | always, emit);
+        drain_words(
+            remaining,
+            |nbits| threshold.word(nbits, || local.next_u64()),
+            emit,
+        );
         *rng = local;
     }
 }
@@ -929,9 +1093,8 @@ impl StochasticNumberGenerator for ChaoticLaserSng {
         Self: 'a;
 
     fn begin(&mut self, p: f64, len: usize) -> Result<ChaoticWordCursor<'_>, ScError> {
-        let p = check_unit("probability", p)?;
         Ok(ChaoticWordCursor {
-            threshold: Self::comparator_threshold(p),
+            threshold: SlicedThreshold::for_probability(p)?,
             rng: &mut self.rng,
             remaining: len,
         })
@@ -946,42 +1109,30 @@ impl StochasticNumberGenerator for ChaoticLaserSng {
     where
         F: FnMut(&[u64; L], usize),
     {
-        let mut wide = [0u64; L];
-        let mut always = [false; L];
-        for l in 0..L {
-            let p = check_unit("probability", ps[l])?;
-            (wide[l], always[l]) = widen_threshold53(Self::comparator_threshold(p));
+        let mut thresholds = [SlicedThreshold::new(0); L];
+        for (t, &p) in thresholds.iter_mut().zip(ps) {
+            *t = SlicedThreshold::for_probability(p)?;
         }
         // Vector engine first: the SplitMix64 states of all L lanes fit
-        // one register and each draw is an add + two multiply-mix steps —
-        // bit-identical to the scalar interleave below (same draws, same
-        // packing, same final states).
+        // one register and each draw is an add + two multiply-mix steps;
+        // a lane advances only while it is undecided, so the words and
+        // final states equal the scalar walk below.
         let mut raw: [u64; L] = std::array::from_fn(|l| lanes[l].rng.state());
-        if crate::simd::splitmix_drain_chains::<L, _>(&mut raw, &wide, &always, len, &mut emit) {
+        if crate::simd::splitmix_drain_chains::<L, _>(&mut raw, &thresholds, len, &mut emit) {
             for (lane, s) in lanes.iter_mut().zip(raw) {
                 lane.rng = SplitMix64::new(s);
             }
             return Ok(());
         }
         let mut states: [SplitMix64; L] = std::array::from_fn(|l| lanes[l].rng);
-        if scalar_lane_burst::<L>() {
-            drain_lanes_chunked::<L, _, _>(
-                len,
-                |l, words, last_bits| {
-                    let mut s = states[l];
-                    let (wide_l, always_l) = (wide[l], always[l]);
-                    fill_lane_words(words, last_bits, || (s.next_u64() < wide_l) | always_l);
-                    states[l] = s;
-                },
-                emit,
-            );
-        } else {
-            drain_lanes_with::<L, _, _>(
-                len,
-                |l| (states[l].next_u64() < wide[l]) | always[l],
-                emit,
-            );
-        }
+        drain_lane_words::<L, _, _>(
+            len,
+            |l, nbits| {
+                let s = &mut states[l];
+                thresholds[l].word(nbits, || s.next_u64())
+            },
+            emit,
+        );
         for (lane, state) in lanes.iter_mut().zip(states) {
             lane.rng = state;
         }
@@ -989,10 +1140,9 @@ impl StochasticNumberGenerator for ChaoticLaserSng {
     }
 
     fn generate_bitwise(&mut self, p: f64, len: usize) -> Result<BitStream, ScError> {
-        let p = check_unit("probability", p)?;
-        let threshold = Self::comparator_threshold(p);
-        Ok(BitStream::from_fn(len, |_| {
-            (self.rng.next_u64() >> 11) < threshold
+        let threshold = SlicedThreshold::for_probability(p)?;
+        Ok(sliced_stream_bitwise(threshold, len, || {
+            self.rng.next_u64()
         }))
     }
 
@@ -1260,6 +1410,172 @@ mod tests {
                 sng
             },
             "counter staggered",
+        );
+    }
+
+    /// Probabilities of the sliced-comparator equivalence matrix: the
+    /// draw-free endpoints, the two smallest thresholds (`T` = 1 and 2),
+    /// the one-draw p = 0.5, the longest threshold and a generic value.
+    const SLICED_PS: [f64; 7] = [
+        0.0,
+        f64::EPSILON / 2.0,
+        f64::EPSILON * 0.75,
+        0.5,
+        1.0 - f64::EPSILON / 2.0,
+        1.0,
+        0.318_309_886_183_790_7,
+    ];
+
+    /// Words and final generator state of one standalone `begin`/`drain`.
+    fn standalone<S: StochasticNumberGenerator + Clone>(
+        sng: &S,
+        p: f64,
+        len: usize,
+    ) -> (BitStream, S) {
+        let mut sng = sng.clone();
+        let stream = collect_drain(&mut sng, p, len);
+        (stream, sng)
+    }
+
+    /// Every lane width and forced tier against standalone drains, and
+    /// the standalone drain against the per-bit oracle, with each lane's
+    /// final generator state compared through `state`.
+    fn assert_sliced_paths_agree<S, K>(make: impl Fn(u64) -> S, state: impl Fn(&S) -> K)
+    where
+        S: StochasticNumberGenerator + Clone,
+        K: PartialEq + std::fmt::Debug,
+    {
+        use crate::simd::{set_tier_override, SimdTier};
+        fn lanes<const L: usize, S, K>(
+            make: &impl Fn(u64) -> S,
+            state: &impl Fn(&S) -> K,
+            ps: &[f64; 8],
+            len: usize,
+            want: &[(BitStream, S)],
+            tag: &str,
+        ) where
+            S: StochasticNumberGenerator,
+            K: PartialEq + std::fmt::Debug,
+        {
+            for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
+                set_tier_override(Some(tier));
+                let mut gens: [S; L] = std::array::from_fn(|l| make(l as u64));
+                let lane_ps: [f64; L] = std::array::from_fn(|l| ps[l]);
+                let got = collect_drain_lanes(&mut gens, &lane_ps, len);
+                set_tier_override(None);
+                for l in 0..L {
+                    let case = format!("{tag}, L={L}, lane {l}, tier {tier:?}");
+                    assert_eq!(got[l], want[l].0, "words, {case}");
+                    assert_eq!(state(&gens[l]), state(&want[l].1), "final state, {case}");
+                }
+            }
+        }
+        for shift in 0..SLICED_PS.len() {
+            let ps: [f64; 8] = std::array::from_fn(|l| SLICED_PS[(l + shift) % SLICED_PS.len()]);
+            for len in [1usize, 63, 64, 65, 2048, 8257] {
+                let tag = format!("{}, shift {shift}, len {len}", make(0).name());
+                let want: Vec<(BitStream, S)> = (0..8)
+                    .map(|l| standalone(&make(l), ps[l as usize], len))
+                    .collect();
+                for (l, (stream, after)) in want.iter().enumerate() {
+                    let mut oracle = make(l as u64);
+                    let bits = oracle.generate_bitwise(ps[l], len).unwrap();
+                    assert_eq!(&bits, stream, "per-bit oracle, {tag}, lane {l}");
+                    assert_eq!(
+                        state(&oracle),
+                        state(after),
+                        "oracle state, {tag}, lane {l}"
+                    );
+                    let mut stepped = make(l as u64);
+                    assert_eq!(
+                        &collect_next_word(&mut stepped, ps[l], len),
+                        stream,
+                        "next_word, {tag}, lane {l}"
+                    );
+                    assert_eq!(state(&stepped), state(after), "next_word state, {tag}");
+                }
+                lanes::<1, _, _>(&make, &state, &ps, len, &want, &tag);
+                lanes::<2, _, _>(&make, &state, &ps, len, &want, &tag);
+                lanes::<4, _, _>(&make, &state, &ps, len, &want, &tag);
+                lanes::<8, _, _>(&make, &state, &ps, len, &want, &tag);
+            }
+        }
+    }
+
+    #[test]
+    fn sliced_xoshiro_paths_agree_across_lanes_and_tiers() {
+        assert_sliced_paths_agree(|l| XoshiroSng::new(0x51_1CED + l), |s| s.rng.state_words());
+    }
+
+    #[test]
+    fn sliced_chaotic_paths_agree_across_lanes_and_tiers() {
+        assert_sliced_paths_agree(|l| ChaoticLaserSng::seeded(0xC4A0 + l), |s| s.rng.state());
+    }
+
+    /// How many 64-bit draws one `len`-bit stream at `p` takes from a
+    /// fresh `XoshiroSng::new(seed)`.
+    fn xoshiro_draws(seed: u64, p: f64, len: usize) -> usize {
+        let mut sng = XoshiroSng::new(seed);
+        sng.generate(p, len).unwrap();
+        let after = sng.rng.state_words();
+        let mut walk = Xoshiro256PlusPlus::new(seed);
+        (0..=53 * len.div_ceil(64))
+            .find(|_| {
+                let done = walk.state_words() == after;
+                walk.next_u64();
+                done
+            })
+            .expect("at most 53 draws per word")
+    }
+
+    #[test]
+    fn sliced_draw_counts_follow_the_stream_definition() {
+        // 8257 bits = 129 full words and a one-bit word.
+        let words = 8257usize.div_ceil(64);
+        // p = 0 and p = 1 draw nothing; p = 0.5 (T = 2^52) has a one-bit
+        // threshold and p = 0.75 a two-bit one, whatever the word width.
+        for (p, per_word) in [(0.0, 0), (1.0, 0), (0.5, 1), (0.75, 2)] {
+            for seed in [1u64, 2, 3] {
+                assert_eq!(xoshiro_draws(seed, p, 8257), per_word * words, "p={p}");
+                assert_eq!(xoshiro_draws(seed, p, 1), per_word, "p={p}, one bit");
+            }
+        }
+        // A generic p stops at multiples of the exit stride, and a ragged
+        // word's tied mask holds only its valid bits: a one-bit word is
+        // decided within the first stride 15 times in 16, where 64 tied
+        // bits need about 9 draws.
+        let stride = SLICE_EXIT_STRIDE as usize;
+        let p = 0.318_309_886_183_790_7;
+        let one_bit: Vec<usize> = (0..256).map(|seed| xoshiro_draws(seed, p, 1)).collect();
+        assert!(
+            one_bit.iter().all(|&d| d > 0 && d % stride == 0),
+            "{one_bit:?}"
+        );
+        let mean_one = one_bit.iter().sum::<usize>() as f64 / one_bit.len() as f64;
+        let mean_full = (0..256)
+            .map(|seed| xoshiro_draws(seed, p, 64))
+            .sum::<usize>() as f64
+            / 256.0;
+        assert!(
+            mean_one < 5.0,
+            "one-bit words took {mean_one} draws on average"
+        );
+        assert!(
+            (7.0..=11.0).contains(&mean_full),
+            "64-bit words took {mean_full} draws on average"
+        );
+    }
+
+    #[test]
+    fn chaotic_threshold_rounds_up_like_unit_threshold() {
+        // p·2^53 = 1.5: the exact comparison u / 2^53 < p admits u ∈ {0, 1}.
+        let p = 3.0 * 2f64.powi(-54);
+        assert_eq!(unit_threshold(p, 53), 2);
+        let mut sng = ChaoticLaserSng::seeded(1);
+        assert_eq!(sng.begin(p, 64).unwrap().threshold, SlicedThreshold::new(2));
+        assert_eq!(
+            sng.begin(f64::EPSILON / 2.0, 64).unwrap().threshold,
+            SlicedThreshold::new(1)
         );
     }
 
