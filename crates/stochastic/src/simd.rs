@@ -48,9 +48,10 @@
 //!   exactly the words of the scalar reference walk — same draws, same
 //!   comparator semantics (the sliced 53-bit comparator and its stopping
 //!   rule for Xoshiro and SplitMix64, integer thresholds for the
-//!   counter), same LSB-first packing, same final generator states. The in-module tests and the cross-crate
-//!   `lane_equivalence.rs` matrix pin this word-for-word across tiers,
-//!   so dispatch may change *speed* but never *results*.
+//!   counter), same LSB-first packing, same final generator states.
+//!   The in-module tests and the cross-crate `lane_equivalence.rs`
+//!   matrix pin this word-for-word across tiers, so dispatch may change
+//!   *speed* but never *results*.
 //!
 //! # Dispatch tier
 //!
@@ -422,15 +423,9 @@ unsafe fn popcount_lanes_avx512(words: &[u64], lanes: usize, acc: &mut [u64]) {
     }
 }
 
-/// Whether the vectorized xoshiro sliced-comparator engine
-/// ([`xoshiro_drain_chains`]) will run for `lanes` chains under the
-/// current dispatch tier.
-pub(crate) fn xoshiro_vector_applicable(lanes: usize) -> bool {
-    sliced_vector_applicable(lanes)
-}
-
-/// The shared gate of the two sliced-comparator engines: 4 or 8 lanes
-/// on the AVX2 tier or above.
+/// Whether the sliced-comparator engines ([`xoshiro_drain_chains`],
+/// [`splitmix_drain_chains`]) run for `lanes` chains under the current
+/// dispatch tier: 4 or 8 lanes on the AVX2 tier or above.
 fn sliced_vector_applicable(lanes: usize) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -494,7 +489,7 @@ pub(crate) fn xoshiro_drain_chains<const L: usize, F>(
 where
     F: FnMut(&[u64; L], usize),
 {
-    if !xoshiro_vector_applicable(L) {
+    if !sliced_vector_applicable(L) {
         return false;
     }
     let lanes = SlicedLanes::new(thresholds);
@@ -502,7 +497,7 @@ where
         let block: [u64; L] = std::array::from_fn(|l| words[l]);
         emit(&block, nbits);
     };
-    // SAFETY: xoshiro_vector_applicable checked the tier, which
+    // SAFETY: sliced_vector_applicable checked the tier, which
     // active_tier clamps to the detected hardware: AVX-512 implies
     // avx512f, AVX2 implies avx2.
     unsafe {
@@ -762,8 +757,8 @@ unsafe fn xoshiro_sliced_avx2(
         _mm256_loadu_si256(tmp.as_ptr() as *const __m256i)
     };
     let mut s = [[_mm256_setzero_si256(); 4]; 2];
-    for g in 0..groups {
-        s[g] = std::array::from_fn(|i| load(i, g, states));
+    for (g, sg) in s.iter_mut().take(groups).enumerate() {
+        *sg = std::array::from_fn(|i| load(i, g, states));
     }
     sliced_blocks_avx2(
         lanes,
@@ -1291,13 +1286,6 @@ unsafe fn ln_avx512(x: std::arch::x86_64::__m512d) -> std::arch::x86_64::__m512d
     _mm512_fmsub_pd(k, c(LN2_HI), _mm512_sub_pd(_mm512_sub_pd(hfsq, inner), f))
 }
 
-/// Whether the vectorized SplitMix64 sliced-comparator engine
-/// ([`splitmix_drain_chains`]) will run for `lanes` chains under the
-/// current dispatch tier.
-pub(crate) fn splitmix_vector_applicable(lanes: usize) -> bool {
-    sliced_vector_applicable(lanes)
-}
-
 /// Runs `L` independent SplitMix64 sliced comparators in vector
 /// lock-step — [`xoshiro_drain_chains`] for the chaotic-laser source:
 /// chain `l` starts at state `states[l]`, a lane advances only while its
@@ -1318,7 +1306,7 @@ pub(crate) fn splitmix_drain_chains<const L: usize, F>(
 where
     F: FnMut(&[u64; L], usize),
 {
-    if !splitmix_vector_applicable(L) {
+    if !sliced_vector_applicable(L) {
         return false;
     }
     let lanes = SlicedLanes::new(thresholds);
@@ -1326,7 +1314,7 @@ where
         let block: [u64; L] = std::array::from_fn(|l| words[l]);
         emit(&block, nbits);
     };
-    // SAFETY: splitmix_vector_applicable checked the tier (which
+    // SAFETY: sliced_vector_applicable checked the tier (which
     // active_tier clamps to the detected hardware); the avx512 arm
     // additionally checks avx512dq for vpmullq.
     unsafe {
@@ -1928,7 +1916,6 @@ mod tests {
             usize,
             &mut Vec<(Vec<u64>, usize)>,
         ) -> bool,
-        applicable: impl Fn(usize) -> bool,
     ) {
         let mut seeder = SplitMix64::new(0x0105_1120);
         for tier in [SimdTier::Avx2, SimdTier::Avx512] {
@@ -1961,7 +1948,7 @@ mod tests {
                         let tag = format!("tier {tier:?}, lanes {lanes}, shift {shift}, len {len}");
                         if !ran {
                             assert!(
-                                granted < SimdTier::Avx2 || !applicable(lanes),
+                                granted < SimdTier::Avx2 || !sliced_vector_applicable(lanes),
                                 "engine declined although applicable: {tag}"
                             );
                             continue;
@@ -2001,7 +1988,6 @@ mod tests {
                     xoshiro_drain_chains::<8, _>(states, thresholds, len, |b, n| push(b, n))
                 }
             },
-            xoshiro_vector_applicable,
         );
     }
 
@@ -2027,7 +2013,6 @@ mod tests {
                     splitmix_drain_chains::<8, _>(states, thresholds, len, |b, n| push(b, n))
                 }
             },
-            splitmix_vector_applicable,
         );
     }
 

@@ -318,7 +318,7 @@ impl SlicedThreshold {
         while (draws.len() as u64) < self.draws {
             draws.push(next());
             let d = draws.len();
-            if d as u64 % u64::from(SLICE_EXIT_STRIDE) == 0
+            if (d as u64).is_multiple_of(u64::from(SLICE_EXIT_STRIDE))
                 && (0..nbits).all(|i| prefix(&draws, i) != top(d))
             {
                 break;
@@ -342,9 +342,8 @@ fn drain_words<W: FnMut(usize) -> u64, F: FnMut(u64, usize)>(len: usize, mut wor
 }
 
 /// Drains `L` lanes in word lockstep, each word one `word(l, nbits)`
-/// call — the portable lane walk of the sliced-comparator sources, whose
-/// per-word draw loops already carry the instruction-level parallelism.
-/// Per lane the draws are strictly sequential, so each lane's words and
+/// call — the portable lane walk of the sliced-comparator sources. Per
+/// lane the draws are strictly sequential, so each lane's words and
 /// final source state equal a standalone drain.
 #[inline]
 fn drain_lane_words<const L: usize, W, F>(len: usize, mut word: W, mut emit: F)
@@ -424,9 +423,9 @@ pub trait StochasticNumberGenerator {
     /// word at a time, without materializing the stream. Draining the
     /// cursor leaves the generator in the same state `generate(p, len)`
     /// would; abandoning it part-way advances the random source only by
-    /// the draws of the words actually pulled — though per-stream setup (such as
-    /// [`CounterSng`]'s Halton base) is consumed by `begin` itself, so an
-    /// abandoned cursor still counts as one begun stream.
+    /// the draws of the words actually pulled — though per-stream setup
+    /// (such as [`CounterSng`]'s Halton base) is consumed by `begin`
+    /// itself, so an abandoned cursor still counts as one begun stream.
     ///
     /// # Errors
     ///
@@ -459,8 +458,8 @@ pub trait StochasticNumberGenerator {
     /// form buys is instruction-level parallelism — `L` comparator chains
     /// run side by side (interleaved per bit, or as vector lanes), hiding
     /// each source's serial state-update latency behind the other `L − 1`
-    /// (the engine of the lane-blocked evaluation pipeline). Per lane the bits and the final
-    /// generator state are **identical** to a standalone
+    /// (the engine of the lane-blocked evaluation pipeline). Per lane the
+    /// bits and the final generator state are **identical** to a standalone
     /// [`StochasticNumberGenerator::begin`]`/drain` of the same stream —
     /// the crate's property tests pin that per source.
     ///
@@ -1423,7 +1422,7 @@ mod tests {
         0.5,
         1.0 - f64::EPSILON / 2.0,
         1.0,
-        0.318_309_886_183_790_7,
+        0.123_456_789_012_345_67,
     ];
 
     /// Words and final generator state of one standalone `begin`/`drain`.
@@ -1545,10 +1544,10 @@ mod tests {
         // decided within the first stride 15 times in 16, where 64 tied
         // bits need about 9 draws.
         let stride = SLICE_EXIT_STRIDE as usize;
-        let p = 0.318_309_886_183_790_7;
+        let p = 0.123_456_789_012_345_67;
         let one_bit: Vec<usize> = (0..256).map(|seed| xoshiro_draws(seed, p, 1)).collect();
         assert!(
-            one_bit.iter().all(|&d| d > 0 && d % stride == 0),
+            one_bit.iter().all(|&d| d > 0 && d.is_multiple_of(stride)),
             "{one_bit:?}"
         );
         let mean_one = one_bit.iter().sum::<usize>() as f64 / one_bit.len() as f64;
