@@ -99,13 +99,7 @@ fn main() {
     let tier = osc_stochastic::simd::active_tier().name();
     let report = kernels::run(budget_ms);
     kernels::print(&report);
-    // A bare `--check` only judges; otherwise the record goes to `--out`
-    // (default BENCH_kernels.json).
-    let out_path = match (out_path, &check_path) {
-        (Some(path), _) => Some(path),
-        (None, Some(_)) => None,
-        (None, None) => Some(String::from("BENCH_kernels.json")),
-    };
+    let out_path = out_path.or_else(|| check_path.is_none().then(|| "BENCH_kernels.json".into()));
     if let Some(out_path) = out_path {
         let record = kernels::render_run(&report, &label, tier);
         let existing = std::fs::read_to_string(&out_path).ok();
