@@ -440,12 +440,14 @@ fn sliced_vector_applicable(lanes: usize) -> bool {
 
 /// The per-lane threshold vectors of the sliced engines: `T`'s bits
 /// MSB-first, the draw cap and the draw-free word, 8 slots each (unused
-/// slots draw nothing and yield 0).
+/// slots draw nothing and yield 0), and the largest cap.
 #[cfg(target_arch = "x86_64")]
 struct SlicedLanes {
     bits: [u64; 8],
     draws: [u64; 8],
     saturated: [u64; 8],
+    /// The largest of `draws`.
+    max_draws: u64,
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -455,13 +457,26 @@ impl SlicedLanes {
             bits: [0; 8],
             draws: [0; 8],
             saturated: [0; 8],
+            max_draws: 0,
         };
         for (l, t) in thresholds.iter().enumerate() {
             lanes.bits[l] = t.bits;
             lanes.draws[l] = t.draws;
             lanes.saturated[l] = t.saturated;
+            lanes.max_draws = lanes.max_draws.max(t.draws);
         }
         lanes
+    }
+
+    /// Draws of the exit stride starting at draw `d`: a full
+    /// [`SLICE_EXIT_STRIDE`](crate::sng::SLICE_EXIT_STRIDE), cut short
+    /// at the largest draw cap — past it every lane is masked off, so
+    /// the skipped steps would draw nothing.
+    #[inline]
+    fn stride_steps(&self, d: u64) -> u64 {
+        self.max_draws
+            .saturating_sub(d)
+            .min(u64::from(crate::sng::SLICE_EXIT_STRIDE))
     }
 }
 
@@ -589,7 +604,7 @@ unsafe fn sliced_blocks_avx512<D>(
         let mut running = drawing;
         let mut d = 0u64;
         while running != 0 {
-            for _ in 0..crate::sng::SLICE_EXIT_STRIDE {
+            for _ in 0..lanes.stride_steps(d) {
                 let act = running & _mm512_cmpgt_epu64_mask(cap, _mm512_set1_epi64(d as i64));
                 let r = draw(act);
                 let tm = _mm512_srai_epi64::<63>(tcur);
@@ -641,7 +656,7 @@ unsafe fn sliced_blocks_avx2<D>(
         }
         let mut d = 0i64;
         while (0..groups).any(|g| _mm256_testz_si256(running[g], running[g]) == 0) {
-            for _ in 0..crate::sng::SLICE_EXIT_STRIDE {
+            for _ in 0..lanes.stride_steps(d as u64) {
                 let dv = _mm256_set1_epi64x(d);
                 for g in 0..groups {
                     let act =
@@ -1901,7 +1916,8 @@ mod tests {
 
     /// Runs one sliced engine against the scalar [`SlicedThreshold::word`]
     /// walk of the same generator: every tier, 4 and 8 lanes, every
-    /// probability in every lane slot, ragged and multi-word lengths.
+    /// probability in every lane slot and in all lanes at once, ragged
+    /// and multi-word lengths.
     /// `engine(states, thresholds, len, emit)` is the engine at `L = 8`
     /// or `4` (the first `lanes` slots); `next(state)` is one scalar draw.
     /// An engine that declines because another test raced the tier
@@ -1920,11 +1936,18 @@ mod tests {
         let mut seeder = SplitMix64::new(0x0105_1120);
         for tier in [SimdTier::Avx2, SimdTier::Avx512] {
             for lanes in [4usize, 8] {
-                for shift in 0..SLICED_PS.len() {
+                // Every probability in every lane slot (layouts 0..8),
+                // then each one in all lanes at once (8..16).
+                for layout in 0..2 * SLICED_PS.len() {
                     for len in [1usize, 63, 64, 65, 2048] {
                         let mut states: [S; 8] = std::array::from_fn(|_| seed(&mut seeder));
                         let thresholds: [SlicedThreshold; 8] = std::array::from_fn(|l| {
-                            let p = SLICED_PS[(l + shift) % SLICED_PS.len()];
+                            let n = SLICED_PS.len();
+                            let p = SLICED_PS[if layout < n {
+                                (l + layout) % n
+                            } else {
+                                layout - n
+                            }];
                             SlicedThreshold::new(crate::sng::unit_threshold(p, 53))
                         });
                         let mut want_states = states;
@@ -1945,7 +1968,8 @@ mod tests {
                         let mut got = Vec::new();
                         let ran = engine(lanes, &mut states, &thresholds, len, &mut got);
                         set_tier_override(None);
-                        let tag = format!("tier {tier:?}, lanes {lanes}, shift {shift}, len {len}");
+                        let tag =
+                            format!("tier {tier:?}, lanes {lanes}, layout {layout}, len {len}");
                         if !ran {
                             assert!(
                                 granted < SimdTier::Avx2 || !sliced_vector_applicable(lanes),

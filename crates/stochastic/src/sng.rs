@@ -144,8 +144,10 @@ fn scalar_lane_burst<const L: usize>() -> bool {
     L > 1 && crate::simd::active_tier() == crate::simd::SimdTier::Scalar
 }
 
-/// Scalar-tier companion of [`drain_lanes_with`]: each lane fills a
-/// whole multi-word chunk in one tight run — `run(l, words, last_bits)`
+/// Chunked companion of [`drain_lanes_with`] (the scalar-tier schedule
+/// of the per-bit sources, and the portable walk of the sliced ones,
+/// [`drain_sliced_lanes`]): each lane fills a whole multi-word chunk in
+/// one tight run — `run(l, words, last_bits)`
 /// packs `words.len()` words of lane `l`'s stream, with `last_bits`
 /// valid bits in the final word — before the next lane starts, so a
 /// caller-hoisted source state stays in registers for up to
@@ -341,23 +343,37 @@ fn drain_words<W: FnMut(usize) -> u64, F: FnMut(u64, usize)>(len: usize, mut wor
     }
 }
 
-/// Drains `L` lanes in word lockstep, each word one `word(l, nbits)`
-/// call — the portable lane walk of the sliced-comparator sources. Per
-/// lane the draws are strictly sequential, so each lane's words and
-/// final source state equal a standalone drain.
+/// The portable lane walk of the sliced-comparator sources, on
+/// [`drain_lanes_chunked`]: lane `l` draws from `states[l]` through
+/// `next` against `thresholds[l]`, one lane's chunk at a time, so its
+/// state stays in registers as in a standalone drain. Per lane the draws
+/// are strictly sequential, so each lane's words and final state equal a
+/// standalone drain.
 #[inline]
-fn drain_lane_words<const L: usize, W, F>(len: usize, mut word: W, mut emit: F)
-where
-    W: FnMut(usize, usize) -> u64,
+fn drain_sliced_lanes<const L: usize, S, N, F>(
+    states: &mut [S; L],
+    thresholds: &[SlicedThreshold; L],
+    len: usize,
+    mut next: N,
+    emit: F,
+) where
+    S: Clone,
+    N: FnMut(&mut S) -> u64,
     F: FnMut(&[u64; L], usize),
 {
-    let mut remaining = len;
-    while remaining > 0 {
-        let nbits = remaining.min(64);
-        let block: [u64; L] = std::array::from_fn(|l| word(l, nbits));
-        emit(&block, nbits);
-        remaining -= nbits;
-    }
+    drain_lanes_chunked::<L, _, _>(
+        len,
+        |l, words, last_bits| {
+            let (mut state, threshold) = (states[l].clone(), thresholds[l]);
+            let n = words.len();
+            for (i, w) in words.iter_mut().enumerate() {
+                let nbits = if i + 1 == n { last_bits } else { 64 };
+                *w = threshold.word(nbits, || next(&mut state));
+            }
+            states[l] = state;
+        },
+        emit,
+    );
 }
 
 /// Per-bit form of a sliced stream: each 64-bit block through
@@ -978,12 +994,11 @@ impl StochasticNumberGenerator for XoshiroSng {
             return Ok(());
         }
         let mut states: [Xoshiro256PlusPlus; L] = std::array::from_fn(|l| lanes[l].rng.clone());
-        drain_lane_words::<L, _, _>(
+        drain_sliced_lanes(
+            &mut states,
+            &thresholds,
             len,
-            |l, nbits| {
-                let s = &mut states[l];
-                thresholds[l].word(nbits, || s.next_u64())
-            },
+            Xoshiro256PlusPlus::next_u64,
             emit,
         );
         for (lane, state) in lanes.iter_mut().zip(states) {
@@ -1124,14 +1139,7 @@ impl StochasticNumberGenerator for ChaoticLaserSng {
             return Ok(());
         }
         let mut states: [SplitMix64; L] = std::array::from_fn(|l| lanes[l].rng);
-        drain_lane_words::<L, _, _>(
-            len,
-            |l, nbits| {
-                let s = &mut states[l];
-                thresholds[l].word(nbits, || s.next_u64())
-            },
-            emit,
-        );
+        drain_sliced_lanes(&mut states, &thresholds, len, SplitMix64::next_u64, emit);
         for (lane, state) in lanes.iter_mut().zip(states) {
             lane.rng = state;
         }
@@ -1469,10 +1477,16 @@ mod tests {
                 }
             }
         }
-        for shift in 0..SLICED_PS.len() {
-            let ps: [f64; 8] = std::array::from_fn(|l| SLICED_PS[(l + shift) % SLICED_PS.len()]);
+        // Every probability in every lane slot, then each one in all
+        // lanes at once (the vector engines cut a stride at the largest
+        // draw cap of the block).
+        let rotated = (0..SLICED_PS.len())
+            .map(|shift| std::array::from_fn(|l| SLICED_PS[(l + shift) % SLICED_PS.len()]));
+        let uniform = SLICED_PS.iter().map(|&p| [p; 8]);
+        for (layout, ps) in rotated.chain(uniform).enumerate() {
+            let ps: [f64; 8] = ps;
             for len in [1usize, 63, 64, 65, 2048, 8257] {
-                let tag = format!("{}, shift {shift}, len {len}", make(0).name());
+                let tag = format!("{}, layout {layout}, len {len}", make(0).name());
                 let want: Vec<(BitStream, S)> = (0..8)
                     .map(|l| standalone(&make(l), ps[l as usize], len))
                     .collect();
