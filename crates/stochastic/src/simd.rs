@@ -446,7 +446,8 @@ struct SlicedLanes {
     bits: [u64; 8],
     draws: [u64; 8],
     saturated: [u64; 8],
-    /// The largest of `draws`.
+    /// The largest of `draws`: when it is shorter than an exit stride, a
+    /// block takes just that many steps.
     max_draws: u64,
 }
 
@@ -466,17 +467,6 @@ impl SlicedLanes {
             lanes.max_draws = lanes.max_draws.max(t.draws);
         }
         lanes
-    }
-
-    /// Draws of the exit stride starting at draw `d`: a full
-    /// [`SLICE_EXIT_STRIDE`](crate::sng::SLICE_EXIT_STRIDE), cut short
-    /// at the largest draw cap — past it every lane is masked off, so
-    /// the skipped steps would draw nothing.
-    #[inline]
-    fn stride_steps(&self, d: u64) -> u64 {
-        self.max_draws
-            .saturating_sub(d)
-            .min(u64::from(crate::sng::SLICE_EXIT_STRIDE))
     }
 }
 
@@ -593,6 +583,14 @@ unsafe fn sliced_blocks_avx512<D>(
     let cap = _mm512_loadu_si512(lanes.draws.as_ptr() as *const __m512i);
     let saturated = _mm512_loadu_si512(lanes.saturated.as_ptr() as *const __m512i);
     let drawing = _mm512_test_epi64_mask(cap, cap);
+    // Draw `d` of the running lanes still below their caps.
+    let mut step = |d: u64, running, tied: &mut __m512i, ones: &mut __m512i, tcur: &mut __m512i| {
+        let act = running & _mm512_cmpgt_epu64_mask(cap, _mm512_set1_epi64(d as i64));
+        let r = draw(act);
+        let tm = _mm512_srai_epi64::<63>(*tcur);
+        sliced_step_avx512(act, r, tm, tied, ones);
+        *tcur = _mm512_slli_epi64::<1>(*tcur);
+    };
     let mut words = [0u64; 8];
     let mut remaining = len;
     while remaining > 0 {
@@ -602,18 +600,22 @@ unsafe fn sliced_blocks_avx512<D>(
         let mut ones = _mm512_and_si512(saturated, valid);
         let mut tcur = bits;
         let mut running = drawing;
-        let mut d = 0u64;
-        while running != 0 {
-            for _ in 0..lanes.stride_steps(d) {
-                let act = running & _mm512_cmpgt_epu64_mask(cap, _mm512_set1_epi64(d as i64));
-                let r = draw(act);
-                let tm = _mm512_srai_epi64::<63>(tcur);
-                sliced_step_avx512(act, r, tm, &mut tied, &mut ones);
-                tcur = _mm512_slli_epi64::<1>(tcur);
-                d += 1;
+        if lanes.max_draws < u64::from(crate::sng::SLICE_EXIT_STRIDE) {
+            // Every cap ends inside the first exit stride, and past the
+            // largest one every lane is masked off.
+            for d in 0..lanes.max_draws {
+                step(d, running, &mut tied, &mut ones, &mut tcur);
             }
-            running &= _mm512_test_epi64_mask(tied, tied)
-                & _mm512_cmpgt_epu64_mask(cap, _mm512_set1_epi64(d as i64));
+        } else {
+            let mut d = 0u64;
+            while running != 0 {
+                for _ in 0..crate::sng::SLICE_EXIT_STRIDE {
+                    step(d, running, &mut tied, &mut ones, &mut tcur);
+                    d += 1;
+                }
+                running &= _mm512_test_epi64_mask(tied, tied)
+                    & _mm512_cmpgt_epu64_mask(cap, _mm512_set1_epi64(d as i64));
+            }
         }
         _mm512_storeu_si512(words.as_mut_ptr() as *mut __m512i, ones);
         emit(&words, nbits);
@@ -640,6 +642,28 @@ unsafe fn sliced_blocks_avx2<D>(
     use std::arch::x86_64::*;
     let zero = _mm256_setzero_si256();
     let load = |a: &[u64; 8], g: usize| _mm256_loadu_si256(a[g * 4..].as_ptr() as *const __m256i);
+    // Draw `d` of the running lanes still below their caps, per group.
+    let mut step = |d: i64,
+                    running: &[__m256i; 2],
+                    tied: &mut [__m256i; 2],
+                    ones: &mut [__m256i; 2],
+                    tcur: &mut [__m256i; 2]| {
+        let dv = _mm256_set1_epi64x(d);
+        for g in 0..groups {
+            let act = _mm256_and_si256(running[g], _mm256_cmpgt_epi64(load(&lanes.draws, g), dv));
+            let r = draw(g, act);
+            // All ones where the threshold bit (the sign bit) is 1.
+            let tm = _mm256_cmpgt_epi64(zero, tcur[g]);
+            let decided_one = _mm256_andnot_si256(r, tm);
+            ones[g] = _mm256_or_si256(
+                ones[g],
+                _mm256_and_si256(_mm256_and_si256(tied[g], decided_one), act),
+            );
+            let differs = _mm256_xor_si256(r, tm);
+            tied[g] = _mm256_andnot_si256(_mm256_and_si256(differs, act), tied[g]);
+            tcur[g] = _mm256_slli_epi64::<1>(tcur[g]);
+        }
+    };
     let mut words = [0u64; 8];
     let mut remaining = len;
     while remaining > 0 {
@@ -654,32 +678,24 @@ unsafe fn sliced_blocks_avx2<D>(
             tcur[g] = load(&lanes.bits, g);
             running[g] = _mm256_cmpgt_epi64(load(&lanes.draws, g), zero);
         }
-        let mut d = 0i64;
-        while (0..groups).any(|g| _mm256_testz_si256(running[g], running[g]) == 0) {
-            for _ in 0..lanes.stride_steps(d as u64) {
+        if lanes.max_draws < u64::from(crate::sng::SLICE_EXIT_STRIDE) {
+            for d in 0..lanes.max_draws as i64 {
+                step(d, &running, &mut tied, &mut ones, &mut tcur);
+            }
+        } else {
+            let mut d = 0i64;
+            while (0..groups).any(|g| _mm256_testz_si256(running[g], running[g]) == 0) {
+                for _ in 0..crate::sng::SLICE_EXIT_STRIDE {
+                    step(d, &running, &mut tied, &mut ones, &mut tcur);
+                    d += 1;
+                }
                 let dv = _mm256_set1_epi64x(d);
                 for g in 0..groups {
-                    let act =
-                        _mm256_and_si256(running[g], _mm256_cmpgt_epi64(load(&lanes.draws, g), dv));
-                    let r = draw(g, act);
-                    // All ones where the threshold bit (the sign bit) is 1.
-                    let tm = _mm256_cmpgt_epi64(zero, tcur[g]);
-                    let decided_one = _mm256_andnot_si256(r, tm);
-                    ones[g] = _mm256_or_si256(
-                        ones[g],
-                        _mm256_and_si256(_mm256_and_si256(tied[g], decided_one), act),
-                    );
-                    let differs = _mm256_xor_si256(r, tm);
-                    tied[g] = _mm256_andnot_si256(_mm256_and_si256(differs, act), tied[g]);
-                    tcur[g] = _mm256_slli_epi64::<1>(tcur[g]);
+                    let undecided =
+                        _mm256_andnot_si256(_mm256_cmpeq_epi64(tied[g], zero), running[g]);
+                    running[g] =
+                        _mm256_and_si256(undecided, _mm256_cmpgt_epi64(load(&lanes.draws, g), dv));
                 }
-                d += 1;
-            }
-            let dv = _mm256_set1_epi64x(d);
-            for g in 0..groups {
-                let undecided = _mm256_andnot_si256(_mm256_cmpeq_epi64(tied[g], zero), running[g]);
-                running[g] =
-                    _mm256_and_si256(undecided, _mm256_cmpgt_epi64(load(&lanes.draws, g), dv));
             }
         }
         for g in 0..groups {
