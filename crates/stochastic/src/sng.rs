@@ -1478,8 +1478,8 @@ mod tests {
             }
         }
         // Every probability in every lane slot, then each one in all
-        // lanes at once (the vector engines cut a stride at the largest
-        // draw cap of the block).
+        // lanes at once (a vector block whose caps all end inside one
+        // exit stride takes only its largest cap's draws).
         let rotated = (0..SLICED_PS.len())
             .map(|shift| std::array::from_fn(|l| SLICED_PS[(l + shift) % SLICED_PS.len()]));
         let uniform = SLICED_PS.iter().map(|&p| [p; 8]);
