@@ -122,6 +122,7 @@ fn main() {
             && outcome.regressions.is_empty()
             && outcome.advisory.is_empty()
             && outcome.skipped.is_empty()
+            && outcome.retired.is_empty()
         {
             if kernels::last_run_speedups(&committed).is_empty() {
                 // The file records nothing for ANY tier: almost
@@ -150,6 +151,12 @@ fn main() {
             eprintln!(
                 "warning: [check] {name}: recorded in the trajectory but NOT measured in this \
                  run — it is not being gated (missing prerequisite binary or renamed workload?)"
+            );
+        }
+        if !outcome.retired.is_empty() {
+            println!(
+                "[check] retired (recorded in the trajectory, no longer measured, not gated): {}",
+                outcome.retired.join(", ")
             );
         }
         for name in &outcome.new_workloads {

@@ -794,6 +794,18 @@ pub fn is_spawn_overhead(name: &str) -> bool {
 pub const OVERHEAD_FACTOR_WORKLOADS: &[&str] =
     &["fault_lanes8_order6_2048", "fault_shift_lanes8_order6_2048"];
 
+/// Workloads the trajectory still records but this runner no longer
+/// measures, because their code path was deleted: the `*_fused` rows
+/// timed the fused kernel beside a materializing one, and the fused
+/// kernel is now the only stream walk, timed by
+/// `optical_evaluate_order2_16384` and `gamma_64x64_order6`.
+/// [`check_report`] lists them in [`CheckOutcome::retired`], never in
+/// [`CheckOutcome::skipped`]; neither list is gated.
+pub const RETIRED_WORKLOADS: &[&str] = &[
+    "optical_evaluate_order2_16384_fused",
+    "gamma_64x64_order6_fused",
+];
+
 /// Locates the `shard_worker` binary the sharded workload spawns — the
 /// `OSC_SHARD_WORKER` env override, or a sibling of the running
 /// executable (covering `target/<profile>/` binaries and
@@ -1092,8 +1104,12 @@ pub struct CheckOutcome {
     /// Workloads measured this run with **no prior trajectory entry**:
     /// recorded into the trajectory but not gated on their first run.
     pub new_workloads: Vec<String>,
-    /// Workloads recorded in the trajectory but not measured this run.
+    /// Workloads recorded in the trajectory but not measured this run
+    /// (other than the [`RETIRED_WORKLOADS`]).
     pub skipped: Vec<String>,
+    /// [`RETIRED_WORKLOADS`] recorded in the trajectory and, as
+    /// expected, not measured.
+    pub retired: Vec<String>,
 }
 
 impl CheckOutcome {
@@ -1128,7 +1144,11 @@ pub fn check_report(
             .find(|c| &c.name == name)
             .map(|c| c.speedup())
         else {
-            outcome.skipped.push(name.clone());
+            if RETIRED_WORKLOADS.contains(&name.as_str()) {
+                outcome.retired.push(name.clone());
+            } else {
+                outcome.skipped.push(name.clone());
+            }
             continue;
         };
         let floor = recorded_speedup * threshold;
@@ -1431,7 +1451,39 @@ mod tests {
         let outcome = check_report(&fresh, &committed, 0.8, "scalar");
         assert!(outcome.is_ok(), "{outcome:?}");
         assert_eq!(outcome.skipped, vec!["beta".to_string()]);
+        assert!(outcome.retired.is_empty());
         assert!(outcome.new_workloads.is_empty());
+    }
+
+    #[test]
+    fn check_report_names_retired_rows_apart_from_unmeasured_ones() {
+        // The trajectory records a retired row and an ordinary one; the
+        // fresh run measures neither. The retired row is reported as
+        // retired, the other as skipped, and neither fails the gate.
+        let retired = RETIRED_WORKLOADS[0];
+        let recorded = KernelsReport {
+            comparisons: [retired, "beta"]
+                .into_iter()
+                .map(|name| KernelComparison {
+                    name: name.into(),
+                    baseline_ns: 400.0,
+                    optimized_ns: 100.0,
+                })
+                .collect(),
+        };
+        let committed = append_run(None, &render_run(&recorded, "pr2", "scalar"));
+        let outcome = check_report(
+            &KernelsReport {
+                comparisons: vec![],
+            },
+            &committed,
+            0.8,
+            "scalar",
+        );
+        assert!(outcome.is_ok(), "{outcome:?}");
+        assert_eq!(outcome.retired, vec![retired.to_string()]);
+        assert_eq!(outcome.skipped, vec!["beta".to_string()]);
+        assert!(outcome.passed.is_empty() && outcome.advisory.is_empty());
     }
 
     #[test]

@@ -226,11 +226,10 @@ pub(crate) struct FoldedReceiver {
     /// the mixed kernel tier branch only on the (rare, predictable)
     /// ambiguous class instead of on two data-dependent f64 compares.
     decision_class: Vec<u8>,
-    /// `decision_class` cut into one 128-byte row per count (zero
-    /// padded) for orders up to [`OpticalScSystem::BITMATRIX_MAX_ORDER`],
-    /// the table the vector decision pass looks classes up in; empty
-    /// for higher orders.
-    decision_rows: Vec<[u8; 128]>,
+    /// `decision_class` as the per-z-word class bytes the bit-matrix
+    /// decision pass looks classes up in, for orders up to
+    /// [`simd::ClassBits::MAX_ORDER`]; `None` for higher orders.
+    class_bits: Option<simd::ClassBits>,
     /// Whether every folded probability is saturated at exactly 0 or 1
     /// (bands far apart relative to the receiver noise). In that regime
     /// decisions are a pure function of the cycle's `(count, z-word)` and
@@ -258,8 +257,8 @@ fn class_of(p: f64) -> u8 {
 /// Folds the receiver noise into a `(count, z-word)` power table (`n + 1`
 /// rows of `2^(n+1)` entries), in one pass over the entries: the
 /// probability `Q(z)`, `z = (threshold − power) / σ`, that the noisy
-/// observation clears the threshold, its decision class, the 128-byte
-/// class rows of the vector decision pass and the two kernel-tier flags.
+/// observation clears the threshold, its decision class, the class
+/// bytes of the bit-matrix decision pass and the two kernel-tier flags.
 ///
 /// `Q` is evaluated only for `|z| ≤` [`OpticalScSystem::SATURATION_Z`];
 /// outside that band the probability is the value the evaluated `Q`
@@ -279,10 +278,9 @@ pub(crate) fn fold_receiver(
     sigma: Milliwatts,
 ) -> FoldedReceiver {
     let entries = power_table.iter().map(Vec::len).sum();
-    let with_rows = power_table.len() <= OpticalScSystem::BITMATRIX_MAX_ORDER + 1;
     let mut one_probability = Vec::with_capacity(entries);
     let mut decision_class = Vec::with_capacity(entries);
-    let mut decision_rows = Vec::new();
+    let mut class_bits = simd::ClassBits::new(power_table.len() - 1);
     let mut deterministic_decisions = true;
     let mut mux_exact = true;
     let cutoff = OpticalScSystem::SATURATION_Z;
@@ -322,16 +320,14 @@ pub(crate) fn fold_receiver(
             one_probability.push(p);
             decision_class.push(class);
         }
-        if with_rows {
-            let mut padded = [0u8; 128];
-            padded[..row.len()].copy_from_slice(&decision_class[row_start..]);
-            decision_rows.push(padded);
+        if let Some(bits) = &mut class_bits {
+            bits.set_row(count, &decision_class[row_start..]);
         }
     }
     FoldedReceiver {
         one_probability,
         decision_class,
-        decision_rows,
+        class_bits,
         deterministic_decisions,
         mux_exact,
     }
@@ -360,8 +356,8 @@ impl FoldedReceiver {
 }
 
 /// The every-entry fold the cutoff replaced, kept verbatim (its upper
-/// clamp never fires) with the separate passes that derived the rows and
-/// flags: the oracle [`fold_receiver`] must equal bit for bit.
+/// clamp never fires) with the separate passes that derived the class
+/// bytes and flags: the oracle [`fold_receiver`] must equal bit for bit.
 #[cfg(test)]
 pub(crate) fn fold_receiver_per_entry(
     power_table: &[Vec<Milliwatts>],
@@ -390,39 +386,39 @@ pub(crate) fn fold_receiver_per_entry(
             })
         })
         .collect();
-    let decision_class: Vec<u8> = one_probability.iter().map(|&p| class_of(p)).collect();
-    let decision_rows = if n <= OpticalScSystem::BITMATRIX_MAX_ORDER {
-        decision_class
-            .chunks_exact(1 << (n + 1))
-            .map(|row| {
-                let mut padded = [0u8; 128];
-                padded[..row.len()].copy_from_slice(row);
-                padded
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let deterministic_decisions = one_probability.iter().all(|&p| p <= 0.0 || p >= 1.0);
-    let mux_exact = deterministic_decisions
-        && one_probability.iter().enumerate().all(|(idx, &p)| {
-            let count = idx >> (n + 1);
-            let zw = idx & ((1 << (n + 1)) - 1);
-            (p >= 1.0) == ((zw >> count) & 1 == 1)
-        });
-    FoldedReceiver {
-        one_probability,
-        decision_class,
-        decision_rows,
-        deterministic_decisions,
-        mux_exact,
-    }
+    FoldedReceiver::from_probabilities(n, one_probability)
 }
 
 #[cfg(test)]
 impl FoldedReceiver {
+    /// The fold of an order-`n` table with the given probabilities,
+    /// deriving classes, class bytes and flags in separate passes.
+    pub(crate) fn from_probabilities(n: usize, one_probability: Vec<f64>) -> FoldedReceiver {
+        let decision_class: Vec<u8> = one_probability.iter().map(|&p| class_of(p)).collect();
+        let class_bits = simd::ClassBits::new(n).map(|mut bits| {
+            for (count, row) in decision_class.chunks_exact(1 << (n + 1)).enumerate() {
+                bits.set_row(count, row);
+            }
+            bits
+        });
+        let deterministic_decisions = one_probability.iter().all(|&p| p <= 0.0 || p >= 1.0);
+        let mux_exact = deterministic_decisions
+            && one_probability.iter().enumerate().all(|(idx, &p)| {
+                let count = idx >> (n + 1);
+                let zw = idx & ((1 << (n + 1)) - 1);
+                (p >= 1.0) == ((zw >> count) & 1 == 1)
+            });
+        FoldedReceiver {
+            one_probability,
+            decision_class,
+            class_bits,
+            deterministic_decisions,
+            mux_exact,
+        }
+    }
+
     /// Asserts `self` equals `want` bit for bit: probabilities by
-    /// `to_bits`, classes, class rows and both kernel-tier flags.
+    /// `to_bits`, classes, class bytes and both kernel-tier flags.
     pub(crate) fn assert_bit_identical(&self, want: &FoldedReceiver, case: &str) {
         assert_eq!(
             self.one_probability.len(),
@@ -438,7 +434,7 @@ impl FoldedReceiver {
             assert_eq!(got.to_bits(), want.to_bits(), "{case}: entry {idx}");
         }
         assert_eq!(self.decision_class, want.decision_class, "{case}");
-        assert_eq!(self.decision_rows, want.decision_rows, "{case}");
+        assert_eq!(self.class_bits, want.class_bits, "{case}");
         assert_eq!(
             self.deterministic_decisions, want.deterministic_decisions,
             "{case}"
@@ -446,6 +442,10 @@ impl FoldedReceiver {
         assert_eq!(self.mux_exact, want.mux_exact, "{case}");
     }
 }
+
+// `finish_run` evaluates the polynomial once per item: keep that on the
+// allocation-free path for every simulable order.
+const _: () = assert!(OpticalScSystem::MAX_SIM_ORDER <= BernsteinPoly::MAX_STACK_DEGREE);
 
 /// The complete optical SC computer: transmission backend + programmed
 /// polynomial. The system owns the folded decision tables and every
@@ -494,10 +494,6 @@ impl OpticalScSystem {
     /// there (see [`OpticalScSystem::NEGLIGIBLE_FLIP_PROBABILITY`] for
     /// the two tail edges), so the cutoff changes no bit.
     pub const SATURATION_Z: f64 = 9.0;
-
-    /// Highest order the vector decision pass serves: its z-word of
-    /// `order + 1 ≤ 7` bits indexes one 128-byte `vpermi2b` table row.
-    const BITMATRIX_MAX_ORDER: usize = 6;
 
     /// Builds a system executing `poly` on a circuit with `params`.
     ///
@@ -777,21 +773,8 @@ impl OpticalScSystem {
     /// they simply run over `words × L` blocks. Every stream is one
     /// [`StochasticNumberGenerator::drain_lanes`] walk. Per-lane ideal
     /// ones come from one SIMD popcount+fold sweep over the
-    /// lane-interleaved output. The decision pass of tiers 2 and 3
-    /// walks each lane's strided words, consuming that lane's `rngs[l]`
-    /// in exactly the per-lane cycle order:
-    ///
-    /// - orders ≤ [`OpticalScSystem::BITMATRIX_MAX_ORDER`] with the
-    ///   [`simd::BitMatrixKernels`] active: two 8 × 64 bit transposes
-    ///   turn the `N + 1` coefficient words and the count planes into
-    ///   per-cycle z-word and count bytes, one `vpermi2b` per count row
-    ///   of `decision_rows` classifies all 64 cycles, the class-1 mask
-    ///   ORs into the decided bits, and only the class-2 cycles draw, in
-    ///   ascending cycle order;
-    /// - otherwise 64 table indices per block from
-    ///   [`simd::assemble_indices16`] or byte-spread assembly
-    ///   ([`spread_tables`]), then a per-cycle table walk (order 12's
-    ///   17-bit indices fall back to per-cycle extraction).
+    /// lane-interleaved output. Tiers 2 and 3 share one decision pass,
+    /// [`OpticalScSystem::decide_lanes`].
     fn lane_kernel<const N: usize, const L: usize, S: StochasticNumberGenerator>(
         &self,
         xs: &[f64; L],
@@ -863,52 +846,62 @@ impl OpticalScSystem {
             // z_count — the folded output IS the decided stream.
             return Ok((ideal, ideal, [0; L]));
         }
-        // Noisy tiers: per-cycle table decisions against the folded
-        // receiver probabilities, lane by lane so that lane l consumes
-        // rngs[l] in exactly the traversal order of a standalone fused
-        // run (and of the per-bit twin).
+        let (ones, flips) = self.decide_lanes::<N, L>(
+            stream_length,
+            rngs,
+            scratch,
+            simd::BitMatrixKernels::active(),
+        );
+        Ok((ones, ideal, flips))
+    }
+
+    /// The decision pass of the noisy tiers over a folded lane block in
+    /// `scratch`: decides every cycle of every lane against the folded
+    /// receiver tables and returns per-lane `(ones, decision_flips)`.
+    /// Lane `l` consumes `rngs[l]` in exactly the cycle order of a
+    /// standalone fused run (and of the per-bit twin): one draw per
+    /// class-2 cycle, in ascending (word, cycle) order.
+    ///
+    /// - Orders ≤ [`simd::ClassBits::MAX_ORDER`] with a `bitmatrix`
+    ///   token: [`simd::BitMatrixKernels::decide_lanes`] decides all `L`
+    ///   lanes one word index at a time — per-cycle class bytes from
+    ///   bit transposes and register-resident class tables, then the
+    ///   class-2 cycles of every lane drawn in vector lock-step.
+    /// - Otherwise, lane by lane, 64 table indices per block from
+    ///   [`simd::assemble_indices16`] or byte-spread assembly
+    ///   ([`spread_tables`]), then a per-cycle table walk (order 12's
+    ///   17-bit indices fall back to per-cycle extraction). The walk is
+    ///   also the oracle the bit-matrix pass is tested against.
+    fn decide_lanes<const N: usize, const L: usize>(
+        &self,
+        stream_length: usize,
+        rngs: &mut [Xoshiro256PlusPlus; L],
+        scratch: &EvalScratch,
+        bitmatrix: Option<simd::BitMatrixKernels>,
+    ) -> ([usize; L], [usize; L]) {
+        let nplanes = planes_for(N);
+        let words = stream_length.div_ceil(64);
+        let wl = words * L;
+        if let (Some(kernels), Some(classes)) = (bitmatrix, &self.fold.class_bits) {
+            let block = simd::DecisionBlock {
+                coeff: &scratch.coeff,
+                planes: &scratch.planes,
+                sel: &scratch.sel,
+                len: stream_length,
+            };
+            let (ones, flips) =
+                kernels.decide_lanes(classes, &self.fold.one_probability, &block, rngs);
+            return (
+                std::array::from_fn(|l| ones[l] as usize),
+                std::array::from_fn(|l| flips[l] as usize),
+            );
+        }
         let table = &self.fold.one_probability[..];
         let classes = &self.fold.decision_class[..];
         let deterministic = self.fold.deterministic_decisions;
         let mut ones = [0usize; L];
         let mut flips = [0usize; L];
-        let bitmatrix = simd::BitMatrixKernels::active().filter(|_| N <= Self::BITMATRIX_MAX_ORDER);
-        if let Some(kernels) = bitmatrix {
-            // GFNI/VBMI decision pass: classify all 64 cycles of a block
-            // at once, then draw only for the class-2 cycles, in
-            // ascending cycle order — the RNG consumption of the
-            // per-cycle walk below.
-            let rows = &self.fold.decision_rows[..];
-            let (mut zw, mut count) = ([0u8; 64], [0u8; 64]);
-            for (l, rng) in rngs.iter_mut().enumerate() {
-                let mut remaining = stream_length;
-                for w in 0..words {
-                    let nbits = remaining.min(64);
-                    let at = w * L + l;
-                    let (mut zw_words, mut count_words) = ([0u64; 8], [0u64; 8]);
-                    for (c, slot) in zw_words[..=N].iter_mut().enumerate() {
-                        *slot = scratch.coeff[c * wl + at];
-                    }
-                    for (p, slot) in count_words[..nplanes].iter_mut().enumerate() {
-                        *slot = scratch.planes[p * wl + at];
-                    }
-                    let (always_one, needs_draw) =
-                        kernels.classify_cycles(&zw_words, &count_words, rows, &mut zw, &mut count);
-                    let valid = u64::MAX >> (64 - nbits);
-                    let mut decided_mask = always_one & valid;
-                    let mut pending = needs_draw & valid;
-                    while pending != 0 {
-                        let t = pending.trailing_zeros() as usize;
-                        let idx = (usize::from(count[t]) << (N + 1)) | usize::from(zw[t]);
-                        decided_mask |= u64::from(rng.next_f64() < table[idx]) << t;
-                        pending &= pending - 1;
-                    }
-                    ones[l] += decided_mask.count_ones() as usize;
-                    flips[l] += (decided_mask ^ scratch.sel[at]).count_ones() as usize;
-                    remaining -= nbits;
-                }
-            }
-        } else if (N + 1) + nplanes <= 16 {
+        if (N + 1) + nplanes <= 16 {
             // Nibble-spread index assembly: 8 cycles of `(count << (N+1))
             // | zw` per lookup group (low nibble → lanes 0–3, high nibble
             // → lanes 4–7).
@@ -1012,7 +1005,7 @@ impl OpticalScSystem {
                 }
             }
         }
-        Ok((ones, ideal, flips))
+        (ones, flips)
     }
 
     /// The folded receiver tables and flags the kernels run on.
@@ -1342,6 +1335,110 @@ mod tests {
         .unwrap()
     }
 
+    /// Synthetic folds that stress the bit-matrix decision pass: every
+    /// entry class 2, NaN `q`, `q` one draw step off 0 and 1, and rows
+    /// mixing all three classes with those edge values.
+    fn adversarial_folds(
+        order: usize,
+        rng: &mut Xoshiro256PlusPlus,
+    ) -> Vec<(&'static str, FoldedReceiver)> {
+        let entries = (order + 1) << (order + 1);
+        let step = 1.0 / (1u64 << 53) as f64;
+        let edges = [step, 1.0 - step];
+        let draw = |rng: &mut Xoshiro256PlusPlus| 0.001 + 0.998 * rng.next_f64();
+        let all_draws = (0..entries).map(|_| draw(rng)).collect();
+        let nan = vec![f64::NAN; entries];
+        let edge = (0..entries).map(|_| edges[rng.below(2) as usize]).collect();
+        let mixed = (0..entries)
+            .map(|_| match rng.below(6) {
+                0 => 0.0,
+                1 => 1.0,
+                2 => f64::NAN,
+                3 | 4 => edges[rng.below(2) as usize],
+                _ => draw(rng),
+            })
+            .collect();
+        [
+            ("every entry class 2", all_draws),
+            ("NaN q", nan),
+            ("q at the draw edges", edge),
+            ("mixed rows", mixed),
+        ]
+        .into_iter()
+        .map(|(tag, p)| (tag, FoldedReceiver::from_probabilities(order, p)))
+        .collect()
+    }
+
+    /// Runs one random order-`N`, `L`-lane block through the bit-matrix
+    /// decision pass and the table walk: per-lane ones, flips and final
+    /// generator states must agree.
+    fn decide_both_ways<const N: usize, const L: usize>(
+        system: &OpticalScSystem,
+        kernels: simd::BitMatrixKernels,
+        len: usize,
+        fill: &mut Xoshiro256PlusPlus,
+        case: &str,
+    ) {
+        let nplanes = planes_for(N);
+        let wl = len.div_ceil(64) * L;
+        let mut scratch = EvalScratch::new();
+        scratch.planes = vec![0; nplanes * wl];
+        for _ in 0..N {
+            let mut data: Vec<u64> = (0..wl).map(|_| fill.next_u64()).collect();
+            fold_data_words(&mut data, &mut scratch.planes, nplanes);
+        }
+        scratch.coeff = (0..(N + 1) * wl).map(|_| fill.next_u64()).collect();
+        scratch.sel = (0..wl).map(|_| fill.next_u64()).collect();
+        let start: [Xoshiro256PlusPlus; L] =
+            std::array::from_fn(|_| Xoshiro256PlusPlus::new(fill.next_u64()));
+        let (mut fast, mut walk) = (start.clone(), start);
+        let got = system.decide_lanes::<N, L>(len, &mut fast, &scratch, Some(kernels));
+        let want = system.decide_lanes::<N, L>(len, &mut walk, &scratch, None);
+        let tag = format!("{case}: order {N}, {L} lanes, len {len}");
+        assert_eq!(got, want, "{tag}");
+        assert_eq!(fast, walk, "{tag}: generator states");
+    }
+
+    #[test]
+    fn bitmatrix_decisions_equal_table_walk_on_adversarial_folds() {
+        // No test of this crate moves the tier override, so only the
+        // hardware or an `OSC_SIMD` cap below AVX-512 makes this a skip.
+        let Some(kernels) = simd::BitMatrixKernels::active() else {
+            eprintln!(
+                "skipping bit-matrix decision test: AVX-512 tier, gfni, avx512vbmi or \
+                 avx512vpopcntdq absent"
+            );
+            return;
+        };
+        fn per_order<const N: usize>(
+            kernels: simd::BitMatrixKernels,
+            fill: &mut Xoshiro256PlusPlus,
+        ) {
+            let poly = BernsteinPoly::new(vec![0.5; N + 1]).unwrap();
+            let mut system = OpticalScSystem::new(
+                CircuitParams::paper_fig7(N, osc_units::Nanometers::new(0.165)),
+                poly,
+            )
+            .unwrap();
+            for (case, fold) in adversarial_folds(N, fill) {
+                system.fold = fold;
+                for len in [1, 63, 64, 65, 2048, 8257] {
+                    decide_both_ways::<N, 1>(&system, kernels, len, fill, case);
+                    decide_both_ways::<N, 2>(&system, kernels, len, fill, case);
+                    decide_both_ways::<N, 4>(&system, kernels, len, fill, case);
+                    decide_both_ways::<N, 8>(&system, kernels, len, fill, case);
+                }
+            }
+        }
+        let mut fill = Xoshiro256PlusPlus::new(0xAD_FE55);
+        per_order::<1>(kernels, &mut fill);
+        per_order::<2>(kernels, &mut fill);
+        per_order::<3>(kernels, &mut fill);
+        per_order::<4>(kernels, &mut fill);
+        per_order::<5>(kernels, &mut fill);
+        per_order::<6>(kernels, &mut fill);
+    }
+
     #[test]
     fn saturation_cutoff_lies_past_both_tail_edges() {
         // Every `z` the fold answers without `gaussian_q` must be one
@@ -1384,7 +1481,7 @@ mod tests {
         assert!(p[3] < 1.0);
         assert!(p[6].is_nan());
         assert_eq!(p[7], gaussian_q(0.0));
-        assert_eq!(fold.decision_rows.len(), 2);
+        assert!(fold.class_bits.is_some());
         assert!(!fold.deterministic_decisions && !fold.mux_exact);
         // σ = 0: each entry decided by `power > threshold`.
         let exact = fold_receiver(&table, threshold, Milliwatts::ZERO);

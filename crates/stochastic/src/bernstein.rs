@@ -28,6 +28,18 @@ pub fn basis(i: u32, n: u32, x: f64) -> f64 {
     binomial_f64(n, i) * x.powi(i as i32) * (1.0 - x).powi((n - i) as i32)
 }
 
+/// Runs de Casteljau's recurrence on `beta` in place and returns the
+/// value at `x`.
+fn de_casteljau(beta: &mut [f64], x: f64) -> f64 {
+    let n = beta.len();
+    for j in 1..n {
+        for k in 0..n - j {
+            beta[k] = beta[k] * (1.0 - x) + beta[k + 1] * x;
+        }
+    }
+    beta[0]
+}
+
 /// A Bernstein-form polynomial whose coefficients are probabilities,
 /// i.e. directly implementable in stochastic logic.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,16 +82,21 @@ impl BernsteinPoly {
         self.coeffs.len() - 1
     }
 
+    /// Highest degree [`BernsteinPoly::eval`] runs in a stack array; it
+    /// allocates above. Covers every order the optical system simulates
+    /// (`osc_core`'s `MAX_SIM_ORDER`).
+    pub const MAX_STACK_DEGREE: usize = 12;
+
     /// Evaluates via the numerically stable de Casteljau recurrence.
     pub fn eval(&self, x: f64) -> f64 {
-        let mut beta = self.coeffs.clone();
-        let n = beta.len();
-        for j in 1..n {
-            for k in 0..n - j {
-                beta[k] = beta[k] * (1.0 - x) + beta[k + 1] * x;
-            }
+        let n = self.coeffs.len();
+        if n <= Self::MAX_STACK_DEGREE + 1 {
+            let mut beta = [0.0; Self::MAX_STACK_DEGREE + 1];
+            beta[..n].copy_from_slice(&self.coeffs);
+            de_casteljau(&mut beta[..n], x)
+        } else {
+            de_casteljau(&mut self.coeffs.clone(), x)
         }
-        beta[0]
     }
 
     /// Evaluates by direct basis summation (cross-check for de Casteljau).
@@ -142,6 +159,36 @@ impl BernsteinPoly {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn eval_is_bit_identical_to_the_cloning_recurrence() {
+        // The recurrence on a clone of the coefficients, as `eval` ran
+        // before it moved to a stack array.
+        fn cloned(p: &BernsteinPoly, x: f64) -> f64 {
+            let mut beta = p.coeffs.clone();
+            let n = beta.len();
+            for j in 1..n {
+                for k in 0..n - j {
+                    beta[k] = beta[k] * (1.0 - x) + beta[k + 1] * x;
+                }
+            }
+            beta[0]
+        }
+        let mut rng = osc_math::rng::Xoshiro256PlusPlus::new(0xB_E25);
+        for degree in 0..=16 {
+            let p = BernsteinPoly::new((0..=degree).map(|_| rng.next_f64()).collect()).unwrap();
+            for i in 0..=64 {
+                let x = i as f64 / 64.0;
+                for x in [x, (x + rng.next_f64() / 64.0).min(1.0)] {
+                    assert_eq!(
+                        p.eval(x).to_bits(),
+                        cloned(&p, x).to_bits(),
+                        "degree {degree}, x {x}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn basis_partition_of_unity() {

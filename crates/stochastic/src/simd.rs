@@ -18,7 +18,8 @@
 //! `gfni` and `avx512vbmi`, detected once per process) use one
 //! 8 × 64 bit-matrix transpose built from a `vpermb` byte gather and a
 //! `vgf2p8affineqb` 8 × 8 bit transpose per qword. It drives the
-//! noisy-tier decision pass.
+//! noisy-tier decision pass, which decides all lanes of a block one
+//! word index at a time.
 //!
 //! # Backend family
 //!
@@ -29,7 +30,7 @@
 //! | `counter_drain_chains` | `CounterSng` (base-2 mode) | `vgf2p8affineqb` bit-reverse + `vpcmpuq` | GFNI VEX reverse or shared scalar reverse | — |
 //! | [`popcount_lanes_accumulate`] | count-plane fold | `vpopcntq` | nibble-LUT `vpshufb` + `vpsadbw` | — |
 //! | [`assemble_indices16`] | noisy-tier index assembly | `vpmovm2w` mask broadcast (needs `avx512bw`) | — (scalar fallback) | — |
-//! | [`BitMatrixKernels::classify_cycles`] | noisy-tier decision pass, orders ≤ 6 | bit-matrix transposes + one `vpermi2b` per count row (needs `gfni` + `avx512vbmi`) | — (index assembly + table walk) | — |
+//! | [`BitMatrixKernels::decide_lanes`] | noisy-tier decision pass, orders ≤ 6, every lane width | per word index: gathered lane words, bit-matrix transposes, two register-resident `vpermi2b` class tables, lock-step masked xoshiro256++ draws with gathered `q` (needs `gfni`, `avx512vbmi`, `avx512dq`, `avx512vpopcntdq`) | — (index assembly + table walk) | — |
 //! | [`geometric_event_lanes`] | lane-block fault hook (flip and shift events) | per-lane xoshiro256++ in ZMMs (vector SplitMix64 seeding), polynomial `ln`, certified gaps, masked gather / XOR / scatter into the words (flips) or a zero-mask block (shifts) | — (per-lane scalar event loop) | `avx512dq`, `avx512cd` |
 //! | [`splice_zero_lanes`] | lane-block fault hook (shift zeros) | top-down per-lane variable funnel (`vpsllvq` / `vpsrlvq`), one `vplzcntq` round per zero in a word | — (per-lane scalar splice) | `avx512dq`, `avx512cd` |
 //!
@@ -77,6 +78,7 @@
 //! engine behind it and loses to sequential per-lane runs.
 
 use crate::sng::SlicedThreshold;
+use osc_math::rng::Xoshiro256PlusPlus;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// One dispatchable implementation level, ordered by register width.
@@ -182,8 +184,9 @@ fn detect() -> SimdTier {
 
 /// Whether this CPU has the byte-permute (`avx512vbmi`) and GF(2)
 /// affine (`gfni`) instructions the bit-matrix kernels are built on,
-/// plus the `avx512bw`/`avx512dq` byte and mask-store forms they use
-/// (cached after the first call, like [`detected_tier`]).
+/// plus the `avx512bw` byte forms, the `avx512dq` conversions and the
+/// `avx512vpopcntdq` counts they use (cached after the first call, like
+/// [`detected_tier`]).
 fn bitmatrix_detected() -> bool {
     static DETECTED: AtomicU8 = AtomicU8::new(0);
     match DETECTED.load(Ordering::Relaxed) {
@@ -195,6 +198,7 @@ fn bitmatrix_detected() -> bool {
     let found = is_x86_feature_detected!("avx512f")
         && is_x86_feature_detected!("avx512bw")
         && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vpopcntdq")
         && is_x86_feature_detected!("avx512vbmi")
         && is_x86_feature_detected!("gfni");
     #[cfg(not(target_arch = "x86_64"))]
@@ -219,33 +223,144 @@ impl BitMatrixKernels {
         (active_tier() == SimdTier::Avx512 && bitmatrix_detected()).then_some(BitMatrixKernels(()))
     }
 
-    /// Classifies the 64 cycles of one decision block against a
-    /// per-count table of 128-byte rows.
+    /// The noisy-tier decision pass over one lane block: decides every
+    /// cycle of every lane and returns each lane's count of decided ones
+    /// and of decisions that differ from the ideal multiplexer output
+    /// (`ones[l]`, `flips[l]` for `l < rngs.len()`, zero above).
     ///
-    /// Cycle `t`'s z-word is the byte `Σ_c bit_t(zw_words[c]) << c` and
-    /// its count the byte `Σ_p bit_t(count_words[p]) << p` (an 8 × 64
-    /// bit transpose each); its class is `rows[count][zw & 0x7F]`, or 0
-    /// when `count >= rows.len()`. Returns the masks of the cycles whose
-    /// class is 1 and 2, and writes each cycle's z-word and count bytes
-    /// to `zw` / `count` for the caller's per-cycle follow-up.
-    pub fn classify_cycles(
+    /// The block holds `L = rngs.len()` lanes of `len` cycles,
+    /// lane-interleaved (word `w` of lane `l` at `w * L + l` of each
+    /// row). Cycle `t` of word `w` of lane `l` has the z-word
+    /// `Σ_c bit_t(coeff row c) << c` and the count
+    /// `Σ_p bit_t(planes row p) << p`; its class is
+    /// [`ClassBits`]' entry for that pair (0 past `classes.order()`).
+    /// Class 0 decides 0, class 1 decides 1, and class 2 decides
+    /// `rng.next_f64() < q` with `q` the table entry
+    /// `one_probability[count << (order + 1) | zw]`, lane `l` drawing
+    /// from `rngs[l]` in ascending (word, cycle) order — so the counts
+    /// and the final generator states are those of the per-cycle table
+    /// walk. Bits of the last word past
+    /// `len` are not decided; `flips` counts `sel`'s bits there.
+    ///
+    /// Per word index the kernel gathers each lane's coefficient and
+    /// count words into one register, bit-transposes both into 64
+    /// per-cycle bytes, and looks the classes up with one `vpermi2b` per
+    /// class table (the tables stay in registers for the whole pass) and
+    /// a `1 << count` byte test. Then all lanes draw their class-2
+    /// cycles in lock-step: a masked 8-lane xoshiro256++ step per round,
+    /// each lane taking its lowest pending cycle, `q` gathered from
+    /// `one_probability`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ rngs.len() ≤ 8`, `coeff` holds `order + 1`
+    /// rows and `planes` [`planes_for`](crate::resc::planes_for)`(order)`
+    /// rows of `len.div_ceil(64) * L` words, `sel` one such row, and
+    /// `one_probability` the `(order + 1) << (order + 1)` table entries.
+    pub fn decide_lanes(
         self,
-        zw_words: &[u64; 8],
-        count_words: &[u64; 8],
-        rows: &[[u8; 128]],
-        zw: &mut [u8; 64],
-        count: &mut [u8; 64],
-    ) -> (u64, u64) {
+        classes: &ClassBits,
+        one_probability: &[f64],
+        block: &DecisionBlock<'_>,
+        rngs: &mut [Xoshiro256PlusPlus],
+    ) -> ([u64; 8], [u64; 8]) {
+        let lanes = rngs.len();
+        assert!((1..=8).contains(&lanes), "{lanes} lanes");
+        let order = classes.order;
+        let wl = block.len.div_ceil(64) * lanes;
+        assert!(block.coeff.len() >= (order + 1) * wl, "coefficient rows");
+        assert!(
+            block.planes.len() >= crate::resc::planes_for(order) * wl,
+            "count planes"
+        );
+        assert!(block.sel.len() >= wl, "multiplexer row");
+        assert!(
+            one_probability.len() >= (order + 1) << (order + 1),
+            "probability table"
+        );
         #[cfg(target_arch = "x86_64")]
         {
             // SAFETY: the token exists only when bitmatrix_detected()
-            // found avx512f, avx512bw, avx512dq, avx512vbmi and gfni.
-            unsafe { classify_cycles_avx512(zw_words, count_words, rows, zw, count) }
+            // found every feature the kernel enables; the asserts above
+            // bound every gather and load (see the kernel's contract).
+            unsafe { decide_lanes_avx512(classes, one_probability, block, rngs) }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (zw_words, count_words, rows, zw, count);
-            unreachable!("BitMatrixKernels::active is always None off x86_64")
+            let _ = (classes, one_probability, block, rngs);
+            unreachable!("BitMatrixKernels is never granted off x86_64")
+        }
+    }
+}
+
+/// The word rows of one lane block's decision pass (see
+/// [`BitMatrixKernels::decide_lanes`]), each lane-interleaved with a
+/// row stride of `len.div_ceil(64) * L` words.
+#[derive(Debug, Clone, Copy)]
+pub struct DecisionBlock<'a> {
+    /// The `order + 1` coefficient stream rows (z-word bit `c` = row `c`).
+    pub coeff: &'a [u64],
+    /// The bit-sliced ones-count planes of the data streams (count bit
+    /// `p` = row `p`).
+    pub planes: &'a [u64],
+    /// The ideal multiplexer output, one row.
+    pub sel: &'a [u64],
+    /// Stream length in cycles.
+    pub len: usize,
+}
+
+/// One circuit's decision classes in the form the bit-matrix decision
+/// pass looks them up in: per z-word, one byte whose bit `count` says
+/// whether entry `(count, zw)` is class 1 (always one) and one whose
+/// bit says class 2 (needs a draw); any other entry is class 0.
+///
+/// A z-word of `order + 1 ≤ 7` bits indexes a 128-byte `vpermi2b`
+/// table and a count `≤ order ≤ 6` is one bit of its byte, hence
+/// [`ClassBits::MAX_ORDER`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ClassBits {
+    order: usize,
+    ones: [u8; 128],
+    draws: [u8; 128],
+}
+
+impl ClassBits {
+    /// Highest order the bit-matrix decision pass serves.
+    pub const MAX_ORDER: usize = 6;
+
+    /// All-class-0 tables for `order`, or `None` past
+    /// [`ClassBits::MAX_ORDER`].
+    pub fn new(order: usize) -> Option<Self> {
+        (order <= Self::MAX_ORDER).then_some(ClassBits {
+            order,
+            ones: [0; 128],
+            draws: [0; 128],
+        })
+    }
+
+    /// Records row `count`'s classes, `classes[zw]` for z-word `zw`: 1
+    /// (always one), 2 (needs a draw), anything else class 0 (always
+    /// zero).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > order` or `classes` is longer than the
+    /// `2^(order + 1)` z-words.
+    pub fn set_row(&mut self, count: usize, classes: &[u8]) {
+        assert!(
+            count <= self.order,
+            "count {count} past order {}",
+            self.order
+        );
+        assert!(
+            classes.len() <= 1 << (self.order + 1),
+            "{} z-words",
+            classes.len()
+        );
+        let bit = 1u8 << count;
+        for ((one, draw), &class) in self.ones.iter_mut().zip(&mut self.draws).zip(classes) {
+            *one = (*one & !bit) | (bit * u8::from(class == 1));
+            *draw = (*draw & !bit) | (bit * u8::from(class == 2));
         }
     }
 }
@@ -706,9 +821,38 @@ unsafe fn sliced_blocks_avx2<D>(
     }
 }
 
+/// One xoshiro256++ step of eight generators, state word `i` of every
+/// lane in `s[i]`: returns every lane's output and advances only the
+/// lanes in `act` — `vprolq` rotates and three-input `vpternlogq`
+/// state updates.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn xoshiro_step_avx512(
+    act: std::arch::x86_64::__mmask8,
+    s: &mut [std::arch::x86_64::__m512i; 4],
+) -> std::arch::x86_64::__m512i {
+    use std::arch::x86_64::*;
+    use ternary::XOR3;
+    let [s0, s1, s2, s3] = *s;
+    // result = rotl(s0 + s3, 23) + s0.
+    let res = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(s0, s3)), s0);
+    // The linear xoshiro256++ update, each new word one XOR3 of old
+    // words: s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3; s2 ^= s1 << 17;
+    // s3 = rotl(s3, 45).
+    let t17 = _mm512_slli_epi64::<17>(s1);
+    *s = [
+        _mm512_mask_ternarylogic_epi64::<XOR3>(s0, act, s3, s1),
+        _mm512_mask_ternarylogic_epi64::<XOR3>(s1, act, s2, s0),
+        _mm512_mask_ternarylogic_epi64::<XOR3>(s2, act, s0, t17),
+        _mm512_mask_mov_epi64(s3, act, _mm512_rol_epi64::<45>(_mm512_xor_si512(s3, s1))),
+    ];
+    res
+}
+
 /// AVX-512 xoshiro engine: 8 chains, state word `i` of all chains in one
-/// ZMM, `vprolq` rotates and three-input `vpternlogq` state updates,
-/// each masked to the lanes still drawing.
+/// ZMM, each step ([`xoshiro_step_avx512`]) masked to the lanes still
+/// drawing.
 ///
 /// # Safety
 ///
@@ -722,44 +866,19 @@ unsafe fn xoshiro_sliced8_avx512(
     emit: &mut dyn FnMut(&[u64; 8], usize),
 ) {
     use std::arch::x86_64::*;
-    use ternary::XOR3;
     debug_assert_eq!(states.len(), 8);
     let load = |i: usize, states: &[[u64; 4]]| {
         let tmp: [u64; 8] = std::array::from_fn(|l| states[l][i]);
         _mm512_loadu_si512(tmp.as_ptr() as *const __m512i)
     };
-    let (mut s0, mut s1, mut s2, mut s3) = (
-        load(0, states),
-        load(1, states),
-        load(2, states),
-        load(3, states),
-    );
-    sliced_blocks_avx512(
-        lanes,
-        len,
-        |act| {
-            // result = rotl(s0 + s3, 23) + s0.
-            let sum = _mm512_add_epi64(s0, s3);
-            let res = _mm512_add_epi64(_mm512_rol_epi64::<23>(sum), s0);
-            // The linear xoshiro256++ update, each new word one XOR3 of
-            // old words: s2 ^= s0; s3 ^= s1; s1 ^= s2; s0 ^= s3;
-            // s2 ^= s1 << 17; s3 = rotl(s3, 45) — in the active lanes.
-            let t17 = _mm512_slli_epi64::<17>(s1);
-            let n0 = _mm512_mask_ternarylogic_epi64::<XOR3>(s0, act, s3, s1);
-            let n1 = _mm512_mask_ternarylogic_epi64::<XOR3>(s1, act, s2, s0);
-            let n2 = _mm512_mask_ternarylogic_epi64::<XOR3>(s2, act, s0, t17);
-            s3 = _mm512_mask_mov_epi64(s3, act, _mm512_rol_epi64::<45>(_mm512_xor_si512(s3, s1)));
-            (s0, s1, s2) = (n0, n1, n2);
-            res
-        },
-        emit,
-    );
+    let mut s = std::array::from_fn(|i| load(i, states));
+    sliced_blocks_avx512(lanes, len, |act| xoshiro_step_avx512(act, &mut s), emit);
     let store = |v: __m512i| {
         let mut tmp = [0u64; 8];
         _mm512_storeu_si512(tmp.as_mut_ptr() as *mut __m512i, v);
         tmp
     };
-    let (o0, o1, o2, o3) = (store(s0), store(s1), store(s2), store(s3));
+    let [o0, o1, o2, o3] = s.map(store);
     for (l, st) in states.iter_mut().enumerate() {
         *st = [o0[l], o1[l], o2[l], o3[l]];
     }
@@ -1706,41 +1825,174 @@ unsafe fn assemble_indices16_avx512bw(src: &[u64], idxs: &mut [u16; 64]) {
     _mm512_storeu_si512(idxs.as_mut_ptr().add(32) as *mut __m512i, hi);
 }
 
-/// [`BitMatrixKernels::classify_cycles`]: two bit transposes give the
-/// per-cycle z-word and count bytes, then one `vpermi2b` per count row
-/// looks up all 64 cycles' classes in that row and a byte-compare mask
-/// keeps the cycles whose count selects it.
+/// [`BitMatrixKernels::decide_lanes`], one word index at a time for all
+/// lanes.
 ///
 /// # Safety
 ///
-/// The CPU must support `avx512f`, `avx512bw`, `avx512vbmi` and `gfni`.
+/// The CPU must support `avx512f`, `avx512bw`, `avx512dq`,
+/// `avx512vbmi`, `avx512vpopcntdq` and `gfni`, and the block and table
+/// must be as long as `decide_lanes` asserts: then every gather reads
+/// inside them. Coefficient rows above `order` are never gathered, so a
+/// z-word is below `2^(order + 1)`; counts are below 8 (three planes at
+/// most), and a class-2 bit exists only for a count `≤ order`, so each
+/// gathered table index is below `(order + 1) << (order + 1)`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vbmi,gfni")]
-unsafe fn classify_cycles_avx512(
-    zw_words: &[u64; 8],
-    count_words: &[u64; 8],
-    rows: &[[u8; 128]],
-    zw: &mut [u8; 64],
-    count: &mut [u8; 64],
-) -> (u64, u64) {
+#[target_feature(enable = "avx512f,avx512bw,avx512dq,avx512vbmi,avx512vpopcntdq,gfni")]
+unsafe fn decide_lanes_avx512(
+    classes: &ClassBits,
+    one_probability: &[f64],
+    block: &DecisionBlock<'_>,
+    rngs: &mut [Xoshiro256PlusPlus],
+) -> ([u64; 8], [u64; 8]) {
     use std::arch::x86_64::*;
-    let zwv = bit_transpose_8x64(_mm512_loadu_si512(zw_words.as_ptr() as *const __m512i));
-    let countv = bit_transpose_8x64(_mm512_loadu_si512(count_words.as_ptr() as *const __m512i));
-    let mut classes = _mm512_setzero_si512();
-    // Count bytes never exceed 255, so later rows are unreachable.
-    for (c, row) in rows.iter().take(256).enumerate() {
-        let lo = _mm512_loadu_si512(row.as_ptr() as *const __m512i);
-        let hi = _mm512_loadu_si512(row[64..].as_ptr() as *const __m512i);
-        let looked_up = _mm512_permutex2var_epi8(lo, zwv, hi);
-        let here = _mm512_cmpeq_epi8_mask(countv, _mm512_set1_epi8(c as i8));
-        classes = _mm512_mask_mov_epi8(classes, here, looked_up);
+    let lanes = rngs.len();
+    let order = classes.order;
+    let wl = block.len.div_ceil(64) * lanes;
+    let lane_mask = (u16::MAX >> (16 - lanes)) as __mmask8;
+    let coeff_rows = (1u16 << (order + 1)) as __mmask8 - 1;
+    let plane_rows = (1u16 << crate::resc::planes_for(order)) as __mmask8 - 1;
+    let row_starts = _mm512_mullo_epi64(
+        _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+        _mm512_set1_epi64(wl as i64),
+    );
+    let table = |t: &[u8; 128], half: usize| _mm512_loadu_si512(t[half * 64..].as_ptr().cast());
+    let (ones_lo, ones_hi) = (table(&classes.ones, 0), table(&classes.ones, 1));
+    let (draws_lo, draws_hi) = (table(&classes.draws, 0), table(&classes.draws, 1));
+    // `1 << count` for the count bytes 0..8 (`vpshufb` indexes within
+    // each 128-bit lane).
+    let count_bit = _mm512_broadcast_i32x4(_mm_set_epi64x(0, 0x8040_2010_0804_0201u64 as i64));
+    let count_shift = _mm_cvtsi64_si128((order + 1) as i64);
+    // Each lane's 64 table indices of the current word at `64 * l`; the
+    // tail keeps the dword gather of lane 7's last index inside.
+    let mut indices = [0u16; 8 * 64 + 2];
+    let lane_slots = _mm512_set_epi64(448, 384, 320, 256, 192, 128, 64, 0);
+    let mut states = [[0u64; 8]; 4];
+    for (l, rng) in rngs.iter().enumerate() {
+        for (i, word) in rng.state_words().into_iter().enumerate() {
+            states[i][l] = word;
+        }
     }
-    _mm512_storeu_si512(zw.as_mut_ptr() as *mut __m512i, zwv);
-    _mm512_storeu_si512(count.as_mut_ptr() as *mut __m512i, countv);
-    (
-        _mm512_cmpeq_epi8_mask(classes, _mm512_set1_epi8(1)),
-        _mm512_cmpeq_epi8_mask(classes, _mm512_set1_epi8(2)),
-    )
+    let mut s = states.map(|w| _mm512_loadu_si512(w.as_ptr().cast()));
+    // One lane draws with a scalar walk over its class-2 cycles, which
+    // beats a vector round per draw; its generator lives in a local.
+    let mut solo = (lanes == 1).then(|| rngs[0].clone());
+    let zero = _mm512_setzero_si512();
+    let one = _mm512_set1_epi64(1);
+    let unit = _mm512_set1_pd(1.0 / (1u64 << 53) as f64);
+    let (mut ones_acc, mut flips_acc) = (zero, zero);
+    let mut remaining = block.len;
+    let mut at = 0;
+    while remaining > 0 {
+        let valid = u64::MAX >> (64 - remaining.min(64));
+        // Lane `l`'s masks of class-1 and class-2 cycles; for a lane
+        // with class-2 cycles, also its table indices.
+        let mut classify = |l: usize| {
+            let gather = |rows: &[u64], mask| {
+                _mm512_mask_i64gather_epi64::<8>(
+                    zero,
+                    mask,
+                    row_starts,
+                    rows[at + l..].as_ptr().cast(),
+                )
+            };
+            let zw = bit_transpose_8x64(gather(block.coeff, coeff_rows));
+            let count = bit_transpose_8x64(gather(block.planes, plane_rows));
+            let pick = _mm512_shuffle_epi8(count_bit, count);
+            let class =
+                |lo, hi| _mm512_test_epi8_mask(_mm512_permutex2var_epi8(lo, zw, hi), pick) & valid;
+            let draws = class(draws_lo, draws_hi);
+            if draws != 0 {
+                let index = |zw_half, count_half| {
+                    _mm512_or_si512(
+                        _mm512_cvtepu8_epi16(zw_half),
+                        _mm512_sll_epi16(_mm512_cvtepu8_epi16(count_half), count_shift),
+                    )
+                };
+                let lo = index(_mm512_castsi512_si256(zw), _mm512_castsi512_si256(count));
+                let hi = index(
+                    _mm512_extracti64x4_epi64::<1>(zw),
+                    _mm512_extracti64x4_epi64::<1>(count),
+                );
+                let slot = indices[64 * l..].as_mut_ptr();
+                _mm512_storeu_si512(slot.cast(), lo);
+                _mm512_storeu_si512(slot.add(32).cast(), hi);
+            }
+            (class(ones_lo, ones_hi), draws)
+        };
+        let decided = if let Some(rng) = &mut solo {
+            let (mut decided, mut pending) = classify(0);
+            while pending != 0 {
+                let t = pending.trailing_zeros() as usize;
+                let q = one_probability[usize::from(indices[t])];
+                decided |= u64::from(rng.next_f64() < q) << t;
+                pending &= pending - 1;
+            }
+            _mm512_maskz_set1_epi64(1, decided as i64)
+        } else {
+            let (mut decided, mut pending) = (zero, zero);
+            for l in 0..lanes {
+                let (ones, draws) = classify(l);
+                decided = _mm512_mask_set1_epi64(decided, 1 << l, ones as i64);
+                pending = _mm512_mask_set1_epi64(pending, 1 << l, draws as i64);
+            }
+            // Lock-step draws: each round every lane with a pending
+            // cycle decides its lowest one with its generator's next
+            // draw.
+            loop {
+                let act = _mm512_test_epi64_mask(pending, pending);
+                if act == 0 {
+                    break;
+                }
+                let low = _mm512_and_si512(pending, _mm512_sub_epi64(zero, pending));
+                let cycle = _mm512_popcnt_epi64(_mm512_sub_epi64(low, one));
+                let index = _mm512_mask_i64gather_epi32::<2>(
+                    _mm256_setzero_si256(),
+                    act,
+                    _mm512_add_epi64(lane_slots, cycle),
+                    indices.as_ptr().cast(),
+                );
+                let index = _mm256_and_si256(index, _mm256_set1_epi32(0xFFFF));
+                let q = _mm512_mask_i32gather_pd::<8>(
+                    _mm512_setzero_pd(),
+                    act,
+                    index,
+                    one_probability.as_ptr().cast(),
+                );
+                let u = _mm512_mul_pd(
+                    _mm512_cvtepu64_pd(_mm512_srli_epi64::<11>(xoshiro_step_avx512(act, &mut s))),
+                    unit,
+                );
+                // `u < q` is false for a NaN `q`, as in the scalar compare.
+                let fire = _mm512_mask_cmp_pd_mask::<_CMP_LT_OQ>(act, u, q);
+                decided = _mm512_mask_or_epi64(decided, fire, decided, low);
+                pending = _mm512_xor_si512(pending, low);
+            }
+            decided
+        };
+        let sel = _mm512_maskz_loadu_epi64(lane_mask, block.sel[at..].as_ptr().cast());
+        ones_acc = _mm512_add_epi64(ones_acc, _mm512_popcnt_epi64(decided));
+        flips_acc = _mm512_add_epi64(
+            flips_acc,
+            _mm512_popcnt_epi64(_mm512_xor_si512(decided, sel)),
+        );
+        remaining -= remaining.min(64);
+        at += lanes;
+    }
+    if let Some(rng) = solo {
+        rngs[0] = rng;
+    } else {
+        for (i, v) in s.into_iter().enumerate() {
+            _mm512_storeu_si512(states[i].as_mut_ptr().cast(), v);
+        }
+        for (l, rng) in rngs.iter_mut().enumerate() {
+            *rng = Xoshiro256PlusPlus::from_state_words(std::array::from_fn(|i| states[i][l]));
+        }
+    }
+    let (mut ones, mut flips) = ([0u64; 8], [0u64; 8]);
+    _mm512_storeu_si512(ones.as_mut_ptr().cast(), ones_acc);
+    _mm512_storeu_si512(flips.as_mut_ptr().cast(), flips_acc);
+    (ones, flips)
 }
 
 #[cfg(test)]
@@ -2388,40 +2640,6 @@ mod tests {
             }
             assert_eq!(once, want);
             assert_eq!(thrice, words, "three transposes must be the identity");
-        }
-    }
-
-    #[test]
-    fn classify_cycles_matches_scalar_table_walk() {
-        // Built from the hardware check alone, so tests racing the tier
-        // override cannot turn this one into a skip.
-        if !bitmatrix_detected() {
-            eprintln!("skipping classify_cycles test: gfni or avx512vbmi absent");
-            return;
-        }
-        let kernels = BitMatrixKernels(());
-        let mut rng = SplitMix64::new(0x0C1A_55E5);
-        for nrows in [1usize, 3, 7] {
-            let rows: Vec<[u8; 128]> = (0..nrows)
-                .map(|_| std::array::from_fn(|_| (rng.next_u64() % 3) as u8))
-                .collect();
-            let zw_words: [u64; 8] = std::array::from_fn(|_| rng.next_u64());
-            // Three count planes: some cycles count past the last row.
-            let count_words: [u64; 8] =
-                std::array::from_fn(|p| if p < 3 { rng.next_u64() } else { 0 });
-            let (mut zw, mut count) = ([0u8; 64], [0u8; 64]);
-            let (ones, draws) =
-                kernels.classify_cycles(&zw_words, &count_words, &rows, &mut zw, &mut count);
-            for t in 0..64 {
-                let z = (0..8).fold(0u8, |a, c| a | (((zw_words[c] >> t) & 1) as u8) << c);
-                let n = (0..3).fold(0u8, |a, p| a | (((count_words[p] >> t) & 1) as u8) << p);
-                assert_eq!((zw[t], count[t]), (z, n), "cycle {t}");
-                let class = rows
-                    .get(usize::from(n))
-                    .map_or(0, |r| r[usize::from(z & 0x7F)]);
-                assert_eq!((ones >> t) & 1 == 1, class == 1, "cycle {t}, rows {nrows}");
-                assert_eq!((draws >> t) & 1 == 1, class == 2, "cycle {t}, rows {nrows}");
-            }
         }
     }
 
