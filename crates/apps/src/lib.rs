@@ -23,8 +23,6 @@ pub mod backend;
 pub mod contrast;
 pub mod gamma_app;
 pub mod image;
-pub mod neural;
-pub mod signal;
 
 /// Errors from the application layer.
 #[derive(Debug, Clone, PartialEq)]

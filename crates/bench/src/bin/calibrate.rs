@@ -1,6 +1,6 @@
 //! Calibration diagnostics: re-runs the device fit and prints the derived
 //! operating points next to the paper's values. Used to produce the
-//! constants in `osc_core::params` and the records in EXPERIMENTS.md.
+//! constants in `osc_core::params`.
 use osc_core::calibration::{self, Fig5Targets};
 use osc_core::design::mzi_first::{MziFirstDesign, MziFirstInputs};
 use osc_core::energy::{EnergyAssumptions, EnergyModel};

@@ -19,7 +19,7 @@
 //! Add `--json <dir>` to also dump machine-readable reports.
 //! ```
 
-use osc_bench::{exp0, extensions, fig1b, fig5, fig6, fig7, gamma};
+use osc_bench::{exp0, fig1b, fig5, fig6, fig7, gamma};
 
 fn dump_json<T: std::fmt::Debug>(path: Option<&str>, name: &str, value: &T) {
     if let Some(dir) = path {
@@ -90,19 +90,14 @@ fn run_one(cmd: &str, json: Option<&str>) -> bool {
             gamma::print(&r);
             dump_json(json, "gamma", &r);
         }
-        "ext" => {
-            let r = extensions::run();
-            extensions::print(&r);
-            dump_json(json, "ext", &r);
-        }
         _ => return false,
     }
     true
 }
 
-const ALL: [&str; 12] = [
+const ALL: [&str; 11] = [
     "exp0", "fig1b", "fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig6c", "fig7a", "fig7b",
-    "gamma", "ext",
+    "gamma",
 ];
 
 fn main() {

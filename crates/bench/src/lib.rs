@@ -23,7 +23,6 @@
 //! | [`fault_curve`] | graceful degradation of the Section V.C circuit under bit flips |
 
 pub mod exp0;
-pub mod extensions;
 pub mod fault_curve;
 pub mod fig1b;
 pub mod fig5;

@@ -298,6 +298,11 @@ pub const CIRCUIT_CACHE_CAPACITY: usize = 8;
 /// per-item seed is truncated to the register. Width 16 is inside the
 /// supported `3..=32` range by construction, so the factory is
 /// infallible.
+///
+/// An order-`n` item draws all of its `2n + 1` streams (`n` data,
+/// `n + 1` coefficient) of `N` bits from this one register, whose period
+/// is 2¹⁶ − 1 = 65535. Once `(2n + 1) · N > 65535` the streams replay
+/// earlier register states and are no longer independent.
 pub const LFSR_WIRE_WIDTH: u32 = 16;
 /// Environment variable overriding where [`locate_worker`] looks for
 /// the worker binary.
@@ -425,6 +430,11 @@ impl From<crate::CircuitError> for ShardError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SngKind {
     /// Maximal-length LFSR comparator SNG (the CMOS baseline).
+    ///
+    /// An item draws its `2n + 1` streams from one
+    /// [`LFSR_WIRE_WIDTH`]-bit register of period 65535, so they stay
+    /// independent only while `(2n + 1) · N ≤ 65535` for stream length
+    /// `N`.
     Lfsr,
     /// Deterministic low-discrepancy van der Corput/Halton source.
     Counter,

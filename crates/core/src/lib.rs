@@ -60,9 +60,7 @@ pub mod adder;
 pub mod architecture;
 pub mod backend;
 pub mod batch;
-pub mod budget;
 pub mod calibration;
-pub mod controller;
 pub mod design;
 pub mod energy;
 pub mod fault;

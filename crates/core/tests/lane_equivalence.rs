@@ -367,3 +367,16 @@ fn parallel_bank_rides_on_lane_blocks_bit_identically() {
         );
     }
 }
+
+#[test]
+fn parallel_lanes_match_single_lane_statistics() {
+    // One lane and eight lanes estimate the same value from the same
+    // total bit budget; eight lanes split it into 1024-slot streams.
+    let poly = BernsteinPoly::new(vec![0.2, 0.6, 0.9]).unwrap();
+    let single = ParallelOpticalSc::new(CircuitParams::paper_fig5(), poly.clone(), 1).unwrap();
+    let eight = ParallelOpticalSc::new(CircuitParams::paper_fig5(), poly, 8).unwrap();
+    let r1 = single.evaluate(0.4, 8192, XoshiroSng::new, 3).unwrap();
+    let r8 = eight.evaluate(0.4, 8192, XoshiroSng::new, 3).unwrap();
+    assert!((r1.estimate - r8.estimate).abs() < 0.03);
+    assert_eq!(r8.slots, 1024);
+}

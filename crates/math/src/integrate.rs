@@ -1,8 +1,7 @@
 //! Numerical quadrature.
 //!
-//! Used for pulse-energy integrals in the transient simulator (a 26 ps
-//! Gaussian pump pulse carries `∫P(t)dt` joules) and for averaging
-//! transmission over laser linewidths.
+//! Composite Simpson rule for smooth integrands, such as the energy
+//! `∫P(t)dt` of a pump pulse.
 
 /// Composite Simpson integration of `f` over `[a, b]` with `n` panels
 /// (`n` is rounded up to the next even number).

@@ -48,8 +48,6 @@
 //! ```
 
 pub mod add_drop_filter;
-pub mod apd;
-pub mod bpf;
 pub mod coupler;
 pub mod detector;
 pub mod devices;
@@ -58,7 +56,6 @@ pub mod mrr_modulator;
 pub mod mzi;
 pub mod ring;
 pub mod spectrum;
-pub mod waveguide;
 
 /// Errors produced when constructing physically invalid devices.
 #[derive(Debug, Clone, PartialEq)]

@@ -9,9 +9,8 @@
 //!   shift) transmits `IL% × ER%`.
 //!
 //! Beyond the two-state abstraction, [`MziModulator::transmission_at_phase`]
-//! exposes the underlying interferometric response (used by the transient
-//! simulator for finite rise times), constructed so that phase 0 and π
-//! reproduce the two-state values exactly.
+//! exposes the underlying interferometric response, constructed so that
+//! phase 0 and π reproduce the two-state values exactly.
 
 use crate::{check_range, DeviceError};
 use osc_units::{DbRatio, GigahertzRate};
@@ -139,9 +138,6 @@ impl MziModulator {
     /// Continuous interferometric transmission at arm phase difference
     /// `phi` (radians): a raised cosine scaled so that `phi = 0` gives the
     /// constructive value and `phi = π` the destructive value.
-    ///
-    /// Used by the transient simulator to model finite electrical rise
-    /// times sweeping the phase between 0 and π.
     pub fn transmission_at_phase(&self, phi: f64) -> f64 {
         let hi = self.transmission(MziState::Constructive);
         let lo = self.transmission(MziState::Destructive);

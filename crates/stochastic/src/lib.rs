@@ -21,7 +21,6 @@
 //! - [`resc::ReScUnit`] — the electronic ReSC unit (adder + multiplexer +
 //!   counter) used as the CMOS baseline (100 MHz in the paper's speedup
 //!   comparison);
-//! - [`ops`] — elementary SC arithmetic (AND multiply, MUX add, NOT);
 //! - [`simd`] — runtime-dispatched SIMD kernels (scalar / AVX2 / AVX-512)
 //!   for the lane-blocked hot paths, with `OSC_SIMD` / API overrides;
 //! - [`analysis`] — accuracy vs. stream length and fault-injection studies
@@ -46,10 +45,8 @@
 pub mod analysis;
 pub mod bernstein;
 pub mod bitstream;
-pub mod fsm;
 pub mod gamma;
 pub mod lfsr;
-pub mod ops;
 pub mod polynomial;
 pub mod resc;
 pub mod simd;

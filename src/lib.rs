@@ -17,7 +17,6 @@
 //! - [`stochastic`] — SC substrate and the electronic ReSC baseline,
 //! - [`core`] — the paper's optical SC architecture, models and design
 //!   methods,
-//! - [`transient`] — time-domain behavioural simulation,
 //! - [`apps`] — image-processing application workloads.
 //!
 //! # Quickstart
@@ -41,5 +40,4 @@ pub use osc_core as core;
 pub use osc_math as math;
 pub use osc_photonics as photonics;
 pub use osc_stochastic as stochastic;
-pub use osc_transient as transient;
 pub use osc_units as units;

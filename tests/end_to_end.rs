@@ -12,7 +12,6 @@ use optical_stochastic_computing::stochastic::bernstein::BernsteinPoly;
 use optical_stochastic_computing::stochastic::polynomial::Polynomial;
 use optical_stochastic_computing::stochastic::resc::ReScUnit;
 use optical_stochastic_computing::stochastic::sng::{CounterSng, XoshiroSng};
-use optical_stochastic_computing::transient::engine::{TimingConfig, TransientSimulator};
 
 #[test]
 fn paper_f1_from_power_form_to_optical_estimate() {
@@ -83,34 +82,6 @@ fn electronic_backend_contrast_reference() {
     let (_, mae) = run_contrast(&image, &mut backend).unwrap();
     assert!(mae < 0.02, "mae {mae}");
     assert_eq!(backend.name(), "electronic-resc");
-}
-
-#[test]
-fn transient_cw_matches_analytical_levels() {
-    // The transient engine and the analytical model are independent code
-    // paths; with a CW pump they must agree at slot centres.
-    let params = CircuitParams::paper_fig5();
-    let timing = TimingConfig {
-        pump_pulse_fwhm: None,
-        samples_per_bit: 64,
-        ..TimingConfig::default()
-    };
-    let sim = TransientSimulator::new(params, timing).unwrap();
-    let circuit = OpticalScCircuit::new(params).unwrap();
-    use optical_stochastic_computing::stochastic::bitstream::BitStream;
-    // Constant words held for 6 slots.
-    let data = vec![BitStream::ones(6), BitStream::zeros(6)];
-    let coeffs = vec![BitStream::zeros(6), BitStream::ones(6), BitStream::ones(6)];
-    let trace = sim.run(&data, &coeffs).unwrap();
-    let analytic = circuit
-        .received_power(&[true, false], &[false, true, true])
-        .unwrap()
-        .as_mw();
-    let late = trace.received.sample_at(5.5e-9);
-    assert!(
-        (late - analytic).abs() / analytic < 0.02,
-        "transient {late} vs analytic {analytic}"
-    );
 }
 
 #[test]

@@ -1,11 +1,13 @@
 //! Integration tests pinning every headline number of the paper against
-//! the model — the executable form of EXPERIMENTS.md.
+//! the model: Fig. 5–7, Section V and the Section VI reconfigurable
+//! circuit.
 
 use optical_stochastic_computing::core::calibration::{predict, Fig5Targets};
 use optical_stochastic_computing::core::design::mrr_first::{MrrFirstDesign, MrrFirstInputs};
 use optical_stochastic_computing::core::design::mzi_first::{MziFirstDesign, MziFirstInputs};
 use optical_stochastic_computing::core::energy::{scaling_study, EnergyAssumptions, EnergyModel};
 use optical_stochastic_computing::core::prelude::*;
+use optical_stochastic_computing::core::reconfig::ReconfigurableCircuit;
 
 fn rel(measured: f64, paper: f64) -> f64 {
     (measured - paper).abs() / paper
@@ -142,4 +144,29 @@ fn section_vc_ten_x_speedup() {
     let optical = GigahertzRate::new(1.0);
     let cmos = GigahertzRate::new(0.1);
     assert_eq!(optical.speedup_over(cmos), 10.0);
+}
+
+/// Section VI: the energy-optimal spacing barely moves with the order,
+/// so one wavelength plan, provisioned at the optimum of the largest
+/// order, runs every smaller order at close to that order's own optimum.
+/// Order 1 (a single MZI) pays the most, about 11 % at `n_max = 16`;
+/// from order 2 up the cost stays below 3 %.
+#[test]
+fn section_vi_shared_plan_serves_every_order_near_its_optimum() {
+    for n_max in [6usize, 16] {
+        let rc = ReconfigurableCircuit::provision(n_max, EnergyAssumptions::default()).unwrap();
+        let report = rc.sharing_report().unwrap();
+        assert_eq!(report.len(), n_max);
+        for p in &report {
+            let bound = if p.order == 1 { 0.12 } else { 0.03 };
+            let penalty = p.sharing_penalty();
+            assert!(
+                (-1e-9..bound).contains(&penalty),
+                "n_max {n_max}, order {}: shared plan costs {:.2} % over its optimum (bound {:.0} %)",
+                p.order,
+                penalty * 100.0,
+                bound * 100.0
+            );
+        }
+    }
 }
