@@ -21,6 +21,9 @@
 //! - [`resc::ReScUnit`] — the electronic ReSC unit (adder + multiplexer +
 //!   counter) used as the CMOS baseline (100 MHz in the paper's speedup
 //!   comparison);
+//! - [`ops`] — elementary SC arithmetic (AND multiply, MUX add, NOT);
+//! - [`fsm`] — finite-state-machine SC elements (stochastic tanh and a
+//!   feedback divider);
 //! - [`simd`] — runtime-dispatched SIMD kernels (scalar / AVX2 / AVX-512)
 //!   for the lane-blocked hot paths, with `OSC_SIMD` / API overrides;
 //! - [`analysis`] — accuracy vs. stream length and fault-injection studies
@@ -45,8 +48,10 @@
 pub mod analysis;
 pub mod bernstein;
 pub mod bitstream;
+pub mod fsm;
 pub mod gamma;
 pub mod lfsr;
+pub mod ops;
 pub mod polynomial;
 pub mod resc;
 pub mod simd;

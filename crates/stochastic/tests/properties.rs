@@ -7,6 +7,7 @@ use osc_math::rng::Xoshiro256PlusPlus;
 use osc_stochastic::bernstein::{basis, BernsteinPoly};
 use osc_stochastic::bitstream::BitStream;
 use osc_stochastic::lfsr::Lfsr;
+use osc_stochastic::ops;
 use osc_stochastic::polynomial::Polynomial;
 use osc_stochastic::resc::ReScUnit;
 use osc_stochastic::sng::{
@@ -263,5 +264,21 @@ fn mux_ones_bounded() {
         let s = random_bits(rng, 64);
         let out = a.mux(&b, &s).unwrap();
         assert!(out.count_ones() <= a.count_ones() + b.count_ones());
+    });
+}
+
+/// Bipolar multiplication law holds for independent streams.
+#[test]
+fn bipolar_law() {
+    cases(64, |rng| {
+        let pa = rng.range_f64(0.1, 0.9);
+        let pb = rng.range_f64(0.1, 0.9);
+        let n = 32_768;
+        let mut sng = XoshiroSng::new(1 + rng.below(100));
+        let a = sng.generate(pa, n).unwrap();
+        let b = sng.generate(pb, n).unwrap();
+        let out = ops::bipolar_multiply(&a, &b).unwrap().value();
+        let expect = ops::from_bipolar(ops::to_bipolar(pa) * ops::to_bipolar(pb));
+        assert!((out - expect).abs() < 0.03, "out {out} expect {expect}");
     });
 }

@@ -1,73 +1,8 @@
-//! Integration tests for the future-work extension features through the
-//! facade crate: APD receiver, calibration controller, parallel lanes,
-//! loss budget, FSM elements and the SC neuron.
+//! Integration test for the FSM stochastic elements through the facade
+//! crate.
 
-use optical_stochastic_computing::apps::neural::StochasticNeuron;
-use optical_stochastic_computing::apps::signal::{stochastic_moving_average, SampledSignal};
-use optical_stochastic_computing::core::budget::{
-    probe_path_budget, pump_path_budget, RoutingAssumptions,
-};
-use optical_stochastic_computing::core::controller::{CalibrationController, ThermalDrift};
-use optical_stochastic_computing::core::parallel::ParallelOpticalSc;
-use optical_stochastic_computing::core::prelude::*;
-use optical_stochastic_computing::photonics::apd::ApdDetector;
-use optical_stochastic_computing::stochastic::bernstein::BernsteinPoly;
-use optical_stochastic_computing::stochastic::fsm::{StanhFsm, StochasticDivider};
+use optical_stochastic_computing::stochastic::fsm::StanhFsm;
 use optical_stochastic_computing::stochastic::sng::{StochasticNumberGenerator, XoshiroSng};
-
-#[test]
-fn apd_enables_microwatt_probes_end_to_end() {
-    // Swap the PIN for the Steindl APD and re-run the whole SNR design:
-    // the probe budget drops below 10 µW while still meeting BER 1e-6.
-    let params = CircuitParams::paper_fig5();
-    let apd = ApdDetector::steindl_2014(params.detector().unwrap()).unwrap();
-    let snr = SnrModel::new(&params)
-        .unwrap()
-        .with_detector(apd.effective_detector().unwrap());
-    let probe = snr.min_probe_power_for_ber(1e-6).unwrap();
-    assert!(probe.as_mw() < 0.01, "APD probe requirement {probe}");
-}
-
-#[test]
-fn controller_keeps_bands_separated_under_drift() {
-    // With the lock running, the residual misalignment stays small enough
-    // that the Fig. 5 decision bands would remain separated (band gap
-    // tolerates ~0.05 nm of grid offset).
-    let params = CircuitParams::paper_fig5();
-    let mut controller = CalibrationController::new(params, Nanometers::new(0.02)).unwrap();
-    let record = controller
-        .track(&ThermalDrift::silicon(1.0, 100.0), 100)
-        .unwrap();
-    for epoch in &record[10..] {
-        assert!(
-            epoch.residual_nm.abs() < 0.06,
-            "epoch {}: residual {}",
-            epoch.epoch,
-            epoch.residual_nm
-        );
-    }
-}
-
-#[test]
-fn parallel_lanes_match_single_lane_statistics() {
-    let poly = BernsteinPoly::new(vec![0.2, 0.6, 0.9]).unwrap();
-    let single = ParallelOpticalSc::new(CircuitParams::paper_fig5(), poly.clone(), 1).unwrap();
-    let eight = ParallelOpticalSc::new(CircuitParams::paper_fig5(), poly, 8).unwrap();
-    let r1 = single.evaluate(0.4, 8192, XoshiroSng::new, 3).unwrap();
-    let r8 = eight.evaluate(0.4, 8192, XoshiroSng::new, 3).unwrap();
-    assert!((r1.estimate - r8.estimate).abs() < 0.03);
-    assert_eq!(r8.slots, 1024);
-}
-
-#[test]
-fn budgets_are_positive_and_itemized() {
-    let params = CircuitParams::paper_fig5();
-    let probe = probe_path_budget(&params, RoutingAssumptions::default()).unwrap();
-    let pump = pump_path_budget(&params, RoutingAssumptions::default()).unwrap();
-    assert!(probe.total().as_db() > 2.0 && probe.total().as_db() < 15.0);
-    assert!(pump.total().as_db() > params.mzi_il.as_db() - 1e-9);
-    assert!(probe.dominant().is_some());
-}
 
 #[test]
 fn stanh_feeds_optical_style_streams() {
@@ -78,28 +13,4 @@ fn stanh_feeds_optical_style_streams() {
     let out = fsm.run(&input);
     // Bipolar 0.5 in -> tanh(4·0.5) ≈ 0.964 -> p ≈ 0.98.
     assert!(out.value() > 0.9, "got {}", out.value());
-}
-
-#[test]
-fn divider_and_neuron_compose() {
-    let div = StochasticDivider::new(10).unwrap();
-    let mut sng = XoshiroSng::new(10);
-    let a = sng.generate(0.3, 1 << 16).unwrap();
-    let b = sng.generate(0.6, 1 << 16).unwrap();
-    let q = div.divide(&a, &b, 0x1234).unwrap();
-    assert!((q.value() - 0.5).abs() < 0.05);
-
-    let neuron = StochasticNeuron::new(vec![0.5, -0.5], 6).unwrap();
-    let y = neuron.evaluate(&[0.8, -0.8], 1 << 16, &mut sng).unwrap();
-    let want = neuron.reference(&[0.8, -0.8]);
-    assert!((y - want).abs() < 0.12, "got {y}, want {want}");
-}
-
-#[test]
-fn signal_filter_runs_through_facade() {
-    let noisy = SampledSignal::noisy_sine(32, 2.0, 0.08, 5);
-    let clean = SampledSignal::noisy_sine(32, 2.0, 0.0, 5);
-    let mut sng = XoshiroSng::new(11);
-    let filtered = stochastic_moving_average(&noisy, 4, 2048, &mut sng).unwrap();
-    assert!(filtered.mse(&clean).unwrap() < noisy.mse(&clean).unwrap());
 }
