@@ -57,9 +57,9 @@ pub fn mix_seed(seed: u64, index: u64) -> u64 {
 /// returned `(start, width)` covers items `start..start + width`.
 ///
 /// This is the shared chunking rule of every lane-blocked caller —
-/// [`BatchEvaluator::evaluate_many`], [`crate::parallel::ParallelOpticalSc`]
-/// and the image pipelines — so their per-item results stay bit-identical
-/// to unblocked evaluation no matter how `n` decomposes; block shape
+/// [`BatchEvaluator::evaluate_many`] and the image pipelines — so their
+/// per-item results stay bit-identical to unblocked evaluation no
+/// matter how `n` decomposes; block shape
 /// (like the dispatch tier itself) is unobservable in results, so
 /// consulting [`simd::active_tier`] here cannot break the determinism
 /// contract.
@@ -91,10 +91,9 @@ pub fn lane_blocks_for_tier(tier: simd::SimdTier, n: usize) -> Vec<(usize, usize
 
 /// Seed salt deriving a work item's receiver-noise stream from its SNG
 /// seed: `rng = Xoshiro256PlusPlus::new(mix_seed(item_seed,
-/// NOISE_SEED_SALT))`. Every lane-blocked caller — this module, the
-/// lane bank in [`crate::parallel`] and the image pipelines — shares
-/// this one constant so their generator universes stay mutually
-/// consistent.
+/// NOISE_SEED_SALT))`. Every lane-blocked caller — this module and the
+/// image pipelines — shares this one constant so their generator
+/// universes stay mutually consistent.
 pub const NOISE_SEED_SALT: u64 = 0x0A11_D1CE;
 
 /// Evaluates one lane block of consecutive work items through

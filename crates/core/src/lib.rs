@@ -66,7 +66,6 @@ pub mod energy;
 pub mod fault;
 pub mod mux;
 pub mod nanocavity;
-pub mod parallel;
 pub mod params;
 pub mod receiver;
 pub mod reconfig;

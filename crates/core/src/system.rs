@@ -39,7 +39,7 @@
 //!   scratch for noisy circuits), and **no `BitStream` is ever
 //!   materialized** — zero heap allocation once the caller's
 //!   [`EvalScratch`] has warmed up. Use this anywhere throughput matters
-//!   (the batch, parallel-lane and image pipelines all do).
+//!   (the batch and image pipelines do).
 //! - [`OpticalScSystem::evaluate_fused_lanes`] — the lane-blocked form:
 //!   `L` independent evaluations walked in 64-cycle lock-step as
 //!   `[u64; L]` register groups, with vectorized comparator chains and a
@@ -654,10 +654,8 @@ impl OpticalScSystem {
     /// Lane-blocked fused evaluation: `L` independent end-to-end runs —
     /// lane `l` at input `xs[l]`, drawing its streams from `sngs[l]` and
     /// its receiver noise from `rngs[l]` — executed in 64-cycle
-    /// lock-step through one shared kernel pass. This is the software
-    /// form of the paper's Section V.C lane bank (see
-    /// [`crate::parallel`]): the spatially separate circuit lanes become
-    /// `[u64; L]` register groups walked side by side.
+    /// lock-step through one shared kernel pass: `L` circuit lanes
+    /// become `[u64; L]` register groups walked side by side.
     ///
     /// Per-stream word arrays live *lane-interleaved* in `scratch`
     /// (block `w` of lane `l` at `w * L + l`), so the bit-sliced

@@ -8,14 +8,13 @@
 //! final states. The sweeps cover all four stochastic number generators,
 //! L ∈ {1, 2, 4, 8}, odd/ragged/word-aligned lengths, the noisy decision
 //! tiers, long streams checked against the per-bit
-//! [`OpticalScSystem::evaluate_bitwise`] oracle, and the
-//! [`ParallelOpticalSc`] bank that rides on the kernel. A separate sweep
-//! pins the forced-scalar SIMD dispatch against the machine-detected
-//! tier word-for-word.
+//! [`OpticalScSystem::evaluate_bitwise`] oracle, and the statistics of
+//! [`BatchEvaluator`] lane blocks against one long stream. A separate
+//! sweep pins the forced-scalar SIMD dispatch against the
+//! machine-detected tier word-for-word.
 
-use osc_core::batch::mix_seed;
+use osc_core::batch::{mix_seed, BatchEvaluator};
 use osc_core::fault::FaultSpec;
-use osc_core::parallel::ParallelOpticalSc;
 use osc_core::params::CircuitParams;
 use osc_core::system::{EvalScratch, OpticalScSystem};
 use osc_math::rng::Xoshiro256PlusPlus;
@@ -338,45 +337,19 @@ fn forced_scalar_and_detected_simd_agree_word_for_word() {
 }
 
 #[test]
-fn parallel_bank_rides_on_lane_blocks_bit_identically() {
-    // The satellite acceptance: ParallelOpticalSc lane-blocked results
-    // bit-identical to per-lane evaluate_fused under the bank's seed
-    // derivation, across SNGs and lane counts.
-    for lanes in [2usize, 7, 8] {
-        let bank = ParallelOpticalSc::new(CircuitParams::paper_fig5(), poly2(), lanes).unwrap();
-        let total = 8usize * 1001;
-        let per_lane = total.div_ceil(lanes);
-        let got = bank.evaluate(0.6, total, XoshiroSng::new, 5).unwrap();
-        let mut scratch = EvalScratch::new();
-        let mut ones_weighted = 0.0;
-        for i in 0..lanes {
-            let lane_seed = mix_seed(5, i as u64);
-            let mut sng = XoshiroSng::new(lane_seed);
-            let mut rng = Xoshiro256PlusPlus::new(mix_seed(lane_seed, 0x0A11_D1CE));
-            let run = bank
-                .lane(i)
-                .unwrap()
-                .evaluate_fused(0.6, per_lane, &mut sng, &mut rng, &mut scratch)
-                .unwrap();
-            ones_weighted += run.estimate * per_lane as f64;
-        }
-        assert_eq!(
-            got.estimate,
-            ones_weighted / (per_lane * lanes) as f64,
-            "lanes={lanes}"
-        );
-    }
-}
-
-#[test]
 fn parallel_lanes_match_single_lane_statistics() {
-    // One lane and eight lanes estimate the same value from the same
-    // total bit budget; eight lanes split it into 1024-slot streams.
+    // One item and eight lane-blocked items estimate the same value from
+    // the same total bit budget; the eight split it into 1024-slot streams.
     let poly = BernsteinPoly::new(vec![0.2, 0.6, 0.9]).unwrap();
-    let single = ParallelOpticalSc::new(CircuitParams::paper_fig5(), poly.clone(), 1).unwrap();
-    let eight = ParallelOpticalSc::new(CircuitParams::paper_fig5(), poly, 8).unwrap();
-    let r1 = single.evaluate(0.4, 8192, XoshiroSng::new, 3).unwrap();
-    let r8 = eight.evaluate(0.4, 8192, XoshiroSng::new, 3).unwrap();
-    assert!((r1.estimate - r8.estimate).abs() < 0.03);
-    assert_eq!(r8.slots, 1024);
+    let system = OpticalScSystem::new(CircuitParams::paper_fig5(), poly).unwrap();
+    let batch = BatchEvaluator::new();
+    let single = batch
+        .evaluate_many(&system, &[0.4], 8192, XoshiroSng::new, 3)
+        .unwrap();
+    let eight = batch
+        .evaluate_many(&system, &[0.4; 8], 1024, XoshiroSng::new, 3)
+        .unwrap();
+    let mean8 = eight.iter().map(|r| r.estimate).sum::<f64>() / 8.0;
+    assert!((single[0].estimate - mean8).abs() < 0.03);
+    assert!(eight.iter().all(|r| r.stream_length == 1024));
 }

@@ -2,21 +2,17 @@
 //!
 //! Numerics substrate for the optical stochastic computing reproduction.
 //!
-//! The Rust standard library intentionally ships no special functions, root
-//! finders or optimizers, and the reproduction must stay dependency-light,
+//! The Rust standard library intentionally ships no special functions or
+//! optimizers, and the reproduction must stay dependency-light,
 //! so this crate provides the small, well-tested numerical toolbox the rest
 //! of the workspace builds on:
 //!
 //! - [`special`]: error functions (`erf`, `erfc`, inverse `erfc`), the
 //!   Gaussian Q-function used by the paper's BER model (Eq. 9), and exact
 //!   binomial coefficients for Bernstein bases.
-//! - [`roots`]: bracketing (bisection, Brent) and derivative-based (Newton)
-//!   scalar root finders.
 //! - [`optimize`]: golden-section line search, grid-with-refinement sweeps
 //!   and a compact Nelder–Mead simplex used for device calibration.
-//! - [`interp`]: linear interpolation over tabulated curves.
 //! - [`stats`]: streaming statistics, histograms and quantiles.
-//! - [`integrate`]: composite Simpson quadrature.
 //! - [`rng`]: deterministic `SplitMix64` / `Xoshiro256++` generators with
 //!   uniform, Bernoulli and Gaussian sampling.
 //!
@@ -32,12 +28,9 @@
 //! assert!((snr - 9.507).abs() < 0.01);
 //! ```
 
-pub mod integrate;
-pub mod interp;
 pub mod linalg;
 pub mod optimize;
 pub mod rng;
-pub mod roots;
 pub mod special;
 pub mod stats;
 

@@ -7,7 +7,6 @@
 
 use osc_math::optimize::{golden_section_min, NelderMead};
 use osc_math::rng::Xoshiro256PlusPlus;
-use osc_math::roots::{bisect, brent};
 use osc_math::special::{erfc, inv_erfc};
 use osc_math::stats::RunningStats;
 
@@ -41,19 +40,6 @@ fn inv_erfc_round_trip() {
         let x = inv_erfc(p);
         let back = erfc(x);
         assert!((back - p).abs() / p < 1e-6, "p={p:e}, back={back:e}");
-    });
-}
-
-/// Brent and bisection agree on random monotone cubics.
-#[test]
-fn brent_matches_bisect() {
-    cases(128, |rng| {
-        let c0 = rng.range_f64(-3.0, 3.0);
-        let f = |x: f64| x * x * x + 2.0 * x - c0; // strictly increasing
-        let rb = brent(f, -10.0, 10.0, 1e-12, 200).unwrap();
-        let ri = bisect(f, -10.0, 10.0, 1e-12, 300).unwrap();
-        assert!((rb - ri).abs() < 1e-6);
-        assert!(f(rb).abs() < 1e-8);
     });
 }
 

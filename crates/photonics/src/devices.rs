@@ -10,7 +10,6 @@
 //! ordering of the bars in Fig. 6(c). DESIGN.md documents this substitution.
 
 use crate::mzi::MziModulator;
-use osc_units::GigahertzRate;
 
 /// A published MZI modulator with provenance metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,10 +31,7 @@ pub struct MziDevice {
 impl MziDevice {
     /// Builds the corresponding modulator model.
     pub fn modulator(&self) -> MziModulator {
-        MziModulator::from_db(self.il_db, self.er_db)
-            .expect("device table entries are physical")
-            .with_max_rate(GigahertzRate::new(self.speed_gbps))
-            .with_phase_shifter_length_mm(self.phase_shifter_length_mm)
+        MziModulator::from_db(self.il_db, self.er_db).expect("device table entries are physical")
     }
 }
 
@@ -170,7 +166,6 @@ mod tests {
         for d in all_mzi_devices() {
             let m = d.modulator();
             assert!(m.contrast() > 0.0, "{}", d.label);
-            assert_eq!(m.max_rate().unwrap().as_gbps(), d.speed_gbps);
         }
     }
 }

@@ -18,8 +18,6 @@
 //!   whose resonance is tuned by a pump through two-photon absorption
 //!   (Fig. 2(c), Eq. 4), parameterized by the optical tuning efficiency
 //!   (OTE, nm/mW);
-//! - [`laser`] — continuous-wave and pulsed laser sources with wall-plug
-//!   (lasing) efficiency, plus WDM probe combs;
 //! - [`detector::Photodetector`] — responsivity + internal-noise receiver
 //!   front end behind the paper's SNR definition (Eq. 8);
 //! - [`coupler`] — power splitters/combiners for the MZI bank;
@@ -51,7 +49,6 @@ pub mod add_drop_filter;
 pub mod coupler;
 pub mod detector;
 pub mod devices;
-pub mod laser;
 pub mod mrr_modulator;
 pub mod mzi;
 pub mod ring;

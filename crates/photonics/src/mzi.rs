@@ -7,13 +7,9 @@
 //!   (`x = 0`, no phase shift) is `IL% = 10^(-IL_dB/10)`;
 //! - extinction ratio ER (dB): the *destructive* state (`x = 1`, π phase
 //!   shift) transmits `IL% × ER%`.
-//!
-//! Beyond the two-state abstraction, [`MziModulator::transmission_at_phase`]
-//! exposes the underlying interferometric response, constructed so that
-//! phase 0 and π reproduce the two-state values exactly.
 
 use crate::{check_range, DeviceError};
-use osc_units::{DbRatio, GigahertzRate};
+use osc_units::DbRatio;
 
 /// Logical drive state of an MZI in the stochastic adder.
 ///
@@ -40,13 +36,11 @@ impl MziState {
 }
 
 /// A 1×1 MZI modulator characterized by insertion loss and extinction
-/// ratio, with optional rate/geometry metadata from the source publication.
+/// ratio.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MziModulator {
     insertion_loss: DbRatio,
     extinction_ratio: DbRatio,
-    max_rate: Option<GigahertzRate>,
-    phase_shifter_length_mm: Option<f64>,
 }
 
 impl MziModulator {
@@ -74,8 +68,6 @@ impl MziModulator {
         Ok(MziModulator {
             insertion_loss,
             extinction_ratio,
-            max_rate: None,
-            phase_shifter_length_mm: None,
         })
     }
 
@@ -88,18 +80,6 @@ impl MziModulator {
         Self::new(DbRatio::from_db(il_db), DbRatio::from_db(er_db))
     }
 
-    /// Attaches the modulation-rate metadata quoted by the source paper.
-    pub fn with_max_rate(mut self, rate: GigahertzRate) -> Self {
-        self.max_rate = Some(rate);
-        self
-    }
-
-    /// Attaches the phase-shifter length metadata (mm).
-    pub fn with_phase_shifter_length_mm(mut self, mm: f64) -> Self {
-        self.phase_shifter_length_mm = Some(mm);
-        self
-    }
-
     /// Insertion loss.
     pub fn insertion_loss(&self) -> DbRatio {
         self.insertion_loss
@@ -108,16 +88,6 @@ impl MziModulator {
     /// Extinction ratio.
     pub fn extinction_ratio(&self) -> DbRatio {
         self.extinction_ratio
-    }
-
-    /// Maximum demonstrated modulation rate, if known.
-    pub fn max_rate(&self) -> Option<GigahertzRate> {
-        self.max_rate
-    }
-
-    /// Phase shifter length in millimetres, if known.
-    pub fn phase_shifter_length_mm(&self) -> Option<f64> {
-        self.phase_shifter_length_mm
     }
 
     /// Power transmission in a drive state (paper Eq. 7.b):
@@ -135,15 +105,6 @@ impl MziModulator {
         self.transmission(MziState::from_bit(bit))
     }
 
-    /// Continuous interferometric transmission at arm phase difference
-    /// `phi` (radians): a raised cosine scaled so that `phi = 0` gives the
-    /// constructive value and `phi = π` the destructive value.
-    pub fn transmission_at_phase(&self, phi: f64) -> f64 {
-        let hi = self.transmission(MziState::Constructive);
-        let lo = self.transmission(MziState::Destructive);
-        lo + (hi - lo) * 0.5 * (1.0 + phi.cos())
-    }
-
     /// The ON/OFF contrast `IL% − IL%·ER%` that drives the adder's power
     /// swing (the quantity the pump-power design method divides by).
     pub fn contrast(&self) -> f64 {
@@ -156,10 +117,8 @@ mod tests {
     use super::*;
 
     fn ziebell() -> MziModulator {
-        // Ziebell et al. [10]: 40 Gb/s, IL 4.5 dB, ER 3.2 dB.
-        MziModulator::from_db(4.5, 3.2)
-            .unwrap()
-            .with_max_rate(GigahertzRate::new(40.0))
+        // Ziebell et al. [10]: IL 4.5 dB, ER 3.2 dB.
+        MziModulator::from_db(4.5, 3.2).unwrap()
     }
 
     #[test]
@@ -186,33 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_model_endpoints_match_states() {
-        let mzi = ziebell();
-        assert!(
-            (mzi.transmission_at_phase(0.0) - mzi.transmission(MziState::Constructive)).abs()
-                < 1e-12
-        );
-        assert!(
-            (mzi.transmission_at_phase(std::f64::consts::PI)
-                - mzi.transmission(MziState::Destructive))
-            .abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
-    fn phase_model_is_monotone_from_0_to_pi() {
-        let mzi = ziebell();
-        let mut prev = mzi.transmission_at_phase(0.0);
-        for i in 1..=50 {
-            let phi = std::f64::consts::PI * i as f64 / 50.0;
-            let t = mzi.transmission_at_phase(phi);
-            assert!(t <= prev + 1e-12);
-            prev = t;
-        }
-    }
-
-    #[test]
     fn contrast_positive() {
         assert!(ziebell().contrast() > 0.0);
     }
@@ -228,13 +160,6 @@ mod tests {
     fn rejects_gain() {
         assert!(MziModulator::from_db(-1.0, 3.0).is_err());
         assert!(MziModulator::from_db(3.0, -0.5).is_err());
-    }
-
-    #[test]
-    fn metadata_round_trip() {
-        let m = ziebell().with_phase_shifter_length_mm(1.0);
-        assert_eq!(m.max_rate().unwrap().as_gbps(), 40.0);
-        assert_eq!(m.phase_shifter_length_mm(), Some(1.0));
     }
 
     #[test]

@@ -6,8 +6,6 @@
 use osc_math::rng::Xoshiro256PlusPlus;
 use osc_photonics::add_drop_filter::AddDropFilter;
 use osc_photonics::detector::Photodetector;
-use osc_photonics::laser::WdmComb;
-use osc_photonics::mzi::MziModulator;
 use osc_photonics::ring::RingResonator;
 use osc_units::{Amperes, Milliwatts, Nanometers};
 
@@ -77,22 +75,6 @@ fn drop_monotone_in_detuning() {
     });
 }
 
-/// MZI interferometric transmission is bounded by its two states for
-/// every phase.
-#[test]
-fn mzi_phase_bounded() {
-    cases(96, |rng| {
-        let il = rng.range_f64(0.0, 10.0);
-        let er = rng.range_f64(0.1, 20.0);
-        let phi = rng.range_f64(0.0, std::f64::consts::TAU);
-        let mzi = MziModulator::from_db(il, er).unwrap();
-        let t = mzi.transmission_at_phase(phi);
-        let hi = mzi.transmission_for_bit(false);
-        let lo = mzi.transmission_for_bit(true);
-        assert!(t >= lo - 1e-12 && t <= hi + 1e-12);
-    });
-}
-
 /// Filter detuning is exactly linear in control power.
 #[test]
 fn filter_detuning_linear() {
@@ -123,30 +105,6 @@ fn detector_snr_linear() {
         let s1 = d.snr(Milliwatts::new(base + sep), Milliwatts::new(base));
         let s2 = d.snr(Milliwatts::new(base + 2.0 * sep), Milliwatts::new(base));
         assert!((s2 - 2.0 * s1).abs() < 1e-9);
-    });
-}
-
-/// WDM comb channels are equally spaced and end on the requested
-/// wavelength.
-#[test]
-fn comb_layout() {
-    cases(96, |rng| {
-        let count = 2 + rng.below(18) as usize;
-        let spacing = rng.range_f64(0.05, 2.0);
-        let comb = WdmComb::equally_spaced(
-            count,
-            Nanometers::new(1550.0),
-            Nanometers::new(spacing),
-            Milliwatts::new(1.0),
-            0.2,
-        )
-        .unwrap();
-        let wls = comb.wavelengths();
-        assert_eq!(wls.len(), count);
-        assert!((wls[count - 1].as_nm() - 1550.0).abs() < 1e-9);
-        for pair in wls.windows(2) {
-            assert!(((pair[1] - pair[0]).as_nm() - spacing).abs() < 1e-9);
-        }
     });
 }
 

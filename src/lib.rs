@@ -11,7 +11,7 @@
 //!
 //! This crate re-exports the workspace members under stable names:
 //!
-//! - [`math`] — numerics substrate (special functions, solvers, RNG),
+//! - [`math`] — numerics substrate (special functions, optimizers, RNG),
 //! - [`units`] — type-safe physical quantities,
 //! - [`photonics`] — silicon-photonics device models,
 //! - [`stochastic`] — SC substrate and the electronic ReSC baseline,

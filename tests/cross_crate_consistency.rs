@@ -6,25 +6,8 @@ use optical_stochastic_computing::core::mux::OpticalMux;
 use optical_stochastic_computing::core::prelude::*;
 use optical_stochastic_computing::core::transmission::TransmissionModel;
 use optical_stochastic_computing::photonics::detector::{ber_from_snr, snr_for_ber};
-use optical_stochastic_computing::photonics::laser::WdmComb;
 use optical_stochastic_computing::stochastic::bernstein::{basis, BernsteinPoly};
 use optical_stochastic_computing::stochastic::polynomial::Polynomial;
-
-#[test]
-fn wdm_comb_matches_params_channel_plan() {
-    let params = CircuitParams::paper_fig5();
-    let comb = WdmComb::equally_spaced(
-        params.order + 1,
-        params.lambda_last,
-        params.wl_spacing,
-        params.probe_power,
-        0.2,
-    )
-    .unwrap();
-    let from_comb: Vec<f64> = comb.wavelengths().iter().map(|w| w.as_nm()).collect();
-    let from_params: Vec<f64> = params.channels().iter().map(|w| w.as_nm()).collect();
-    assert_eq!(from_comb, from_params);
-}
 
 #[test]
 fn adder_levels_match_mux_selection_for_all_counts() {

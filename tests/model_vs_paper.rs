@@ -2,12 +2,16 @@
 //! the model: Fig. 5–7, Section V and the Section VI reconfigurable
 //! circuit.
 
+use optical_stochastic_computing::apps::backend::{
+    throughput_evals_per_second, ElectronicBackend, OpticalBackend, PixelBackend,
+};
 use optical_stochastic_computing::core::calibration::{predict, Fig5Targets};
 use optical_stochastic_computing::core::design::mrr_first::{MrrFirstDesign, MrrFirstInputs};
 use optical_stochastic_computing::core::design::mzi_first::{MziFirstDesign, MziFirstInputs};
 use optical_stochastic_computing::core::energy::{scaling_study, EnergyAssumptions, EnergyModel};
 use optical_stochastic_computing::core::prelude::*;
 use optical_stochastic_computing::core::reconfig::ReconfigurableCircuit;
+use optical_stochastic_computing::stochastic::bernstein::BernsteinPoly;
 
 fn rel(measured: f64, paper: f64) -> f64 {
     (measured - paper).abs() / paper
@@ -138,12 +142,25 @@ fn fig7b_energy_saving_near_76_percent() {
     assert!(rel(p16.energy_at_1nm.as_pj(), 600.0) < 0.1);
 }
 
+/// Section V.C: the optical circuit runs at 1 GHz against the 100 MHz
+/// CMOS ReSC unit of [9], so at equal stream length it evaluates ten
+/// times as many inputs per second. The energy model charges the laser
+/// over the same 1 ns bit slot the optical clock gives.
 #[test]
 fn section_vc_ten_x_speedup() {
-    use optical_stochastic_computing::units::GigahertzRate;
-    let optical = GigahertzRate::new(1.0);
-    let cmos = GigahertzRate::new(0.1);
-    assert_eq!(optical.speedup_over(cmos), 10.0);
+    let poly = BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap();
+    let optical = OpticalBackend::new(CircuitParams::paper_fig5(), poly.clone(), 1024, 1).unwrap();
+    let electronic = ElectronicBackend::new(poly, 1024, 1);
+    assert_eq!(optical.clock().as_gbps(), 1.0);
+    assert_eq!(optical.clock().speedup_over(electronic.clock()), 10.0);
+    assert_eq!(
+        throughput_evals_per_second(&optical) / throughput_evals_per_second(&electronic),
+        10.0
+    );
+    assert_eq!(
+        optical.clock().bit_period(),
+        EnergyAssumptions::default().bit_period
+    );
 }
 
 /// Section VI: the energy-optimal spacing barely moves with the order,
