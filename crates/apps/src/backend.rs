@@ -28,16 +28,6 @@ pub trait PixelBackend {
     /// Backend-specific failures (invalid input, circuit errors).
     fn evaluate(&mut self, x: f64) -> Result<f64, AppError>;
 
-    /// Derives an independent copy for parallel work item `salt`: same
-    /// circuit and polynomial, but stochastic/noise streams decorrelated
-    /// from both the parent and every other salt (via
-    /// [`osc_core::batch::mix_seed`]). Stateless backends return a plain
-    /// copy. This is what lets image pipelines fan pixels across threads
-    /// while keeping the output a pure function of `(backend seed, salt)`.
-    fn fork(&self, salt: u64) -> Self
-    where
-        Self: Sized;
-
     /// Bits consumed per evaluation (1 for exact backends).
     fn bits_per_evaluation(&self) -> usize;
 
@@ -69,10 +59,6 @@ impl PixelBackend for ExactBackend {
         Ok(self.poly.eval(x))
     }
 
-    fn fork(&self, _salt: u64) -> Self {
-        self.clone()
-    }
-
     fn bits_per_evaluation(&self) -> usize {
         1
     }
@@ -95,7 +81,6 @@ impl PixelBackend for ExactBackend {
 pub struct ElectronicBackend {
     unit: ReScUnit,
     stream_length: usize,
-    seed: u64,
     sng: XoshiroSng,
     scratch: MuxScratch,
 }
@@ -106,7 +91,6 @@ impl ElectronicBackend {
         ElectronicBackend {
             unit: ReScUnit::new(poly),
             stream_length,
-            seed,
             sng: XoshiroSng::new(seed),
             scratch: MuxScratch::new(),
         }
@@ -126,17 +110,6 @@ impl PixelBackend for ElectronicBackend {
             .estimate)
     }
 
-    fn fork(&self, salt: u64) -> Self {
-        let seed = osc_core::batch::mix_seed(self.seed, salt);
-        ElectronicBackend {
-            unit: self.unit.clone(),
-            stream_length: self.stream_length,
-            seed,
-            sng: XoshiroSng::new(seed),
-            scratch: MuxScratch::new(),
-        }
-    }
-
     fn bits_per_evaluation(&self) -> usize {
         self.stream_length
     }
@@ -153,9 +126,9 @@ impl PixelBackend for ElectronicBackend {
 /// The optical SC circuit at 1 GHz with noisy detection.
 ///
 /// Evaluates through [`OpticalScSystem::evaluate_fused`] with a
-/// backend-resident [`EvalScratch`]: the image pipelines' per-pixel hot
-/// loop streams SNG words straight into the decision kernel with zero
-/// heap allocation once the scratch has warmed up.
+/// backend-resident [`EvalScratch`]: the sequential image pipeline's
+/// per-pixel hot loop streams SNG words straight into the decision
+/// kernel with zero heap allocation once the scratch has warmed up.
 pub struct OpticalBackend {
     system: OpticalScSystem,
     stream_length: usize,
@@ -242,20 +215,6 @@ impl PixelBackend for OpticalBackend {
                 &mut self.scratch,
             )?
             .estimate)
-    }
-
-    fn fork(&self, salt: u64) -> Self {
-        // Cloning reuses the precomputed power/decision tables — forking
-        // is cheap even though circuit construction is not.
-        let seed = osc_core::batch::mix_seed(self.seed, salt);
-        OpticalBackend {
-            system: self.system.clone(),
-            stream_length: self.stream_length,
-            seed,
-            sng: XoshiroSng::new(seed),
-            rng: Xoshiro256PlusPlus::new(seed ^ 0x5EED),
-            scratch: EvalScratch::new(),
-        }
     }
 
     fn bits_per_evaluation(&self) -> usize {

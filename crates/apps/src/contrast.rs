@@ -43,7 +43,6 @@ pub fn run_contrast<B: PixelBackend>(
 mod tests {
     use super::*;
     use crate::backend::{ElectronicBackend, ExactBackend};
-    use crate::gamma_app::apply_backend_par;
 
     /// Mean absolute error of `produced` against the exact smoothstep.
     fn contrast_mae(img: &Image, produced: &Image) -> f64 {
@@ -82,18 +81,6 @@ mod tests {
         let mut b = ElectronicBackend::new(smoothstep_poly(), 8192, 5);
         let (_, mae) = run_contrast(&img, &mut b).unwrap();
         assert!(mae < 0.02, "mae {mae}");
-    }
-
-    #[test]
-    fn parallel_contrast_matches_thread_counts_and_quality() {
-        use osc_core::batch::BatchEvaluator;
-        let img = Image::blobs(12, 12);
-        let b = ElectronicBackend::new(smoothstep_poly(), 4096, 5);
-        let img1 = apply_backend_par(&img, &b, &BatchEvaluator::with_threads(1)).unwrap();
-        let img4 = apply_backend_par(&img, &b, &BatchEvaluator::with_threads(4)).unwrap();
-        assert_eq!(img1, img4);
-        let mae1 = contrast_mae(&img, &img1);
-        assert!(mae1 < 0.03, "mae {mae1}");
     }
 
     #[test]

@@ -5,12 +5,12 @@
 //! frequency considered in \[9\], the use of integrated optics will lead to
 //! a 10x speedup."
 //!
-//! Three pipelines apply a backend to an image: [`apply_backend`] (one
-//! sequential generator chain), [`apply_backend_par`] (rows fanned over
-//! threads, any [`PixelBackend`]) and [`apply_optical`] — the optical
-//! circuit's row + lane pipeline, served through any
-//! [`Executor`] tier (in process, spawned workers, a persistent pool or
-//! a TCP service) with byte-identical output.
+//! Two pipelines apply a backend to an image: [`apply_backend`] (one
+//! sequential generator chain, any [`PixelBackend`] — the per-backend
+//! comparison of EXP-G) and [`apply_optical`] — the optical circuit's
+//! row + lane pipeline, served through any [`Executor`] tier (in
+//! process, spawned workers, a persistent pool or a TCP service) with
+//! byte-identical output.
 
 use crate::backend::{throughput_evals_per_second, OpticalBackend, PixelBackend};
 use crate::image::Image;
@@ -47,36 +47,6 @@ pub fn apply_backend<B: PixelBackend>(image: &Image, backend: &mut B) -> Result<
     Image::new(image.width(), image.height(), out)
 }
 
-/// Applies a backend's polynomial to every pixel with row-level
-/// parallelism: each image row runs on a [`PixelBackend::fork`] of the
-/// backend salted with the row index, fanned across a
-/// [`BatchEvaluator`]'s workers. The output is a pure function of the
-/// backend's seed and the image — identical for every thread count.
-///
-/// # Errors
-///
-/// Propagates backend failures (first failing row by index order).
-pub fn apply_backend_par<B: PixelBackend + Sync>(
-    image: &Image,
-    backend: &B,
-    evaluator: &BatchEvaluator,
-) -> Result<Image, AppError> {
-    let width = image.width();
-    let rows: Vec<usize> = (0..image.height()).collect();
-    let produced = evaluator.par_map(&rows, |_, &y| {
-        let mut lane = backend.fork(y as u64);
-        image.pixels()[y * width..(y + 1) * width]
-            .iter()
-            .map(|&p| lane.evaluate(p).map(|v| v.clamp(0.0, 1.0)))
-            .collect::<Result<Vec<f64>, AppError>>()
-    });
-    let mut out = Vec::with_capacity(image.pixels().len());
-    for row in produced {
-        out.extend(row?);
-    }
-    Image::new(width, image.height(), out)
-}
-
 /// Applies the optical backend's polynomial to every pixel through
 /// `executor`, optionally under a per-stream fault process. Rows fan
 /// across threads (and, off process, across workers), and within a row
@@ -91,9 +61,9 @@ pub fn apply_backend_par<B: PixelBackend + Sync>(
 /// is a pure function of the backend's seed, the image and the spec —
 /// byte-identical for every [`Executor`] tier, thread count, worker
 /// count, lane decomposition and SIMD tier. The per-pixel seeding
-/// differs from [`apply_backend_par`]'s sequential per-row generator
-/// chain, so the two pipelines produce statistically equivalent but not
-/// bit-equal images.
+/// differs from [`apply_backend`]'s one sequential generator chain, so
+/// the two pipelines produce statistically equivalent but not bit-equal
+/// images.
 ///
 /// # Errors
 ///
@@ -178,7 +148,7 @@ mod tests {
     use super::*;
     use crate::backend::{ElectronicBackend, ExactBackend};
     use osc_core::batch::mix_seed;
-    use osc_core::batch::shard::ShardCoordinator;
+    use osc_core::batch::shard::pool::PoolConfig;
     use osc_core::system::EvalScratch;
     use osc_math::rng::Xoshiro256PlusPlus;
     use osc_stochastic::sng::XoshiroSng;
@@ -229,26 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_apply_is_thread_count_invariant() {
-        let img = Image::blobs(16, 8);
-        let backend = ElectronicBackend::new(paper_gamma_polynomial().unwrap(), 512, 9);
-        let one = apply_backend_par(&img, &backend, &BatchEvaluator::with_threads(1)).unwrap();
-        let four = apply_backend_par(&img, &backend, &BatchEvaluator::with_threads(4)).unwrap();
-        assert_eq!(one, four);
-    }
-
-    #[test]
-    fn parallel_apply_matches_quality_of_sequential() {
-        let img = Image::gradient(16, 8);
-        let backend = ElectronicBackend::new(paper_gamma_polynomial().unwrap(), 4096, 5);
-        let seq = run_gamma(&img, &mut backend.fork(u64::MAX)).unwrap();
-        let par = apply_backend_par(&img, &backend, &BatchEvaluator::with_threads(3)).unwrap();
-        let par_mae = gamma_mae(&img, &par);
-        // Different streams, same statistics.
-        assert!((seq.mae - par_mae).abs() < 0.01, "{} vs {par_mae}", seq.mae);
-    }
-
-    #[test]
     fn lane_blocked_image_is_thread_invariant_and_matches_per_pixel() {
         use osc_core::params::CircuitParams;
         // Width 13 exercises the 8 + 4 + 1 block decomposition per row.
@@ -287,23 +237,23 @@ mod tests {
     }
 
     #[test]
-    fn lane_blocked_gamma_quality_matches_row_parallel() {
+    fn lane_blocked_gamma_quality_matches_sequential() {
         use osc_core::params::CircuitParams;
         let img = Image::gradient(16, 8);
         let poly = paper_gamma_polynomial().unwrap();
         let params = CircuitParams::paper_fig7(6, osc_units::Nanometers::new(0.165));
-        let backend = OpticalBackend::new(params, poly, 2048, 7).unwrap();
+        let mut backend = OpticalBackend::new(params, poly, 2048, 7).unwrap();
         let ev = BatchEvaluator::with_threads(3);
         let lanes = gamma_mae(&img, &optical(&img, &backend, &ev));
-        let rows = gamma_mae(&img, &apply_backend_par(&img, &backend, &ev).unwrap());
+        let sequential = gamma_mae(&img, &apply_backend(&img, &mut backend).unwrap());
         // Different per-pixel streams, same statistics.
-        assert!((lanes - rows).abs() < 0.01, "{lanes} vs {rows}");
+        assert!((lanes - sequential).abs() < 0.01, "{lanes} vs {sequential}");
     }
 
     #[test]
     fn sharded_apply_surfaces_missing_worker_as_value() {
         use osc_core::params::CircuitParams;
-        // A coordinator pointed at a binary that does not exist must
+        // A spawn tier pointed at a binary that does not exist must
         // fail with a clean AppError::Shard, never a panic. The
         // byte-identity of a *working* sharded run against the lanes
         // pipeline is pinned by the osc-bench integration suite, which
@@ -311,9 +261,8 @@ mod tests {
         let img = Image::gradient(8, 4);
         let poly = osc_stochastic::bernstein::BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap();
         let backend = OpticalBackend::new(CircuitParams::paper_fig5(), poly, 64, 5).unwrap();
-        let coordinator = ShardCoordinator::new("/nonexistent/shard_worker_binary", 2);
-        let err =
-            apply_optical(&img, &backend, &mut Executor::Spawn(&coordinator), None).unwrap_err();
+        let config = PoolConfig::new("/nonexistent/shard_worker_binary", 2);
+        let err = apply_optical(&img, &backend, &mut Executor::Spawn(&config), None).unwrap_err();
         assert!(
             matches!(err, crate::AppError::Shard(_)),
             "expected a shard error, got {err:?}"

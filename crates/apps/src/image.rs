@@ -112,20 +112,6 @@ impl Image {
         }
     }
 
-    /// Applies a per-pixel map across worker threads, clamping results
-    /// into `[0, 1]`. The closure sees `(pixel_index, value)` and must be
-    /// pure — results are identical for every thread count.
-    pub fn map_par<F>(&self, evaluator: &osc_core::batch::BatchEvaluator, f: F) -> Image
-    where
-        F: Fn(usize, f64) -> f64 + Sync,
-    {
-        Image {
-            width: self.width,
-            height: self.height,
-            pixels: evaluator.par_map(&self.pixels, |i, &p| f(i, p).clamp(0.0, 1.0)),
-        }
-    }
-
     /// Mean absolute per-pixel difference.
     ///
     /// # Errors
@@ -204,17 +190,6 @@ mod tests {
         let g = Image::gradient(4, 1);
         let doubled = g.map(|p| p * 2.0);
         assert!(doubled.pixels().iter().all(|&p| p <= 1.0));
-    }
-
-    #[test]
-    fn map_par_matches_sequential_map_any_thread_count() {
-        let img = Image::blobs(16, 8);
-        let expect = img.map(|p| p * p);
-        for threads in [1usize, 4] {
-            let ev = osc_core::batch::BatchEvaluator::with_threads(threads);
-            let got = img.map_par(&ev, |_, p| p * p);
-            assert_eq!(got, expect, "threads={threads}");
-        }
     }
 
     #[test]

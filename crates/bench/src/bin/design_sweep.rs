@@ -23,9 +23,10 @@
 //!   knob);
 //! - `--workers 0`: in-process, through the same SNG dispatch point
 //!   the workers run;
-//! - `--spawn-per-request`: a fresh `N`-shard coordinator per
-//!   candidate (at most one worker per probe) — the per-request-spawn
-//!   baseline the pool amortizes;
+//! - `--spawn-per-request`: the same `N`-worker [`PoolConfig`] through
+//!   [`Executor::Spawn`], a fresh one-shot pool per candidate (at most
+//!   one worker per probe) — the per-request-spawn baseline the pool
+//!   amortizes;
 //! - `--service HOST:PORT`: one TCP connection to a running
 //!   `osc_service` front door, one request per candidate.
 //!
@@ -42,7 +43,7 @@ use osc_bench::sweep::{axes_for, summary_line};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
 use osc_core::batch::shard::service::ServiceClient;
-use osc_core::batch::shard::{locate_worker, Executor, ShardCoordinator};
+use osc_core::batch::shard::{locate_worker, Executor};
 use osc_core::batch::BatchEvaluator;
 use osc_core::design::sweep::{frontier_csv, pareto_frontier, DesignSweep};
 use std::time::Instant;
@@ -140,7 +141,7 @@ fn main() {
         })
     };
     let eval_start = Instant::now();
-    let (evaluator, coordinator, mut pool, mut client);
+    let (evaluator, config, mut pool, mut client);
     let (executor, mode_name) = if let Some(addr) = service_addr {
         let addr: std::net::SocketAddr = addr
             .parse()
@@ -151,21 +152,23 @@ fn main() {
     } else if workers == 0 {
         evaluator = BatchEvaluator::new();
         (Executor::InProcess(&evaluator), "in-process".to_string())
-    } else if spawn_per_request {
-        coordinator = ShardCoordinator::new(worker(), workers);
-        (
-            Executor::Spawn(&coordinator),
-            format!("spawn-per-request({workers})"),
-        )
     } else {
-        pool = PoolConfig::new(worker(), workers)
-            .with_circuit_cache_capacity(cache)
-            .spawn()
-            .unwrap_or_else(|e| fail(&format!("pool spawn: {e}")));
-        (
-            Executor::Pool(&mut pool),
-            format!("pool({workers}, cache {cache})"),
-        )
+        config = PoolConfig::new(worker(), workers);
+        if spawn_per_request {
+            (
+                Executor::Spawn(&config),
+                format!("spawn-per-request({workers})"),
+            )
+        } else {
+            pool = config
+                .with_circuit_cache_capacity(cache)
+                .spawn()
+                .unwrap_or_else(|e| fail(&format!("pool spawn: {e}")));
+            (
+                Executor::Pool(&mut pool),
+                format!("pool({workers}, cache {cache})"),
+            )
+        }
     };
     let points = sweep
         .evaluate(executor)

@@ -17,8 +17,9 @@
 //!   [`PoolConfig`]-spawned pool, circuits cached worker-side — spawn +
 //!   build paid once for the whole stream;
 //! - `--workers 0`: the unsharded in-process row+lane pipeline;
-//! - `--spawn-per-request`: a fresh `N`-shard `ShardCoordinator` run
-//!   per request — the per-request-spawn baseline the pool amortizes;
+//! - `--spawn-per-request`: the same `N`-worker [`PoolConfig`] through
+//!   [`Executor::Spawn`], a fresh one-shot pool per request — the
+//!   per-request-spawn baseline the pool amortizes;
 //! - `--service ADDR`: the multi-client load generator against a
 //!   running `osc_service` front door at `ADDR` — `--connections N`
 //!   (default 3) concurrent TCP connections share the schedule, and
@@ -45,7 +46,7 @@
 use osc_bench::soak::{self, LoadConfig, SoakConfig};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{locate_worker, Executor, ShardCoordinator};
+use osc_core::batch::shard::{locate_worker, Executor};
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 
@@ -171,21 +172,23 @@ fn main() {
             ),
         )
     } else {
-        let (evaluator, coordinator, mut pool);
+        let (evaluator, config, mut pool);
         let (executor, mode_name) = if workers == 0 {
             evaluator = BatchEvaluator::new();
             (Executor::InProcess(&evaluator), "in-process".to_string())
-        } else if spawn_per_request {
-            coordinator = ShardCoordinator::new(worker(), workers);
-            (
-                Executor::Spawn(&coordinator),
-                format!("spawn-per-request({workers})"),
-            )
         } else {
-            pool = PoolConfig::new(worker(), workers)
-                .spawn()
-                .unwrap_or_else(|e| fail(&format!("pool spawn: {e}")));
-            (Executor::Pool(&mut pool), format!("pool({workers})"))
+            config = PoolConfig::new(worker(), workers);
+            if spawn_per_request {
+                (
+                    Executor::Spawn(&config),
+                    format!("spawn-per-request({workers})"),
+                )
+            } else {
+                pool = config
+                    .spawn()
+                    .unwrap_or_else(|e| fail(&format!("pool spawn: {e}")));
+                (Executor::Pool(&mut pool), format!("pool({workers})"))
+            }
         };
         let report =
             soak::run(&cfg, executor).unwrap_or_else(|e| fail(&format!("{mode_name} soak: {e}")));

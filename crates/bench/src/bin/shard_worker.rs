@@ -17,9 +17,8 @@
 //! transport itself dies (truncated frame, oversized length prefix,
 //! vanished pipe).
 //!
-//! The in-process thread count follows `OSC_THREADS` (the coordinator
-//! exports it when pinned via `ShardCoordinator::with_worker_threads`
-//! or `PoolConfig::with_worker_threads`).
+//! The in-process thread count follows `OSC_THREADS` (the parent side
+//! exports it when pinned via `PoolConfig::with_worker_threads`).
 
 use std::io::{BufReader, BufWriter};
 

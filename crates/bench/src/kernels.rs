@@ -13,7 +13,7 @@
 use crate::microbench::Harness;
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{locate_worker, Executor, ShardCoordinator};
+use osc_core::batch::shard::{locate_worker, Executor};
 use osc_core::batch::BatchEvaluator;
 use osc_core::params::CircuitParams;
 use osc_core::system::{EvalScratch, OpticalScSystem};
@@ -338,7 +338,9 @@ pub fn run(budget_ms: u64) -> KernelsReport {
     ));
 
     // The acceptance workload: 64×64-pixel gamma correction on the
-    // 6th-order optical circuit.
+    // 6th-order optical circuit — the frozen per-bit loop (baseline)
+    // against `apply_optical` through `Executor::InProcess`, the one
+    // served image pipeline (optimized).
     let poly = osc_apps::gamma_app::paper_gamma_polynomial().expect("gamma fit");
     let image = osc_apps::image::Image::blobs(64, 64);
     let stream = 512usize;
@@ -367,10 +369,11 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             acc
         },
         move || {
-            // Current pipeline: fused zero-materialization kernel, rows
-            // fanned across the batch evaluator's workers with per-row
-            // backend scratch.
-            osc_apps::gamma_app::apply_backend_par(&image, &backend, &evaluator)
+            // Current pipeline: the served image path — rows fanned
+            // across the batch evaluator's workers, each row's pixels
+            // through the lane-blocked fused kernel.
+            let mut executor = Executor::InProcess(&evaluator);
+            osc_apps::gamma_app::apply_optical(&image, &backend, &mut executor, None)
                 .unwrap()
                 .pixels()
                 .iter()
@@ -402,7 +405,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
         let backend_s2 = osc_apps::backend::OpticalBackend::new(params, poly_s, stream_s, 13)
             .expect("6th-order circuit builds");
         let one_thread = BatchEvaluator::with_threads(1);
-        let coordinator = ShardCoordinator::new(&worker, 3);
+        let spawn_config = PoolConfig::new(&worker, 3);
         comparisons.push(compare(
             &mut harness,
             "gamma_64x64_order6_sharded",
@@ -415,7 +418,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
                     .sum()
             },
             move || {
-                let mut executor = Executor::Spawn(&coordinator);
+                let mut executor = Executor::Spawn(&spawn_config);
                 osc_apps::gamma_app::apply_optical(&image_s2, &backend_s2, &mut executor, None)
                     .unwrap()
                     .pixels()
@@ -425,8 +428,8 @@ pub fn run(budget_ms: u64) -> KernelsReport {
         ));
 
         // Pool amortization on the image workload: the same 64×64
-        // order-6 gamma image (stream 512), a fresh 3-worker coordinator
-        // spawn per request (baseline — what gamma_64x64_order6_sharded
+        // order-6 gamma image (stream 512), a fresh 3-worker spawn-tier
+        // pool per request (baseline — what gamma_64x64_order6_sharded
         // pays every call) against a persistent 3-worker pool whose
         // processes and cached circuit survive across requests
         // (optimized). Both sides produce byte-identical images; the
@@ -439,13 +442,13 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             .expect("6th-order circuit builds");
         let backend_q2 = osc_apps::backend::OpticalBackend::new(params, poly_q, stream, 13)
             .expect("6th-order circuit builds");
-        let spawn_coordinator = ShardCoordinator::new(&worker, 3);
+        let spawn_config_q = PoolConfig::new(&worker, 3);
         let mut warm_pool = PoolConfig::new(&worker, 3).spawn().expect("pool spawns");
         comparisons.push(compare(
             &mut harness,
             "gamma_64x64_order6_pooled",
             move || {
-                let mut executor = Executor::Spawn(&spawn_coordinator);
+                let mut executor = Executor::Spawn(&spawn_config_q);
                 osc_apps::gamma_app::apply_optical(&image_q, &backend_q, &mut executor, None)
                     .unwrap()
                     .pixels()
@@ -464,12 +467,12 @@ pub fn run(budget_ms: u64) -> KernelsReport {
 
         // The serving acceptance workload: the shared soak schedule —
         // 16 tiny (4×4) alternating gamma/contrast requests at 1024-bit
-        // streams — per-request coordinator spawning (baseline) against
-        // a persistent 3-worker pool with warm circuit caches
-        // (optimized). This is the many-small-requests regime the
-        // ROADMAP's service story lives in: the baseline pays 3 spawns
-        // + a circuit build per request, the pool pays neither after
-        // the first two requests.
+        // streams — per-request spawning through `Executor::Spawn`
+        // (baseline) against a persistent 3-worker pool with warm
+        // circuit caches (optimized). This is the many-small-requests
+        // regime the ROADMAP's service story lives in: the baseline pays
+        // 3 spawns + a circuit build per request, the pool pays neither
+        // after the first two requests.
         let soak_cfg = crate::soak::SoakConfig {
             requests: 16,
             width: 4,
@@ -477,7 +480,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             stream: 1024,
             ..Default::default()
         };
-        let soak_spawn = ShardCoordinator::new(&worker, 3);
+        let soak_spawn = PoolConfig::new(&worker, 3);
         let mut soak_pool = PoolConfig::new(&worker, 3).spawn().expect("pool spawns");
         comparisons.push(compare(
             &mut harness,
@@ -497,14 +500,14 @@ pub fn run(budget_ms: u64) -> KernelsReport {
         ));
 
         // The service-soak trajectory workload: the same small-request
-        // schedule, per-request coordinator spawning (baseline) against
+        // schedule, per-request spawning (baseline) against
         // the persistent TCP front door driven by the 3-connection
         // closed-loop load generator (optimized). On top of the pool's
         // amortization the optimized side pays wire framing and
         // connection scheduling and *still* wins — that margin is the
         // serving overhead budget the trajectory pins PR-over-PR.
         let svc_cfg = soak_cfg;
-        let svc_spawn = ShardCoordinator::new(&worker, 3);
+        let svc_spawn = PoolConfig::new(&worker, 3);
         let svc_dispatcher = PoolConfig::new(&worker, 3)
             .spawn_dispatcher()
             .expect("dispatcher spawns");
@@ -534,7 +537,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
         // every candidate its own parameter set) — the many-distinct-
         // circuits stress profile the soak schedule's two-circuit
         // repeat cannot produce. Baseline: spawn-per-request, a fresh
-        // single-shard coordinator call per candidate (1024 process
+        // single-shard spawn-tier call per candidate (1024 process
         // spawns + circuit builds per pass). Optimized: one persistent
         // 3-worker pool whose circuit cache is sized to the whole
         // working set, all candidates streaming through one pipelined
@@ -546,7 +549,7 @@ pub fn run(budget_ms: u64) -> KernelsReport {
             crate::sweep::order_grid_axes(),
         ));
         let grid_sweep2 = grid_sweep.clone();
-        let sweep_spawn = ShardCoordinator::new(&worker, 1);
+        let sweep_spawn = PoolConfig::new(&worker, 1);
         let mut sweep_pool = PoolConfig::new(&worker, 3)
             .with_circuit_cache_capacity(grid_sweep.designs().len())
             .spawn()

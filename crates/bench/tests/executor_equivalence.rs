@@ -9,7 +9,7 @@
 
 use osc_core::batch::shard::pool::{PoolConfig, WorkerPool};
 use osc_core::batch::shard::service::{Service, ServiceClient};
-use osc_core::batch::shard::{BatchJob, Executor, ShardCoordinator, ShardError, SngKind};
+use osc_core::batch::shard::{BatchJob, Executor, ShardError, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 use osc_core::params::CircuitParams;
@@ -21,7 +21,7 @@ const WORKER: &str = env!("CARGO_BIN_EXE_shard_worker");
 /// Every tier, built once and reused across the table.
 struct Tiers {
     evaluator: BatchEvaluator,
-    coordinator: ShardCoordinator,
+    spawn: PoolConfig,
     pool: WorkerPool,
     client: ServiceClient,
     service: Service,
@@ -33,7 +33,7 @@ impl Tiers {
         let service = Service::bind(("127.0.0.1", 0), dispatcher).unwrap();
         Tiers {
             evaluator: BatchEvaluator::with_threads(2),
-            coordinator: ShardCoordinator::new(WORKER, 3),
+            spawn: PoolConfig::new(WORKER, 3),
             pool: PoolConfig::new(WORKER, 2).spawn().unwrap(),
             client: ServiceClient::connect(service.local_addr()).unwrap(),
             service,
@@ -47,7 +47,7 @@ impl Tiers {
                 "in-process",
                 call(&mut Executor::InProcess(&self.evaluator)),
             ),
-            ("spawn", call(&mut Executor::Spawn(&self.coordinator))),
+            ("spawn", call(&mut Executor::Spawn(&self.spawn))),
             ("pool", call(&mut Executor::Pool(&mut self.pool))),
             ("service", call(&mut Executor::Service(&mut self.client))),
         ]

@@ -17,7 +17,7 @@ use osc_apps::image::Image;
 use osc_bench::soak::{self, SoakConfig};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{Executor, ShardCoordinator, ShardError, ShardRequest, SngKind};
+use osc_core::batch::shard::{Executor, ShardError, ShardRequest, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::fault::FaultSpec;
 use osc_core::params::CircuitParams;
@@ -151,8 +151,8 @@ fn soak_modes_produce_identical_bytes() {
     let in_process = soak::run(&cfg, Executor::InProcess(&BatchEvaluator::new())).unwrap();
     let mut pool = PoolConfig::new(WORKER, 3).spawn().unwrap();
     let pooled = soak::run(&cfg, Executor::Pool(&mut pool)).unwrap();
-    let coordinator = ShardCoordinator::new(WORKER, 3);
-    let spawned = soak::run(&cfg, Executor::Spawn(&coordinator)).unwrap();
+    let spawn = PoolConfig::new(WORKER, 3);
+    let spawned = soak::run(&cfg, Executor::Spawn(&spawn)).unwrap();
     assert_eq!(pooled.bytes, in_process.bytes, "pool ≡ in-process");
     assert_eq!(spawned.bytes, in_process.bytes, "spawn ≡ in-process");
 }
@@ -186,8 +186,8 @@ fn faulted_soak_modes_produce_identical_bytes_across_worker_counts() {
             pooled.bytes, in_process.bytes,
             "faulted pool({workers}) ≡ in-process"
         );
-        let coordinator = ShardCoordinator::new(WORKER, workers);
-        let spawned = soak::run(&cfg, Executor::Spawn(&coordinator)).unwrap();
+        let spawn = PoolConfig::new(WORKER, workers);
+        let spawned = soak::run(&cfg, Executor::Spawn(&spawn)).unwrap();
         assert_eq!(
             spawned.bytes, in_process.bytes,
             "faulted spawn({workers}) ≡ in-process"
@@ -332,8 +332,8 @@ fn nanocavity_soak_modes_produce_identical_bytes() {
     let in_process = soak::run(&cfg, Executor::InProcess(&BatchEvaluator::new())).unwrap();
     let mut pool = PoolConfig::new(WORKER, 2).spawn().unwrap();
     let pooled = soak::run(&cfg, Executor::Pool(&mut pool)).unwrap();
-    let coordinator = ShardCoordinator::new(WORKER, 2);
-    let spawned = soak::run(&cfg, Executor::Spawn(&coordinator)).unwrap();
+    let spawn = PoolConfig::new(WORKER, 2);
+    let spawned = soak::run(&cfg, Executor::Spawn(&spawn)).unwrap();
     assert_eq!(
         pooled.bytes, in_process.bytes,
         "nanocavity pool ≡ in-process"

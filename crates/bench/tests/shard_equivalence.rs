@@ -1,15 +1,15 @@
 //! End-to-end process-sharding equivalence: real `shard_worker`
-//! subprocesses, spawned by the [`ShardCoordinator`], must reproduce
+//! subprocesses, spawned by [`Executor::Spawn`], must reproduce
 //! single-process results **byte for byte** — for shard counts
 //! {1, 2, 3, 7} (ragged splits included), every SNG kind, and the image
 //! pipelines — and fail *as values* when workers die (including a
-//! killed-worker recovery case riding the coordinator's retry).
+//! killed-worker recovery case riding the spawn tier's retry).
 //!
-//! Since the pool landed, the coordinator is a one-shot facade over
-//! `pool::WorkerPool`, so this suite also pins the pool's spawn /
-//! dispatch / retry machinery end to end; the persistent-pool paths
-//! (warm caches, kill-mid-stream, cache-miss fallback) live in
-//! `pool_equivalence.rs`.
+//! The spawn tier runs each call on a one-shot `pool::WorkerPool`, so
+//! this suite also pins the pool's spawn / dispatch / retry machinery
+//! end to end, and the number of processes each call starts; the
+//! persistent-pool paths (warm caches, kill-mid-stream, cache-miss
+//! fallback) live in `pool_equivalence.rs`.
 //!
 //! This suite owns the worker binary via `CARGO_BIN_EXE_shard_worker`;
 //! the in-memory protocol properties live in
@@ -20,7 +20,8 @@ use osc_apps::backend::OpticalBackend;
 use osc_apps::contrast::{smoothstep, smoothstep_poly};
 use osc_apps::gamma_app::{apply_optical, paper_gamma_polynomial};
 use osc_apps::image::Image;
-use osc_core::batch::shard::{Executor, ShardCoordinator, ShardError, SngKind};
+use osc_core::batch::shard::pool::PoolConfig;
+use osc_core::batch::shard::{BatchJob, Executor, ShardError, SngKind};
 use osc_core::batch::BatchEvaluator;
 use osc_core::params::CircuitParams;
 use osc_core::system::{OpticalRun, OpticalScSystem};
@@ -37,6 +38,35 @@ fn fig5_system() -> OpticalScSystem {
         BernsteinPoly::new(vec![0.25, 0.625, 0.75]).unwrap(),
     )
     .unwrap()
+}
+
+/// One clean batch through the spawn tier.
+fn spawn_batch(
+    config: &PoolConfig,
+    system: &OpticalScSystem,
+    sng: SngKind,
+    xs: &[f64],
+    stream_length: usize,
+    seed: u64,
+) -> Result<Vec<OpticalRun>, ShardError> {
+    let job = BatchJob {
+        system,
+        sng,
+        xs,
+        stream_length,
+        seed,
+        faults: None,
+    };
+    Executor::Spawn(config)
+        .batches(&[job])
+        .map(|mut runs| runs.remove(0))
+}
+
+/// Writes `script` to `path` as an executable launcher.
+fn make_executable(path: &std::path::Path, script: &str) {
+    use std::os::unix::fs::PermissionsExt;
+    std::fs::write(path, script).unwrap();
+    std::fs::set_permissions(path, std::fs::Permissions::from_mode(0o755)).unwrap();
 }
 
 fn reference_runs(
@@ -73,10 +103,8 @@ fn sharded_batches_match_single_process_for_all_sngs_and_counts() {
     for kind in SngKind::ALL {
         let reference = reference_runs(&system, kind, &xs, 128, 7);
         for shards in [1usize, 2, 3, 7] {
-            let coordinator = ShardCoordinator::new(WORKER, shards).with_worker_threads(1);
-            let sharded = coordinator
-                .evaluate_many(&system, kind, &xs, 128, 7, None)
-                .unwrap();
+            let config = PoolConfig::new(WORKER, shards).with_worker_threads(1);
+            let sharded = spawn_batch(&config, &system, kind, &xs, 128, 7).unwrap();
             assert_eq!(sharded, reference, "{} shards={shards}", kind.name());
         }
     }
@@ -96,9 +124,8 @@ fn sharded_gamma_image_is_byte_identical_across_shard_counts() {
         apply_optical(&image, &backend, &mut Executor::InProcess(&evaluator), None).unwrap();
     let exact = image.map(|p| gamma_exact(p, DISPLAY_GAMMA));
     for shards in [1usize, 2, 3, 7] {
-        let coordinator = ShardCoordinator::new(WORKER, shards);
-        let sharded =
-            apply_optical(&image, &backend, &mut Executor::Spawn(&coordinator), None).unwrap();
+        let config = PoolConfig::new(WORKER, shards);
+        let sharded = apply_optical(&image, &backend, &mut Executor::Spawn(&config), None).unwrap();
         let identical = sharded
             .pixels()
             .iter()
@@ -127,9 +154,8 @@ fn sharded_contrast_matches_lanes_pipeline() {
     let evaluator = BatchEvaluator::with_threads(2);
     let lanes_img =
         apply_optical(&image, &backend, &mut Executor::InProcess(&evaluator), None).unwrap();
-    let coordinator = ShardCoordinator::new(WORKER, 3);
-    let sharded_img =
-        apply_optical(&image, &backend, &mut Executor::Spawn(&coordinator), None).unwrap();
+    let config = PoolConfig::new(WORKER, 3);
+    let sharded_img = apply_optical(&image, &backend, &mut Executor::Spawn(&config), None).unwrap();
     assert_eq!(sharded_img, lanes_img);
     let exact = image.map(smoothstep);
     assert_eq!(sharded_img.mae(&exact), lanes_img.mae(&exact));
@@ -138,24 +164,20 @@ fn sharded_contrast_matches_lanes_pipeline() {
 #[test]
 fn dead_worker_surfaces_a_clean_error_after_retries() {
     // A "worker" that exits immediately without speaking the protocol:
-    // the coordinator must detect the failure on every attempt and
+    // the spawn tier must detect the failure on every attempt and
     // return a ShardError, never panic or hang.
     let system = fig5_system();
     let xs = [0.25, 0.5, 0.75];
-    let coordinator = ShardCoordinator::new("/bin/false", 2).with_retries(1);
-    let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1, None)
-        .unwrap_err();
+    let config = PoolConfig::new("/bin/false", 2).with_retries(1);
+    let err = spawn_batch(&config, &system, SngKind::Xoshiro, &xs, 64, 1).unwrap_err();
     assert!(
         matches!(err, ShardError::Worker { .. }),
         "expected a worker failure, got {err}"
     );
     // A binary that cannot be spawned at all is also a value, and is
     // distinguishable from a worker that launched and then died.
-    let coordinator = ShardCoordinator::new("/nonexistent/worker", 2).with_retries(0);
-    let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 64, 1, None)
-        .unwrap_err();
+    let config = PoolConfig::new("/nonexistent/worker", 2).with_retries(0);
+    let err = spawn_batch(&config, &system, SngKind::Xoshiro, &xs, 64, 1).unwrap_err();
     assert!(matches!(err, ShardError::Spawn { .. }), "{err}");
 }
 
@@ -164,7 +186,7 @@ fn killed_worker_recovers_on_retry_with_identical_results() {
     // A flaky launcher: the first invocation per marker directory kills
     // itself before speaking the protocol (simulating a worker dying
     // mid-batch); every later invocation execs the real worker. With one
-    // retry the coordinator must recover and still produce the exact
+    // retry the spawn tier must recover and still produce the exact
     // single-process bytes.
     let marker_dir = std::env::temp_dir().join(format!(
         "osc-shard-flaky-{}-{}",
@@ -179,19 +201,13 @@ fn killed_worker_recovers_on_retry_with_identical_results() {
         dir = marker_dir.display(),
         worker = WORKER,
     );
-    std::fs::write(&script_path, script).unwrap();
-    let mut perms = std::fs::metadata(&script_path).unwrap().permissions();
-    use std::os::unix::fs::PermissionsExt;
-    perms.set_mode(0o755);
-    std::fs::set_permissions(&script_path, perms).unwrap();
+    make_executable(&script_path, &script);
 
     let system = fig5_system();
     let xs: Vec<f64> = (0..9).map(|i| i as f64 / 8.0).collect();
     let reference = reference_runs(&system, SngKind::Xoshiro, &xs, 128, 3);
-    let coordinator = ShardCoordinator::new(&script_path, 3).with_retries(1);
-    let recovered = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
-        .unwrap();
+    let config = PoolConfig::new(&script_path, 3).with_retries(1);
+    let recovered = spawn_batch(&config, &system, SngKind::Xoshiro, &xs, 128, 3).unwrap();
     assert_eq!(recovered, reference, "recovery must not change results");
     assert!(
         marker_dir.join("died-once").exists(),
@@ -199,10 +215,8 @@ fn killed_worker_recovers_on_retry_with_identical_results() {
     );
     // With retries disabled the same first-death launcher fails cleanly.
     let _ = std::fs::remove_file(marker_dir.join("died-once"));
-    let coordinator = ShardCoordinator::new(&script_path, 3).with_retries(0);
-    let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &xs, 128, 3, None)
-        .unwrap_err();
+    let config = PoolConfig::new(&script_path, 3).with_retries(0);
+    let err = spawn_batch(&config, &system, SngKind::Xoshiro, &xs, 128, 3).unwrap_err();
     assert!(matches!(err, ShardError::Worker { .. }), "{err}");
     let _ = std::fs::remove_dir_all(&marker_dir);
 }
@@ -212,10 +226,8 @@ fn remote_evaluation_errors_cross_the_boundary_as_values() {
     // An out-of-range input is rejected by the worker and reported as a
     // remote error (not retried — the answer is deterministic).
     let system = fig5_system();
-    let coordinator = ShardCoordinator::new(WORKER, 2);
-    let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1, None)
-        .unwrap_err();
+    let config = PoolConfig::new(WORKER, 2);
+    let err = spawn_batch(&config, &system, SngKind::Xoshiro, &[0.5, 1.5], 64, 1).unwrap_err();
     match err {
         ShardError::Remote { detail, .. } => {
             assert!(detail.contains("outside"), "{detail}");
@@ -228,12 +240,58 @@ fn remote_evaluation_errors_cross_the_boundary_as_values() {
 fn worker_thread_pinning_does_not_change_results() {
     let system = fig5_system();
     let xs: Vec<f64> = (0..13).map(|i| i as f64 / 12.0).collect();
-    let pinned = ShardCoordinator::new(WORKER, 2)
-        .with_worker_threads(1)
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
-        .unwrap();
-    let free = ShardCoordinator::new(WORKER, 2)
-        .evaluate_many(&system, SngKind::Chaotic, &xs, 256, 11, None)
-        .unwrap();
+    let pinned = PoolConfig::new(WORKER, 2).with_worker_threads(1);
+    let pinned = spawn_batch(&pinned, &system, SngKind::Chaotic, &xs, 256, 11).unwrap();
+    let free = PoolConfig::new(WORKER, 2);
+    let free = spawn_batch(&free, &system, SngKind::Chaotic, &xs, 256, 11).unwrap();
     assert_eq!(pinned, free, "OSC_THREADS pinning must be unobservable");
+}
+
+#[test]
+fn spawn_tier_starts_one_process_per_planned_shard() {
+    // A counting launcher: every start appends one line to a log, then
+    // execs the real worker. With 7 workers configured, the spawn tier
+    // must size each one-shot pool to the call's plan — one process per
+    // planned shard, none for an empty plan or a refused one.
+    let dir = std::env::temp_dir().join(format!("osc-shard-count-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("starts.log");
+    let script_path = dir.join("counting_worker.sh");
+    let script = format!(
+        "#!/bin/sh\necho start >> '{log}'\nexec '{worker}'\n",
+        log = log.display(),
+        worker = WORKER,
+    );
+    make_executable(&script_path, &script);
+    let starts = || {
+        std::fs::read_to_string(&log)
+            .map(|s| s.lines().count())
+            .unwrap_or(0)
+    };
+
+    let system = fig5_system();
+    let config = PoolConfig::new(&script_path, 7);
+    let batch = |xs: &[f64]| spawn_batch(&config, &system, SngKind::Xoshiro, xs, 64, 1);
+    let mut spawn = Executor::Spawn(&config);
+
+    assert_eq!(batch(&[0.25, 0.5, 0.75]).unwrap().len(), 3);
+    assert_eq!(starts(), 3, "a 3-item batch spawns 3 workers");
+
+    let image = spawn
+        .image(&system, SngKind::Xoshiro, 2, &[0.5; 10], 64, 1, None)
+        .unwrap();
+    assert_eq!(image.len(), 10);
+    assert_eq!(starts(), 3 + 5, "a 5-row image spawns 5 workers");
+
+    assert_eq!(batch(&[]), Ok(Vec::new()));
+    assert_eq!(starts(), 8, "an empty batch spawns nothing");
+
+    let ragged = spawn.image(&system, SngKind::Xoshiro, 3, &[0.5; 4], 64, 1, None);
+    assert!(
+        matches!(ragged, Err(ShardError::InvalidPlan(_))),
+        "{ragged:?}"
+    );
+    assert_eq!(starts(), 8, "a ragged image spawns nothing");
+    let _ = std::fs::remove_dir_all(&dir);
 }

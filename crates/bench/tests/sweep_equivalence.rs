@@ -1,6 +1,6 @@
 //! Frontier determinism across serving modes: the canonical design-
 //! sweep frontier CSV must be **byte-identical** whether candidates are
-//! evaluated in-process, through a spawn-per-call coordinator, through
+//! evaluated in-process, through the spawn-per-call tier, through
 //! a persistent worker pool (well-sized or deliberately thrashing
 //! circuit cache) or over the TCP service front door — for every
 //! backend. This is the test half of the CI `design-sweep` job; the
@@ -12,7 +12,7 @@ use osc_bench::sweep::{axes_for, frontier_csv, pareto_frontier, DesignSweep};
 use osc_core::backend::BackendKind;
 use osc_core::batch::shard::pool::PoolConfig;
 use osc_core::batch::shard::service::{Service, ServiceClient};
-use osc_core::batch::shard::{Executor, ShardCoordinator};
+use osc_core::batch::shard::Executor;
 use osc_core::batch::BatchEvaluator;
 
 const WORKER: &str = env!("CARGO_BIN_EXE_shard_worker");
@@ -29,8 +29,8 @@ fn csvs_across_modes(sweep: &DesignSweep) -> Vec<(String, String)> {
         frontier_csv(&pareto_frontier(&points)),
     ));
 
-    let coordinator = ShardCoordinator::new(WORKER, 2);
-    let points = sweep.evaluate(Executor::Spawn(&coordinator)).unwrap();
+    let spawn = PoolConfig::new(WORKER, 2);
+    let points = sweep.evaluate(Executor::Spawn(&spawn)).unwrap();
     out.push(("spawn".to_string(), frontier_csv(&pareto_frontier(&points))));
 
     // A pool with the cache sized to the working set, and one whose

@@ -256,26 +256,16 @@ impl BatchEvaluator {
         self.threads
     }
 
-    /// Deterministic indexed parallel map: applies `f(i, &items[i])` for
-    /// every item and returns results in input order. `f` must derive any
-    /// randomness it needs from `i` (e.g. via [`mix_seed`]) for the
-    /// thread-count-independence contract to hold.
-    pub fn par_map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        self.par_map_with(items, || (), |(), i, t| f(i, t))
-    }
-
-    /// [`BatchEvaluator::par_map`] with worker-local state: each worker
-    /// builds one `state = init()` when it starts and threads it through
-    /// every item it processes. This is how per-worker scratch (e.g.
-    /// [`EvalScratch`]) is reused across items without locking or
-    /// per-item allocation. For the determinism contract, `state` must
-    /// never leak information between items — scratch buffers that are
-    /// fully rewritten per item qualify.
+    /// Deterministic indexed parallel map with worker-local state:
+    /// applies `f(state, i, &items[i])` for every item and returns
+    /// results in input order. `f` must derive any randomness it needs
+    /// from `i` (e.g. via [`mix_seed`]) for the thread-count-independence
+    /// contract to hold. Each worker builds one `state = init()` when it
+    /// starts and threads it through every item it processes. This is
+    /// how per-worker scratch (e.g. [`EvalScratch`]) is reused across
+    /// items without locking or per-item allocation. For the determinism
+    /// contract, `state` must never leak information between items —
+    /// scratch buffers that are fully rewritten per item qualify.
     ///
     /// Workers claim index ranges by **guided self-scheduling**: each
     /// claim takes `⌈remaining / (2 · workers)⌉` items (at least one)
@@ -429,77 +419,6 @@ impl BatchEvaluator {
         }
         Ok(out)
     }
-
-    /// Evaluates one `x` across many independent seeds — the Monte-Carlo
-    /// replication loop of the accuracy studies, batched. Lane-blocked
-    /// fused path, per-worker scratch, like
-    /// [`BatchEvaluator::evaluate_many`]; each seed's run is bit-identical
-    /// to its standalone evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first evaluation failure (by index order).
-    pub fn evaluate_seeds<S, F>(
-        &self,
-        system: &OpticalScSystem,
-        x: f64,
-        stream_length: usize,
-        sng_factory: F,
-        seeds: &[u64],
-    ) -> Result<Vec<OpticalRun>, CircuitError>
-    where
-        S: StochasticNumberGenerator,
-        F: Fn(u64) -> S + Sync,
-    {
-        let blocks = lane_blocks(seeds.len());
-        let nested = self.par_map_with(&blocks, EvalScratch::new, |scratch, _, &(start, width)| {
-            let block_xs = [x; 8];
-            evaluate_lane_block(
-                system,
-                &block_xs[..width],
-                stream_length,
-                &sng_factory,
-                |l| seeds[start + l],
-                None::<fn(usize) -> FaultSpec>,
-                scratch,
-            )
-        });
-        let mut out = Vec::with_capacity(seeds.len());
-        for block in nested {
-            out.extend(block?);
-        }
-        Ok(out)
-    }
-
-    /// Sweeps the polynomial over `[0, 1]` on `points` equally spaced
-    /// inputs — the batched port of [`OpticalScSystem::transfer_curve`],
-    /// returning the same `(x, estimate, exact)` triples.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation failures.
-    pub fn transfer_curve<S, F>(
-        &self,
-        system: &OpticalScSystem,
-        points: usize,
-        stream_length: usize,
-        sng_factory: F,
-        seed: u64,
-    ) -> Result<Vec<(f64, f64, f64)>, CircuitError>
-    where
-        S: StochasticNumberGenerator,
-        F: Fn(u64) -> S + Sync,
-    {
-        let xs: Vec<f64> = (0..points)
-            .map(|i| i as f64 / (points - 1).max(1) as f64)
-            .collect();
-        let runs = self.evaluate_many(system, &xs, stream_length, sng_factory, seed)?;
-        Ok(xs
-            .into_iter()
-            .zip(runs)
-            .map(|(x, run)| (x, run.estimate, run.exact))
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -609,32 +528,16 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_seeds_matches_unbatched_runs() {
-        // Lane-blocked Monte-Carlo replication: per-seed runs must be
-        // bit-identical to standalone fused evaluation with that seed.
-        let s = system();
-        let seeds: Vec<u64> = (100..111).collect();
-        let runs = BatchEvaluator::with_threads(3)
-            .evaluate_seeds(&s, 0.4, 999, XoshiroSng::new, &seeds)
-            .unwrap();
-        let mut scratch = crate::system::EvalScratch::new();
-        for (i, &seed) in seeds.iter().enumerate() {
-            let mut sng = XoshiroSng::new(seed);
-            let mut rng = Xoshiro256PlusPlus::new(mix_seed(seed, 0x0A11_D1CE));
-            let direct = s
-                .evaluate_fused(0.4, 999, &mut sng, &mut rng, &mut scratch)
-                .unwrap();
-            assert_eq!(runs[i], direct, "seed index {i}");
-        }
-    }
-
-    #[test]
     fn par_map_preserves_order() {
         let items: Vec<usize> = (0..100).collect();
-        let out = BatchEvaluator::with_threads(4).par_map(&items, |i, &x| {
-            assert_eq!(i, x);
-            x * 2
-        });
+        let out = BatchEvaluator::with_threads(4).par_map_with(
+            &items,
+            || (),
+            |(), i, &x| {
+                assert_eq!(i, x);
+                x * 2
+            },
+        );
         assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -645,16 +548,20 @@ mod tests {
             for n in [1, workers - 1, workers, 64, 4097] {
                 let items: Vec<usize> = (0..n).collect();
                 let runs: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-                let out = BatchEvaluator::with_threads(workers).par_map(&items, |i, &x| {
-                    assert_eq!(i, x);
-                    runs[i].fetch_add(1, Ordering::Relaxed);
-                    // Every 61st item is expensive, so the workers'
-                    // claims finish unevenly.
-                    if i % 61 == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    x * 7
-                });
+                let out = BatchEvaluator::with_threads(workers).par_map_with(
+                    &items,
+                    || (),
+                    |(), i, &x| {
+                        assert_eq!(i, x);
+                        runs[i].fetch_add(1, Ordering::Relaxed);
+                        // Every 61st item is expensive, so the workers'
+                        // claims finish unevenly.
+                        if i % 61 == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                        }
+                        x * 7
+                    },
+                );
                 assert_eq!(out, (0..n).map(|x| x * 7).collect::<Vec<_>>(), "n={n}");
                 assert!(
                     runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
@@ -700,8 +607,10 @@ mod tests {
     #[test]
     fn par_map_empty_and_single() {
         let ev = BatchEvaluator::with_threads(8);
-        assert!(ev.par_map(&[] as &[u8], |_, _| 0).is_empty());
-        assert_eq!(ev.par_map(&[5u8], |_, &x| x + 1), vec![6]);
+        assert!(ev
+            .par_map_with(&[] as &[u8], || (), |(), _, _| 0)
+            .is_empty());
+        assert_eq!(ev.par_map_with(&[5u8], || (), |(), _, &x| x + 1), vec![6]);
     }
 
     #[test]
@@ -772,32 +681,21 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_seeds_replicates_independently() {
-        let s = system();
-        let seeds: Vec<u64> = (0..8).collect();
-        let ev = BatchEvaluator::with_threads(2);
-        let runs = ev
-            .evaluate_seeds(&s, 0.5, 4096, XoshiroSng::new, &seeds)
-            .unwrap();
-        assert_eq!(runs.len(), 8);
-        // Distinct seeds must give distinct estimates at least once.
-        assert!(runs.windows(2).any(|w| w[0].estimate != w[1].estimate));
-        for run in &runs {
-            assert!(run.abs_error() < 0.05, "error {}", run.abs_error());
-        }
-    }
-
-    #[test]
     fn transfer_curve_tracks_polynomial() {
         let s = system();
-        let curve = BatchEvaluator::with_threads(3)
-            .transfer_curve(&s, 9, 8192, XoshiroSng::new, 7)
+        // Nine equally spaced inputs over [0, 1], endpoints included.
+        let xs: Vec<f64> = (0..9).map(|i| i as f64 / 8.0).collect();
+        let runs = BatchEvaluator::with_threads(3)
+            .evaluate_many(&s, &xs, 8192, XoshiroSng::new, 7)
             .unwrap();
-        assert_eq!(curve.len(), 9);
-        assert_eq!(curve[0].0, 0.0);
-        assert_eq!(curve[8].0, 1.0);
-        for (x, est, exact) in curve {
-            assert!((est - exact).abs() < 0.05, "x={x}: {est} vs {exact}");
+        assert_eq!(runs.len(), 9);
+        for (x, run) in xs.iter().zip(runs) {
+            assert!(
+                (run.estimate - run.exact).abs() < 0.05,
+                "x={x}: {} vs {}",
+                run.estimate,
+                run.exact
+            );
         }
     }
 

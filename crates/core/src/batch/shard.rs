@@ -21,33 +21,41 @@
 //!   references instead of reshipped circuits. [`pool::PoolDispatcher`]
 //!   is its concurrent serving front end, [`pool::WorkerPool`] its
 //!   batch front end (submit a batch, collect it in request order);
-//! - [`ShardCoordinator`] — the one-shot spawn baseline: every call
-//!   plans its shards, spawns a fresh pool with one worker per shard
-//!   (acquire → run → drop) and merges the shards' runs in index order;
 //! - [`Executor`] — the one choice of serving tier (in process, spawn,
 //!   pool, service) behind one entry point per wire job kind
 //!   ([`Executor::image`], [`Executor::batches`]). The apps, the soak
 //!   schedule, the design sweep and the demo binaries all evaluate
-//!   through it.
+//!   through it. Its spawn tier is the one-shot baseline: every call
+//!   plans its shards, spawns a fresh pool with one worker per shard
+//!   (acquire → run → drop) and merges the shards' runs in index order.
 //!
 //! # One-shot vs pooled
 //!
-//! A [`ShardCoordinator`] pays process spawn + circuit construction on
+//! [`Executor::Spawn`] pays process spawn + circuit construction on
 //! **every** call — the right trade for one big batch, and a bad one for
 //! a stream of small requests (the paper's image workloads are many
-//! small evaluations). A [`pool::WorkerPool`] pays both **once**:
+//! small evaluations). A [`pool::WorkerPool`] pays both **once**. Both
+//! tiers take the same [`pool::PoolConfig`]:
 //!
 //! ```no_run
-//! use osc_core::batch::shard::{pool::PoolConfig, ShardCoordinator, SngKind};
+//! use osc_core::batch::shard::{pool::PoolConfig, BatchJob, Executor, SngKind};
 //! # fn demo(system: &osc_core::system::OpticalScSystem) -> Result<(), Box<dyn std::error::Error>> {
+//! let config = PoolConfig::new("shard_worker", 3);
+//! let job = BatchJob {
+//!     system,
+//!     sng: SngKind::Xoshiro,
+//!     xs: &[0.5],
+//!     stream_length: 256,
+//!     seed: 7,
+//!     faults: None,
+//! };
 //! // One-shot: spawn, evaluate, reap — per call.
-//! let coordinator = ShardCoordinator::new("shard_worker", 3);
-//! let once = coordinator.evaluate_many(system, SngKind::Xoshiro, &[0.5], 256, 7, None)?;
+//! let once = Executor::Spawn(&config).batches(&[job])?;
 //!
 //! // Pooled: spawn 3 workers once, then stream requests at them. The
 //! // workers cache the built circuit, so repeat requests skip both the
 //! // spawn and the rebuild. Results are bit-identical either way.
-//! let mut pool = PoolConfig::new("shard_worker", 3).spawn()?;
+//! let mut pool = config.spawn()?;
 //! for seed in 0..100u64 {
 //!     let runs = pool.evaluate_many(system, SngKind::Xoshiro, &[0.5], 256, seed, None)?;
 //!     assert_eq!(runs.len(), 1);
@@ -207,8 +215,8 @@
 //! request, catches panics, and reports failures in an error response —
 //! it never aborts on bad input. The coordinator treats a dead worker, a
 //! truncated frame, a wrong magic/version or a short response as a
-//! failed shard, retries it on a fresh process ([`ShardCoordinator`]
-//! retries each shard once by default), and only then surfaces a
+//! failed shard, retries it on a fresh process (once by default,
+//! [`pool::PoolConfig::with_retries`]), and only then surfaces a
 //! [`ShardError`].
 //!
 //! # Service framing (TCP front door)
@@ -265,7 +273,7 @@ use osc_stochastic::bernstein::BernsteinPoly;
 use osc_stochastic::sng::{ChaoticLaserSng, CounterSng, LfsrSng, XoshiroSng};
 use osc_units::{DbRatio, Milliwatts, Nanometers};
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Duration;
 
 pub mod pool;
@@ -581,9 +589,13 @@ impl BatchJob<'_> {
 pub enum Executor<'a> {
     /// In this process, on the evaluator's threads.
     InProcess(&'a BatchEvaluator),
-    /// Fresh worker subprocesses per job ([`ShardCoordinator`]): spawn
-    /// and circuit build paid on every job.
-    Spawn(&'a ShardCoordinator),
+    /// Fresh worker subprocesses per job, configured by a
+    /// [`pool::PoolConfig`]: each job is planned over the config's
+    /// worker count, and a one-shot pool with one worker per planned
+    /// shard runs it and is reaped (an empty plan spawns nothing). Spawn
+    /// and circuit build are paid on every job; failed shards are
+    /// retried on fresh processes as the config sets.
+    Spawn(&'a pool::PoolConfig),
     /// A persistent [`pool::WorkerPool`]: spawn paid once, circuits
     /// cached worker-side. An image's rows split over the workers; a
     /// batches call streams every job through one pipelined
@@ -628,8 +640,18 @@ impl Executor<'_> {
                 seed,
                 faults,
             ))?),
-            Executor::Spawn(coordinator) => {
-                coordinator.image_rows(system, sng, width, pixels, stream_length, seed, faults)
+            Executor::Spawn(config) => {
+                let (requests, expected) = image_requests(
+                    system,
+                    sng,
+                    width,
+                    pixels,
+                    stream_length,
+                    seed,
+                    faults,
+                    config.workers,
+                )?;
+                spawn_once(config, &requests, &expected)
             }
             Executor::Pool(pool) => {
                 pool.image_rows(system, sng, width, pixels, stream_length, seed, faults)
@@ -670,17 +692,19 @@ impl Executor<'_> {
                     )
                 })
                 .collect(),
-            Executor::Spawn(coordinator) => jobs
+            Executor::Spawn(config) => jobs
                 .iter()
                 .map(|job| {
-                    coordinator.evaluate_many(
+                    let (requests, expected) = batch_requests(
                         job.system,
                         job.sng,
                         job.xs,
                         job.stream_length,
                         job.seed,
                         job.faults,
-                    )
+                        config.workers,
+                    );
+                    spawn_once(config, &requests, &expected)
                 })
                 .collect(),
             Executor::Pool(pool) => {
@@ -2057,142 +2081,22 @@ fn image_requests(
     Ok((requests, expected))
 }
 
-/// Spawns worker subprocesses and distributes a batch across them.
-///
-/// The **one-shot** spawn baseline over [`pool::WorkerPool`]: every
-/// call spawns a fresh pool with one worker per shard, so each worker
-/// takes exactly one contiguous range; it merges the responses in index
-/// order and reaps the pool. Failed shards are retried on fresh
-/// processes ([`ShardCoordinator::with_retries`] times, default 1)
-/// before the batch fails — a killed worker costs a respawn, not the
-/// batch. For a stream of requests, hold a [`pool::WorkerPool`] instead
-/// and pay the spawn once.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardCoordinator {
-    /// The pool every call spawns, sized to `shards` workers.
-    pool: pool::PoolConfig,
-}
-
-impl ShardCoordinator {
-    /// Creates a coordinator running `shards` worker processes (`0` is
-    /// treated as `1`) of the given binary.
-    pub fn new(worker: impl AsRef<Path>, shards: usize) -> Self {
-        ShardCoordinator {
-            pool: pool::PoolConfig::new(worker, shards),
-        }
+/// Runs a planned call of [`Executor::Spawn`] on a one-shot pool with
+/// one worker per shard, so each worker takes exactly one contiguous
+/// range, and merges the runs in plan order. The plan comes first: an
+/// invalid one fails before any spawn, and an empty one spawns nothing.
+fn spawn_once(
+    config: &pool::PoolConfig,
+    requests: &[ShardRequest],
+    expected: &[usize],
+) -> Result<Vec<OpticalRun>, ShardError> {
+    if requests.is_empty() {
+        return Ok(Vec::new());
     }
-
-    /// Sets the per-request response deadline of every worker the
-    /// coordinator spawns (see [`pool::PoolConfig::with_read_timeout`]).
-    /// A stalled worker then surfaces as [`ShardError::Timeout`]
-    /// instead of blocking the batch forever.
-    pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
-        self.pool = self.pool.with_read_timeout(timeout);
-        self
-    }
-
-    /// Pins every worker's internal thread count by exporting
-    /// [`super::THREADS_ENV`] (`OSC_THREADS`) into its environment.
-    /// Results are identical either way; this bounds total CPU
-    /// oversubscription.
-    pub fn with_worker_threads(mut self, threads: usize) -> Self {
-        self.pool = self.pool.with_worker_threads(threads);
-        self
-    }
-
-    /// Sets how many times a failed shard is retried on a fresh process.
-    pub fn with_retries(mut self, retries: usize) -> Self {
-        self.pool = self.pool.with_retries(retries);
-        self
-    }
-
-    /// Sharded [`BatchEvaluator::evaluate_many`]: evaluates every `x` in
-    /// `xs`, item `i` on generators derived from `mix_seed(seed, i)`,
-    /// split across worker processes by a [`ShardPlan`], optionally
-    /// under a fault process that every worker rebases by each item's
-    /// global index ([`FaultSpec::rebased`]). Byte-identical to the
-    /// single-process evaluation — faulty or clean — for every shard
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError`] when a shard cannot be completed (after retries) or
-    /// a worker reports an evaluation failure; an invalid fault spec
-    /// comes back as a remote error value.
-    pub fn evaluate_many(
-        &self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        xs: &[f64],
-        stream_length: usize,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        let (requests, expected) = batch_requests(
-            system,
-            sng,
-            xs,
-            stream_length,
-            seed,
-            faults,
-            self.pool.workers,
-        );
-        self.run(&requests, &expected)
-    }
-
-    /// Sharded image evaluation: splits the image's rows across worker
-    /// processes, each running the row+lane pipeline derivation
-    /// (`mix_seed(mix_seed(seed, row), column)` per pixel, and the
-    /// optional fault process rebased by global row then column) over
-    /// its row range. Returns per-pixel runs in row-major order —
-    /// byte-identical to the in-process row+lane pipeline for every
-    /// shard count.
-    ///
-    /// # Errors
-    ///
-    /// [`ShardError::InvalidPlan`] when `pixels` is not a whole number of
-    /// `width`-sized rows; otherwise as [`ShardCoordinator::evaluate_many`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn image_rows(
-        &self,
-        system: &OpticalScSystem,
-        sng: SngKind,
-        width: usize,
-        pixels: &[f64],
-        stream_length: usize,
-        seed: u64,
-        faults: Option<&FaultSpec>,
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        let (requests, expected) = image_requests(
-            system,
-            sng,
-            width,
-            pixels,
-            stream_length,
-            seed,
-            faults,
-            self.pool.workers,
-        )?;
-        self.run(&requests, &expected)
-    }
-
-    /// Runs a planned call on a one-shot pool with one worker per
-    /// shard, so each worker takes exactly one contiguous range, and
-    /// merges the runs in plan order. The plan comes first: an invalid
-    /// one fails before any spawn, and an empty one spawns nothing.
-    fn run(
-        &self,
-        requests: &[ShardRequest],
-        expected: &[usize],
-    ) -> Result<Vec<OpticalRun>, ShardError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut config = self.pool.clone();
-        config.workers = requests.len();
-        let merged = config.spawn()?.run_requests(requests, expected)?;
-        Ok(merged.into_iter().flatten().collect())
-    }
+    let mut config = config.clone();
+    config.workers = requests.len();
+    let merged = config.spawn()?.run_requests(requests, expected)?;
+    Ok(merged.into_iter().flatten().collect())
 }
 
 #[cfg(test)]
@@ -2811,10 +2715,18 @@ mod tests {
         // The worker binary does not exist, so any spawn would fail:
         // these calls must be answered from the plan alone.
         let system = fig5_system();
-        let coordinator = ShardCoordinator::new("/nonexistent/shard_worker", 3);
-        let empty = coordinator.evaluate_many(&system, SngKind::Xoshiro, &[], 64, 1, None);
-        assert_eq!(empty, Ok(Vec::new()));
-        let ragged = coordinator.image_rows(&system, SngKind::Xoshiro, 3, &[0.5; 4], 64, 1, None);
+        let config = pool::PoolConfig::new("/nonexistent/shard_worker", 3);
+        let mut spawn = Executor::Spawn(&config);
+        let empty = spawn.batches(&[BatchJob {
+            system: &system,
+            sng: SngKind::Xoshiro,
+            xs: &[],
+            stream_length: 64,
+            seed: 1,
+            faults: None,
+        }]);
+        assert_eq!(empty, Ok(vec![Vec::new()]));
+        let ragged = spawn.image(&system, SngKind::Xoshiro, 3, &[0.5; 4], 64, 1, None);
         assert!(
             matches!(ragged, Err(ShardError::InvalidPlan(_))),
             "{ragged:?}"

@@ -1,6 +1,6 @@
 //! Persistent shard-worker pools: spawn once, serve many requests.
 //!
-//! [`super::ShardCoordinator`] pays process spawn + circuit
+//! [`super::Executor::Spawn`] pays process spawn + circuit
 //! construction on every call — fine for one big batch, ruinous for the
 //! paper's image workloads, which are streams of *small* evaluations
 //! (the `gamma_64x64_order6_sharded` trajectory entry documents that
@@ -419,7 +419,7 @@ fn spawn_slot(config: &PoolConfig) -> Result<WorkerSlot, String> {
 ///
 /// Construct with [`PoolConfig::spawn`]; drive with
 /// [`WorkerPool::evaluate_many`] / [`WorkerPool::image_rows`] (the same
-/// planning and determinism contract as [`super::ShardCoordinator`]) or
+/// planning and determinism contract as [`super::Executor::Spawn`]) or
 /// [`WorkerPool::run_requests`] for pre-built request sets. Dropping
 /// the pool kills and reaps every worker.
 #[derive(Debug)]
@@ -441,11 +441,12 @@ impl WorkerPool {
         self.dispatcher.shared.lock().pids.clone()
     }
 
-    /// Pooled [`super::ShardCoordinator::evaluate_many`]: plans `xs`
-    /// across the live workers and merges their runs in index order,
-    /// optionally under a fault process that workers rebase by each
-    /// item's global index. Byte-identical to the single-process
-    /// evaluation — faulty or clean — for every worker count.
+    /// Pooled sharded [`crate::batch::BatchEvaluator::evaluate_many`]:
+    /// plans `xs` across the live workers and merges their runs in
+    /// index order, optionally under a fault process that workers
+    /// rebase by each item's global index. Byte-identical to the
+    /// single-process evaluation — faulty or clean — for every worker
+    /// count.
     ///
     /// # Errors
     ///
@@ -467,11 +468,11 @@ impl WorkerPool {
         Ok(merged.into_iter().flatten().collect())
     }
 
-    /// Pooled [`super::ShardCoordinator::image_rows`]: plans the
-    /// image's rows across the live workers, optionally under a fault
-    /// process rebased per pixel by global row then column. Returns
-    /// per-pixel runs in row-major order, byte-identical to the
-    /// in-process row+lane pipeline for every worker count.
+    /// Pooled [`super::Executor::image`]: plans the image's rows across
+    /// the live workers, optionally under a fault process rebased per
+    /// pixel by global row then column. Returns per-pixel runs in
+    /// row-major order, byte-identical to the in-process row+lane
+    /// pipeline for every worker count.
     ///
     /// # Errors
     ///

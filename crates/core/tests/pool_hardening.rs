@@ -1,7 +1,7 @@
 //! Pool hardening against misbehaving workers: a worker that accepts
 //! requests but never answers must surface as a
 //! [`ShardError::Timeout`] value within the configured deadline, and
-//! every child process the pool (or a one-shot coordinator) spawned
+//! every child process the pool (or the one-shot spawn tier) spawned
 //! must be killed **and reaped** when the owner goes away — including
 //! when the owning thread unwinds from a panic — so a long-lived
 //! service never accumulates zombies.
@@ -12,7 +12,7 @@
 #![cfg(unix)]
 
 use osc_core::batch::shard::pool::PoolConfig;
-use osc_core::batch::shard::{ShardCoordinator, ShardError, SngKind};
+use osc_core::batch::shard::{BatchJob, Executor, ShardError, SngKind};
 use osc_core::params::CircuitParams;
 use osc_core::system::OpticalScSystem;
 use osc_stochastic::bernstein::BernsteinPoly;
@@ -146,17 +146,23 @@ fn panicking_caller_leaves_no_zombies() {
 
 #[test]
 fn coordinator_error_paths_leave_no_zombies() {
-    // A one-shot coordinator run against stalling workers must fail as
+    // A one-shot spawn-tier run against stalling workers must fail as
     // a value and reap every subprocess it spawned on the way out.
     let stub = stalling_stub("coordinator");
     let system = fig5_system();
-    let coordinator = ShardCoordinator::new(&stub, 2)
+    let config = PoolConfig::new(&stub, 2)
         .with_retries(0)
         .with_read_timeout(Duration::from_millis(200));
     let before: Vec<u32> = our_children();
-    let err = coordinator
-        .evaluate_many(&system, SngKind::Xoshiro, &[0.25, 0.75], 64, 3, None)
-        .unwrap_err();
+    let job = BatchJob {
+        system: &system,
+        sng: SngKind::Xoshiro,
+        xs: &[0.25, 0.75],
+        stream_length: 64,
+        seed: 3,
+        faults: None,
+    };
+    let err = Executor::Spawn(&config).batches(&[job]).unwrap_err();
     assert!(
         matches!(err, ShardError::Timeout { .. } | ShardError::Worker { .. }),
         "{err}"
@@ -165,7 +171,7 @@ fn coordinator_error_paths_leave_no_zombies() {
     // zombie.
     for pid in our_children() {
         if !before.contains(&pid) {
-            assert!(!is_our_zombie(pid), "coordinator left zombie {pid}");
+            assert!(!is_our_zombie(pid), "spawn tier left zombie {pid}");
         }
     }
     let _ = std::fs::remove_file(&stub);

@@ -116,17 +116,6 @@ pub fn inv_erfc(p: f64) -> f64 {
     }
 }
 
-/// Inverse error function: returns `x` such that `erf(x) == y` for
-/// `y` in `(-1, 1)`.
-///
-/// ```
-/// use osc_math::special::{erf, inv_erf};
-/// assert!((erf(inv_erf(0.5)) - 0.5).abs() < 1e-12);
-/// ```
-pub fn inv_erf(y: f64) -> f64 {
-    inv_erfc(1.0 - y)
-}
-
 /// Gaussian tail probability `Q(x) = P[N(0,1) > x] = 0.5 * erfc(x/sqrt(2))`.
 ///
 /// ```
@@ -149,11 +138,6 @@ pub fn inv_gaussian_q(p: f64) -> f64 {
 /// Standard normal cumulative distribution function.
 pub fn normal_cdf(x: f64) -> f64 {
     1.0 - gaussian_q(x)
-}
-
-/// Standard normal probability density function.
-pub fn normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
 }
 
 /// Exact binomial coefficient C(n, k) as `u128`.
@@ -189,22 +173,6 @@ pub fn binomial(n: u32, k: u32) -> u128 {
 /// where the result immediately multiplies other floats.
 pub fn binomial_f64(n: u32, k: u32) -> f64 {
     binomial(n, k) as f64
-}
-
-/// Natural log of the factorial, via Stirling series for large arguments
-/// and exact accumulation for small ones. Used for binomial tail bounds in
-/// stream-length analysis.
-pub fn ln_factorial(n: u64) -> f64 {
-    if n < 2 {
-        return 0.0;
-    }
-    if n < 64 {
-        return (2..=n).map(|i| (i as f64).ln()).sum();
-    }
-    let x = n as f64;
-    // Stirling series with three correction terms.
-    x * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI * x).ln() + 1.0 / (12.0 * x)
-        - 1.0 / (360.0 * x.powi(3))
 }
 
 #[cfg(test)]
@@ -294,11 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_pdf_peak() {
-        assert!((normal_pdf(0.0) - 0.3989422804014327).abs() < 1e-12);
-    }
-
-    #[test]
     fn binomial_small_cases() {
         assert_eq!(binomial(0, 0), 1);
         assert_eq!(binomial(5, 0), 1);
@@ -322,20 +285,6 @@ mod tests {
                 assert_eq!(binomial(n, k), binomial(n - 1, k - 1) + binomial(n - 1, k));
             }
         }
-    }
-
-    #[test]
-    fn ln_factorial_matches_exact_small() {
-        let exact_10 = (3628800.0_f64).ln();
-        assert!((ln_factorial(10) - exact_10).abs() < 1e-10);
-    }
-
-    #[test]
-    fn ln_factorial_stirling_continuity() {
-        // The switch between exact and Stirling at n=64 must be seamless.
-        let a = ln_factorial(63) + (64.0_f64).ln();
-        let b = ln_factorial(64);
-        assert!((a - b).abs() < 1e-8);
     }
 
     #[test]

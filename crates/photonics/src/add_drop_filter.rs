@@ -61,12 +61,6 @@ impl AddDropFilter {
         Nanometers::new(control.as_mw().max(0.0) * self.ote_nm_per_mw)
     }
 
-    /// Control power required to produce a given blue-shift (the inverse
-    /// map used by the MRR-first design method to size the pump laser).
-    pub fn control_for_detuning(&self, detuning: Nanometers) -> Milliwatts {
-        Milliwatts::new(detuning.as_nm().max(0.0) / self.ote_nm_per_mw)
-    }
-
     /// Effective resonance under a control power.
     pub fn effective_resonance(&self, control: Milliwatts) -> Nanometers {
         self.lambda_ref() - self.detuning_for(control)
@@ -177,15 +171,6 @@ mod tests {
         let d = f.detuning_for(Milliwatts::new(210.0));
         assert!((d.as_nm() - 2.1).abs() < 1e-12);
         assert!((f.effective_resonance(Milliwatts::new(210.0)).as_nm() - 1548.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn control_for_detuning_is_inverse() {
-        let f = filter();
-        for nm in [0.1, 0.55, 1.1, 2.1] {
-            let p = f.control_for_detuning(Nanometers::new(nm));
-            assert!((f.detuning_for(p).as_nm() - nm).abs() < 1e-12);
-        }
     }
 
     #[test]

@@ -100,54 +100,6 @@ impl RingResonator {
         self.through_transmission(self.resonance, self.resonance)
     }
 
-    /// Drop transmission at the nominal resonance (the filter's peak).
-    pub fn drop_at_resonance(&self) -> f64 {
-        self.drop_transmission(self.resonance, self.resonance)
-    }
-
-    /// Full width at half maximum of the drop-port resonance (analytic
-    /// Lorentzian approximation, accurate for the high-finesse rings used
-    /// here).
-    pub fn fwhm(&self) -> Nanometers {
-        let ra = self.r1 * self.r2 * self.a;
-        Nanometers::new(self.fsr.as_nm() * (1.0 - ra) / (std::f64::consts::PI * ra.sqrt()))
-    }
-
-    /// Loaded quality factor `Q = λ_res / FWHM`.
-    pub fn q_factor(&self) -> f64 {
-        self.resonance.as_nm() / self.fwhm().as_nm()
-    }
-
-    /// Finesse `FSR / FWHM`.
-    pub fn finesse(&self) -> f64 {
-        self.fsr.as_nm() / self.fwhm().as_nm()
-    }
-
-    /// Numerically measured FWHM of the drop resonance: scans outward from
-    /// the peak until the transmission halves. Cross-validates [`Self::fwhm`].
-    pub fn fwhm_numeric(&self) -> Nanometers {
-        let peak = self.drop_at_resonance();
-        let half = peak / 2.0;
-        let f = |delta: f64| {
-            self.drop_transmission(self.resonance + Nanometers::new(delta), self.resonance) - half
-        };
-        let mut hi = self.fsr.as_nm() * 0.499;
-        // The drop response decreases monotonically out to FSR/2.
-        if f(hi) > 0.0 {
-            return self.fsr; // resonance broader than the FSR — degenerate
-        }
-        let mut lo = 0.0;
-        for _ in 0..200 {
-            let mid = 0.5 * (lo + hi);
-            if f(mid) > 0.0 {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Nanometers::new(lo + hi)
-    }
-
     /// Whether the ring is critically coupled (`r1 == a·r2`), i.e. the
     /// through port extinguishes completely on resonance.
     pub fn is_critically_coupled(&self, tol: f64) -> bool {
@@ -257,7 +209,7 @@ mod tests {
     fn resonance_dip_and_peak() {
         let ring = test_ring();
         let on_through = ring.through_at_resonance();
-        let on_drop = ring.drop_at_resonance();
+        let on_drop = ring.drop_transmission(ring.resonance(), ring.resonance());
         assert!(on_through < 0.01, "through on resonance = {on_through}");
         assert!(on_drop > 0.8, "drop on resonance = {on_drop}");
     }
@@ -302,7 +254,7 @@ mod tests {
             .build()
             .unwrap();
         let t = ring.through_at_resonance();
-        let d = ring.drop_at_resonance();
+        let d = ring.drop_transmission(ring.resonance(), ring.resonance());
         assert!(t.abs() < 1e-12, "lossless symmetric ring fully drops");
         assert!((d - 1.0).abs() < 1e-12);
     }
@@ -317,25 +269,6 @@ mod tests {
         // And the dip is now at 1549.
         let t2 = ring.through_transmission(Nanometers::new(1549.0), shifted);
         assert!(t2 < 0.01);
-    }
-
-    #[test]
-    fn analytic_fwhm_matches_numeric() {
-        let ring = test_ring();
-        let analytic = ring.fwhm().as_nm();
-        let numeric = ring.fwhm_numeric().as_nm();
-        assert!(
-            (analytic - numeric).abs() / numeric < 0.05,
-            "analytic {analytic} vs numeric {numeric}"
-        );
-    }
-
-    #[test]
-    fn q_factor_scale() {
-        let ring = test_ring();
-        let q = ring.q_factor();
-        assert!(q > 5_000.0 && q < 100_000.0, "Q = {q}");
-        assert!((ring.finesse() - ring.fsr().as_nm() / ring.fwhm().as_nm()).abs() < 1e-12);
     }
 
     #[test]

@@ -110,15 +110,6 @@ fn box_constrained_least_squares(design: &Matrix, target: &[f64], warm_start: &[
     b
 }
 
-/// The paper's degree-6 gamma-correction polynomial.
-///
-/// # Errors
-///
-/// Propagates fit errors (none occur for the standard parameters).
-pub fn paper_gamma_poly() -> Result<BernsteinPoly, ScError> {
-    fit_gamma_bernstein(DISPLAY_GAMMA, PAPER_GAMMA_DEGREE)
-}
-
 /// Maximum absolute approximation error of a fitted polynomial against the
 /// exact gamma map, over a dense grid on `[0, 1]`.
 ///
@@ -155,7 +146,7 @@ mod tests {
 
     #[test]
     fn degree6_fit_is_tight_away_from_origin() {
-        let p = paper_gamma_poly().unwrap();
+        let p = fit_gamma_bernstein(DISPLAY_GAMMA, PAPER_GAMMA_DEGREE).unwrap();
         assert_eq!(p.degree(), 6);
         // x^0.45 has infinite slope at 0, so a degree-6 polynomial cannot
         // be uniformly tight there; check the bulk of the domain.
@@ -168,7 +159,7 @@ mod tests {
 
     #[test]
     fn fit_coefficients_are_probabilities() {
-        let p = paper_gamma_poly().unwrap();
+        let p = fit_gamma_bernstein(DISPLAY_GAMMA, PAPER_GAMMA_DEGREE).unwrap();
         for &c in p.coeffs() {
             assert!((0.0..=1.0).contains(&c), "coeffs {:?}", p.coeffs());
         }
@@ -213,7 +204,7 @@ mod tests {
 
     #[test]
     fn fit_error_metric_consistency() {
-        let p = paper_gamma_poly().unwrap();
+        let p = fit_gamma_bernstein(DISPLAY_GAMMA, PAPER_GAMMA_DEGREE).unwrap();
         let e = fit_error(&p, DISPLAY_GAMMA);
         assert!(e > 0.0 && e < 0.25, "e = {e}");
     }

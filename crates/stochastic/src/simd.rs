@@ -61,8 +61,7 @@
 //! channels exist so CI can pin every code path:
 //!
 //! - the `OSC_SIMD` environment variable (`scalar`, `avx2`, `avx512`)
-//!   caps the tier; `OSC_FORCE_SCALAR=1` is shorthand for
-//!   `OSC_SIMD=scalar`. Requests above what the hardware supports clamp
+//!   caps the tier. Requests above what the hardware supports clamp
 //!   down, so `OSC_SIMD=avx2` is safe on any machine. Unknown names are
 //!   rejected by [`parse_tier`] and reported on stderr (never silently
 //!   remapped to some other tier).
@@ -387,8 +386,8 @@ pub fn set_tier_override(tier: Option<SimdTier>) -> SimdTier {
     }
 }
 
-/// Tier cap requested through the environment (`OSC_SIMD` /
-/// `OSC_FORCE_SCALAR`), read once per process.
+/// Tier cap requested through the environment (`OSC_SIMD`), read once
+/// per process.
 fn env_cap() -> Option<SimdTier> {
     static ENV: AtomicU8 = AtomicU8::new(0);
     match ENV.load(Ordering::Relaxed) {
@@ -396,21 +395,17 @@ fn env_cap() -> Option<SimdTier> {
         0xFF => return None,
         v => return SimdTier::from_u8(v),
     }
-    let cap = if std::env::var_os("OSC_FORCE_SCALAR").is_some_and(|v| !v.is_empty() && v != "0") {
-        Some(SimdTier::Scalar)
-    } else {
-        match std::env::var("OSC_SIMD") {
-            Ok(v) if !v.trim().is_empty() => match parse_tier(&v) {
-                Ok(t) => Some(t),
-                Err(e) => {
-                    // Report once (the result is cached below) and run
-                    // uncapped rather than guessing at a tier.
-                    eprintln!("[simd] ignoring OSC_SIMD: {e}");
-                    None
-                }
-            },
-            _ => None,
-        }
+    let cap = match std::env::var("OSC_SIMD") {
+        Ok(v) if !v.trim().is_empty() => match parse_tier(&v) {
+            Ok(t) => Some(t),
+            Err(e) => {
+                // Report once (the result is cached below) and run
+                // uncapped rather than guessing at a tier.
+                eprintln!("[simd] ignoring OSC_SIMD: {e}");
+                None
+            }
+        },
+        _ => None,
     };
     ENV.store(cap.map_or(0xFF, SimdTier::to_u8), Ordering::Relaxed);
     cap
